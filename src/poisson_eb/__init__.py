@@ -28,7 +28,6 @@ from .mixtures import (
     hellinger_sq,
     log_poisson_pmf,
     mixture_tail_bound,
-    mmse,
     mmse_exact,
     pmf_table,
     poisson_divergences,
@@ -96,7 +95,7 @@ __all__ = [
     "NumericalFailureError",
     # mixtures
     "DiscretePrior", "MixturePmf", "log_poisson_pmf", "pmf_table",
-    "bayes_rule", "posterior_mean_table", "mmse", "mmse_exact",
+    "bayes_rule", "posterior_mean_table", "mmse_exact",
     "hellinger_sq", "poisson_divergences", "poisson_tail_bound",
     "mixture_tail_bound", "generating_function_check",
     # differences

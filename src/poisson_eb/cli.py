@@ -50,17 +50,15 @@ def _fail(code: int, message: str) -> None:
 
 @click.group()
 @click.version_option(version=__version__, prog_name="peb")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Base seed for any randomized step.")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Accepted for interface stability; execution is single-threaded.")
+@click.option("--seed", type=int, default=None,
+              help="Base seed for any randomized step; overrides a plan's seed.")
 @click.option("--strict/--lenient", default=None,
               help="Fail (exit 3) on solver non-convergence instead of flagging it.")
 @click.pass_context
-def main(ctx: click.Context, seed: int, threads: int, strict: bool | None) -> None:
+def main(ctx: click.Context, seed: int | None, strict: bool | None) -> None:
     """Poisson empirical-Bayes toolkit: NPMLE fits, Robbins-style rules, sweeps."""
     ctx.ensure_object(dict)
-    ctx.obj.update(seed=seed, threads=threads, strict=strict)
+    ctx.obj.update(seed=seed, strict=strict)
 
 
 @main.command("npmle-fit")
@@ -132,11 +130,8 @@ def cmd_eb_estimate(ctx, input_path, method, y0, rho, y_cap, tol, out_path):
         _fail(_EXIT_BAD_CONFIG, str(exc))
     cap = y_cap if y_cap is not None else data.y_max + 5
     try:
-        if kind == "npmle_eb":
-            fit = fit_npmle(data, tol=tol, strict=strict)
-            rule = fit_rule(config, cap, fit=fit)
-        else:
-            rule = fit_rule(config, cap, train=data)
+        fit = fit_npmle(data, tol=tol, strict=strict) if kind == "npmle_eb" else None
+        rule = fit_rule(config, cap, train=data, fit=fit)
     except NumericalFailureError as exc:
         _fail(_EXIT_NUMERICAL, str(exc))
     buf = io.StringIO()
@@ -155,7 +150,7 @@ def _run_plan_command(ctx, plan_path, out_rows, out_slopes, forced_metrics=None)
 
     try:
         plan = parse_plan(Path(plan_path).read_text())
-        if ctx.obj["seed"]:
+        if ctx.obj["seed"] is not None:
             plan = replace(plan, seed=ctx.obj["seed"])
         if forced_metrics is not None:
             plan = replace(plan, metrics=forced_metrics)
@@ -205,7 +200,7 @@ def cmd_moment_match(ctx, source, big_m, eta, c_const, p, out_path):
     """Compress a prior to few atoms while matching local moments."""
     try:
         spec = parse_prior_spec(source)
-        resolved = resolve(spec, p=p, seed=ctx.obj["seed"])
+        resolved = resolve(spec, p=p, seed=ctx.obj["seed"] or 0)
         report = local_moment_match(resolved.discretization, big_m, eta, C=c_const)
     except NumericalFailureError as exc:
         _fail(_EXIT_NUMERICAL, str(exc))

@@ -42,17 +42,14 @@ import numpy as np
 from ._version import __version__
 from .errors import InvalidInputError, UnsupportedRegimeError
 from .mixtures import hellinger_sq, pmf_table
-from .npmle import CountHistogram, fit_npmle
+from .npmle import CountHistogram, NpmleFit, fit_npmle
 from .priors import PriorSpec, ResolvedPrior, parse_prior_spec, resolve
 from .rules import (
     CLI_KIND_NAMES,
     EstimatorConfig,
-    FittedRule,
     bounded_beyond_table,
     fit_rule,
-    npmle_eb,
-    robbins,
-    robbins_truncated,
+    ratio_table,
     tune_defaults,
 )
 
@@ -314,9 +311,7 @@ def density_risk_trial(
         raise InvalidInputError("n must be >= 10")
     _, y = resolved.sample_counts(seed, n)
     hist = CountHistogram.from_samples(y)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        fit = fit_npmle(hist, density=grid_density, tol=solver_tol, max_iter=solver_max_iter)
+    fit = _fit_npmle_leniently(hist, solver_tol, solver_max_iter, grid_density)
     ref = resolved.pmf(tail_tol=1e-11)
     fit_table = pmf_table(fit.prior, tail_tol=1e-11, min_len=ref.values.size,
                           source="npmle_fit")
@@ -325,47 +320,84 @@ def density_risk_trial(
     return value, flags
 
 
-def _rule_table_full(
+def _fit_npmle_leniently(
+    data: CountHistogram,
+    tol: float,
+    max_iter: int,
+    grid_density: float,
+    warm: NpmleFit | None = None,
+) -> NpmleFit:
+    """Lenient NPMLE fit; with `warm`, restricted to its grid and started from its prior."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        if warm is None:
+            return fit_npmle(data, density=grid_density, tol=tol, max_iter=max_iter)
+        return fit_npmle(data, grid=warm.grid, tol=tol, max_iter=max_iter,
+                         init_prior=warm.prior)
+
+
+def _rule_estimates(
     resolved: ResolvedPrior,
-    method: str,
     config: EstimatorConfig,
-    train: CountHistogram | None,
-    y_hi: int,
-    solver_tol: float,
+    data: CountHistogram,
     solver_max_iter: int,
     grid_density: float,
-) -> FittedRule:
-    kind = CLI_KIND_NAMES[method]
-    if kind == "oracle":
-        return fit_rule(config, y_hi, prior=resolved.discretization)
-    if kind == "npmle_eb":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            fit = fit_npmle(train, density=grid_density, tol=config.npmle_tol,
-                            max_iter=solver_max_iter)
-        return fit_rule(config, y_hi, fit=fit)
-    return fit_rule(config, y_hi, train=train)
+    y_hi: int | None = None,
+) -> tuple[np.ndarray, list[str]]:
+    """A rule's estimates and flags, trained on `data`.
+
+    With `y_hi`: the table on y = 0..y_hi of the rule trained on all of
+    `data`, flagged "name=count".  Without it: the leave-one-out estimate at
+    each distinct observed y (ascending), flagged "name@y".  The oracle reads
+    the prior's cached theta_G table.  Removing a point at y lowers only N(y),
+    so the frequency-ratio kinds are one closed-form table; only the NPMLE is
+    refitted per y, warm-started on the full-data fit.
+    """
+    loo = y_hi is None
+    ys = data.ys
+    if config.kind == "oracle":
+        table = resolved.oracle_table(data.y_max if loo else y_hi)
+        return (table[ys] if loo else table), []
+    warm = None
+    if config.kind == "npmle_eb":
+        warm = _fit_npmle_leniently(data, config.npmle_tol, solver_max_iter, grid_density)
+    if not loo:
+        rule = fit_rule(config, y_hi, train=data, fit=warm)
+        return rule.table, [f"{name}={v}" for name, v in rule.flags.items() if v]
+    if warm is not None:
+        est, flags = [], []
+        for y in ys.tolist():
+            refit = _fit_npmle_leniently(data.remove_one(y), config.npmle_tol,
+                                         solver_max_iter, grid_density, warm=warm)
+            rule = fit_rule(config, y, fit=refit)
+            est.append(rule.table[y])
+            flags += [f"{name}@{y}" for name, v in rule.flags.items() if v]
+        return np.array(est), flags
+    counts = np.zeros(data.y_max + 2)
+    counts[ys] = data.cnts
+    est, hazards = ratio_table(config, ys.astype(float), (ys + 1.0) * counts[ys + 1],
+                               data.cnts - 1.0)
+    flags = [f"{name}@{y}" for i, y in enumerate(ys.tolist())
+             for name, mask in hazards.items() if mask[i]]
+    return est, flags
 
 
 def _regret_diverges(resolved: ResolvedPrior, config: EstimatorConfig) -> bool:
     return not resolved.second_moment_finite and bounded_beyond_table(config)
 
 
-def _rule_flags(rule: FittedRule) -> list[str]:
-    return [f"{k}={v}" for k, v in rule.flags.items() if v]
-
-
 def _regret_from_table(
     resolved: ResolvedPrior,
-    rule: FittedRule,
+    table: np.ndarray,
+    rule_flags: list[str],
     y_cap: int,
 ) -> tuple[float, float, list[str]]:
     ref = resolved.pmf(tail_tol=1e-11)
-    y_hi = rule.y_cap
+    y_hi = table.size - 1
     f = ref.values[: y_hi + 1]
     theta_ref = resolved.oracle_table(y_hi)
     with np.errstate(invalid="ignore"):
-        sq = (rule.table - theta_ref) ** 2
+        sq = (table - theta_ref) ** 2
     capped = ~np.isfinite(sq)
     sq = np.where(capped, SQERR_CAP, np.minimum(sq, SQERR_CAP))
     value = float(f[: y_cap + 1] @ sq[: y_cap + 1])
@@ -373,7 +405,7 @@ def _regret_from_table(
     flags = []
     if int(capped[: y_cap + 1].sum()):
         flags.append(f"capped={int(capped[: y_cap + 1].sum())}")
-    return value, tail_term, flags + _rule_flags(rule)
+    return value, tail_term, flags + rule_flags
 
 
 def individual_regret_trial(
@@ -405,16 +437,15 @@ def individual_regret_trial(
     if method not in CLI_KIND_NAMES:
         raise InvalidInputError(f"unknown method {method!r}")
     if config is None:
-        config = _default_config(resolved, n, method, tuning_c, overrides)
+        config = _default_config(resolved, n, method, tuning_c, overrides, solver_tol)
     _, y_train = resolved.sample_counts(seed, n - 1)
     train = CountHistogram.from_samples(y_train)
     ref = resolved.pmf(tail_tol=1e-11)
-    rule = _rule_table_full(
-        resolved, method, config, train, ref.y_max, solver_tol, solver_max_iter, grid_density
-    )
+    table, rule_flags = _rule_estimates(resolved, config, train, solver_max_iter,
+                                        grid_density, ref.y_max)
     if _regret_diverges(resolved, config):
-        return math.inf, math.inf, _rule_flags(rule) + [DIVERGENT_FLAG]
-    return _regret_from_table(resolved, rule, resolved.quantile_y(y_cap_eps))
+        return math.inf, math.inf, rule_flags + [DIVERGENT_FLAG]
+    return _regret_from_table(resolved, table, rule_flags, resolved.quantile_y(y_cap_eps))
 
 
 def _default_config(
@@ -423,6 +454,7 @@ def _default_config(
     method: str,
     tuning_c: float,
     overrides: dict | None,
+    solver_tol: float,
 ) -> EstimatorConfig:
     kind = CLI_KIND_NAMES[method]
     overrides = overrides or {}
@@ -446,50 +478,7 @@ def _default_config(
         except UnsupportedRegimeError:
             y0 = math.inf if y0 is None else y0
             rho = 1e-10 if rho is None else rho
-    return EstimatorConfig(kind=kind, y0=y0, rho=min(rho, 1.0 / math.e))
-
-
-def _loo_estimates(
-    resolved: ResolvedPrior,
-    method: str,
-    config: EstimatorConfig,
-    hist: CountHistogram,
-    solver_tol: float,
-    solver_max_iter: int,
-    grid_density: float,
-) -> tuple[dict, list[str]]:
-    """Leave-one-out estimate at each distinct observed y (training = data - that point)."""
-    kind = CLI_KIND_NAMES[method]
-    flags: list[str] = []
-    est: dict = {}
-    warm = None
-    if kind == "npmle_eb":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            warm = fit_npmle(hist, density=grid_density, tol=config.npmle_tol,
-                             max_iter=solver_max_iter)
-    for y in hist.ys.tolist():
-        train = hist.remove_one(y)
-        if kind == "oracle":
-            est[y] = float(resolved.oracle_table(y)[y])
-        elif kind == "robbins_plain":
-            r = robbins(train, y, addone=False)
-            est[y] = r.value
-            if r.flag:
-                flags.append(f"{r.flag}@{y}")
-        elif kind == "robbins_addone":
-            est[y] = robbins(train, y, addone=True).value
-        elif kind == "robbins_trunc":
-            est[y] = robbins_truncated(train, y, config.y0)
-        else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                refit = fit_npmle(train, grid=warm.grid, tol=config.npmle_tol,
-                                  max_iter=solver_max_iter, init_prior=warm.prior)
-            if not refit.converged:
-                flags.append(f"solver_not_converged@{y}")
-            est[y] = npmle_eb(refit, y, y0=config.y0, rho=config.rho)
-    return est, flags
+    return EstimatorConfig(kind=kind, y0=y0, rho=min(rho, 1.0 / math.e), npmle_tol=solver_tol)
 
 
 def total_regret_trial(
@@ -515,7 +504,7 @@ def total_regret_trial(
     the whole pipeline.
     """
     if config is None:
-        config = _default_config(resolved, n, method, tuning_c, overrides)
+        config = _default_config(resolved, n, method, tuning_c, overrides, solver_tol)
     ind, tail, flags = individual_regret_trial(
         resolved, n, method, seed, config=config, tuning_c=tuning_c,
         y_cap_eps=y_cap_eps, solver_tol=solver_tol,
@@ -529,8 +518,8 @@ def total_regret_trial(
     if direct:
         seed_t = list(seed) if isinstance(seed, (tuple, list)) else [int(seed)]
         dval, dflags = _direct_total(
-            resolved, n, method, config, tuple(seed_t + [_PURPOSE_DIRECT]),
-            solver_tol, solver_max_iter, grid_density,
+            resolved, n, config, tuple(seed_t + [_PURPOSE_DIRECT]),
+            solver_max_iter, grid_density,
         )
         out["direct_value"] = dval
         out["direct_flags"] = dflags
@@ -540,10 +529,8 @@ def total_regret_trial(
 def _direct_total(
     resolved: ResolvedPrior,
     n: int,
-    method: str,
     config: EstimatorConfig,
     seed,
-    solver_tol: float,
     solver_max_iter: int,
     grid_density: float,
 ) -> tuple[float, list[str]]:
@@ -554,12 +541,9 @@ def _direct_total(
     """
     theta, y = resolved.sample_counts(seed, n)
     hist = CountHistogram.from_samples(y)
-    est, dflags = _loo_estimates(
-        resolved, method, config, hist, solver_tol, solver_max_iter, grid_density
-    )
-    est_arr = np.array([est[int(v)] for v in y])
+    est, dflags = _rule_estimates(resolved, config, hist, solver_max_iter, grid_density)
     with np.errstate(invalid="ignore"):
-        sq = (est_arr - theta) ** 2
+        sq = (est[np.searchsorted(hist.ys, y)] - theta) ** 2
     sq = np.where(np.isfinite(sq), np.minimum(sq, SQERR_CAP), SQERR_CAP)
     mmse_val, _ = resolved.mmse_ref()
     if _regret_diverges(resolved, config):
@@ -585,17 +569,11 @@ def robbins_instability_probe(resolved: ResolvedPrior, n: int, seed) -> ProbeRes
         raise InvalidInputError("n must be >= 1")
     _, y = resolved.sample_counts(seed, n)
     hist = CountHistogram.from_samples(y)
-    y_max = hist.y_max
-    counts = np.zeros(y_max + 2)
-    counts[hist.ys] = hist.cnts
-    bot, top = counts[:-1], counts[1:]
-    ys = np.arange(y_max + 1, dtype=float)
-    gaps = int(np.sum((bot == 0) & (top > 0)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        est = (ys + 1.0) * top / bot
-    finite = np.isfinite(est) & (bot > 0)
-    huge = int(np.sum(finite & (est > 100.0 * np.maximum(ys, 1.0))))
-    return ProbeResult(n=n, y_max=y_max, gap_sites=gaps, huge_sites=huge)
+    rule = fit_rule(EstimatorConfig("robbins_plain"), hist.y_max, train=hist)
+    ys = np.arange(hist.y_max + 1, dtype=float)
+    huge = np.isfinite(rule.table) & (rule.table > 100.0 * np.maximum(ys, 1.0))
+    return ProbeResult(n=n, y_max=hist.y_max, gap_sites=rule.flags["infinite"],
+                       huge_sites=int(huge.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +655,8 @@ def run_plan(plan: ExperimentPlan, resolved: ResolvedPrior | None = None) -> Exp
             key = _stream_key(plan.seed, n, rep, _PURPOSE_TRAIN)
             for method in plan.methods:
                 try:
-                    config = _default_config(resolved, n, method, plan.tuning_c, plan.overrides)
+                    config = _default_config(resolved, n, method, plan.tuning_c,
+                                             plan.overrides, plan.solver_tol)
                     ind, tail, flags = individual_regret_trial(
                         resolved, n, method, key, config=config,
                         y_cap_eps=plan.y_cap_eps, solver_tol=plan.solver_tol,
@@ -693,10 +672,9 @@ def run_plan(plan: ExperimentPlan, resolved: ResolvedPrior | None = None) -> Exp
                                                   n * ind, n * tail, flag_str))
                         if plan.direct_total:
                             dval, dflags = _direct_total(
-                                resolved, n, method, config,
+                                resolved, n, config,
                                 _stream_key(plan.seed, n, rep, _PURPOSE_DIRECT),
-                                plan.solver_tol, plan.solver_max_iter,
-                                plan.grid_density,
+                                plan.solver_max_iter, plan.grid_density,
                             )
                             rows.append(ExperimentRow(
                                 n, rep, method, "total_regret_direct",

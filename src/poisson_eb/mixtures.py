@@ -47,7 +47,6 @@ __all__ = [
     "bayes_rule",
     "posterior_mean_table",
     "posterior_moment_table",
-    "mmse",
     "mmse_exact",
     "hellinger_sq",
     "poisson_divergences",
@@ -366,35 +365,6 @@ def mmse_exact(prior: DiscretePrior, tail_tol: float = 1e-12) -> tuple[float, fl
     half_range = 0.5 * (prior.max_atom - float(prior.atoms[0]))
     remainder = table.tail_mass * half_range * half_range
     return value, remainder
-
-
-def mmse(
-    prior: DiscretePrior,
-    mc_draws: int = 200_000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Bayes risk of the posterior-mean rule, with a standard error.
-
-    For priors with at most two atoms the finite sum is evaluated exactly and
-    the standard error is 0.  Otherwise a Monte Carlo estimate over
-    ``mc_draws`` fresh (theta, Y) pairs is returned.
-    """
-    if prior.n_atoms <= 2:
-        value, remainder = mmse_exact(prior, tail_tol=1e-14)
-        # remainder is astronomically small here; fold it into the value's
-        # honesty rather than pretending to an SE
-        return value + 0.5 * remainder, 0.0
-    if mc_draws < 2:
-        raise InvalidInputError("mc_draws must be >= 2")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    idx = rng.choice(prior.n_atoms, size=mc_draws, p=prior.weights)
-    theta = prior.atoms[idx]
-    y = rng.poisson(theta)
-    means = posterior_mean_table(prior, int(y.max()))
-    err = (means[y] - theta) ** 2
-    est = float(err.mean())
-    se = float(err.std(ddof=1) / math.sqrt(mc_draws))
-    return est, se
 
 
 # ---------------------------------------------------------------------------

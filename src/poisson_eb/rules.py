@@ -14,6 +14,11 @@ at zero:
 
     (y+1) * ((f(y+1) - f(y)) / max(f(y), rho) + 1),   y <= y0;   y otherwise.
 
+`fit_rule` tabulates each rule on y = 0..y_cap and is the only place these
+formulas live.  `robbins`, `robbins_truncated` and `npmle_eb` are pointwise
+views of it (tabulate up to y, read cell y); leave-one-out callers feed its
+frequency-ratio helper `ratio_table` with N(y) - 1.
+
 `tune_defaults` provides the truncation/regularization schedule as a function
 of the sample size and the assumed finite p-th moment of the mean
 distribution (only meaningful for p > 1).
@@ -41,11 +46,12 @@ __all__ = [
     "CLI_KIND_NAMES",
     "EstimatorConfig",
     "RobbinsEstimate",
+    "FittedRule",
+    "ratio_table",
+    "fit_rule",
     "robbins",
     "robbins_truncated",
     "npmle_eb",
-    "FittedRule",
-    "fit_rule",
     "bounded_beyond_table",
     "TunedDefaults",
     "tune_defaults",
@@ -103,60 +109,6 @@ class RobbinsEstimate(NamedTuple):
     flag: str | None
 
 
-def robbins(data: CountHistogram, y: int, addone: bool = False) -> RobbinsEstimate:
-    """Plain or add-one frequency-ratio estimate at y.
-
-    Plain version hazards: N(y) = 0 with N(y+1) > 0 gives an infinite
-    estimate (flag "infinite"); 0/0 returns 0 with flag "degenerate".
-    """
-    y = int(y)
-    if y < 0:
-        raise InvalidInputError("y must be >= 0")
-    top = (y + 1) * data.count_of(y + 1)
-    bot = data.count_of(y)
-    if addone:
-        return RobbinsEstimate(top / (bot + 1), None)
-    if bot == 0:
-        if top == 0:
-            return RobbinsEstimate(0.0, "degenerate")
-        return RobbinsEstimate(math.inf, "infinite")
-    return RobbinsEstimate(top / bot, None)
-
-
-def robbins_truncated(data: CountHistogram, y: int, y0: float) -> float:
-    """Add-one frequency ratio below the truncation level, identity beyond."""
-    y = int(y)
-    if y < 0:
-        raise InvalidInputError("y must be >= 0")
-    if not (y0 >= 0):
-        raise InvalidInputError("y0 must be >= 0")
-    if y > y0:
-        return float(y)
-    return robbins(data, y, addone=True).value
-
-
-def npmle_eb(fit, y: int, y0: float = math.inf, rho: float = 1e-6) -> float:
-    """Regularized mixture-based rule at y, given a fitted mixing distribution.
-
-    `fit` may be an NpmleFit or a bare DiscretePrior.  Below the truncation
-    level the estimate is (y+1)((f(y+1)-f(y))/max(f(y), rho) + 1) clamped at
-    zero; beyond it, the identity y.
-    """
-    prior = fit.prior if isinstance(fit, NpmleFit) else fit
-    if not isinstance(prior, DiscretePrior):
-        raise InvalidInputError("fit must be an NpmleFit or DiscretePrior")
-    y = int(y)
-    if y < 0:
-        raise InvalidInputError("y must be >= 0")
-    if not (0 < rho <= 1 / math.e):
-        raise InvalidInputError("rho must lie in (0, 1/e]")
-    if y > y0:
-        return float(y)
-    f = pmf_on_range(prior, y + 1)
-    est = (y + 1) * ((f[y + 1] - f[y]) / max(f[y], rho) + 1.0)
-    return max(est, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # tabulated rules
 # ---------------------------------------------------------------------------
@@ -196,6 +148,33 @@ def _robbins_counts(train: CountHistogram, y_cap: int) -> np.ndarray:
     return counts
 
 
+def ratio_table(
+    config: EstimatorConfig,
+    ys: np.ndarray,
+    top: np.ndarray,
+    bot: np.ndarray,
+) -> tuple[np.ndarray, dict]:
+    """A frequency-ratio rule at the cells ys, given top = (y+1) N(y+1) and bot = N(y).
+
+    Returns (estimates, hazards).  For the plain rule, hazards maps
+    "degenerate" (0/0, estimate 0) and "infinite" (N(y) = 0 < N(y+1)) to
+    boolean masks over the cells; the add-one kinds have no hazards.  A
+    leave-one-out estimate at an observed y is the same formula with bot =
+    N(y) - 1, since removing one point at y lowers only N(y).
+    """
+    if config.kind == "robbins_plain":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            table = top / bot
+        degenerate = (bot == 0) & (top == 0)
+        infinite = (bot == 0) & (top > 0)
+        table[degenerate] = 0.0
+        return table, {"degenerate": degenerate, "infinite": infinite}
+    table = top / (bot + 1.0)
+    if config.kind == "robbins_trunc":
+        table = np.where(ys > config.y0, ys, table)
+    return table, {}
+
+
 def fit_rule(
     config: EstimatorConfig,
     y_cap: int,
@@ -225,22 +204,8 @@ def fit_rule(
         if train is None:
             raise InvalidInputError("frequency-ratio rules need training counts")
         counts = _robbins_counts(train, y_cap)
-        top = (ys + 1.0) * counts[1:]
-        bot = counts[:-1]
-        if config.kind == "robbins_plain":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                table = top / bot
-            degenerate = (bot == 0) & (top == 0)
-            infinite = (bot == 0) & (top > 0)
-            table[degenerate] = 0.0
-            flags = {
-                "degenerate": int(degenerate.sum()),
-                "infinite": int(infinite.sum()),
-            }
-        else:
-            table = top / (bot + 1.0)
-            if config.kind == "robbins_trunc":
-                table = np.where(ys > config.y0, ys, table)
+        table, hazards = ratio_table(config, ys, (ys + 1.0) * counts[1:], counts[:-1])
+        flags = {name: int(mask.sum()) for name, mask in hazards.items()}
         provenance = f"{config.kind}(n_train={train.n})"
 
     elif config.kind == "npmle_eb":
@@ -261,6 +226,38 @@ def fit_rule(
         raise InvalidInputError(f"unknown kind {config.kind!r}")
 
     return FittedRule(config=config, table=table, provenance=provenance, flags=flags)
+
+
+def robbins(data: CountHistogram, y: int, addone: bool = False) -> RobbinsEstimate:
+    """Plain or add-one frequency-ratio estimate at y.
+
+    Plain version hazards: N(y) = 0 with N(y+1) > 0 gives an infinite
+    estimate (flag "infinite"); 0/0 returns 0 with flag "degenerate".
+    """
+    y = int(y)
+    config = EstimatorConfig("robbins_addone" if addone else "robbins_plain")
+    value = fit_rule(config, y, train=data).estimate(y)
+    if addone or data.count_of(y) > 0:
+        return RobbinsEstimate(value, None)
+    return RobbinsEstimate(value, "infinite" if value == math.inf else "degenerate")
+
+
+def robbins_truncated(data: CountHistogram, y: int, y0: float) -> float:
+    """Add-one frequency ratio below the truncation level, identity beyond."""
+    y = int(y)
+    return fit_rule(EstimatorConfig("robbins_trunc", y0=y0), y, train=data).estimate(y)
+
+
+def npmle_eb(fit, y: int, y0: float = math.inf, rho: float = 1e-6) -> float:
+    """Regularized mixture-based rule at y, given a fitted mixing distribution.
+
+    `fit` may be an NpmleFit or a bare DiscretePrior.  Below the truncation
+    level the estimate is (y+1)((f(y+1)-f(y))/max(f(y), rho) + 1) clamped at
+    zero; beyond it, the identity y.
+    """
+    y = int(y)
+    config = EstimatorConfig("npmle_eb", y0=y0, rho=rho)
+    return fit_rule(config, y, fit=fit).estimate(y)
 
 
 def bounded_beyond_table(config: EstimatorConfig) -> bool:

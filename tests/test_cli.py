@@ -167,6 +167,16 @@ def test_sweep_strictness_controls_exit_code(runner, tmp_path, monkeypatch):
     assert strict.exit_code == 3
 
 
+def test_seed_flag_overrides_plan_seed_even_at_zero(runner, tmp_path):
+    plan = write(tmp_path, "plan.txt", PLAN_TEXT)         # the plan sets seed = 11
+    forced = runner.invoke(main, ["--seed", "0", "regret-sweep", plan])
+    assert forced.exit_code == 0, forced.output
+    assert " seed=0 " in forced.output.splitlines()[1]
+    default = runner.invoke(main, ["regret-sweep", plan])
+    assert default.exit_code == 0, default.output
+    assert " seed=11 " in default.output.splitlines()[1]
+
+
 # ---------------------------------------------------------------------------
 # moment-match and verify
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ from poisson_eb.experiments import (
     run_plan,
     total_regret_trial,
 )
+from poisson_eb.npmle import CountHistogram
 from poisson_eb.priors import PriorSpec, resolve
+from poisson_eb.rules import EstimatorConfig, fit_rule
 
 TP_SPEC = PriorSpec("two_point", {"eps": 0.2, "a": 5.0})
 TP = resolve(TP_SPEC)
@@ -212,6 +214,48 @@ def test_bounded_rule_stays_finite_on_finite_second_moment():
     assert "divergent_regret" not in flags
 
 
+def test_leave_one_out_tables_match_per_y_refits():
+    # gaps next to singletons: removing the point at 1 or 4 empties N(y) under
+    # a nonempty N(y+1) (infinite), at 5 or 10 it leaves 0/0 (degenerate)
+    hist = CountHistogram.from_counts({0: 3, 1: 1, 2: 2, 4: 1, 5: 1, 9: 2, 10: 1})
+    for config in (EstimatorConfig("robbins_plain"), EstimatorConfig("robbins_addone"),
+                   EstimatorConfig("robbins_trunc", y0=4), EstimatorConfig("oracle")):
+        est, flags = ex._rule_estimates(TP, config, hist, 10_000, 4.0)
+        ref_est, ref_flags = [], []
+        for y in hist.ys.tolist():
+            if config.kind == "oracle":
+                ref_est.append(fit_rule(config, y, prior=TP.discretization).table[y])
+                continue
+            train = hist.remove_one(y)
+            value = fit_rule(config, y, train=train).table[y]
+            ref_est.append(value)
+            if config.kind == "robbins_plain" and train.count_of(y) == 0:
+                ref_flags.append(f"{'infinite' if value == math.inf else 'degenerate'}@{y}")
+        if config.kind == "oracle":
+            np.testing.assert_allclose(est, ref_est, rtol=1e-12)
+        else:
+            np.testing.assert_array_equal(est, ref_est)
+        assert flags == ref_flags, config
+    _, flags = ex._rule_estimates(TP, EstimatorConfig("robbins_plain"), hist, 10_000, 4.0)
+    assert flags == ["infinite@1", "infinite@4", "degenerate@5", "degenerate@10"]
+
+
+def test_plan_solver_tol_reaches_regret_and_loo_fits(monkeypatch):
+    calls = []
+    real_fit = ex.fit_npmle
+
+    def spy(data, **kw):
+        calls.append((kw.get("grid") is not None, kw["tol"]))
+        return real_fit(data, **kw)
+
+    monkeypatch.setattr(ex, "fit_npmle", spy)
+    plan = small_plan(methods=("npmle",), metrics=("total_regret",), direct_total=True,
+                      n_grid=(20,), replicates=1, solver_tol=1e-4)
+    run_plan(plan, resolved=TP)
+    assert {restricted for restricted, _ in calls} == {False, True}   # full fits and refits
+    assert {tol for _, tol in calls} == {1e-4}
+
+
 def test_density_risk_trial_bounds():
     value, flags = density_risk_trial(TP, 60, (2, 8))
     assert 0.0 <= value <= 2.0
@@ -232,6 +276,17 @@ def test_probe_deterministic_census():
     # a heavy-tailed sample of 100 counts leaves empty cells below its max
     assert a.gap_sites >= 1
     assert a.y_max > 0
+
+
+def test_probe_gaps_are_the_plain_rule_infinite_cells():
+    sc = resolve(PriorSpec("sqrt_cauchy"), p=1.0)
+    pr = robbins_instability_probe(sc, 100, 5)
+    _, y = sc.sample_counts(5, 100)
+    hist = CountHistogram.from_samples(y)
+    rule = fit_rule(EstimatorConfig("robbins_plain"), hist.y_max, train=hist)
+    observed = set(hist.ys.tolist())
+    census = sum(1 for v in range(hist.y_max) if v not in observed and v + 1 in observed)
+    assert pr.gap_sites == rule.flags["infinite"] == census
 
 
 def test_probe_degenerate_sample_is_clean():

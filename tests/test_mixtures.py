@@ -13,7 +13,6 @@ from poisson_eb.mixtures import (
     hellinger_sq,
     log_poisson_pmf,
     mixture_tail_bound,
-    mmse,
     mmse_exact,
     pmf_table,
     poisson_divergences,
@@ -129,14 +128,6 @@ def test_mmse_exact_enumeration_oracle():
     val, rem = mmse_exact(G15, tail_tol=1e-13)
     assert val == pytest.approx(1.2450205804710435, rel=1e-9)
     assert rem <= 1e-11
-
-
-def test_mmse_mc_matches_exact_within_se():
-    val, rem = mmse_exact(G15)
-    est, se = mmse(G15, mc_draws=200_000, seed=7)
-    # exact route for tiny priors reports se = 0
-    assert se == 0.0
-    assert est == pytest.approx(val, rel=1e-9)
 
 
 def test_mmse_bounded_by_prior_variance():
