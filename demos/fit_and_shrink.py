@@ -31,7 +31,7 @@ print(f"true prior: 0.8 at theta=0, 0.2 at theta=5; sample mean {y.mean():.3f}\n
 fit = fit_npmle(data)
 order = np.argsort(fit.prior.weights)[::-1]
 print(f"NPMLE fit: {fit.prior.n_atoms} atoms, certificate gap {fit.kkt_gap:.2e}, "
-      f"{fit.iterations} sweeps")
+      f"{fit.iterations} weight-solve steps")
 for i in order[:4]:
     print(f"    theta = {fit.prior.atoms[i]:7.4f}   weight = {fit.prior.weights[i]:.4f}")
 print()

@@ -65,9 +65,10 @@ def main(ctx: click.Context, seed: int | None, strict: bool | None) -> None:
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_path", default=None, help="Output JSON path (default stdout).")
 @click.option("--tol", default=1e-6, show_default=True, help="KKT certificate tolerance.")
-@click.option("--max-iter", default=10_000, show_default=True)
+@click.option("--max-iter", default=10_000, show_default=True,
+              help="Cap on the solver's weight-solve steps.")
 @click.option("--density", default=4.0, show_default=True,
-              help="Grid points per unit of sqrt(theta).")
+              help="Scan points per unit of sqrt(theta).")
 @click.pass_context
 def cmd_npmle_fit(ctx, input_path, out_path, tol, max_iter, density):
     """Fit the nonparametric MLE mixing distribution to count data.

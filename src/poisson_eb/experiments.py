@@ -327,13 +327,12 @@ def _fit_npmle_leniently(
     grid_density: float,
     warm: NpmleFit | None = None,
 ) -> NpmleFit:
-    """Lenient NPMLE fit; with `warm`, restricted to its grid and started from its prior."""
+    """Lenient NPMLE fit, started from `warm`'s prior when given (a
+    leave-one-out refit: same solver and certificate, another start)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        if warm is None:
-            return fit_npmle(data, density=grid_density, tol=tol, max_iter=max_iter)
-        return fit_npmle(data, grid=warm.grid, tol=tol, max_iter=max_iter,
-                         init_prior=warm.prior)
+        return fit_npmle(data, density=grid_density, tol=tol, max_iter=max_iter,
+                         init_prior=None if warm is None else warm.prior)
 
 
 def _rule_estimates(

@@ -1,18 +1,14 @@
 """Nonparametric maximum-likelihood mixing distribution for Poisson counts.
 
-Maximizes ``sum_y N(y) log f_G(y)`` over all mixing distributions G supported
-on a finite candidate grid, by multiplicative (EM) weight updates on a small
-active set interleaved with vertex insertion: the grid point maximizing the
-directional derivative
+Maximizes ``sum_y N(y) log f_G(y)`` over all mixing distributions G on
+[0, inf) by the constrained Newton method of Wang (2007).  G is optimal iff
 
     D(theta) = sum_y N(y) Poi(y; theta) / f_G(y)
 
-is added whenever it exceeds the sample size n beyond tolerance.  At the
-optimum D <= n everywhere with equality on the support, which is the KKT
-certificate reported as ``kkt_gap = max(D/n - 1, 0)``.
-
-The log-likelihood never decreases across iterations: EM steps ascend by
-construction and insertions use an exact concave line search.
+satisfies D <= n for every theta >= 0, with equality on the support of G
+(Lindsay 1983).  ``kkt_gap = max(D/n - 1, 0)`` is taken over a sqrt(theta)
+scan and the local maxima of D refined in theta, in full fits, warm-started
+refits and fits on an explicit grid alike (see :func:`fit_npmle`).
 """
 
 from __future__ import annotations
@@ -23,10 +19,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.optimize import nnls
+from scipy.special import gammaln
 
 from .errors import InvalidInputError, NumericalFailureError
-from .mixtures import DiscretePrior, log_poisson_pmf
+from .mixtures import WEIGHT_FLOOR, DiscretePrior, log_poisson_pmf
 
 __all__ = [
     "CountHistogram",
@@ -39,15 +36,9 @@ __all__ = [
     "fit_npmle",
 ]
 
-_F_FLOOR = 1e-300  # guards scaled mixture values against exact underflow
-
-# EM sweeps allowed per visit to the inner loop before control returns to the
-# Newton polish and the certificate step.  Near-duplicate active atoms can
-# keep per-cycle EM gains just above any stall threshold for thousands of
-# sweeps while the quadratically convergent polish would finish the same
-# fixed-support problem in a dozen; an uncapped inner loop can burn the whole
-# max_iter budget inside a single outer iteration of the coarsest grid round.
-_EM_SWEEPS_PER_VISIT = 40
+_SUM_ROW_WEIGHT = 1e3  # NNLS weight of the sum-to-one row, times sqrt(n)
+_LOG_RATIO_FLOOR = -600.0  # NNLS columns whose largest log Poi/f is lower get weight 0
+_NEWTON_STEPS = 40  # bisection alone shrinks a bracket by 2^-40
 
 
 # ---------------------------------------------------------------------------
@@ -178,41 +169,38 @@ def grid_spec(data: CountHistogram, density: float = 4.0) -> np.ndarray:
     lo = max(1e-3, 0.5 * y_min)
     hi = max(1.5 * y_max, 1.0)
     s_lo, s_hi = math.sqrt(lo), math.sqrt(hi)
-    # Fixed step 1/density from s_lo rather than linspace: with power-of-two
-    # densities a doubled-density grid then contains every coarser node
-    # bit-for-bit ((2j)*(h/2) == j*h in floats), so refinement rounds snap
-    # warm-start atoms onto the denser grid with zero likelihood loss and the
-    # ascent trace stays monotone across round boundaries.
     step = 1.0 / float(density)
     k = max(1, int(math.ceil((s_hi - s_lo) * density)))
     grid = (s_lo + step * np.arange(k + 1)) ** 2
-    extras = [float(y) for y in data.ys if y > 0]
-    extras.append(data.mean)
-    if data.ys[0] == 0:
-        extras.append(0.0)
-    grid = np.unique(np.concatenate([grid, np.array(extras)]))
-    return grid[grid >= 0.0]
+    return np.unique(np.concatenate([grid, data.ys, [data.mean]]))
 
 
 # ---------------------------------------------------------------------------
 # likelihood pieces
 # ---------------------------------------------------------------------------
 
-def _log_mixture_at(prior: DiscretePrior, ys: np.ndarray) -> np.ndarray:
-    block = log_poisson_pmf(np.asarray(ys, float)[:, None], prior.atoms[None, :])
-    return logsumexp(block + np.log(prior.weights)[None, :], axis=1)
+def _log_mix(logP: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # log f(y) = logsumexp_j (log Poi(y; theta_j) + log w_j), inlined for speed
+    with np.errstate(divide="ignore"):
+        terms = logP + np.log(w)
+        top = terms.max(axis=1)
+        top = np.where(np.isfinite(top), top, 0.0)  # a row of zero mass stays at -inf
+        return top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+
+
+def _log_mixture_at(prior: DiscretePrior, data: CountHistogram) -> np.ndarray:
+    return _log_mix(log_poisson_pmf(data.ys[:, None].astype(float), prior.atoms), prior.weights)
 
 
 def log_likelihood(prior: DiscretePrior, data: CountHistogram) -> float:
     """sum_y N(y) log f_G(y); -inf when the prior gives an observed y zero mass."""
-    logf = _log_mixture_at(prior, data.ys)
-    return float(np.sum(data.cnts * logf))
+    return float(data.cnts @ _log_mixture_at(prior, data))
 
 
 def directional_derivative(prior: DiscretePrior, data: CountHistogram, thetas) -> np.ndarray:
     """D(theta) = sum_y N(y) Poi(y; theta) / f_G(y) for each candidate theta."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    logf = _log_mixture_at(prior, data.ys)
+    logf = _log_mixture_at(prior, data)
     logp = log_poisson_pmf(data.ys[:, None].astype(float), thetas[None, :])
     with np.errstate(under="ignore"):
         ratio = np.exp(logp - logf[:, None])
@@ -258,50 +246,116 @@ class NpmleFit:
         }
 
 
-def _insertion_alpha(fa: np.ndarray, pj: np.ndarray, cnts: np.ndarray, n: float) -> float:
+def _insertion_alpha(fa: np.ndarray, pj: np.ndarray, cnts: np.ndarray) -> float:
     # Exact concave line search for mixing a new vertex: maximize
     # sum N(y) log((1-a) f + a p_j) over a in [0, a_hi] by bisecting the
-    # monotone-decreasing derivative.
+    # decreasing derivative.  Rows of fa, pj peak at 1: the mix stays positive.
     a_lo, a_hi = 0.0, 1.0 - 1e-9
-
-    def deriv(a: float) -> float:
-        mix = np.maximum((1.0 - a) * fa + a * pj, _F_FLOOR)
-        return float(np.sum(cnts * (pj - fa) / mix))
-
-    if deriv(a_hi) >= 0.0:
+    diff = pj - fa
+    gain = cnts * diff
+    if gain @ (1.0 / (fa + a_hi * diff)) >= 0.0:
         return a_hi
     for _ in range(60):
         mid = 0.5 * (a_lo + a_hi)
-        if deriv(mid) > 0.0:
+        if gain @ (1.0 / (fa + mid * diff)) > 0.0:
             a_lo = mid
         else:
             a_hi = mid
     return 0.5 * (a_lo + a_hi)
 
 
-def _exchange_alpha(
-    fa: np.ndarray, pj: np.ndarray, pa: np.ndarray, cnts: np.ndarray, w_a: float
-) -> float:
-    # Exact concave line search for the vertex-exchange move: maximize
-    # sum N(y) log(f + a (p_j - p_a)) over a in [0, w_a], i.e. move mass from
-    # an existing atom straight to the violator without shrinking the rest of
-    # the prior.  f - w_a p_a >= 0, so the path stays a valid mixture.
-    diff = pj - pa
+def _solve_weights(
+    logP: np.ndarray, w: np.ndarray, cnts: np.ndarray, n: float, tol: float, budget: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Weights on a fixed support, solved to optimality by constrained Newton steps.
 
-    def deriv(a: float) -> float:
-        mix = np.maximum(fa + a * diff, _F_FLOOR)
-        return float(np.sum(cnts * diff / mix))
+    A step solves the quadratic model of sum N(y) log f(y) by NNLS (rows
+    sqrt(N(y)) Poi/f scaled per column, target 2 sqrt(N(y)), a heavy
+    sum-to-one row) and backtracks towards it until the Armijo test on the
+    exact gain passes.  Columns with no representable Poi/f get weight 0;
+    atoms below WEIGHT_FLOOR leave at once (D at a zeroed one can be
+    astronomical).  Stops when n (1 - tol) <= D <= n (1 + tol) on the support,
+    when no step ascends, or after `budget` accepted steps.  Returns (kept
+    atom indices, w, log f, log D, steps).
+    """
+    sqrt_c = np.sqrt(cnts)
+    sum_row = _SUM_ROW_WEIGHT * math.sqrt(n)
+    log_lo, log_hi = math.log(n) + math.log1p(-tol), math.log(n) + math.log1p(tol)
+    kept = np.flatnonzero(w >= WEIGHT_FLOOR)  # the weights a DiscretePrior keeps
+    logP, w = logP[:, kept], w[kept]
+    logf = _log_mix(logP, w)
+    steps = 0
+    while True:
+        logS = logP - logf[:, None]  # Poi/f <= 1/w <= 1/WEIGHT_FLOOR
+        top = logS.max(axis=0)
+        live = top >= _LOG_RATIO_FLOOR
+        A = sqrt_c[:, None] * np.exp(logS[:, live] - top[live])
+        logD = np.full(w.size, -np.inf)
+        logD[live] = top[live] + np.log(sqrt_c @ A)
+        if steps >= budget or np.all((logD >= log_lo) & (logD <= log_hi)):
+            break
+        scale = np.exp(-top[live])
+        try:
+            v = nnls(np.vstack([A, sum_row * scale]), np.append(2.0 * sqrt_c, sum_row))[0]
+        except RuntimeError:  # NNLS iteration cap
+            break
+        target = np.zeros_like(w)
+        target[live] = v * scale
+        d = target / target.sum() - w
+        S = np.exp(logS)
+        u = S @ d  # f(w + t d) / f(w) = 1 + t u
+        u[S @ target == 0.0] = -1.0  # exactly, where the target leaves no mass
+        slope = float(cnts @ u)  # directional derivative of the log-likelihood
+        t = 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while slope > 0.0 and t > 1e-10 and not cnts @ np.log1p(t * u) >= t * slope / 3.0:
+                t *= 0.5
+        if not (slope > 0.0 and t > 1e-10):
+            break
+        steps += 1
+        w = np.maximum(w + t * d, 0.0)
+        keep = w >= WEIGHT_FLOOR
+        w, logP, kept = w[keep] / w[keep].sum(), logP[:, keep], kept[keep]
+        logf = _log_mix(logP, w)
+    return kept, w, logf, logD, steps
 
-    if deriv(w_a) >= 0.0:
-        return w_a
-    a_lo, a_hi = 0.0, w_a
-    for _ in range(60):
-        mid = 0.5 * (a_lo + a_hi)
-        if deriv(mid) > 0.0:
-            a_lo = mid
-        else:
-            a_hi = mid
-    return 0.5 * (a_lo + a_hi)
+
+def _refine_peaks(
+    theta: np.ndarray, scan: np.ndarray, ys: np.ndarray, lgam: np.ndarray, log_r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maxima of D near theta refined together by safeguarded Newton steps in s = sqrt(theta).
+
+    Each is bracketed by the neighbours of its nearest scan point (an atom
+    may sit a rounding error beside one while the peak has moved); the
+    bracket keeps dD/ds > 0 at its left end, and a step that is not concave
+    or leaves it bisects.  D, D', D'' come from one (distinct y x peaks)
+    block of N(y) Poi / f, log_r = log N(y) - log f(y).  Returns (theta, log D).
+    """
+    j = np.clip(np.searchsorted(scan, theta), 1, scan.size - 1)
+    k = np.where(theta - scan[j - 1] < scan[j] - theta, j - 1, j)
+    lo, hi = scan[np.maximum(k - 1, 0)], scan[np.minimum(k + 1, scan.size - 1)]
+    x, lo, hi = np.sqrt(theta), np.sqrt(np.minimum(lo, theta)), np.sqrt(np.maximum(hi, theta))
+    y2 = 2.0 * ys[:, None]
+    base = log_r[:, None] - lgam[:, None]
+    for _ in range(_NEWTON_STEPS):
+        s = np.maximum(x, 1e-100)  # D is even in s; its slope at 0 is read just above
+        logu = base + y2 * np.log(s) - s * s
+        top = logu.max(axis=0)
+        u = np.exp(logu - top)
+        g = y2 / s - 2.0 * s  # d log u / ds
+        d1 = (u * g).sum(axis=0)
+        d2 = (u * (g * g - y2 / (s * s) - 2.0)).sum(axis=0)
+        logD, found = top + np.log(u.sum(axis=0)), theta
+        rising = d1 > 0.0
+        lo, hi = np.where(rising, x, lo), np.where(rising, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - d1 / d2
+        ok = (d2 < 0.0) & (newton >= lo) & (newton <= hi)
+        x_new = np.where(ok, newton, 0.5 * (lo + hi))
+        if np.all(np.abs(x_new - x) <= 1e-13 * (1.0 + x)):
+            break
+        x, theta = x_new, x_new * x_new
+    return found, logD
 
 
 def fit_npmle(
@@ -313,20 +367,28 @@ def fit_npmle(
     strict: bool = False,
     init_prior: DiscretePrior | None = None,
 ) -> NpmleFit:
-    """Fit the NPMLE mixing distribution on a candidate grid.
+    """Fit the NPMLE mixing distribution by the constrained Newton method.
 
-    Parameters
-    ----------
+    Each outer iteration (one ``ll_trace`` entry) 1. solves the weights on
+    the support to optimality, 2. prunes zero weights, 3. computes log D on
+    the scan ``grid_spec(data, density)`` and at the atoms, 4. refines its
+    local maxima and the points where D' turns down by Newton steps in
+    sqrt(theta) within their scan neighbours, 5. stops, converged, when
+    D <= n (1 + tol) there and D >= n (1 - tol) on every atom, and 6. else
+    mixes each peak with D > n in, (1 - a) G + a delta_theta, by line search.
+
     data : CountHistogram or array of integer samples.
-    grid : optional explicit candidate grid; default :func:`grid_spec`,
-        adaptively densified (see below).
-    tol : KKT tolerance; the fit is converged when D(theta) <= n (1 + tol)
-        over the solving grid *and* over a validation grid of 8x density,
-        with D >= n (1 - tol) on every retained atom.
-    max_iter : cap on total EM sweeps.
+    grid : optional explicit candidate grid; it replaces the scan and
+        step 4 is skipped, so every atom is a grid point.
+    tol : KKT tolerance of the certificate above.
+    max_iter : cap on the weight-solve steps, reported as ``iterations``.
     strict : raise :class:`NumericalFailureError` instead of returning a
         non-converged fit (which is otherwise flagged and warned about).
-    init_prior : optional warm start; its atoms are snapped to the grid.
+    init_prior : optional warm start, snapped to `grid` when one is given
+        and ignored if it gives an observed count zero mass.
+
+    The fit's ``grid`` is the scan plus the fitted atoms, or the given
+    grid.  In lenient mode numerical trouble ends the loop unconverged.
     """
     if not isinstance(data, CountHistogram):
         data = CountHistogram.from_samples(data)
@@ -335,300 +397,95 @@ def fit_npmle(
     max_iter = int(max_iter)
     if max_iter < 1:
         raise InvalidInputError("max_iter must be >= 1")
-
     user_grid = grid is not None
     if user_grid:
         grid = np.unique(np.asarray(grid, dtype=float))
-        if grid.size == 0 or np.any(grid < 0) or not np.all(np.isfinite(grid)):
-            raise InvalidInputError("grid must be nonempty, finite, nonnegative")
+        if grid.size == 0 or np.any(grid < 0) or not np.all(np.isfinite(grid)) \
+                or (grid[-1] == 0 and data.y_max > 0):  # no prior on it fits a count > 0
+            raise InvalidInputError("grid must be nonempty, finite, nonnegative, fit every count")
+    scan = grid if user_grid else grid_spec(data, density)
 
-    # The candidate-grid optimum can leave a bump of D above n between
-    # adjacent grid points (the continuum atom falls between them), so after
-    # solving we re-check the certificate on a nested grid of 8x density --
-    # atom-location error produces narrow bumps that a merely doubled grid
-    # can miss -- and, if it fails there, re-solve on the doubled-density
-    # grid warm-started from the current prior.  The bump shrinks like the
-    # squared spacing, so each doubling buys roughly a factor 4; ten rounds
-    # cover any practical tol and the sweep budget, shared across rounds,
-    # stops runaway refinement long before that.  With an explicit user grid
-    # the certificate is grid-restricted by construction and no refinement
-    # happens.
-    sweeps_total = 0
-    trace_all: list[float] = []
-    warm = init_prior
-    converged = False
-    kkt_gap = math.inf
-    for round_ in range(10):
-        g = grid if user_grid else grid_spec(data, density * 2.0 ** round_)
-        budget = max_iter - sweeps_total
-        if budget < 1:
-            break
-        prior, conv_g, gap_g, used, trace = _solve_on_grid(
-            data, g, tol, budget, warm
-        )
-        sweeps_total += used
-        trace_all.extend(trace)
-        kkt_gap = gap_g
-        if user_grid:
-            converged = conv_g
-            break
-        val_grid = grid_spec(data, density * 2.0 ** (round_ + 3))
-        vgap = kkt_gap_on_grid(prior, data, val_grid)
-        kkt_gap = max(gap_g, vgap)
-        if conv_g and vgap <= tol:
-            converged = True
-            break
-        warm = prior
-    grid = g
+    start = init_prior
+    if start is not None and user_grid:
+        start = DiscretePrior(scan[np.abs(start.atoms[:, None] - scan).argmin(axis=1)],
+                              start.weights)
+    if start is None or not np.isfinite(log_likelihood(start, data)):
+        idx = np.linspace(0, scan.size - 1, min(12, scan.size)).astype(int)
+        idx = np.unique(np.append(idx, np.abs(scan - data.mean).argmin()))
+        start = DiscretePrior(scan[idx], np.full(idx.size, 1.0 / idx.size))
+    atoms, w = start.atoms, start.weights
 
+    ys = data.ys.astype(float)
+    cnts = data.cnts.astype(float)
+    n = float(data.n)
+    log_n = math.log(n)
+    lgam = gammaln(ys + 1.0)
+    logP = log_poisson_pmf(ys[:, None], atoms[None, :])
+    # D on the scan is one product with the row-scaled kernel
+    logP_scan = log_poisson_pmf(ys[:, None], scan[None, :])
+    row_top = logP_scan.max(axis=1)
+    P_scan = np.exp(logP_scan - row_top[:, None])
+    iterations = 0
+    ll_trace: list[float] = []
+    inserted = True
+    while True:
+        kept, w, logf, logD_atoms, steps = _solve_weights(
+            logP, w, cnts, n, tol, max_iter - iterations)
+        iterations += steps
+        atoms, logP = atoms[kept], logP[:, kept]
+        ll_trace.append(float(cnts @ logf))
+
+        log_r = np.log(cnts) - logf
+        b = log_r + row_top
+        v = np.exp(b - b.max())
+        mass = v @ P_scan
+        # the atoms join the scan: two peaks of D can share a scan cell
+        pts, first = np.unique(np.concatenate([scan, atoms]), return_index=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logD_scan = b.max() + np.log(mass)
+            logD_pts = np.concatenate([logD_scan, logD_atoms])[first]
+            rise = np.diff(logD_pts, prepend=-np.inf, append=-np.inf)
+        idx = np.flatnonzero((rise[:-1] >= 0.0) & (rise[1:] < 0.0))
+        peaks, logD_peaks = pts[idx], logD_pts[idx]
+        if not user_grid:
+            # so does a scan point where D' turns from + to - before the next
+            rising = (v * ys) @ P_scan > scan * mass
+            turn = np.flatnonzero(rising[:-1] & ~rising[1:])
+            peaks, logD_peaks = _refine_peaks(np.union1d(peaks, scan[turn]), scan, ys, lgam, log_r)
+            # starts that reach the same maximum give one atom
+            _, first = np.unique(np.round(np.sqrt(peaks), 9), return_index=True)
+            peaks, logD_peaks = peaks[first], logD_peaks[first]
+        log_top = max(float(logD_pts.max()), float(logD_peaks.max(initial=-np.inf)))
+        kkt_gap = max(math.expm1(min(log_top - log_n, 709.0)), 0.0)
+        converged = kkt_gap <= tol and bool(np.all(logD_atoms >= log_n + math.log1p(-tol)))
+        stalled = steps == 0 and not inserted  # nothing has moved since the last check
+        if converged or stalled or iterations >= max_iter or len(ll_trace) >= max_iter:
+            break
+        inserted = False
+        new = peaks[logD_peaks > log_n]
+        for theta, logp in zip(new, log_poisson_pmf(ys[:, None], new[None, :]).T):
+            top = np.maximum(logf, logp)
+            a = _insertion_alpha(np.exp(logf - top), np.exp(logp - top), cnts)
+            inserted |= a >= WEIGHT_FLOOR
+            atoms, w = np.append(atoms, theta), np.append((1.0 - a) * w, a)
+            logP = np.column_stack([logP, logp])
+            logf = np.logaddexp(math.log1p(-a) + logf, math.log(a) + logp)
+
+    prior = DiscretePrior(atoms, w)
     fit = NpmleFit(
         prior=prior,
         log_likelihood=log_likelihood(prior, data),
         kkt_gap=kkt_gap,
-        iterations=sweeps_total,
+        iterations=iterations,
         converged=converged,
         tol=tol,
-        grid=grid,
-        ll_trace=tuple(trace_all),
+        grid=scan if user_grid else np.union1d(scan, prior.atoms),
+        ll_trace=tuple(ll_trace),
     )
     if not converged:
-        msg = (
-            f"NPMLE did not reach tol={tol:g} within {max_iter} sweeps "
-            f"(kkt_gap={kkt_gap:.3e})"
-        )
+        msg = (f"NPMLE did not reach tol={tol:g} within {max_iter} weight-solve steps "
+               f"(kkt_gap={kkt_gap:.3e})")
         if strict:
             raise NumericalFailureError(msg)
         warnings.warn(msg, RuntimeWarning, stacklevel=2)
     return fit
-
-
-def _solve_on_grid(
-    data: CountHistogram,
-    grid: np.ndarray,
-    tol: float,
-    max_iter: int,
-    init_prior: DiscretePrior | None,
-) -> tuple[DiscretePrior, bool, float, int, list[float]]:
-    """One EM/insertion/polish solve restricted to a fixed candidate grid."""
-    ys = data.ys.astype(float)
-    cnts = data.cnts.astype(float)
-    n = float(data.n)
-
-    # Scaled likelihood matrix: P[y, j] = Poi(y; grid_j) / exp(m_y) with m_y
-    # the row max, so every row has a representable entry; the scale cancels
-    # in both the EM update and D.
-    logP = log_poisson_pmf(ys[:, None], grid[None, :])
-    row_scale = logP.max(axis=1)
-    with np.errstate(under="ignore"):
-        P = np.exp(logP - row_scale[:, None])
-
-    # --- initial active set -------------------------------------------------
-    if grid.size == 1:
-        active = np.array([0])
-        w = np.array([1.0])
-    elif init_prior is not None:
-        # snap each warm-start atom to its nearest grid point, pooling weights
-        idx = np.clip(np.searchsorted(grid, init_prior.atoms), 1, grid.size - 1)
-        nearer_left = np.abs(init_prior.atoms - grid[idx - 1]) <= np.abs(
-            grid[idx] - init_prior.atoms
-        )
-        idx = np.where(nearer_left, idx - 1, idx)
-        active, inv = np.unique(idx, return_inverse=True)
-        w = np.bincount(inv, weights=init_prior.weights, minlength=active.size)
-        w = w / w.sum()
-    else:
-        spread = np.unique(np.linspace(0, grid.size - 1, min(12, grid.size)).astype(int))
-        anchors = [int(np.abs(grid - data.mean).argmin())]
-        if data.ys[0] == 0:
-            anchors.append(int(np.abs(grid).argmin()))
-        active = np.unique(np.concatenate([spread, np.array(anchors)]))
-        w = np.full(active.size, 1.0 / active.size)
-
-    sweeps = 0
-    ll_trace: list[float] = []
-    converged = False
-    kkt_gap = math.inf
-
-    def loglik(fa: np.ndarray) -> float:
-        return float(np.sum(cnts * (np.log(fa) + row_scale)))
-
-    def em_step(w_cur: np.ndarray, Pa: np.ndarray) -> np.ndarray:
-        fa_cur = np.maximum(Pa @ w_cur, _F_FLOOR)
-        w_next = w_cur * (Pa.T @ (cnts / fa_cur)) / n
-        s = w_next.sum()
-        if not (s > 0):
-            raise NumericalFailureError("all mixture weights vanished")
-        return w_next / s
-
-    def polish_weights(w_cur: np.ndarray, Pa: np.ndarray) -> tuple[np.ndarray, int]:
-        # Damped Newton on the fixed-support problem max sum c log(Pa w)
-        # over the simplex.  EM moves mass between near-duplicate atoms at a
-        # rate (1 + gap) per sweep; this finisher is quadratically convergent
-        # and the system is tiny (#active atoms + 1).
-        w_cur = w_cur.copy()
-        m = w_cur.size
-        used = 0
-        ll_cur = loglik(np.maximum(Pa @ w_cur, _F_FLOOR))
-        for _ in range(12):
-            fa_cur = np.maximum(Pa @ w_cur, _F_FLOOR)
-            g = Pa.T @ (cnts / fa_cur)
-            W = Pa * (np.sqrt(cnts) / fa_cur)[:, None]
-            H = W.T @ W
-            K = np.zeros((m + 1, m + 1))
-            K[:m, :m] = H + (1e-12 * np.trace(H) / m) * np.eye(m)
-            K[:m, m] = 1.0
-            K[m, :m] = 1.0
-            rhs = np.concatenate([g, [0.0]])
-            try:
-                d = np.linalg.solve(K, rhs)[:m]
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(d)) or np.abs(d).max() == 0.0:
-                break
-            neg = d < 0
-            t = 1.0
-            if np.any(neg):
-                t = min(1.0, float((w_cur[neg] / -d[neg]).min()))
-            improved = False
-            for _bt in range(30):
-                w_try = np.clip(w_cur + t * d, 0.0, None)
-                s = w_try.sum()
-                if s > 0:
-                    w_try /= s
-                    ll_try = loglik(np.maximum(Pa @ w_try, _F_FLOOR))
-                    if ll_try > ll_cur:
-                        gain = ll_try - ll_cur
-                        w_cur, ll_cur, improved = w_try, ll_try, True
-                        break
-                t *= 0.5
-            used += 1
-            if not improved or gain < 1e-13 * max(n, abs(ll_cur)):
-                break
-        return w_cur, used
-
-    for _outer in range(max_iter):
-        Pa = P[:, active]
-        fa = np.maximum(Pa @ w, _F_FLOOR)
-        ll = loglik(fa)
-
-        # --- accelerated EM on the active set -----------------------------
-        # Plain multiplicative updates crawl when mass must migrate between
-        # atoms (factor 1 + gap per sweep), so each cycle takes two EM steps
-        # and extrapolates them (SQUAREM-style), keeping the larger of the
-        # extrapolated and plain log-likelihoods.  Monotone by construction.
-        stall = max(1e-12 * n, 1e-10 * abs(ll))
-        visit_cap = sweeps + _EM_SWEEPS_PER_VISIT
-        while sweeps + 2 <= max_iter and sweeps < visit_cap:
-            w1 = em_step(w, Pa)
-            w2 = em_step(w1, Pa)
-            sweeps += 2
-            w_new = w2
-            r = w1 - w
-            v = w2 - 2.0 * w1 + w
-            nv = float(np.linalg.norm(v))
-            if nv > 1e-300:
-                step = min(-float(np.linalg.norm(r)) / nv, -1.0)
-                w_sq = np.clip(w - 2.0 * step * r + step * step * v, 0.0, None)
-                s = w_sq.sum()
-                if s > 0:
-                    w_sq /= s
-                    fa_sq = np.maximum(Pa @ w_sq, _F_FLOOR)
-                    fa_2 = np.maximum(Pa @ w2, _F_FLOOR)
-                    if loglik(fa_sq) >= loglik(fa_2):
-                        w_new = w_sq
-            w = w_new
-            fa = np.maximum(Pa @ w, _F_FLOOR)
-            ll_new = loglik(fa)
-            gained = ll_new - ll
-            ll = ll_new
-            if gained < stall:
-                break
-        keep = w >= 1e-12
-        if np.any(keep) and not np.all(keep):
-            active, w = active[keep], w[keep] / w[keep].sum()
-            Pa = P[:, active]
-            fa = np.maximum(Pa @ w, _F_FLOOR)
-            ll = loglik(fa)
-
-        if sweeps < max_iter:
-            w, used = polish_weights(w, Pa)
-            sweeps += used
-            fa = np.maximum(Pa @ w, _F_FLOOR)
-            ll = loglik(fa)
-
-        # Drop atoms that are both negligible and strictly suboptimal; this
-        # shortcuts the slow multiplicative decay of near-duplicate grid
-        # points.  Ascent is verified and the drop reverted if it ever fails.
-        d_active = Pa.T @ (cnts / fa)
-        droppable = (w < 1e-6) & (d_active < n * (1.0 - 10.0 * tol))
-        if np.any(droppable) and not np.all(droppable):
-            keep = ~droppable
-            w_try = w[keep] / w[keep].sum()
-            fa_try = np.maximum(P[:, active[keep]] @ w_try, _F_FLOOR)
-            if loglik(fa_try) >= ll - 1e-9 * abs(ll):
-                active, w, fa = active[keep], w_try, fa_try
-                Pa = P[:, active]
-                ll = loglik(fa)
-                d_active = Pa.T @ (cnts / fa)
-
-        ll_trace.append(ll)
-
-        # --- certificate over the full grid -------------------------------
-        d_full = P.T @ (cnts / fa)
-        j_star = int(np.argmax(d_full))  # first max -> smallest theta on ties
-        gap = float(d_full[j_star]) / n - 1.0
-        atom_ok = bool(np.all(d_active >= n * (1.0 - tol)))
-        kkt_gap = max(gap, 0.0)
-        if gap <= tol and atom_ok:
-            converged = True
-            break
-        if sweeps + 2 > max_iter:
-            break
-
-        # --- ascent step on the worst violator ----------------------------
-        # Candidate moves, each with an exact concave line search; the one
-        # with the best resulting log-likelihood is applied.  Mixing
-        # (1 - a) G + a delta_{j*} handles a genuinely new atom, but its step
-        # size is O(gap) when the fix is local because it shrinks every other
-        # weight too.  Vertex exchanges move mass from a donor atom straight
-        # to the violator, so the step is O(donor weight); the donor is
-        # either the lowest-derivative atom (globally overweighted) or the
-        # nearest atom in theta (grid-neighbour mis-splits, where the
-        # lowest-derivative donor sits far away and its line search stalls).
-        if gap > tol:
-            pj = P[:, j_star]
-            pos = np.searchsorted(active, j_star)
-            in_active = pos < active.size and active[pos] == j_star
-            if in_active:
-                act_ext, w_base = active, w
-            else:
-                act_ext = np.insert(active, pos, j_star)
-                w_base = np.insert(w, pos, 0.0)
-            a_mix = _insertion_alpha(fa, pj, cnts, n)
-            w_mix = (1.0 - a_mix) * w_base
-            w_mix[pos] += a_mix
-            best_w = w_mix
-            best_ll = loglik(np.maximum(P[:, act_ext] @ w_mix, _F_FLOOR))
-            not_jstar = active != j_star
-            donors = set()
-            if np.any(not_jstar):
-                cand = np.where(not_jstar)[0]
-                donors.add(int(cand[np.argmin(d_active[cand])]))
-                donors.add(int(cand[np.argmin(np.abs(grid[active[cand]] - grid[j_star]))]))
-            for k_min in sorted(donors):
-                if not (w[k_min] > 0.0):
-                    continue
-                pa = P[:, active[k_min]]
-                a_ex = _exchange_alpha(fa, pj, pa, cnts, float(w[k_min]))
-                if a_ex > 0.0:
-                    k_ext = k_min if (in_active or k_min < pos) else k_min + 1
-                    w_exc = w_base.copy()
-                    w_exc[pos] += a_ex
-                    w_exc[k_ext] = max(w_exc[k_ext] - a_ex, 0.0)
-                    ll_exc = loglik(np.maximum(P[:, act_ext] @ w_exc, _F_FLOOR))
-                    if ll_exc > best_ll:
-                        best_w, best_ll = w_exc, ll_exc
-            active, w = act_ext, best_w
-
-    prior = DiscretePrior(grid[active], w)
-    return prior, converged, kkt_gap, sweeps, ll_trace

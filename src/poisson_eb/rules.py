@@ -205,7 +205,8 @@ def fit_rule(
             raise InvalidInputError("frequency-ratio rules need training counts")
         counts = _robbins_counts(train, y_cap)
         table, hazards = ratio_table(config, ys, (ys + 1.0) * counts[1:], counts[:-1])
-        flags = {name: int(mask.sum()) for name, mask in hazards.items()}
+        # cells from y_max on are 0/0 or the last count: counting them measures the table
+        flags = {name: int(mask[: train.y_max].sum()) for name, mask in hazards.items()}
         provenance = f"{config.kind}(n_train={train.n})"
 
     elif config.kind == "npmle_eb":

@@ -226,6 +226,8 @@ def check_npmle_certificates() -> CheckResult:
         npmle.CountHistogram([0, 1, 2, 3, 5], [10, 22, 18, 9, 2]),
         npmle.CountHistogram([0, 4, 9], [30, 15, 5]),
         npmle.CountHistogram([1, 2], [7, 13]),
+        npmle.CountHistogram([0, 1, 2, 3, 4, 5, 6, 7, 10, 66],
+                             [956, 1, 12, 11, 8, 3, 4, 3, 1, 1]),  # isolated count
     ]
     worst = 0.0
     detail = []

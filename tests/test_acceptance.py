@@ -93,6 +93,9 @@ def _certificate_suite() -> list:
         CountHistogram([0, 1, 2, 3, 5], [10, 22, 18, 9, 2]),
         CountHistogram([0, 4, 9], [30, 15, 5]),
         CountHistogram([1, 2], [7, 13]),
+        # one count far from the rest: a full weight step can drop its only atom
+        CountHistogram.from_counts({0: 956, 1: 1, 2: 12, 3: 11, 4: 8, 5: 3, 6: 4, 7: 3,
+                                    10: 1, 66: 1}),
     ]
     sources = [
         resolve(PriorSpec("two_point", {"eps": 0.2, "a": 5.0}), p=2.0),
@@ -248,6 +251,18 @@ def test_untruncated_addone_regret_does_not_shrink(untruncated_addone_report):
 def test_npmle_regret_shrinks_on_heavier_tail(untruncated_addone_report):
     meds = _median_by_n(untruncated_addone_report, "npmle")
     assert all(b < a for a, b in zip(meds, meds[1:])), meds
+
+
+# ---------------------------------------------------------------------------
+# every scheduled sweep row is computed, none replaced by a failure row
+# ---------------------------------------------------------------------------
+
+def test_sweeps_have_no_failed_rows(density_rate_report, regret_separation_report,
+                                    untruncated_addone_report):
+    for report in (density_rate_report, regret_separation_report,
+                   untruncated_addone_report):
+        failed = [r for r in report.rows if r.flags.startswith("failed:")]
+        assert not failed, (report.plan.name, failed[:3])
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,21 @@ def test_fit_accepts_warm_start():
     assert refit.log_likelihood == pytest.approx(fit.log_likelihood, rel=1e-9)
 
 
+def test_fit_converges_on_heavy_tail_draw_with_far_counts(heavy_tail_15):
+    # 99,999 draws reaching y = 11,928: Poi/f ratios there overflow a
+    # linear-domain weight step
+    _, y = heavy_tail_15.sample_counts((20240813, 100000, 6, 1), 99_999)
+    fit = fit_npmle(y)
+    assert fit.converged
+    assert fit.kkt_gap <= fit.tol
+
+
+def test_fit_rejects_grid_that_cannot_fit_positive_counts():
+    with pytest.raises(InvalidInputError):
+        fit_npmle([0, 1], grid=np.array([0.0]))
+    assert fit_npmle([0, 0], grid=np.array([0.0])).prior.atoms.tolist() == [0.0]
+
+
 def test_fit_user_grid_restricts_support():
     fit = fit_npmle([3, 3, 3], grid=np.array([1.0, 2.0, 3.0, 4.0]))
     assert fit.converged

@@ -95,11 +95,26 @@ def test_fit_rule_plain_table_and_flags():
     rule = fit_rule(EstimatorConfig("robbins_plain"), y_cap=5, train=TRAIN)
     np.testing.assert_allclose(rule.table[:5], [2.0, 1.0, 1.5, 4.0, 0.0])
     assert rule.table[5] == 0.0                       # 0/0 cell
-    assert rule.flags == {"degenerate": 1, "infinite": 0}
+    assert rule.flags == {"degenerate": 0, "infinite": 0}   # cell 5 lies beyond y_max = 4
     assert rule.y_cap == 5
     assert rule.estimate(2) == 1.5
     with pytest.raises(InvalidInputError):
         rule.estimate(6)
+
+
+def test_plain_degenerate_count_ignores_the_table_length(heavy_tail_15):
+    # 0/0 cells count only below the largest training count
+    config = EstimatorConfig("robbins_plain")
+    for size in (199, 1999):
+        _, y = heavy_tail_15.sample_counts((5, 1), size)
+        train = CountHistogram.from_samples(y)
+        short = fit_rule(config, train.y_max, train=train)
+        long = fit_rule(config, 40 * train.y_max, train=train)
+        gaps = sum(1 for v in range(train.y_max)
+                   if train.count_of(v) == 0 and train.count_of(v + 1) == 0)
+        assert short.flags == long.flags
+        assert long.flags["degenerate"] == gaps <= train.y_max
+    assert gaps > 0
 
 
 def test_fit_rule_addone_table():
