@@ -155,9 +155,12 @@ def _run_plan_command(ctx, plan_path, out_rows, out_slopes, forced_metrics=None)
             plan = replace(plan, seed=ctx.obj["seed"])
         if forced_metrics is not None:
             plan = replace(plan, metrics=forced_metrics)
+        resolved = resolve(plan.prior, p=plan.p, disc_tol=plan.disc_tol, seed=plan.seed)
+    except NumericalFailureError as exc:
+        _fail(_EXIT_NUMERICAL, str(exc))
     except (PoissonEBError, ValueError) as exc:
         _fail(_EXIT_BAD_CONFIG, f"bad plan: {exc}")
-    report = run_plan(plan)
+    report = run_plan(plan, resolved)
     _write_text(out_rows, report.rows_csv())
     if out_slopes is not None:
         _write_text(out_slopes, report.slopes_csv())

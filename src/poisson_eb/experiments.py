@@ -26,6 +26,11 @@ Conventions
   whose agreement with the first path is a standing consistency check.
 * Infinite plain-Robbins estimates contribute squared error capped at 1e12
   and are counted in the row's flags.
+* The caller owns the stream keys.  `run_plan` keys each draw by
+  (plan seed, n, replicate, purpose) and hands the key to the public trial
+  function, which uses it as given; no function derives one key from
+  another.  A row is therefore reproduced by calling its trial function with
+  the row's keys and the config `run_plan` built from the plan.
 """
 
 from __future__ import annotations
@@ -95,8 +100,6 @@ class ExperimentPlan:
     tuning_c: float = 1.0
     direct_total: bool = False
     solver_tol: float = 1e-6
-    solver_max_iter: int = 10_000
-    grid_density: float = 4.0
     y_cap_eps: float = 1e-9
     overrides: dict = field(default_factory=dict)  # npmle_y0 / npmle_rho / robbins_y0
 
@@ -107,6 +110,12 @@ class ExperimentPlan:
             raise InvalidInputError("sample sizes below 10 are not meaningful here")
         if self.replicates < 1:
             raise InvalidInputError("replicates must be >= 1")
+        if not self.tuning_c > 0:
+            raise InvalidInputError("tuning_c must be > 0")
+        if not 0 < self.solver_tol < 1:
+            raise InvalidInputError("solver_tol must lie in (0, 1)")
+        if not 0 < self.y_cap_eps < 1:
+            raise InvalidInputError("y_cap_eps must lie in (0, 1)")
         for m in self.metrics:
             if m not in METRICS:
                 raise InvalidInputError(f"unknown metric {m!r}; choose from {METRICS}")
@@ -136,8 +145,6 @@ _PLAN_KEYS = {
     "tuning_c": float,
     "direct_total": int,
     "solver_tol": float,
-    "solver_max_iter": int,
-    "grid_density": float,
     "y_cap_eps": float,
     "npmle_y0": int,
     "npmle_rho": float,
@@ -148,16 +155,32 @@ _PLAN_KEYS = {
 def parse_plan(text: str) -> ExperimentPlan:
     """Parse a key=value plan file (one pair per line, # comments allowed).
 
-    Example::
+    Keys (an unknown key is an error; the first three are required):
 
-        name = rate_p2
-        prior = family=heavy_tail p=2
-        p = 2
-        n_grid = 1000,3162,10000
-        replicates = 50
-        methods = robbins-trunc,npmle
-        metrics = individual_regret
-        seed = 7
+    ============  =========================================================
+    prior         prior spec, e.g. ``family=heavy_tail p=2``
+    n_grid        ascending distinct sample sizes >= 10, comma-separated
+    replicates    trials per sample size, >= 1
+    name          label in the report header (default ``plan``)
+    p             moment index for resolving and tuning (default the
+                  prior's ``p`` parameter, else 1)
+    methods       rules from oracle, robbins, robbins-addone, robbins-trunc,
+                  npmle, comma-separated (default none)
+    metrics       from hellinger_sq, individual_regret, total_regret,
+                  comma-separated (default individual_regret)
+    seed          plan seed, the first part of every stream key (default 0)
+    disc_tol      sup-norm tolerance of the prior's discretization (1e-6)
+    tuning_c      c > 0 of the tuned truncation levels (default 1)
+    direct_total  1 adds a total_regret_direct row, the direct leave-one-out
+                  path, after each total_regret row (default 0)
+    solver_tol    KKT tolerance of every NPMLE fit, in (0, 1) (1e-6)
+    y_cap_eps     reference mass beyond the exact regret sum (1e-9)
+    npmle_y0      npmle truncation level (default tuned to n)
+    npmle_rho     npmle density floor (default tuned to n)
+    robbins_y0    robbins-trunc truncation level (default tuned to n)
+    ============  =========================================================
+
+    ``demos/plans/regret_small.plan`` is an example.
     """
     raw: dict = {}
     for line in text.splitlines():
@@ -299,8 +322,6 @@ def density_risk_trial(
     n: int,
     seed,
     solver_tol: float = 1e-6,
-    solver_max_iter: int = 10_000,
-    grid_density: float = 4.0,
 ) -> tuple[float, list[str]]:
     """Squared Hellinger distance of the fitted mixture pmf from the reference.
 
@@ -311,7 +332,7 @@ def density_risk_trial(
         raise InvalidInputError("n must be >= 10")
     _, y = resolved.sample_counts(seed, n)
     hist = CountHistogram.from_samples(y)
-    fit = _fit_npmle_leniently(hist, solver_tol, solver_max_iter, grid_density)
+    fit = _fit_npmle_leniently(hist, solver_tol)
     ref = resolved.pmf(tail_tol=1e-11)
     fit_table = pmf_table(fit.prior, tail_tol=1e-11, min_len=ref.values.size,
                           source="npmle_fit")
@@ -323,24 +344,19 @@ def density_risk_trial(
 def _fit_npmle_leniently(
     data: CountHistogram,
     tol: float,
-    max_iter: int,
-    grid_density: float,
     warm: NpmleFit | None = None,
 ) -> NpmleFit:
     """Lenient NPMLE fit, started from `warm`'s prior when given (a
     leave-one-out refit: same solver and certificate, another start)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return fit_npmle(data, density=grid_density, tol=tol, max_iter=max_iter,
-                         init_prior=None if warm is None else warm.prior)
+        return fit_npmle(data, tol=tol, init_prior=None if warm is None else warm.prior)
 
 
 def _rule_estimates(
     resolved: ResolvedPrior,
     config: EstimatorConfig,
     data: CountHistogram,
-    solver_max_iter: int,
-    grid_density: float,
     y_hi: int | None = None,
 ) -> tuple[np.ndarray, list[str]]:
     """A rule's estimates and flags, trained on `data`.
@@ -359,15 +375,14 @@ def _rule_estimates(
         return (table[ys] if loo else table), []
     warm = None
     if config.kind == "npmle_eb":
-        warm = _fit_npmle_leniently(data, config.npmle_tol, solver_max_iter, grid_density)
+        warm = _fit_npmle_leniently(data, config.npmle_tol)
     if not loo:
         rule = fit_rule(config, y_hi, train=data, fit=warm)
         return rule.table, [f"{name}={v}" for name, v in rule.flags.items() if v]
     if warm is not None:
         est, flags = [], []
         for y in ys.tolist():
-            refit = _fit_npmle_leniently(data.remove_one(y), config.npmle_tol,
-                                         solver_max_iter, grid_density, warm=warm)
+            refit = _fit_npmle_leniently(data.remove_one(y), config.npmle_tol, warm=warm)
             rule = fit_rule(config, y, fit=refit)
             est.append(rule.table[y])
             flags += [f"{name}@{y}" for name, v in rule.flags.items() if v]
@@ -413,15 +428,11 @@ def individual_regret_trial(
     method: str,
     seed,
     config: EstimatorConfig | None = None,
-    tuning_c: float = 1.0,
     y_cap_eps: float = 1e-9,
-    solver_tol: float = 1e-6,
-    solver_max_iter: int = 10_000,
-    grid_density: float = 4.0,
-    overrides: dict | None = None,
 ) -> tuple[float, float, list[str]]:
     """E(rule(Y) - theta_G(Y))^2 for one random training sample of size n-1.
 
+    `config` must be of `method`'s kind; None means the method's default.
     The expectation over the test count is an exact weighted sum against the
     reference mixture up to y_cap (its 1 - y_cap_eps quantile); the remainder
     of the reference table is returned as the deterministic tail term.
@@ -436,12 +447,13 @@ def individual_regret_trial(
     if method not in CLI_KIND_NAMES:
         raise InvalidInputError(f"unknown method {method!r}")
     if config is None:
-        config = _default_config(resolved, n, method, tuning_c, overrides, solver_tol)
+        config = _default_config(resolved, n, method)
+    elif config.kind != CLI_KIND_NAMES[method]:
+        raise InvalidInputError(f"config kind {config.kind!r} is not method {method!r}'s rule")
     _, y_train = resolved.sample_counts(seed, n - 1)
     train = CountHistogram.from_samples(y_train)
     ref = resolved.pmf(tail_tol=1e-11)
-    table, rule_flags = _rule_estimates(resolved, config, train, solver_max_iter,
-                                        grid_density, ref.y_max)
+    table, rule_flags = _rule_estimates(resolved, config, train, ref.y_max)
     if _regret_diverges(resolved, config):
         return math.inf, math.inf, rule_flags + [DIVERGENT_FLAG]
     return _regret_from_table(resolved, table, rule_flags, resolved.quantile_y(y_cap_eps))
@@ -451,9 +463,9 @@ def _default_config(
     resolved: ResolvedPrior,
     n: int,
     method: str,
-    tuning_c: float,
-    overrides: dict | None,
-    solver_tol: float,
+    tuning_c: float = 1.0,
+    overrides: dict | None = None,
+    solver_tol: float = 1e-6,
 ) -> EstimatorConfig:
     kind = CLI_KIND_NAMES[method]
     overrides = overrides or {}
@@ -486,42 +498,27 @@ def total_regret_trial(
     method: str,
     seed,
     config: EstimatorConfig | None = None,
-    direct: bool = False,
-    tuning_c: float = 1.0,
+    direct_seed=None,
     y_cap_eps: float = 1e-9,
-    solver_tol: float = 1e-6,
-    solver_max_iter: int = 10_000,
-    grid_density: float = 4.0,
-    overrides: dict | None = None,
 ) -> dict:
-    """Total regret by the product path, optionally also the direct LOO path.
+    """Total regret by the product path, and by the direct LOO path when
+    `direct_seed` is given.
 
-    Product path: n times the individual regret at training size n-1.  Direct
-    path: draw (theta_i, Y_i) pairs, estimate each Y_i from the other n-1
+    Product path: n times the individual regret at training size n-1, on the
+    sample drawn from `seed`.  Direct path: draw (theta_i, Y_i) pairs from
+    the stream `direct_seed`, estimate each Y_i from the other n-1
     observations, and subtract n times the reference Bayes risk.  The two
     agree in expectation; their standing comparison is a consistency check on
     the whole pipeline.
     """
-    if config is None:
-        config = _default_config(resolved, n, method, tuning_c, overrides, solver_tol)
-    ind, tail, flags = individual_regret_trial(
-        resolved, n, method, seed, config=config, tuning_c=tuning_c,
-        y_cap_eps=y_cap_eps, solver_tol=solver_tol,
-        solver_max_iter=solver_max_iter, grid_density=grid_density,
-    )
-    out = {
-        "value": n * ind,
-        "tail_term": n * tail,
-        "flags": list(flags),
-    }
-    if direct:
-        seed_t = list(seed) if isinstance(seed, (tuple, list)) else [int(seed)]
-        dval, dflags = _direct_total(
-            resolved, n, config, tuple(seed_t + [_PURPOSE_DIRECT]),
-            solver_max_iter, grid_density,
-        )
-        out["direct_value"] = dval
-        out["direct_flags"] = dflags
+    ind, tail, flags = individual_regret_trial(resolved, n, method, seed, config=config,
+                                               y_cap_eps=y_cap_eps)
+    out = {"value": n * ind, "tail_term": n * tail, "flags": list(flags)}
+    if direct_seed is not None:
+        if config is None:
+            config = _default_config(resolved, n, method)
+        out["direct_value"], out["direct_flags"] = _direct_total(resolved, n, config,
+                                                                 direct_seed)
     return out
 
 
@@ -530,8 +527,6 @@ def _direct_total(
     n: int,
     config: EstimatorConfig,
     seed,
-    solver_max_iter: int,
-    grid_density: float,
 ) -> tuple[float, list[str]]:
     """Direct leave-one-out total regret on a fresh (theta_i, Y_i) sample.
 
@@ -540,7 +535,7 @@ def _direct_total(
     """
     theta, y = resolved.sample_counts(seed, n)
     hist = CountHistogram.from_samples(y)
-    est, dflags = _rule_estimates(resolved, config, hist, solver_max_iter, grid_density)
+    est, dflags = _rule_estimates(resolved, config, hist)
     with np.errstate(invalid="ignore"):
         sq = (est[np.searchsorted(hist.ys, y)] - theta) ** 2
     sq = np.where(np.isfinite(sq), np.minimum(sq, SQERR_CAP), SQERR_CAP)
@@ -583,17 +578,17 @@ def fit_rate(ns, values, method: str = "", metric: str = "") -> RateFit:
     """OLS slope of log(value) on log(n), with a normal-theory 95% CI.
 
     Requires >= 4 usable points spanning at least 1.5 decades of n.
-    Nonpositive values cannot enter the log fit; they are excluded with a
-    warning.
+    Nonpositive and infinite values cannot enter the log fit; they are
+    excluded with a warning.
     """
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
     if ns.shape != values.shape or ns.ndim != 1:
         raise InvalidInputError("ns and values must be matching 1-d arrays")
-    ok = values > 0
+    ok = (values > 0) & (values < math.inf)
     if not np.all(ok):
         warnings.warn(
-            f"excluding {int((~ok).sum())} nonpositive values from the rate fit",
+            f"excluding {int((~ok).sum())} nonpositive or infinite values from the rate fit",
             RuntimeWarning, stacklevel=2,
         )
     ns, values = ns[ok], values[ok]
@@ -624,92 +619,64 @@ def fit_rate(ns, values, method: str = "", metric: str = "") -> RateFit:
 def run_plan(plan: ExperimentPlan, resolved: ResolvedPrior | None = None) -> ExperimentReport:
     """Execute a plan: all rows in deterministic (n, replicate, method, metric) order.
 
-    Every scheduled row is produced; trials that fail numerically yield a
-    value of NaN with an explanatory flag rather than silently vanishing.
+    Each row is the public trial call with the row's stream keys and the
+    config built from the plan.  Every scheduled row is produced; a trial
+    that raises yields NaN rows flagged ``failed:<exception>`` for all the
+    metrics it would have produced, rather than silently vanishing.
     """
     t0 = time.perf_counter()
     if resolved is None:
         resolved = resolve(plan.prior, p=plan.p, disc_tol=plan.disc_tol, seed=plan.seed)
-    rows: list[ExperimentRow] = []
 
+    direct = plan.direct_total and "total_regret" in plan.metrics
+
+    def density(n, rep, _method):
+        key = _stream_key(plan.seed, n, rep, _PURPOSE_DENSITY)
+        value, flags = density_risk_trial(resolved, n, key, solver_tol=plan.solver_tol)
+        return {"hellinger_sq": (value, 0.0, flags)}
+
+    def regret(n, rep, method):
+        config = _default_config(resolved, n, method, plan.tuning_c, plan.overrides,
+                                 plan.solver_tol)
+        ind, tail, flags = individual_regret_trial(
+            resolved, n, method, _stream_key(plan.seed, n, rep, _PURPOSE_TRAIN),
+            config=config, y_cap_eps=plan.y_cap_eps,
+        )
+        out = {"individual_regret": (ind, tail, flags), "total_regret": (n * ind, n * tail, flags)}
+        if direct:  # total_regret_trial's direct path, without redoing the product path
+            dval, dflags = _direct_total(resolved, n, config,
+                                         _stream_key(plan.seed, n, rep, _PURPOSE_DIRECT))
+            out["total_regret_direct"] = (dval, 0.0, dflags)
+        return out
+
+    regret_metrics = [m for m in ("individual_regret", "total_regret") if m in plan.metrics]
+    regret_metrics += ["total_regret_direct"] if direct else []
+    cells = [(density, "npmle", ["hellinger_sq"])] if "hellinger_sq" in plan.metrics else []
+    if regret_metrics:
+        cells += [(regret, method, regret_metrics) for method in plan.methods]
+    rows: list[ExperimentRow] = []
     for n in plan.n_grid:
         for rep in range(plan.replicates):
-            if "hellinger_sq" in plan.metrics:
-                key = _stream_key(plan.seed, n, rep, _PURPOSE_DENSITY)
+            for trial, method, metrics in cells:
                 try:
-                    value, flags = density_risk_trial(
-                        resolved, n, key,
-                        solver_tol=plan.solver_tol,
-                        solver_max_iter=plan.solver_max_iter,
-                        grid_density=plan.grid_density,
-                    )
-                    rows.append(ExperimentRow(n, rep, "npmle", "hellinger_sq",
-                                              value, 0.0, ";".join(flags)))
+                    results = trial(n, rep, method)
                 except Exception as exc:  # noqa: BLE001 - every row must exist
-                    rows.append(ExperimentRow(n, rep, "npmle", "hellinger_sq",
-                                              float("nan"), 0.0, f"failed:{type(exc).__name__}"))
-            regret_metrics = [m for m in plan.metrics if m != "hellinger_sq"]
-            if not regret_metrics:
-                continue
-            key = _stream_key(plan.seed, n, rep, _PURPOSE_TRAIN)
-            for method in plan.methods:
-                try:
-                    config = _default_config(resolved, n, method, plan.tuning_c,
-                                             plan.overrides, plan.solver_tol)
-                    ind, tail, flags = individual_regret_trial(
-                        resolved, n, method, key, config=config,
-                        y_cap_eps=plan.y_cap_eps, solver_tol=plan.solver_tol,
-                        solver_max_iter=plan.solver_max_iter,
-                        grid_density=plan.grid_density,
-                    )
-                    flag_str = ";".join(flags)
-                    if "individual_regret" in regret_metrics:
-                        rows.append(ExperimentRow(n, rep, method, "individual_regret",
-                                                  ind, tail, flag_str))
-                    if "total_regret" in regret_metrics:
-                        rows.append(ExperimentRow(n, rep, method, "total_regret",
-                                                  n * ind, n * tail, flag_str))
-                        if plan.direct_total:
-                            dval, dflags = _direct_total(
-                                resolved, n, config,
-                                _stream_key(plan.seed, n, rep, _PURPOSE_DIRECT),
-                                plan.solver_max_iter, plan.grid_density,
-                            )
-                            rows.append(ExperimentRow(
-                                n, rep, method, "total_regret_direct",
-                                dval, 0.0, ";".join(dflags),
-                            ))
-                except Exception as exc:  # noqa: BLE001
-                    for metric in regret_metrics:
-                        rows.append(ExperimentRow(n, rep, method, metric,
-                                                  float("nan"), 0.0,
-                                                  f"failed:{type(exc).__name__}"))
+                    failed = (math.nan, 0.0, [f"failed:{type(exc).__name__}"])
+                    results = dict.fromkeys(metrics, failed)
+                for metric in metrics:
+                    value, se, flags = results[metric]
+                    rows.append(ExperimentRow(n, rep, method, metric, value, se, ";".join(flags)))
 
-    slopes: list[RateFit] = []
-    eligible = (
-        len(plan.n_grid) >= 4
-        and math.log10(plan.n_grid[-1] / plan.n_grid[0]) >= 1.5
-    )
-    if eligible:
-        pairs = {(r.method, r.metric) for r in rows if r.metric != "total_regret_direct"}
-        acc: dict = {}
-        for r in rows:
-            acc.setdefault((r.method, r.metric, r.n), []).append(r.value)
-        for method, metric in sorted(pairs):
-            means = {
-                n: float(np.mean(acc[(method, metric, n)]))
-                for n in plan.n_grid if (method, metric, n) in acc
-            }
-            ns = [n for n, v in means.items() if v > 0 and math.isfinite(v)]
-            vals = [means[n] for n in ns]
-            if len(ns) >= 4:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    try:
-                        slopes.append(fit_rate(ns, vals, method=method, metric=metric))
-                    except InvalidInputError:
-                        pass
-    return ExperimentReport(
-        plan=plan, rows=rows, slopes=slopes,
-        runtime_seconds=time.perf_counter() - t0,
-    )
+    report = ExperimentReport(plan=plan, rows=rows, slopes=[], runtime_seconds=0.0)
+    for method, metric in sorted({(r.method, r.metric) for r in rows
+                                  if r.metric != "total_regret_direct"}):
+        means = report.mean_by_n(method, metric)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                report.slopes.append(fit_rate(list(means), list(means.values()),
+                                              method=method, metric=metric))
+            except InvalidInputError:
+                pass
+    report.runtime_seconds = time.perf_counter() - t0
+    return report

@@ -142,6 +142,19 @@ def test_regret_sweep_rejects_bad_plan(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("bad", [
+    "tuning_c = -1",
+    "solver_tol = 2",
+    "disc_tol = 0.5",
+    "prior = family=heavy_tail p=1.5",      # p = 2 moments are infinite
+])
+def test_regret_sweep_rejects_bad_plan_values(runner, tmp_path, bad):
+    plan = write(tmp_path, "plan.txt", PLAN_TEXT + bad + "\n")
+    result = runner.invoke(main, ["regret-sweep", plan])
+    assert result.exit_code == 2, result.output
+    assert "bad plan" in result.output
+
+
 def test_density_risk_forces_metric(runner, tmp_path):
     plan = write(tmp_path, "plan.txt", PLAN_TEXT)
     result = runner.invoke(main, ["density-risk", plan])

@@ -18,7 +18,7 @@ from poisson_eb.experiments import (
 )
 from poisson_eb.npmle import CountHistogram
 from poisson_eb.priors import PriorSpec, resolve
-from poisson_eb.rules import EstimatorConfig, fit_rule
+from poisson_eb.rules import CLI_KIND_NAMES, EstimatorConfig, fit_rule
 
 TP_SPEC = PriorSpec("two_point", {"eps": 0.2, "a": 5.0})
 TP = resolve(TP_SPEC)
@@ -171,15 +171,22 @@ def test_npmle_method_runs_for_label_moment_p1():
 
 
 def test_total_regret_product_and_direct_paths():
-    out = total_regret_trial(TP, 40, "robbins-addone", (7, 1), direct=True)
+    out = total_regret_trial(TP, 40, "robbins-addone", (7, 1), direct_seed=(7, 1, 2))
     assert out["value"] == pytest.approx(
         40 * individual_regret_trial(TP, 40, "robbins-addone", (7, 1))[0]
     )
     assert "direct_value" in out
     assert math.isfinite(out["direct_value"])
     # direct path re-run reproduces itself
-    again = total_regret_trial(TP, 40, "robbins-addone", (7, 1), direct=True)
+    again = total_regret_trial(TP, 40, "robbins-addone", (7, 1), direct_seed=(7, 1, 2))
     assert out["direct_value"] == again["direct_value"]
+
+
+def test_trial_rejects_config_of_another_method():
+    with pytest.raises(InvalidInputError):
+        individual_regret_trial(TP, 50, "robbins", (1, 2), config=EstimatorConfig("oracle"))
+    with pytest.raises(InvalidInputError):
+        total_regret_trial(TP, 50, "npmle", (1, 2), config=EstimatorConfig("robbins_addone"))
 
 
 def test_bounded_rule_regret_diverges_on_infinite_second_moment(heavy_tail_15):
@@ -193,7 +200,8 @@ def test_bounded_rule_regret_diverges_on_infinite_second_moment(heavy_tail_15):
     assert plain[0] == math.inf
     assert plain[2][-1] == "divergent_regret"
     assert "infinite=1" in plain[2]
-    out = total_regret_trial(heavy_tail_15, 200, "robbins-addone", (5, 1), direct=True)
+    out = total_regret_trial(heavy_tail_15, 200, "robbins-addone", (5, 1),
+                             direct_seed=(5, 1, 2))
     assert out["value"] == out["tail_term"] == math.inf
     assert out["flags"] == ["divergent_regret"]
     assert math.isfinite(out["direct_value"])
@@ -220,7 +228,7 @@ def test_leave_one_out_tables_match_per_y_refits():
     hist = CountHistogram.from_counts({0: 3, 1: 1, 2: 2, 4: 1, 5: 1, 9: 2, 10: 1})
     for config in (EstimatorConfig("robbins_plain"), EstimatorConfig("robbins_addone"),
                    EstimatorConfig("robbins_trunc", y0=4), EstimatorConfig("oracle")):
-        est, flags = ex._rule_estimates(TP, config, hist, 10_000, 4.0)
+        est, flags = ex._rule_estimates(TP, config, hist)
         ref_est, ref_flags = [], []
         for y in hist.ys.tolist():
             if config.kind == "oracle":
@@ -236,7 +244,7 @@ def test_leave_one_out_tables_match_per_y_refits():
         else:
             np.testing.assert_array_equal(est, ref_est)
         assert flags == ref_flags, config
-    _, flags = ex._rule_estimates(TP, EstimatorConfig("robbins_plain"), hist, 10_000, 4.0)
+    _, flags = ex._rule_estimates(TP, EstimatorConfig("robbins_plain"), hist)
     assert flags == ["infinite@1", "infinite@4", "degenerate@5", "degenerate@10"]
 
 
@@ -351,6 +359,33 @@ def test_run_plan_direct_total_rows():
     metrics = [r.metric for r in rep.rows]
     assert metrics == ["total_regret", "total_regret_direct"]
     assert all(math.isfinite(r.value) for r in rep.rows)
+
+
+def test_run_plan_rows_are_the_public_trial_calls():
+    plan = small_plan(methods=tuple(CLI_KIND_NAMES), n_grid=(20,), replicates=2,
+                      metrics=("hellinger_sq", "individual_regret", "total_regret"),
+                      direct_total=True)
+    tp2 = resolve(TP_SPEC, p=2.0)          # robbins-trunc's tuning needs p > 1
+    expected = []
+    for rep in range(plan.replicates):
+        density, train, direct = (
+            ex._stream_key(plan.seed, 20, rep, purpose)
+            for purpose in (ex._PURPOSE_DENSITY, ex._PURPOSE_TRAIN, ex._PURPOSE_DIRECT)
+        )
+        value, flags = density_risk_trial(tp2, 20, density)
+        expected.append(ExperimentRow(20, rep, "npmle", "hellinger_sq", value, 0.0,
+                                      ";".join(flags)))
+        for method in plan.methods:
+            ind, tail, flags = individual_regret_trial(tp2, 20, method, train)
+            out = total_regret_trial(tp2, 20, method, train, direct_seed=direct)
+            expected += [
+                ExperimentRow(20, rep, method, "individual_regret", ind, tail, ";".join(flags)),
+                ExperimentRow(20, rep, method, "total_regret", out["value"],
+                              out["tail_term"], ";".join(out["flags"])),
+                ExperimentRow(20, rep, method, "total_regret_direct", out["direct_value"],
+                              0.0, ";".join(out["direct_flags"])),
+            ]
+    assert run_plan(plan, resolved=tp2).rows == expected
 
 
 def test_run_plan_reports_divergent_regret_as_infinite(heavy_tail_15):
