@@ -14,6 +14,10 @@ Conventions
 * pmf tables are truncated at a ``y_max`` chosen from the Poisson deviation
   bound ``P(|X - theta| > t) <= exp(-t^2 / (2(theta + t)))`` applied atom by
   atom, so the neglected tail is provably below the requested tolerance.
+* Mixture tables sum each block of 256 rows over the atoms whose deviation
+  bound is near the block's best.  That bound, summed over the atoms left out,
+  must be 2^-60 below every kept row sum, else the block sums all atoms: a
+  table equals the all-atom sum to within the rounding of a double.
 * Squared Hellinger distance between pmfs is the *unnormalized* sum
   ``sum_y (sqrt f - sqrt g)^2``, which lives in ``[0, 2]``.  The closed forms
   in :func:`poisson_divergences` use the 1/2-normalized convention in
@@ -26,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import (
     DegenerateSupportError,
@@ -57,7 +61,9 @@ __all__ = [
 WEIGHT_FLOOR = 1e-15
 
 _WEIGHT_SUM_TOL = 1e-12
-_CHUNK = 4096  # rows per block when tabulating mixtures (memory control)
+_BLOCK = 256  # rows per block when tabulating mixtures
+_BAND_NATS = 200.0  # atoms whose bound is this far below a block's best are left out
+_CERT_LOG = 60.0 * math.log(2.0)  # left-out mass must sit 2^-60 below every kept sum
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +207,60 @@ def _y_max_for_tail(prior: DiscretePrior, tail_tol: float) -> int:
     return y_max
 
 
+def _log_mix(logP: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """log sum_j w_j exp(logP[:, j]) per row; a row of zero mass stays at -inf."""
+    with np.errstate(divide="ignore"):
+        terms = logP + np.log(w)
+        top = terms.max(axis=1)
+        top = np.where(np.isfinite(top), top, 0.0)
+        return top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+
+
+def _mixture_rows(prior: DiscretePrior, y_hi: int, r: int | None) -> np.ndarray:
+    """log f_G(y) (``r is None``) or E[theta^r | Y = y] for y = 0..y_hi.
+
+    A block keeps the run of atoms whose bound ``log w_j - t^2/(2(theta_j + t))``,
+    t the distance from theta_j to the block, is within _BAND_NATS of the best,
+    plus the nearest atom on each side.  For moments the theta^r-weighted sums
+    must pass the certificate of the module Conventions too.
+    """
+    atoms, w = prior.atoms, prior.weights
+    coefs = (w,) if r is None else (w, w * atoms ** r)  # the sums each block certifies
+    with np.errstate(divide="ignore"):
+        log_coefs = [np.log(c) for c in coefs]
+    out = np.empty(y_hi + 1)
+    for start in range(0, y_hi + 1, _BLOCK):
+        stop = min(start + _BLOCK, y_hi + 1)
+        ys = np.arange(start, stop, dtype=float)[:, None]
+        t = np.maximum(np.maximum(start - atoms, atoms - (stop - 1)), 0.0)
+        drop = np.divide(t * t, 2.0 * (atoms + t), out=np.zeros_like(t), where=t > 0)
+        near = np.flatnonzero(log_coefs[0] - drop >= np.max(log_coefs[0] - drop) - _BAND_NATS)
+        lo = min(near[0], max(np.searchsorted(atoms, start) - 1, 0))
+        hi = max(near[-1], min(np.searchsorted(atoms, stop - 1, side="right"), atoms.size - 1)) + 1
+        logP = log_poisson_pmf(ys, atoms[lo:hi])
+        log_kept = [_log_mix(logP, c[lo:hi]) for c in coefs]
+        left_out = np.r_[0:lo, hi:atoms.size]
+        if left_out.size and any(
+            _log_mix((lc - drop)[None, left_out], 1.0)[0] > k.min() - _CERT_LOG
+            for lc, k in zip(log_coefs, log_kept)
+        ):
+            lo, hi = 0, atoms.size
+            logP = log_poisson_pmf(ys, atoms)
+            log_kept[0] = _log_mix(logP, w)
+        if r is None:
+            out[start:stop] = log_kept[0]
+        else:
+            block = logP + log_coefs[0][lo:hi]
+            post = np.exp(block - block.max(axis=1, keepdims=True))
+            out[start:stop] = (post / post.sum(axis=1, keepdims=True)) @ atoms[lo:hi] ** r
+    return out
+
+
 def log_pmf_on_range(prior: DiscretePrior, y_hi: int) -> np.ndarray:
-    """log f_G(y) for y = 0..y_hi (inclusive), computed in blocks."""
+    """log f_G(y) for y = 0..y_hi (inclusive), over the atoms near each y."""
     if y_hi < 0:
         raise InvalidInputError("y_hi must be >= 0")
-    log_w = np.log(prior.weights)
-    out = np.empty(y_hi + 1)
-    for start in range(0, y_hi + 1, _CHUNK):
-        ys = np.arange(start, min(start + _CHUNK, y_hi + 1), dtype=float)
-        block = log_poisson_pmf(ys[:, None], prior.atoms[None, :]) + log_w[None, :]
-        out[start : start + ys.size] = logsumexp(block, axis=1)
-    return out
+    return _mixture_rows(prior, y_hi, None)
 
 
 def pmf_on_range(prior: DiscretePrior, y_hi: int) -> np.ndarray:
@@ -332,17 +381,7 @@ def posterior_moment_table(prior: DiscretePrior, y_hi: int, r: int = 1) -> np.nd
     tail: posterior weights are a softmax over atoms, never a ratio of
     underflowed marginals.
     """
-    log_w = np.log(prior.weights)
-    powers = prior.atoms ** r
-    out = np.empty(y_hi + 1)
-    for start in range(0, y_hi + 1, _CHUNK):
-        ys = np.arange(start, min(start + _CHUNK, y_hi + 1), dtype=float)
-        block = log_poisson_pmf(ys[:, None], prior.atoms[None, :]) + log_w[None, :]
-        block -= block.max(axis=1, keepdims=True)
-        post = np.exp(block)
-        post /= post.sum(axis=1, keepdims=True)
-        out[start : start + ys.size] = post @ powers
-    return out
+    return _mixture_rows(prior, y_hi, r)
 
 
 def posterior_mean_table(prior: DiscretePrior, y_hi: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from scipy.optimize import nnls
 from scipy.special import gammaln
 
 from .errors import InvalidInputError, NumericalFailureError
-from .mixtures import WEIGHT_FLOOR, DiscretePrior, log_poisson_pmf
+from .mixtures import WEIGHT_FLOOR, DiscretePrior, _log_mix, log_poisson_pmf
 
 __all__ = [
     "CountHistogram",
@@ -178,15 +178,6 @@ def grid_spec(data: CountHistogram, density: float = 4.0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # likelihood pieces
 # ---------------------------------------------------------------------------
-
-def _log_mix(logP: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # log f(y) = logsumexp_j (log Poi(y; theta_j) + log w_j), inlined for speed
-    with np.errstate(divide="ignore"):
-        terms = logP + np.log(w)
-        top = terms.max(axis=1)
-        top = np.where(np.isfinite(top), top, 0.0)  # a row of zero mass stays at -inf
-        return top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
-
 
 def _log_mixture_at(prior: DiscretePrior, data: CountHistogram) -> np.ndarray:
     return _log_mix(log_poisson_pmf(data.ys[:, None].astype(float), prior.atoms), prior.weights)

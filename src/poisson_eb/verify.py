@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
-from scipy.stats import binom as _binom
 
 from . import differences, mixtures, npmle
 from .mixtures import DiscretePrior
@@ -129,12 +128,12 @@ def binomial_identity_check(n_max: int = 30) -> CheckResult:
     for n in range(1, n_max + 1):
         k = np.arange(n + 1)
         for p in ps:
-            pmf = _binom.pmf(k, n, p)
+            pmf = np.array([math.comb(n, j) for j in k]) * p ** k * (1.0 - p) ** (n - k)
             lhs1 = float(pmf @ ((n - k) / (k + 1.0)))
             rhs1 = (1.0 - p) / p * float(1.0 - pmf[0])
             worst = max(worst, abs(lhs1 - rhs1) / max(abs(rhs1), 1e-30))
             lhs2 = float(pmf @ ((n - k) / (k + 1.0) ** 2))
-            tail2 = float(1.0 - _binom.pmf(0, n + 1, p) - _binom.pmf(1, n + 1, p))
+            tail2 = 1.0 - (1.0 - p) ** (n + 1) - (n + 1) * p * (1.0 - p) ** n
             rhs2 = (1.0 - p) / p ** 2 * tail2 / (n + 1.0)
             if rhs2 > 0 and lhs2 > 0:
                 r = lhs2 / rhs2

@@ -1,4 +1,4 @@
-"""Resolved priors shared across test modules: certifying them takes seconds."""
+"""Resolved priors shared across test modules, certified once per session."""
 
 import pytest
 

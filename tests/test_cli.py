@@ -1,9 +1,13 @@
 import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import poisson_eb
 from poisson_eb import experiments as ex
 from poisson_eb.cli import main
 
@@ -221,3 +225,13 @@ def test_verify_command_passes(runner):
     assert result.exit_code == 0, result.output
     assert "6/6 checks passed" in result.output
     assert "[FAIL]" not in result.output
+
+
+def test_cli_import_skips_scipy_stats():
+    # every peb run pays for what importing the CLI pulls in
+    src = str(Path(poisson_eb.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import poisson_eb.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"

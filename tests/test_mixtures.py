@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from poisson_eb import mixtures, priors
 from poisson_eb.errors import InvalidInputError, TailCoverageError
 from poisson_eb.mixtures import (
+    WEIGHT_FLOOR,
     DiscretePrior,
     MixturePmf,
     bayes_rule,
     generating_function_check,
     hellinger_sq,
+    log_pmf_on_range,
     log_poisson_pmf,
     mixture_tail_bound,
     mmse_exact,
@@ -18,6 +21,7 @@ from poisson_eb.mixtures import (
     poisson_divergences,
     poisson_tail_bound,
     posterior_mean_table,
+    posterior_moment_table,
 )
 
 G15 = DiscretePrior([1.0, 5.0], [0.5, 0.5])
@@ -218,3 +222,83 @@ def test_generating_function_identity(z, a1, a2, w):
     g = DiscretePrior([a1, a2], [w, 1.0 - w]) if abs(a1 - a2) > 1e-9 else DiscretePrior([a1], [1.0])
     lhs, rhs = generating_function_check(g, z)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# banded kernel against full rows
+# ---------------------------------------------------------------------------
+
+HEAVY_TAIL_15_CHECK_Y = 48_860  # y_check of the heavy_tail p=1.5 certificate
+
+
+def _full_rows(prior, y_hi, r=None):
+    """Reference: every atom against every y, log-sum-exp or softmax per row."""
+    log_w = np.log(prior.weights)
+    out = np.empty(y_hi + 1)
+    for start in range(0, y_hi + 1, 1024):
+        ys = np.arange(start, min(start + 1024, y_hi + 1), dtype=float)
+        terms = log_poisson_pmf(ys[:, None], prior.atoms[None, :]) + log_w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            top = terms.max(axis=1, keepdims=True)
+            e = np.exp(terms - np.where(np.isfinite(top), top, 0.0))
+            if r is None:
+                out[start:start + ys.size] = top[:, 0] + np.log(e.sum(axis=1))
+            else:
+                out[start:start + ys.size] = (e / e.sum(axis=1, keepdims=True)) @ prior.atoms ** r
+    return out
+
+
+def _kernel_case(name, request):
+    if name == "heavy_tail_15":
+        return request.getfixturevalue("heavy_tail_15").discretization, HEAVY_TAIL_15_CHECK_Y
+    return {
+        "two_point_gap": (DiscretePrior([0.0, 5e4], [0.5, 0.5]), 60_000),
+        "point_mass_zero": (DiscretePrior([0.0], [1.0]), 600),
+        "floor_weight": (DiscretePrior([3.0, 40.0, 900.0],
+                                       [WEIGHT_FLOOR, 0.6, 0.4 - WEIGHT_FLOOR]), 1500),
+        "fallback": (DiscretePrior([0.5, 2000.0, 3000.0], [0.5, 0.3, 0.2]), 255),
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name", ["heavy_tail_15", "two_point_gap", "point_mass_zero", "floor_weight", "fallback"]
+)
+def test_banded_kernel_matches_full_rows(name, request):
+    prior, y_hi = _kernel_case(name, request)
+    if name == "floor_weight":
+        assert prior.n_atoms == 3
+    # assert_allclose with atol=0 also requires -inf (and NaN, for rows of
+    # zero mass) exactly where the reference has them
+    np.testing.assert_allclose(log_pmf_on_range(prior, y_hi), _full_rows(prior, y_hi),
+                               rtol=1e-13, atol=0)
+    with np.errstate(invalid="ignore"):
+        for r in (1, 2):
+            np.testing.assert_allclose(posterior_moment_table(prior, y_hi, r),
+                                       _full_rows(prior, y_hi, r), rtol=1e-13, atol=0)
+
+
+def test_banded_kernel_falls_back_to_full_rows(monkeypatch):
+    # block y = 0..255 keeps the atoms 0.5 and 2000 (its right neighbour);
+    # the bound on the atom at 3000 is not 2^-60 below f(255), so the block
+    # is summed again over all three atoms
+    prior, y_hi = _kernel_case("fallback", None)
+    columns = []
+
+    def spy(y, theta):
+        columns.append(np.size(theta))
+        return log_poisson_pmf(y, theta)
+
+    monkeypatch.setattr(mixtures, "log_poisson_pmf", spy)
+    log_pmf_on_range(prior, y_hi)
+    assert columns == [2, 3]
+
+
+def test_resolve_certificate_matches_full_rows(heavy_tail_15, monkeypatch):
+    assert heavy_tail_15.discretization.n_atoms == 685
+    monkeypatch.setattr(priors, "pmf_on_range",
+                        lambda prior, y_hi: np.exp(_full_rows(prior, y_hi)))
+    ref = priors.resolve(heavy_tail_15.spec, p=1.5)
+    # ref.disc_error is the full-row sup-gap plus the tail drop
+    np.testing.assert_array_equal(ref.discretization.atoms, heavy_tail_15.discretization.atoms)
+    np.testing.assert_array_equal(ref.discretization.weights, heavy_tail_15.discretization.weights)
+    assert heavy_tail_15.disc_error == pytest.approx(ref.disc_error, rel=1e-15, abs=0)
