@@ -157,22 +157,16 @@ class WeightedDiffSequence:
             raise InvalidInputError("rho must lie in (0, 1/e]")
 
 
-def _ak_range(g1: DiscretePrior, g2: DiscretePrior, rho: float, k_max: int) -> int:
+def _summation_end(crude, k: int) -> int:
     """Summation endpoint past which every weighted term is provably < 1e-25.
 
-    The crude per-term envelope (y+1+k)^k 4^k env(y)^2 / (2 rho), with env the
-    certified pointwise tail envelope of both mixtures, decays
-    superexponentially, so truncating where it first drops below 1e-25 leaves
-    a negligible remainder.  This endpoint also lands far beyond the point
-    where both pmfs fall under rho * 1e-6.
+    y walks 32, 1.25 y + 1, ... to the first point where the crude per-term
+    envelope `crude(y)` drops below 1e-25; the endpoint adds a margin past it.
     """
     y = 32
-    while True:
-        env = mixture_tail_bound(g1, y - 1) + mixture_tail_bound(g2, y - 1)
-        crude = (y + 1 + k_max) ** k_max * 4.0 ** k_max * env * env / (2.0 * rho)
-        if crude < 1e-25:
-            return int(y * 1.25) + k_max + 1  # margin past the threshold
+    while not crude(y) < 1e-25:
         y = int(y * 1.25) + 1
+    return int(y * 1.25) + k + 1
 
 
 def ak_sequence(
@@ -192,7 +186,14 @@ def ak_sequence(
     k_max = int(k_max)
     if not (1 <= k_max <= 30):
         raise InvalidInputError("k_max must lie in 1..30")
-    y_end = _ak_range(g1, g2, rho, k_max)
+    # The envelope (y+1+k)^k 4^k env(y)^2 / (2 rho), env the certified tail
+    # envelope of both mixtures, decays superexponentially; its endpoint lands
+    # far beyond the point where both pmfs fall under rho * 1e-6.
+    def crude(y: int) -> float:
+        env = mixture_tail_bound(g1, y - 1) + mixture_tail_bound(g2, y - 1)
+        return (y + 1 + k_max) ** k_max * 4.0 ** k_max * env * env / (2.0 * rho)
+
+    y_end = _summation_end(crude, k_max)
     f1 = pmf_on_range(g1, y_end + k_max)
     f2 = pmf_on_range(g2, y_end + k_max)
     w = 1.0 / (np.maximum(f1, rho) + np.maximum(f2, rho))
@@ -225,12 +226,8 @@ def ak_recursion_residuals(seqs: list[WeightedDiffSequence]) -> np.ndarray:
 
 def _plain_diff_range(prior: DiscretePrior, k: int, weight_shift: int) -> int:
     # endpoint where (y + 1 + shift)^k (2^k env)^2 < 1e-25
-    y = 32
-    while True:
-        env = mixture_tail_bound(prior, y - 1)
-        if (y + 1 + weight_shift + k) ** k * (2.0 ** k * env) ** 2 < 1e-25:
-            return int(y * 1.25) + k + 1
-        y = int(y * 1.25) + 1
+    return _summation_end(lambda y: (y + 1 + weight_shift + k) ** k
+                          * (2.0 ** k * mixture_tail_bound(prior, y - 1)) ** 2, k)
 
 
 def forward_weighted_diff_sum(prior: DiscretePrior, k: int) -> float:

@@ -150,6 +150,7 @@ _PLAN_KEYS = {
     "npmle_rho": float,
     "robbins_y0": int,
 }
+_OVERRIDE_KEYS = ("npmle_y0", "npmle_rho", "robbins_y0")  # kept in ExperimentPlan.overrides
 
 
 def parse_plan(text: str) -> ExperimentPlan:
@@ -196,9 +197,7 @@ def parse_plan(text: str) -> ExperimentPlan:
         raw[key] = _PLAN_KEYS[key](val.strip())
     if "prior" not in raw or "n_grid" not in raw or "replicates" not in raw:
         raise InvalidInputError("plan needs at least prior, n_grid, replicates")
-    overrides = {
-        k: raw.pop(k) for k in ("npmle_y0", "npmle_rho", "robbins_y0") if k in raw
-    }
+    overrides = {k: raw.pop(k) for k in _OVERRIDE_KEYS if k in raw}
     prior = parse_prior_spec(raw.pop("prior"))
     n_grid = tuple(int(tok) for tok in raw.pop("n_grid").split(","))
     methods = tuple(tok.strip() for tok in raw.pop("methods", "").split(",") if tok.strip())
@@ -258,8 +257,11 @@ class ExperimentReport:
             f"replicates={self.plan.replicates} seed={self.plan.seed} "
             f"methods={','.join(self.plan.methods) or '-'} "
             f"metrics={','.join(self.plan.metrics)} "
-            f"tuning_c={self.plan.tuning_c:g} disc_tol={self.plan.disc_tol:g}"
-        )
+            f"tuning_c={self.plan.tuning_c:g} disc_tol={self.plan.disc_tol:g} "
+            f"solver_tol={self.plan.solver_tol:g} y_cap_eps={self.plan.y_cap_eps:g} "
+            f"direct_total={int(self.plan.direct_total)}"
+        ) + "".join(f" {k}={self.plan.overrides[k]}"
+                    for k in _OVERRIDE_KEYS if k in self.plan.overrides)
         return [
             f"# poisson_eb {self.version} experiment report",
             f"# plan {self.plan.name}: {cfg}",
@@ -333,8 +335,8 @@ def density_risk_trial(
     _, y = resolved.sample_counts(seed, n)
     hist = CountHistogram.from_samples(y)
     fit = _fit_npmle_leniently(hist, solver_tol)
-    ref = resolved.pmf(tail_tol=1e-11)
-    fit_table = pmf_table(fit.prior, tail_tol=1e-11, min_len=ref.values.size,
+    ref = resolved.pmf()
+    fit_table = pmf_table(fit.prior, tail_tol=ref.tail_tol, min_len=ref.values.size,
                           source="npmle_fit")
     value = hellinger_sq(fit_table, ref)
     flags = [] if fit.converged else ["solver_not_converged"]
@@ -406,7 +408,7 @@ def _regret_from_table(
     rule_flags: list[str],
     y_cap: int,
 ) -> tuple[float, float, list[str]]:
-    ref = resolved.pmf(tail_tol=1e-11)
+    ref = resolved.pmf()
     y_hi = table.size - 1
     f = ref.values[: y_hi + 1]
     theta_ref = resolved.oracle_table(y_hi)
@@ -452,7 +454,7 @@ def individual_regret_trial(
         raise InvalidInputError(f"config kind {config.kind!r} is not method {method!r}'s rule")
     _, y_train = resolved.sample_counts(seed, n - 1)
     train = CountHistogram.from_samples(y_train)
-    ref = resolved.pmf(tail_tol=1e-11)
+    ref = resolved.pmf()
     table, rule_flags = _rule_estimates(resolved, config, train, ref.y_max)
     if _regret_diverges(resolved, config):
         return math.inf, math.inf, rule_flags + [DIVERGENT_FLAG]

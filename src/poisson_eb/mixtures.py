@@ -379,9 +379,11 @@ def posterior_moment_table(prior: DiscretePrior, y_hi: int, r: int = 1) -> np.nd
 
     Unlike the pmf-ratio form this stays accurate arbitrarily far into the
     tail: posterior weights are a softmax over atoms, never a ratio of
-    underflowed marginals.
+    underflowed marginals.  Rows where f_G(y) = 0 are NaN: the posterior is
+    undefined there (and `bayes_rule` raises).
     """
-    return _mixture_rows(prior, y_hi, r)
+    with np.errstate(invalid="ignore"):
+        return _mixture_rows(prior, y_hi, r)
 
 
 def posterior_mean_table(prior: DiscretePrior, y_hi: int) -> np.ndarray:

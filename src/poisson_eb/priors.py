@@ -15,6 +15,11 @@ turns it into a `ResolvedPrior` carrying
   that stays bounded in the far tail has infinite regret; see
   `poisson_eb.experiments`).
 
+The exact families (point_mass, two_point, discrete, assouad,
+moment_class_extremal) are their own discretization, with ``disc_error`` 0.
+`quantile_y(eps)` reads the shared 1e-11 reference pmf table (the one with
+tail min(eps, 1e-11) for smaller eps), whose range contains the quantile.
+
 Families
 --------
 ``point_mass(value)`` | ``two_point(eps, a)`` | ``discrete(atoms, weights)``
@@ -194,10 +199,9 @@ def _heavy_tail_moment(p_family: float, q: float) -> float:
 
 
 def _heavy_tail_theta_max(p: float, drop: float) -> float:
-    # prior tail beyond T is bounded by c0 (1-eps) T^{-p} (log T)^{-2} / p
-    c0_eff = 1.0  # c0 * (1 - eps) = 1 by construction
+    # prior tail beyond T is <= c0 (1-eps) T^{-p} (log T)^{-2} / p, where c0 (1-eps) = 1
     t = math.e * 2
-    while c0_eff * t ** -p / (math.log(t) ** 2 * p) > drop:
+    while t ** -p / (math.log(t) ** 2 * p) > drop:
         t *= 1.5
     return t
 
@@ -304,18 +308,9 @@ class ResolvedPrior:
     itself (not its truncated discretization, whose moments are all finite).
     """
 
-    def __init__(
-        self,
-        spec: PriorSpec,
-        p: float,
-        discretization: DiscretePrior,
-        p_moment: float,
-        disc_tol: float,
-        disc_error: float,
-        sample_impl,
-        exact_discrete: bool,
-        second_moment_finite: bool,
-    ) -> None:
+    def __init__(self, spec: PriorSpec, p: float, discretization: DiscretePrior,
+                 p_moment: float, disc_tol: float, disc_error: float, sample_impl,
+                 second_moment_finite: bool) -> None:
         self.spec = spec
         self.p = p
         self.discretization = discretization
@@ -323,7 +318,8 @@ class ResolvedPrior:
         self.disc_tol = disc_tol
         self.disc_error = disc_error
         self._sample_impl = sample_impl
-        self.exact_discrete = exact_discrete
+        # the continuous families always add their dropped tail mass (> 0)
+        self.exact_discrete = disc_error == 0.0
         self.second_moment_finite = second_moment_finite
         self._cache: dict = {}
 
@@ -337,33 +333,30 @@ class ResolvedPrior:
         """
         if size < 1:
             raise InvalidInputError("size must be >= 1")
-        entropy = list(seed) if isinstance(seed, (tuple, list)) else [int(seed)]
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-        return self._sample_impl(rng, int(size))
+        return self._sample_impl(_generator(seed), int(size))
 
     def sample_counts(self, seed, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw (theta, Y) pairs: theta from the prior, Y | theta Poisson."""
         theta = self.sample(seed, size)
-        entropy = list(seed) if isinstance(seed, (tuple, list)) else [int(seed)]
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy + [0x9E37])))
-        return theta, rng.poisson(theta)
+        return theta, _generator(seed, 0x9E37).poisson(theta)
 
     # -- cached derived artifacts ------------------------------------------
 
-    def pmf(self, tail_tol: float = 1e-11, min_len: int | None = None) -> MixturePmf:
-        key = ("pmf", tail_tol, min_len)
+    def pmf(self, tail_tol: float = 1e-11) -> MixturePmf:
+        """Reference mixture pmf table with P(Y > y_max) <= `tail_tol`."""
+        key = ("pmf", tail_tol)
         if key not in self._cache:
             self._cache[key] = pmf_table(
-                self.discretization, tail_tol, min_len=min_len,
+                self.discretization, tail_tol,
                 source=f"resolved:{self.spec.describe()}",
             )
         return self._cache[key]
 
     def quantile_y(self, eps: float = 1e-9) -> int:
-        """Smallest y with P(Y > y) <= eps under the discretized mixture."""
+        """Smallest y with P(Y > y) <= eps, read off the reference pmf table."""
         key = ("q", eps)
         if key not in self._cache:
-            table = self.pmf(tail_tol=min(eps * 1e-3, 1e-11))
+            table = self.pmf(min(eps, 1e-11))
             tail = 1.0 - np.cumsum(table.values)
             idx = np.nonzero(tail <= eps)[0]
             self._cache[key] = int(idx[0]) if idx.size else table.y_max
@@ -382,12 +375,12 @@ class ResolvedPrior:
             self._cache["mmse"] = mmse_exact(self.discretization, tail_tol=1e-13)
         return self._cache["mmse"]
 
-    def verify_discretization(self, factor: int = 8, y_check: int | None = None) -> float:
+    def verify_discretization(self, factor: int = 8) -> float:
         """Re-measure the pmf gap against a `factor`-times refined quadrature."""
         if self.exact_discrete:
             return 0.0
         rebuilt = _resolve_impl(self.spec, self.p, self.disc_tol, refine=factor)
-        y = y_check if y_check is not None else min(self.quantile_y(1e-9), 20000)
+        y = min(self.quantile_y(1e-9), 20000)
         gap = np.abs(pmf_on_range(self.discretization, y) - pmf_on_range(rebuilt.discretization, y))
         return float(np.max(gap))
 
@@ -395,6 +388,12 @@ class ResolvedPrior:
 # ---------------------------------------------------------------------------
 # family constructors
 # ---------------------------------------------------------------------------
+
+def _generator(seed, *extra: int) -> np.random.Generator:
+    """Philox generator keyed by `seed` (an int or a tuple of ints) plus `extra`."""
+    entropy = list(seed) if isinstance(seed, (tuple, list)) else [int(seed)]
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy + list(extra))))
+
 
 def _categorical_sampler(prior: DiscretePrior):
     def impl(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -429,64 +428,7 @@ def _sqrt_cauchy_sampler():
 def _resolve_impl(spec: PriorSpec, p: float | None, disc_tol: float, seed: int = 0,
                   refine: int = 1) -> ResolvedPrior:
     family, params = spec.family, dict(spec.params)
-
-    if family == "point_mass":
-        lam = float(params.get("value", params.get("lam", 1.0)))
-        if lam < 0:
-            raise InvalidInputError("point mass location must be >= 0")
-        prior = DiscretePrior([lam], [1.0])
-        p_eff = 1.0 if p is None else p
-        return ResolvedPrior(spec, p_eff, prior, lam ** p_eff, disc_tol, 0.0,
-                             _categorical_sampler(prior), True,
-                             second_moment_finite=True)
-
-    if family == "two_point":
-        eps = float(params["eps"])
-        a = float(params["a"])
-        if not (0 < eps < 1) or not (a > 0):
-            raise InvalidInputError("two_point needs eps in (0,1) and a > 0")
-        prior = DiscretePrior([0.0, a], [1.0 - eps, eps])
-        p_eff = 1.0 if p is None else p
-        return ResolvedPrior(spec, p_eff, prior, eps * a ** p_eff, disc_tol, 0.0,
-                             _categorical_sampler(prior), True,
-                             second_moment_finite=True)
-
-    if family == "moment_class_extremal":
-        u = float(params["u"])
-        m1 = float(params.get("m1", 1.0))
-        if not (u > 1) or not (m1 > 0):
-            raise InvalidInputError("moment_class_extremal needs u > 1 and m1 > 0")
-        prior = DiscretePrior([0.0, u * m1], [1.0 - 1.0 / u, 1.0 / u])
-        p_eff = 1.0 if p is None else p
-        return ResolvedPrior(spec, p_eff, prior, prior.moment(p_eff), disc_tol, 0.0,
-                             _categorical_sampler(prior), True,
-                             second_moment_finite=True)
-
-    if family == "discrete":
-        atoms = np.asarray(params["atoms"], dtype=float)
-        weights = np.asarray(params["weights"], dtype=float)
-        prior = DiscretePrior(atoms, weights)
-        p_eff = 1.0 if p is None else p
-        return ResolvedPrior(spec, p_eff, prior, prior.moment(p_eff), disc_tol, 0.0,
-                             _categorical_sampler(prior), True,
-                             second_moment_finite=True)
-
-    if family == "assouad":
-        n = int(params["n"])
-        p_eff = float(params.get("p", p if p is not None else 2.0))
-        m_p = float(params.get("m_p", 1.0))
-        c_p = float(params.get("c_p", 0.1))
-        tau = params.get("tau")
-        if tau is None:
-            n_bits = _assouad_shape(n, p_eff, m_p, c_p)[1]
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 0xA55])))
-            tau = rng.integers(0, 2, size=n_bits).tolist()
-        elif isinstance(tau, (int, float)):
-            tau = [int(tau)]
-        prior = assouad_prior(tau, n, p_eff, m_p, c_p)
-        return ResolvedPrior(spec, p_eff, prior, prior.moment(p_eff), disc_tol, 0.0,
-                             _categorical_sampler(prior), True,
-                             second_moment_finite=True)
+    p_eff = 1.0 if p is None else p
 
     if family == "heavy_tail":
         p_fam = float(params["p"])
@@ -506,13 +448,11 @@ def _resolve_impl(spec: PriorSpec, p: float | None, disc_tol: float, seed: int =
             disc_tol=disc_tol, y_check=y_check,
             base_panels=base * refine, source=f"heavy_tail(p={p_fam})",
         )
-        m2_finite = _moment_is_finite(_heavy_tail_moment, p_fam, 2.0)
         return ResolvedPrior(spec, p_eff, prior, p_moment, disc_tol, err,
-                             _heavy_tail_sampler(p_fam, eps), False,
-                             second_moment_finite=m2_finite)
+                             _heavy_tail_sampler(p_fam, eps),
+                             _moment_is_finite(_heavy_tail_moment, p_fam, 2.0))
 
     if family == "sqrt_cauchy":
-        p_eff = 1.0 if p is None else p
         p_moment = _sqrt_cauchy_moment(p_eff)  # raises for p >= 2
         drop = min(disc_tol * 1e-2, 1e-9)
         # mass below t_lo is ~ 2 t_lo^2 / pi; beyond t_hi it is <= (2/pi) t_hi^-2
@@ -527,19 +467,54 @@ def _resolve_impl(spec: PriorSpec, p: float | None, disc_tol: float, seed: int =
             disc_tol=disc_tol, y_check=y_check,
             base_panels=base * refine, source="sqrt_cauchy",
         )
-        m2_finite = _moment_is_finite(_sqrt_cauchy_moment, 2.0)
-        return ResolvedPrior(spec, p_eff, prior, p_moment, disc_tol, err,
-                             _sqrt_cauchy_sampler(), False,
-                             second_moment_finite=m2_finite)
+        return ResolvedPrior(spec, p_eff, prior, p_moment, disc_tol, err, _sqrt_cauchy_sampler(),
+                             _moment_is_finite(_sqrt_cauchy_moment, 2.0))
 
-    raise InvalidInputError(f"unknown family {family!r}")  # pragma: no cover
+    # the exact families: each is its own discretization, with disc_error 0
+    if family == "point_mass":
+        lam = float(params.get("value", params.get("lam", 1.0)))
+        if lam < 0:
+            raise InvalidInputError("point mass location must be >= 0")
+        prior = DiscretePrior([lam], [1.0])
+    elif family == "two_point":
+        eps = float(params["eps"])
+        a = float(params["a"])
+        if not (0 < eps < 1) or not (a > 0):
+            raise InvalidInputError("two_point needs eps in (0,1) and a > 0")
+        prior = DiscretePrior([0.0, a], [1.0 - eps, eps])
+    elif family == "moment_class_extremal":
+        u = float(params["u"])
+        m1 = float(params.get("m1", 1.0))
+        if not (u > 1) or not (m1 > 0):
+            raise InvalidInputError("moment_class_extremal needs u > 1 and m1 > 0")
+        prior = DiscretePrior([0.0, u * m1], [1.0 - 1.0 / u, 1.0 / u])
+    elif family == "discrete":
+        prior = DiscretePrior(np.asarray(params["atoms"], dtype=float),
+                              np.asarray(params["weights"], dtype=float))
+    elif family == "assouad":
+        n = int(params["n"])
+        p_eff = float(params.get("p", p if p is not None else 2.0))
+        m_p = float(params.get("m_p", 1.0))
+        c_p = float(params.get("c_p", 0.1))
+        tau = params.get("tau")
+        if tau is None:
+            n_bits = _assouad_shape(n, p_eff, m_p, c_p)[1]
+            tau = _generator(seed, 0xA55).integers(0, 2, size=n_bits).tolist()
+        elif isinstance(tau, (int, float)):
+            tau = [int(tau)]
+        prior = assouad_prior(tau, n, p_eff, m_p, c_p)
+    else:
+        raise InvalidInputError(f"unknown family {family!r}")  # pragma: no cover
+    return ResolvedPrior(spec, p_eff, prior, prior.moment(p_eff), disc_tol, 0.0,
+                         _categorical_sampler(prior), True)
 
 
 def resolve(spec: PriorSpec, p: float | None = None, disc_tol: float = 1e-6,
             seed: int = 0) -> ResolvedPrior:
     """Resolve a prior spec into sampler + certified discretization.
 
-    Raises :class:`UnsupportedRegimeError` when the requested moment order is
+    `seed` only draws assouad's tau bits when the spec gives none.  Raises
+    :class:`UnsupportedRegimeError` when the requested moment order is
     infinite for the family, and :class:`NumericalFailureError` when the
     discretization cannot be certified to `disc_tol`.
     """

@@ -7,6 +7,7 @@ from poisson_eb.errors import InvalidInputError
 from poisson_eb import experiments as ex
 from poisson_eb.experiments import (
     ExperimentPlan,
+    ExperimentReport,
     ExperimentRow,
     density_risk_trial,
     fit_rate,
@@ -338,6 +339,29 @@ def test_run_plan_total_is_n_times_individual():
                 and q.metric == "individual_regret"
             ]
             assert r.value == r.n * ind
+
+
+@pytest.mark.parametrize("change", [
+    {"solver_tol": 1e-4},
+    {"y_cap_eps": 1e-8},
+    {"direct_total": True},
+    {"overrides": {"npmle_y0": 25}},
+    {"overrides": {"npmle_rho": 1e-8}},
+    {"overrides": {"robbins_y0": 3}},
+], ids=lambda change: "-".join(change.get("overrides", change)))
+def test_header_records_every_plan_setting(change):
+    def head(plan):
+        return ExperimentReport(plan, [], [], 0.0).header_lines()
+
+    assert head(small_plan()) != head(small_plan(**change))
+
+
+def test_header_lists_overrides_in_fixed_order():
+    plan = small_plan(overrides={"robbins_y0": 3, "npmle_rho": 1e-8, "npmle_y0": 25})
+    line = ExperimentReport(plan, [], [], 0.0).header_lines()[1]
+    assert line.endswith(
+        "solver_tol=1e-06 y_cap_eps=1e-09 direct_total=0 npmle_y0=25 npmle_rho=1e-08 robbins_y0=3"
+    )
 
 
 def test_run_plan_header_and_accessors():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -275,6 +276,14 @@ def test_banded_kernel_matches_full_rows(name, request):
         for r in (1, 2):
             np.testing.assert_allclose(posterior_moment_table(prior, y_hi, r),
                                        _full_rows(prior, y_hi, r), rtol=1e-13, atol=0)
+
+
+def test_posterior_mean_is_nan_where_the_mixture_vanishes():
+    # under a point mass at 0, f_G(y) = 0 for y >= 1: no posterior, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tab = posterior_mean_table(DiscretePrior([0.0], [1.0]), 4)
+    np.testing.assert_array_equal(tab, [0.0, np.nan, np.nan, np.nan, np.nan])
 
 
 def test_banded_kernel_falls_back_to_full_rows(monkeypatch):

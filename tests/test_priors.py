@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from poisson_eb import priors
 from poisson_eb.errors import InvalidInputError, UnsupportedRegimeError
-from poisson_eb.mixtures import mmse_exact, posterior_mean_table
+from poisson_eb.mixtures import mmse_exact, pmf_table, posterior_mean_table
 from poisson_eb.priors import (
     PriorSpec,
     assouad_prior,
@@ -55,6 +56,23 @@ def test_point_mass_resolution():
     assert r.discretization.atoms.tolist() == [2.5]
     assert r.p_moment == pytest.approx(6.25)
     assert r.verify_discretization() == 0.0
+
+
+@pytest.mark.parametrize("spec", [
+    PriorSpec("point_mass", {"value": 2.5}),
+    PriorSpec("two_point", {"eps": 0.3, "a": 12.5}),
+    PriorSpec("moment_class_extremal", {"u": 4.0, "m1": 2.0}),
+    PriorSpec("discrete", {"atoms": [0.5, 2.0, 6.0], "weights": [0.5, 0.3, 0.2]}),
+    PriorSpec("assouad", {"n": 10_000, "p": 2.0, "c_p": 30.0}),
+], ids=lambda spec: spec.family)
+def test_exact_families_are_their_own_discretization(spec):
+    r = resolve(spec, p=1.5 if spec.family != "assouad" else None, seed=2)
+    assert r.disc_error == 0.0
+    assert r.exact_discrete
+    assert r.second_moment_finite is True
+    assert r.p_moment == r.discretization.moment(r.p)
+    assert r.verify_discretization() == 0.0
+    assert np.all(np.isin(r.sample(7, 500), r.discretization.atoms))
 
 
 def test_two_point_structure_and_oracle():
@@ -184,6 +202,21 @@ def test_quantile_y_behavior():
     assert q_loose < q_tight
     # Poi(1): P(Y > 7) ~ 1e-6, P(Y > 13) ~ 1e-12
     assert 5 <= q_tight <= 20
+
+
+@pytest.mark.parametrize("name,eps", [("heavy_tail_15", 3e-9), ("HT2", 4e-10)])
+def test_quantile_y_reads_the_shared_reference_table(name, eps, request, monkeypatch):
+    r = request.getfixturevalue("heavy_tail_15") if name == "heavy_tail_15" else HT2
+    r.pmf()
+    # an independent, longer table gives the same quantile
+    tail = 1.0 - np.cumsum(pmf_table(r.discretization, 1e-12).values)
+    expected = int(np.nonzero(tail <= eps)[0][0])
+
+    def no_new_table(*args, **kwargs):
+        raise AssertionError("quantile_y built a second reference table")
+
+    monkeypatch.setattr(priors, "pmf_table", no_new_table)
+    assert r.quantile_y(eps) == expected
 
 
 # ---------------------------------------------------------------------------
