@@ -67,10 +67,8 @@ def main(ctx: click.Context, seed: int | None, strict: bool | None) -> None:
 @click.option("--tol", default=1e-6, show_default=True, help="KKT certificate tolerance.")
 @click.option("--max-iter", default=10_000, show_default=True,
               help="Cap on the solver's weight-solve steps.")
-@click.option("--density", default=4.0, show_default=True,
-              help="Scan points per unit of sqrt(theta).")
 @click.pass_context
-def cmd_npmle_fit(ctx, input_path, out_path, tol, max_iter, density):
+def cmd_npmle_fit(ctx, input_path, out_path, tol, max_iter):
     """Fit the nonparametric MLE mixing distribution to count data.
 
     INPUT_PATH holds either newline-separated integer counts or a JSON
@@ -83,7 +81,7 @@ def cmd_npmle_fit(ctx, input_path, out_path, tol, max_iter, density):
     except (PoissonEBError, ValueError, json.JSONDecodeError) as exc:
         _fail(_EXIT_BAD_CONFIG, f"could not parse counts: {exc}")
     try:
-        fit = fit_npmle(data, density=density, tol=tol, max_iter=max_iter, strict=strict)
+        fit = fit_npmle(data, tol=tol, max_iter=max_iter, strict=strict)
     except NumericalFailureError as exc:
         _fail(_EXIT_NUMERICAL, str(exc))
     except PoissonEBError as exc:
@@ -93,7 +91,7 @@ def cmd_npmle_fit(ctx, input_path, out_path, tol, max_iter, density):
             "tool": f"poisson_eb {__version__}",
             "command": "npmle-fit",
             "config": {"input": str(input_path), "tol": tol, "max_iter": max_iter,
-                       "density": density, "strict": strict},
+                       "strict": strict},
         },
         "fit": fit.to_dict(),
     }

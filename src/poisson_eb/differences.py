@@ -28,7 +28,6 @@ __all__ = [
     "ak_sequence",
     "ak_recursion_residuals",
     "forward_weighted_diff_sum",
-    "backward_weighted_diff_sum",
 ]
 
 
@@ -42,32 +41,25 @@ def finite_diff(f, order: int, direction: str, y: int) -> float:
     ``forward``:  D^k f(y) = D^{k-1} f(y+1) - D^{k-1} f(y)
     ``backward``: B^k f(y) = B^{k-1} f(y) - B^{k-1} f(y-1)
 
-    implemented as k in-place first-order reductions of the window of k+1
-    values the result depends on, which makes identities such as
-    ``B f(y) == D f(y-1)`` hold to the last bit.
+    read off :func:`diff_table` on the window of k+1 values the result
+    depends on, which makes identities such as ``B f(y) == D f(y-1)`` hold
+    to the last bit.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim != 1:
         raise InvalidInputError("f must be a 1-d sequence")
-    order = int(order)
-    if order < 0:
-        raise InvalidInputError("order must be >= 0")
-    if direction not in ("forward", "backward"):
-        raise InvalidInputError("direction must be 'forward' or 'backward'")
-    y = int(y)
+    order, y = int(order), int(y)
     start = y if direction == "forward" else y - order
     idx = np.arange(start, start + order + 1)
     window = np.where((idx >= 0) & (idx < f.size), f[np.clip(idx, 0, f.size - 1)], 0.0)
-    for _ in range(order):
-        window = window[1:] - window[:-1]
-    return float(window[0])
+    return float(diff_table(window, order, direction)[0 if direction == "forward" else -1])
 
 
 def diff_table(values, order: int, direction: str = "forward") -> np.ndarray:
     """All k-th differences of a zero-extended sequence, aligned with it.
 
-    Entry y of the result is D^k f(y) (forward) or B^k f(y) (backward); the
-    reductions reuse the same pairwise subtractions as :func:`finite_diff`.
+    Entry y of the result is D^k f(y) (forward) or B^k f(y) (backward),
+    computed by k first-order reductions of the zero-padded sequence.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
@@ -224,36 +216,20 @@ def ak_recursion_residuals(seqs: list[WeightedDiffSequence]) -> np.ndarray:
     return res
 
 
-def _plain_diff_range(prior: DiscretePrior, k: int, weight_shift: int) -> int:
-    # endpoint where (y + 1 + shift)^k (2^k env)^2 < 1e-25
-    return _summation_end(lambda y: (y + 1 + weight_shift + k) ** k
-                          * (2.0 ** k * mixture_tail_bound(prior, y - 1)) ** 2, k)
-
-
 def forward_weighted_diff_sum(prior: DiscretePrior, k: int) -> float:
-    """sum_y (y+1)^k (D^k f_G(y))^2 — finite, bounded by 2^{3k} k! for even k."""
+    """sum_y (y+1)^k (D^k f_G(y))^2, bounded by 2 k! at every k.
+
+    Since B^k f(y) = D^k f(y-k), the sum equals its backward form
+    sum_{y >= k} (y-k+1)^k (B^k f_G(y))^2.  The range ends where the
+    envelope (y+1+k)^k (2^k env(y))^2 falls below 1e-25.
+    """
     k = int(k)
     if k < 0:
         raise InvalidInputError("k must be >= 0")
-    y_end = _plain_diff_range(prior, k, 0)
+    y_end = _summation_end(lambda y: (y + 1 + k) ** k
+                           * (2.0 ** k * mixture_tail_bound(prior, y - 1)) ** 2, k)
     f = pmf_on_range(prior, y_end + k)
     d = diff_table(f, k, "forward")
     ys = np.arange(f.size, dtype=float)
     with np.errstate(over="ignore", under="ignore"):
         return float(np.sum((ys + 1.0) ** k * d * d))
-
-
-def backward_weighted_diff_sum(prior: DiscretePrior, k: int) -> float:
-    """sum_{y >= k} (y - k + 1)^k (B^k f_G(y))^2 — bounded by 2 k!."""
-    k = int(k)
-    if k < 0:
-        raise InvalidInputError("k must be >= 0")
-    y_end = _plain_diff_range(prior, k, k)
-    f = pmf_on_range(prior, y_end + k)
-    d = diff_table(f, k, "backward")
-    ys = np.arange(f.size, dtype=float)
-    terms = np.zeros_like(f)
-    with np.errstate(over="ignore", under="ignore"):
-        sel = ys >= k
-        terms[sel] = (ys[sel] - k + 1.0) ** k * d[sel] * d[sel]
-    return float(terms.sum())

@@ -336,8 +336,7 @@ def density_risk_trial(
     hist = CountHistogram.from_samples(y)
     fit = _fit_npmle_leniently(hist, solver_tol)
     ref = resolved.pmf()
-    fit_table = pmf_table(fit.prior, tail_tol=ref.tail_tol, min_len=ref.values.size,
-                          source="npmle_fit")
+    fit_table = pmf_table(fit.prior, tail_tol=ref.tail_tol, min_len=ref.values.size)
     value = hellinger_sq(fit_table, ref)
     flags = [] if fit.converged else ["solver_not_converged"]
     return value, flags

@@ -277,13 +277,11 @@ class MixturePmf:
     """Tabulated mixture pmf on y = 0..y_max with a certified tail bound.
 
     ``values[y] = f_G(y)``; ``tail_mass`` upper-bounds P(Y > y_max) and is no
-    larger than the tolerance the table was built with.  ``source`` records
-    where the table came from (for report provenance).
+    larger than the tolerance the table was built with.
     """
 
     values: np.ndarray
     tail_mass: float
-    source: str = "unknown"
     tail_tol: float = field(default=float("nan"))
 
     def __post_init__(self) -> None:
@@ -316,7 +314,6 @@ def pmf_table(
     prior: DiscretePrior,
     tail_tol: float = 1e-10,
     min_len: int | None = None,
-    source: str | None = None,
 ) -> MixturePmf:
     """Tabulate the Poisson mixture pmf of `prior` with tail below `tail_tol`.
 
@@ -329,7 +326,6 @@ def pmf_table(
     prior : DiscretePrior
     tail_tol : float in (0, 1)
     min_len : optional minimum table length (y_max >= min_len - 1).
-    source : provenance string stored on the table.
     """
     if not isinstance(prior, DiscretePrior):
         raise InvalidInputError("pmf_table expects a DiscretePrior")
@@ -344,12 +340,7 @@ def pmf_table(
     # two.  Both keep head + tail within 1e-10 of one.
     analytic = mixture_tail_bound(prior, y_max)
     tail_mass = min(max(0.0, 1.0 - float(values.sum())), analytic)
-    return MixturePmf(
-        values=values,
-        tail_mass=tail_mass,
-        source=source if source is not None else prior.describe(),
-        tail_tol=tail_tol,
-    )
+    return MixturePmf(values=values, tail_mass=tail_mass, tail_tol=tail_tol)
 
 
 # ---------------------------------------------------------------------------

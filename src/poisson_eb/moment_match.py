@@ -46,6 +46,9 @@ __all__ = [
     "sup_pmf_gap_direct",
 ]
 
+_DEGREE_CAP = 40  # most moments matched in one window
+_BUDGET_K = 5.0  # K in the atom budget K sqrt(M) (log 1/eta)^{3/2}
+
 
 # ---------------------------------------------------------------------------
 # fragments and partitions
@@ -336,17 +339,13 @@ def local_moment_match(
     M: float,
     eta: float,
     C: float = 1.0,
-    degree_cap: int = 40,
-    small_window_coef: float = 1.0,
-    large_window_coef: float = 1.0,
-    budget_K: float = 5.0,
 ) -> MatchReport:
     """Compress `source` to few atoms per window of a quadratic partition.
 
     Within window i the conditional distribution is replaced by a Gauss rule
-    matching its first L_i moments, where L_i = ceil(small_window_coef
-    (i+1)^2 eta_bar^2) for i <= M^{1/6} and ceil(9 C large_window_coef
-    eta_bar^2) beyond, both capped at `degree_cap`.  Windows whose
+    matching its first L_i moments, where L_i = ceil((i+1)^2 eta_bar^2) for
+    i <= M^{1/6} and ceil(9 C eta_bar^2) beyond, both capped at 40.  The
+    report's budget is 5 sqrt(M) eta_bar^{3/2} atoms.  Windows whose
     conditional already has few enough atoms are kept verbatim (making the
     operation idempotent); mass at or past 2M is lumped at exactly 2M.
 
@@ -384,10 +383,10 @@ def local_moment_match(
         atoms_i = source.atoms[in_body][sel]
         weights_i = source.weights[in_body][sel]
         if i <= small_limit:
-            L = math.ceil(small_window_coef * (i + 1) ** 2 * eta_bar ** 2)
+            L = math.ceil((i + 1) ** 2 * eta_bar ** 2)
         else:
-            L = math.ceil(9.0 * C * large_window_coef * eta_bar ** 2)
-        L = int(min(max(L, 1), degree_cap))
+            L = math.ceil(9.0 * C * eta_bar ** 2)
+        L = int(min(max(L, 1), _DEGREE_CAP))
         n_pts = (L + 1 + 1) // 2  # ceil((L+1)/2)
         degrees.append(L)
         if atoms_i.size <= n_pts:
@@ -421,7 +420,7 @@ def local_moment_match(
         approximant=approx,
         atom_count=approx.n_atoms,
         achieved_sup_error=sup_err,
-        budget=budget_K * math.sqrt(M) * eta_bar ** 1.5,
+        budget=_BUDGET_K * math.sqrt(M) * eta_bar ** 1.5,
         partition=part,
         degrees=tuple(degrees),
         fallbacks=tuple(fallbacks),

@@ -105,12 +105,18 @@ class CountHistogram:
         return cls(ys, cnts)
 
     @classmethod
-    def from_counts(cls, counts: dict) -> "CountHistogram":
-        if not counts:
-            raise InvalidInputError("empty counts mapping")
-        ys = np.array(sorted(int(k) for k in counts), dtype=np.int64)
-        cnts = np.array([int(counts[k]) for k in sorted(counts, key=int)], dtype=np.int64)
-        return cls(ys, cnts)
+    def from_counts(cls, counts) -> "CountHistogram":
+        """Histogram from a dict y -> N(y): keys are integers or integer
+        strings, counts whole numbers (booleans and strings are refused)."""
+        if not isinstance(counts, dict) or not counts:
+            raise InvalidInputError("counts must be a nonempty mapping of y to N(y)")
+        pairs = []
+        for y, cnt in counts.items():
+            if isinstance(y, str) and y.strip().lstrip("-").isdecimal():
+                y = int(y)  # a JSON key; any other string is refused below
+            pairs.append((_whole_number(y, "observed value"), _whole_number(cnt, "count")))
+        ys, cnts = zip(*sorted(pairs))
+        return cls(np.array(ys, dtype=np.int64), np.array(cnts, dtype=np.int64))
 
     def remove_one(self, y: int) -> "CountHistogram":
         """Histogram with one observation at y removed (leave-one-out)."""
@@ -126,6 +132,13 @@ class CountHistogram:
 
     def to_dict(self) -> dict:
         return {"counts": {str(int(y)): int(c) for y, c in zip(self.ys, self.cnts)}}
+
+
+def _whole_number(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
+            or not math.isfinite(value) or value != math.floor(value):
+        raise InvalidInputError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def load_count_data(text: str) -> CountHistogram:
@@ -352,7 +365,6 @@ def _refine_peaks(
 def fit_npmle(
     data,
     grid: np.ndarray | None = None,
-    density: float = 4.0,
     tol: float = 1e-6,
     max_iter: int = 10_000,
     strict: bool = False,
@@ -362,7 +374,7 @@ def fit_npmle(
 
     Each outer iteration (one ``ll_trace`` entry) 1. solves the weights on
     the support to optimality, 2. prunes zero weights, 3. computes log D on
-    the scan ``grid_spec(data, density)`` and at the atoms, 4. refines its
+    the scan ``grid_spec(data)`` and at the atoms, 4. refines its
     local maxima and the points where D' turns down by Newton steps in
     sqrt(theta) within their scan neighbours, 5. stops, converged, when
     D <= n (1 + tol) there and D >= n (1 - tol) on every atom, and 6. else
@@ -394,7 +406,7 @@ def fit_npmle(
         if grid.size == 0 or np.any(grid < 0) or not np.all(np.isfinite(grid)) \
                 or (grid[-1] == 0 and data.y_max > 0):  # no prior on it fits a count > 0
             raise InvalidInputError("grid must be nonempty, finite, nonnegative, fit every count")
-    scan = grid if user_grid else grid_spec(data, density)
+    scan = grid if user_grid else grid_spec(data)
 
     start = init_prior
     if start is not None and user_grid:

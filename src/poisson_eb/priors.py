@@ -228,15 +228,6 @@ def _sqrt_cauchy_moment(q: float) -> float:
     return val
 
 
-def _moment_is_finite(moment, *args) -> bool:
-    """Whether a family moment function returns rather than raising on infinity."""
-    try:
-        moment(*args)
-    except UnsupportedRegimeError:
-        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # quadrature discretization with certificate
 # ---------------------------------------------------------------------------
@@ -346,20 +337,19 @@ class ResolvedPrior:
         """Reference mixture pmf table with P(Y > y_max) <= `tail_tol`."""
         key = ("pmf", tail_tol)
         if key not in self._cache:
-            self._cache[key] = pmf_table(
-                self.discretization, tail_tol,
-                source=f"resolved:{self.spec.describe()}",
-            )
+            self._cache[key] = pmf_table(self.discretization, tail_tol)
         return self._cache[key]
 
     def quantile_y(self, eps: float = 1e-9) -> int:
-        """Smallest y with P(Y > y) <= eps, read off the reference pmf table."""
+        """Smallest y with P(Y > y) <= eps, read off the reference pmf table.
+
+        P(Y > y) is tail_mass plus the table summed from its far end, which
+        has no 1 - cumsum rounding floor and is <= eps at y_max."""
         key = ("q", eps)
         if key not in self._cache:
             table = self.pmf(min(eps, 1e-11))
-            tail = 1.0 - np.cumsum(table.values)
-            idx = np.nonzero(tail <= eps)[0]
-            self._cache[key] = int(idx[0]) if idx.size else table.y_max
+            beyond = np.append(np.cumsum(table.values[:0:-1])[::-1], 0.0)
+            self._cache[key] = int(np.argmax(table.tail_mass + beyond <= eps))
         return self._cache[key]
 
     def oracle_table(self, y_hi: int) -> np.ndarray:
@@ -448,9 +438,9 @@ def _resolve_impl(spec: PriorSpec, p: float | None, disc_tol: float, seed: int =
             disc_tol=disc_tol, y_check=y_check,
             base_panels=base * refine, source=f"heavy_tail(p={p_fam})",
         )
+        # E theta^q < inf iff q <= p_fam, so the second moment is finite iff p_fam >= 2
         return ResolvedPrior(spec, p_eff, prior, p_moment, disc_tol, err,
-                             _heavy_tail_sampler(p_fam, eps),
-                             _moment_is_finite(_heavy_tail_moment, p_fam, 2.0))
+                             _heavy_tail_sampler(p_fam, eps), p_fam >= 2.0)
 
     if family == "sqrt_cauchy":
         p_moment = _sqrt_cauchy_moment(p_eff)  # raises for p >= 2
@@ -468,7 +458,7 @@ def _resolve_impl(spec: PriorSpec, p: float | None, disc_tol: float, seed: int =
             base_panels=base * refine, source="sqrt_cauchy",
         )
         return ResolvedPrior(spec, p_eff, prior, p_moment, disc_tol, err, _sqrt_cauchy_sampler(),
-                             _moment_is_finite(_sqrt_cauchy_moment, 2.0))
+                             False)  # tail index 2: E theta^2 = inf
 
     # the exact families: each is its own discretization, with disc_error 0
     if family == "point_mass":

@@ -68,6 +68,14 @@ def test_npmle_fit_rejects_garbage(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("counts", [[5, 3], {"3": 2.5, "0": 4}, {"3": True, "0": 4}])
+def test_npmle_fit_malformed_counts_exit_2(runner, tmp_path, counts):
+    data = write(tmp_path, "counts.json", json.dumps({"counts": counts}))
+    result = runner.invoke(main, ["npmle-fit", data])
+    assert result.exit_code == 2, result.output
+    assert "could not parse counts" in result.output
+
+
 # ---------------------------------------------------------------------------
 # eb-estimate
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from poisson_eb.differences import (
     WeightedDiffSequence,
     ak_recursion_residuals,
     ak_sequence,
-    backward_weighted_diff_sum,
     charlier,
     diff_table,
     finite_diff,
@@ -212,6 +211,21 @@ def test_plain_weighted_diff_bounds():
     ]
     for g in priors:
         for k in range(0, 7):
-            assert backward_weighted_diff_sum(g, k) <= 2.0 * math.factorial(k) + 1e-12
+            assert forward_weighted_diff_sum(g, k) <= 2.0 * math.factorial(k) + 1e-12
         for k in (0, 2, 4, 6):
             assert forward_weighted_diff_sum(g, k) <= 2.0 ** (3 * k) * math.factorial(k) + 1e-12
+
+
+def test_forward_sum_equals_its_backward_form():
+    # sum_y (y+1)^k (D^k f)^2 == sum_{y>=k} (y-k+1)^k (B^k f)^2, as B^k f(y) = D^k f(y-k)
+    priors = [
+        DiscretePrior([1.0], [1.0]),
+        DiscretePrior([0.2, 8.0], [0.4, 0.6]),
+        DiscretePrior([3.0, 5.0, 11.0], [0.2, 0.5, 0.3]),
+    ]
+    for g in priors:
+        for k in range(0, 11):
+            b = diff_table(pmf_on_range(g, 400), k, "backward")
+            ys = np.arange(k, b.size)
+            backward = math.fsum((ys - k + 1.0) ** k * b[k:] ** 2)
+            assert forward_weighted_diff_sum(g, k) == pytest.approx(backward, rel=1e-12)

@@ -87,6 +87,27 @@ def test_load_count_data_lines_and_json():
         load_count_data("1\ntwo\n")
 
 
+@pytest.mark.parametrize("counts", [
+    [5, 3],                    # not a mapping
+    {"3": 2.5, "0": 4},        # fractional count
+    {"3": True, "0": 4},       # boolean count
+    {"3": "2", "0": 4},        # string count
+    {"x": 1, "0": 4},          # non-integer key
+    {"3.5": 1},
+])
+def test_from_counts_refuses_malformed_mappings(counts):
+    with pytest.raises(InvalidInputError):
+        CountHistogram.from_counts(counts)
+    with pytest.raises(InvalidInputError):
+        load_count_data(json.dumps({"counts": counts}))
+
+
+def test_from_counts_accepts_whole_float_counts():
+    h = CountHistogram.from_counts({"3": 2.0, "0": 4})
+    np.testing.assert_array_equal(h.ys, [0, 3])
+    np.testing.assert_array_equal(h.cnts, [4, 2])
+
+
 # ---------------------------------------------------------------------------
 # likelihood and certificate machinery
 # ---------------------------------------------------------------------------

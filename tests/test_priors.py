@@ -5,7 +5,7 @@ import pytest
 
 from poisson_eb import priors
 from poisson_eb.errors import InvalidInputError, UnsupportedRegimeError
-from poisson_eb.mixtures import mmse_exact, pmf_table, posterior_mean_table
+from poisson_eb.mixtures import mixture_tail_bound, mmse_exact, pmf_table, posterior_mean_table
 from poisson_eb.priors import (
     PriorSpec,
     assouad_prior,
@@ -167,6 +167,7 @@ def test_second_moment_finiteness_recorded(heavy_tail_15):
     assert heavy_tail_15.second_moment_finite is False
     assert resolve(PriorSpec("sqrt_cauchy"), p=1.0).second_moment_finite is False
     assert HT2.second_moment_finite is True      # p = 2: E theta^2 = 1 exactly
+    assert resolve(PriorSpec("heavy_tail", {"p": 3.0})).second_moment_finite is True
     assert TP.second_moment_finite is True
 
 
@@ -217,6 +218,18 @@ def test_quantile_y_reads_the_shared_reference_table(name, eps, request, monkeyp
 
     monkeypatch.setattr(priors, "pmf_table", no_new_table)
     assert r.quantile_y(eps) == expected
+
+
+def test_quantile_y_resolves_eps_below_the_cumsum_rounding_floor():
+    # 1 - cumsum bottoms out near 4e-14 here, so eps = 1e-14 once gave y_max
+    r = resolve(PriorSpec("assouad", {"n": 10_000, "c_p": 30.0}), seed=2)
+    eps = 1e-14
+    q = r.quantile_y(eps)
+    assert q < r.pmf(eps).y_max
+    longer = pmf_table(r.discretization, 1e-16)
+    beyond = math.fsum(longer.values[q + 1:]) + mixture_tail_bound(r.discretization, longer.y_max)
+    assert beyond <= eps
+    assert math.fsum(longer.values[q:]) > eps  # and q is the smallest such y
 
 
 # ---------------------------------------------------------------------------
