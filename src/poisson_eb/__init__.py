@@ -70,10 +70,8 @@ from .priors import (
 )
 from .moment_match import (
     MatchReport,
-    MeasureFragment,
     QuadraticPartition,
     local_moment_match,
-    quadrature_from_moments,
 )
 from .experiments import (
     ExperimentPlan,
@@ -111,8 +109,7 @@ __all__ = [
     "PriorSpec", "ResolvedPrior", "parse_prior_spec", "resolve",
     "assouad_prior", "divergent_mmse_diagnostic",
     # moment matching
-    "MeasureFragment", "QuadraticPartition", "quadrature_from_moments",
-    "local_moment_match", "MatchReport",
+    "QuadraticPartition", "local_moment_match", "MatchReport",
     # experiments
     "ExperimentPlan", "ExperimentReport", "parse_plan", "run_plan",
     "density_risk_trial", "individual_regret_trial", "total_regret_trial",

@@ -51,7 +51,8 @@ def finite_diff(f, order: int, direction: str, y: int) -> float:
     order, y = int(order), int(y)
     start = y if direction == "forward" else y - order
     idx = np.arange(start, start + order + 1)
-    window = np.where((idx >= 0) & (idx < f.size), f[np.clip(idx, 0, f.size - 1)], 0.0)
+    padded = np.append(f, 0.0)  # index f.size reads the zero extension, even when f is empty
+    window = padded[np.where((idx >= 0) & (idx < f.size), idx, f.size)]
     return float(diff_table(window, order, direction)[0 if direction == "forward" else -1])
 
 

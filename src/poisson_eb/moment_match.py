@@ -4,21 +4,15 @@ The partition of [0, 2M) has quadratically growing windows
 ``[C eta_bar i^2, C eta_bar (i+1)^2)`` with ``eta_bar = log(1/eta)`` — equal
 width in the sqrt(theta) scale, which is what makes a fixed number of matched
 moments per window give a uniformly small mixture-pmf error.  Within each
-window the conditional distribution is replaced by a Gauss-type quadrature
+window the conditional distribution is replaced by a Gauss quadrature
 rule matching its leading moments; mass at or beyond 2M is lumped at exactly
 2M.  The report carries the *measured* sup-norm pmf error over y = 0..M, not
 the theoretical bound.
 
-Two construction paths:
-
-* :func:`local_moment_match` knows the conditional atoms, so it builds each
-  window's recurrence coefficients by discrete Stieltjes orthogonalization
-  (numerically stable at any practical degree).
-* :func:`quadrature_from_moments` starts from raw moments alone (the public,
-  data-agnostic entry point) and goes through the Hankel-Cholesky route; it
-  reports non-positive-definite moment sequences as degeneracy errors.  Raw
-  power moments condition badly beyond degree ~20; that is inherent to the
-  input format and documented rather than hidden.
+Each window's recurrence coefficients come from discrete Stieltjes
+orthogonalization of its conditional atoms, which is numerically stable at
+any practical degree; a window whose measure runs out of support before the
+target degree falls back to fewer matched moments, and the report says so.
 """
 
 from __future__ import annotations
@@ -30,20 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import (
-    InvalidInputError,
-    MomentDegeneracyError,
-    NumericalFailureError,
-)
+from .errors import InvalidInputError, MomentDegeneracyError
 from .mixtures import DiscretePrior, pmf_on_range
 
 __all__ = [
-    "MeasureFragment",
     "QuadraticPartition",
     "MatchReport",
-    "quadrature_from_moments",
     "local_moment_match",
-    "sup_pmf_gap_direct",
 ]
 
 _DEGREE_CAP = 40  # most moments matched in one window
@@ -51,37 +38,8 @@ _BUDGET_K = 5.0  # K in the atom budget K sqrt(M) (log 1/eta)^{3/2}
 
 
 # ---------------------------------------------------------------------------
-# fragments and partitions
+# the partition
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class MeasureFragment:
-    """A nonnegative measure with finitely many atoms (mass need not be 1)."""
-
-    atoms: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        atoms = np.asarray(self.atoms, dtype=float).ravel()
-        weights = np.asarray(self.weights, dtype=float).ravel()
-        if atoms.size == 0 or atoms.shape != weights.shape:
-            raise InvalidInputError("fragment needs matching nonempty arrays")
-        if np.any(weights < 0):
-            raise InvalidInputError("fragment weights must be nonnegative")
-        order = np.argsort(atoms)
-        atoms, weights = atoms[order], weights[order]
-        atoms.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def mass(self) -> float:
-        return float(self.weights.sum())
-
-    def moment(self, r: int) -> float:
-        return float(self.weights @ self.atoms ** r)
-
 
 @dataclass(frozen=True, eq=False)
 class QuadraticPartition:
@@ -127,124 +85,6 @@ class QuadraticPartition:
 # Gauss rules
 # ---------------------------------------------------------------------------
 
-def _gauss_from_recurrence(alphas: np.ndarray, betas: np.ndarray, mass: float,
-                           radau_at: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights from three-term recurrence coefficients (Golub-Welsch).
-
-    alphas has length n, betas length n-1 (positive).  With `radau_at` set,
-    the last diagonal entry is replaced so that `radau_at` becomes a node
-    (Gauss-Radau): alpha'_{n-1} = a - b_{n-1} pi_{n-2}(a) / pi_{n-1}(a) with
-    pi the monic orthogonal polynomials and b = beta^2.
-    """
-    alphas = np.asarray(alphas, dtype=float).copy()
-    betas = np.asarray(betas, dtype=float)
-    n = alphas.size
-    if radau_at is not None and n >= 2:
-        a = float(radau_at)
-        b = betas ** 2
-        pi_prev, pi = 0.0, 1.0
-        for k in range(n - 1):
-            pi_prev, pi = pi, (a - alphas[k]) * pi - (b[k - 1] if k > 0 else 0.0) * pi_prev
-        if pi == 0.0:
-            raise MomentDegeneracyError("Radau modification hit a polynomial zero")
-        alphas[n - 1] = a - b[n - 2] * pi_prev / pi
-    elif radau_at is not None:  # n == 1
-        alphas[0] = float(radau_at)
-    if n == 1:
-        return alphas.copy(), np.array([mass])
-    vals, vecs = eigh_tridiagonal(alphas, betas)
-    return vals, mass * vecs[0, :] ** 2
-
-
-def _recurrence_from_tmoments(nu: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobi recurrence coefficients from probability moments nu_0..nu_{2n-1}.
-
-    Hankel-Cholesky route: H = L L^T with H_{ij} = nu_{i+j}, then
-    J = L^{-1} H' L^{-T} with H'_{ij} = nu_{i+j+1} is the symmetric
-    tridiagonal Jacobi matrix.  Raises :class:`MomentDegeneracyError` when H
-    is not numerically positive definite.
-    """
-    idx = np.add.outer(np.arange(n), np.arange(n))
-    H = nu[idx]
-    Hs = nu[idx + 1]
-    try:
-        L = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError as exc:
-        raise MomentDegeneracyError(
-            f"moment Hankel matrix of order {n} is not positive definite"
-        ) from exc
-    # J = L^{-1} Hs L^{-T}
-    tmp = np.linalg.solve(L, Hs)
-    J = np.linalg.solve(L, tmp.T).T
-    J = 0.5 * (J + J.T)
-    alphas = np.diag(J).copy()
-    betas = np.diag(J, 1).copy()
-    if np.any(betas <= 0):
-        raise MomentDegeneracyError("moment sequence yields nonpositive recurrence weights")
-    return alphas, betas
-
-
-def quadrature_from_moments(
-    moments,
-    lo: float,
-    hi: float,
-    mass: float = 1.0,
-) -> MeasureFragment:
-    """Few-atom measure on [lo, hi] matching the given raw moments m_1..m_L.
-
-    Uses at most ceil((L+1)/2) atoms: a Gauss rule for odd L, a Gauss-Radau
-    rule anchored at `lo` for even L.  The result's first L moments are
-    verified to match to 1e-9 relative accuracy; a moment sequence that is
-    not strictly positive definite raises :class:`MomentDegeneracyError`
-    (callers typically retry with fewer moments).
-    """
-    m = np.asarray(moments, dtype=float).ravel()
-    L = m.size
-    if L < 1:
-        raise InvalidInputError("need at least one moment")
-    if not (mass > 0):
-        raise InvalidInputError("mass must be positive")
-    if not (lo < hi):
-        raise InvalidInputError("need lo < hi")
-    mu = np.concatenate([[1.0], m / mass])  # probability moments mu_0..mu_L
-
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    # binomial transform to t = (x - mid)/half moments; fine for moderate
-    # intervals, ill-conditioned for very high L (inherent to raw moments)
-    n = (L + 1) // 2 if L % 2 == 1 else L // 2 + 1
-    need = 2 * n  # nu_0..nu_{2n-1}; for even L the top one is a placeholder
-    nu = np.zeros(need)
-    for k in range(need):
-        if k <= L:
-            acc = 0.0
-            for j in range(k + 1):
-                acc += math.comb(k, j) * mu[j] * (-mid) ** (k - j)
-            nu[k] = acc / half ** k
-        else:
-            nu[k] = 0.0  # unused: Radau replaces the entry that touches it
-    alphas, betas = _recurrence_from_tmoments(nu, n)
-    radau = -1.0 if L % 2 == 0 else None
-    t_nodes, t_weights = _gauss_from_recurrence(alphas, betas, 1.0, radau_at=radau)
-    if np.any(t_nodes < -1.0 - 1e-8) or np.any(t_nodes > 1.0 + 1e-8):
-        raise MomentDegeneracyError(
-            "reconstructed nodes escape the interval; moments are inconsistent with [lo, hi]"
-        )
-    nodes = mid + half * np.clip(t_nodes, -1.0, 1.0)
-    weights = mass * np.maximum(t_weights, 0.0)
-    frag = MeasureFragment(nodes, weights)
-
-    # verification pass: first L raw moments to 1e-9 relative
-    for k in range(1, L + 1):
-        got = frag.moment(k)
-        ref = float(m[k - 1])
-        scale = max(abs(ref), mass * max(abs(lo), abs(hi)) ** k * 1e-12, 1e-300)
-        if abs(got - ref) > 1e-9 * scale:
-            raise NumericalFailureError(
-                f"moment {k} mismatch after reconstruction: {got!r} vs {ref!r}"
-            )
-    return frag
-
-
 def _stieltjes_gauss(atoms: np.ndarray, weights: np.ndarray, n: int,
                      lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule for a discrete measure by Stieltjes orthogonalization.
@@ -270,9 +110,11 @@ def _stieltjes_gauss(atoms: np.ndarray, weights: np.ndarray, n: int,
             raise MomentDegeneracyError("discrete measure exhausted before target degree")
         betas[k] = math.sqrt(norm2)
         p_prev, p = p, q / betas[k]
-    t_nodes, t_weights = _gauss_from_recurrence(alphas, betas[: n - 1], 1.0)
+    # Golub-Welsch: nodes are the Jacobi matrix's eigenvalues, weights the
+    # squared first components of its eigenvectors
+    t_nodes, vecs = eigh_tridiagonal(alphas, betas)
     nodes = mid + half * np.clip(t_nodes, -1.0, 1.0)
-    return nodes, mass * t_weights
+    return nodes, mass * vecs[0, :] ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -308,30 +150,6 @@ class MatchReport:
             "fallbacks": list(self.fallbacks),
             "source": self.source_desc,
         }
-
-
-def sup_pmf_gap_direct(g1: DiscretePrior, g2: DiscretePrior, y_hi: int) -> float:
-    """Independent route to sup_{y<=y_hi} |f_{g1}(y) - f_{g2}(y)|.
-
-    Computes each mixture pmf in plain linear arithmetic (explicit products,
-    no log-domain shortcuts) so it can cross-check the table-based path.
-    """
-    ys = np.arange(y_hi + 1)
-
-    def plain_pmf(g: DiscretePrior) -> np.ndarray:
-        out = np.zeros(y_hi + 1)
-        for theta, w in zip(g.atoms, g.weights):
-            if theta == 0.0:
-                out[0] += w
-                continue
-            terms = np.empty(y_hi + 1)
-            terms[0] = math.exp(-theta)
-            for y in ys[1:]:
-                terms[y] = terms[y - 1] * theta / y
-            out += w * terms
-        return out
-
-    return float(np.max(np.abs(plain_pmf(g1) - plain_pmf(g2))))
 
 
 def local_moment_match(

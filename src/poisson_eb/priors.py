@@ -10,7 +10,9 @@ turns it into a `ResolvedPrior` carrying
   working range (continuous families are discretized by composite
   Gauss-Legendre quadrature in log theta, certified against a 4x refinement
   plus the dropped tail mass),
-* the p-th moment of the family (analytic where available), and
+* the p-th moment of the family, for p >= 0 with 0^0 counted as 1 (in
+  closed form: E_2(p_family - p) for heavy_tail at p > 0, 1/cos(pi p/4) for
+  sqrt_cauchy, a finite sum for the exact families), and
 * whether its second moment E theta^2 is finite (when it is not, every rule
   that stays bounded in the far tail has infinite regret; see
   `poisson_eb.experiments`).
@@ -39,7 +41,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 from scipy.special import exp1, expn, gammaincc
 
 from .errors import (
@@ -147,15 +148,12 @@ def parse_prior_spec(text: str) -> PriorSpec:
 def heavy_tail_normalizer(p: float) -> float:
     """c0(p) = 1 / integral_e^inf a^{-(p+1)} (log a)^{-2} da, always > 1.
 
-    In u = log a the integral is integral_1^inf e^{-p u} u^{-2} du < 1.
+    In u = log a the integral is integral_1^inf e^{-p u} u^{-2} du = E_2(p)
+    < 1, the generalized exponential integral (DLMF 8.19.3).
     """
     if not (p > 0):
         raise InvalidInputError("tail exponent p must be positive")
-    val, err = integrate.quad(lambda u: math.exp(-p * u) / (u * u), 1.0, np.inf,
-                              epsabs=1e-13, epsrel=1e-13)
-    if not (val > 0) or err > 1e-9:
-        raise NumericalFailureError("heavy-tail normalizer quadrature failed")
-    return 1.0 / val
+    return 1.0 / float(expn(2, p))
 
 
 def heavy_tail_density(p: float, a) -> np.ndarray | float:
@@ -183,19 +181,18 @@ def _heavy_tail_zero_mass(p: float) -> float:
 
 
 def _heavy_tail_moment(p_family: float, q: float) -> float:
-    """q-th moment of the heavy_tail(p_family) prior; infinite for q > p_family."""
+    """q-th moment of the heavy_tail(p_family) prior; infinite for q > p_family.
+
+    The continuous part has mass 1 - eps = 1/c0 and density c0 a^{-(p+1)}
+    (log a)^{-2}, so in u = log a it contributes
+    integral_1^inf e^{(q - p) u} u^{-2} du = E_2(p - q), which is 1 at q = p.
+    The atom at 0 adds eps 0^q: eps at q = 0, nothing for q > 0.
+    """
     if q > p_family:
         raise UnsupportedRegimeError(
             f"heavy_tail(p={p_family}) has infinite moments beyond order {p_family}"
         )
-    if q == p_family:
-        return 1.0
-    c0 = heavy_tail_normalizer(p_family)
-    val, _ = integrate.quad(
-        lambda u: math.exp((q - p_family) * u) / (u * u), 1.0, np.inf,
-        epsabs=1e-13, epsrel=1e-13,
-    )
-    return (1.0 - _heavy_tail_zero_mass(p_family)) * c0 * val
+    return 1.0 if q == 0 else float(expn(2, p_family - q))
 
 
 def _heavy_tail_theta_max(p: float, drop: float) -> float:
@@ -217,15 +214,12 @@ def _sqrt_cauchy_density(t) -> np.ndarray:
 
 
 def _sqrt_cauchy_moment(q: float) -> float:
+    # (4/pi) integral_0^inf t^{q+1} / (1 + t^4) dt = 1 / sin(pi (q+2) / 4) = 1 / cos(pi q / 4)
     if q >= 2:
         raise UnsupportedRegimeError(
             f"sqrt_cauchy has tail index 2: moments of order >= 2 are infinite (got p={q})"
         )
-    val, err = integrate.quad(lambda t: t ** q * 4.0 * t / (math.pi * (1.0 + t ** 4)),
-                              0.0, np.inf, epsabs=1e-12, epsrel=1e-12)
-    if err > 1e-8:
-        raise NumericalFailureError("sqrt_cauchy moment quadrature failed")
-    return val
+    return 1.0 / math.cos(0.25 * math.pi * q)
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +359,6 @@ class ResolvedPrior:
             self._cache["mmse"] = mmse_exact(self.discretization, tail_tol=1e-13)
         return self._cache["mmse"]
 
-    def verify_discretization(self, factor: int = 8) -> float:
-        """Re-measure the pmf gap against a `factor`-times refined quadrature."""
-        if self.exact_discrete:
-            return 0.0
-        rebuilt = _resolve_impl(self.spec, self.p, self.disc_tol, refine=factor)
-        y = min(self.quantile_y(1e-9), 20000)
-        gap = np.abs(pmf_on_range(self.discretization, y) - pmf_on_range(rebuilt.discretization, y))
-        return float(np.max(gap))
-
 
 # ---------------------------------------------------------------------------
 # family constructors
@@ -415,8 +400,20 @@ def _sqrt_cauchy_sampler():
     return impl
 
 
-def _resolve_impl(spec: PriorSpec, p: float | None, disc_tol: float, seed: int = 0,
-                  refine: int = 1) -> ResolvedPrior:
+def resolve(spec: PriorSpec, p: float | None = None, disc_tol: float = 1e-6,
+            seed: int = 0) -> ResolvedPrior:
+    """Resolve a prior spec into sampler + certified discretization.
+
+    `seed` only draws assouad's tau bits when the spec gives none.  Raises
+    :class:`InvalidInputError` for a negative moment order,
+    :class:`UnsupportedRegimeError` when the requested moment order is
+    infinite for the family, and :class:`NumericalFailureError` when the
+    discretization cannot be certified to `disc_tol`.
+    """
+    if not (0 < disc_tol <= 1e-2):
+        raise InvalidInputError("disc_tol must lie in (0, 1e-2]")
+    if p is not None and p < 0:  # as DiscretePrior.moment, for every family
+        raise InvalidInputError("moment order must be nonnegative")
     family, params = spec.family, dict(spec.params)
     p_eff = 1.0 if p is None else p
 
@@ -436,7 +433,7 @@ def _resolve_impl(spec: PriorSpec, p: float | None, disc_tol: float, seed: int =
             1.0, math.log(theta_max),
             zero_mass=eps, body_mass=1.0 - eps, tail_drop=drop,
             disc_tol=disc_tol, y_check=y_check,
-            base_panels=base * refine, source=f"heavy_tail(p={p_fam})",
+            base_panels=base, source=f"heavy_tail(p={p_fam})",
         )
         # E theta^q < inf iff q <= p_fam, so the second moment is finite iff p_fam >= 2
         return ResolvedPrior(spec, p_eff, prior, p_moment, disc_tol, err,
@@ -455,7 +452,7 @@ def _resolve_impl(spec: PriorSpec, p: float | None, disc_tol: float, seed: int =
             math.log(t_lo), math.log(t_hi),
             zero_mass=0.0, body_mass=1.0, tail_drop=drop,
             disc_tol=disc_tol, y_check=y_check,
-            base_panels=base * refine, source="sqrt_cauchy",
+            base_panels=base, source="sqrt_cauchy",
         )
         return ResolvedPrior(spec, p_eff, prior, p_moment, disc_tol, err, _sqrt_cauchy_sampler(),
                              False)  # tail index 2: E theta^2 = inf
@@ -497,20 +494,6 @@ def _resolve_impl(spec: PriorSpec, p: float | None, disc_tol: float, seed: int =
         raise InvalidInputError(f"unknown family {family!r}")  # pragma: no cover
     return ResolvedPrior(spec, p_eff, prior, prior.moment(p_eff), disc_tol, 0.0,
                          _categorical_sampler(prior), True)
-
-
-def resolve(spec: PriorSpec, p: float | None = None, disc_tol: float = 1e-6,
-            seed: int = 0) -> ResolvedPrior:
-    """Resolve a prior spec into sampler + certified discretization.
-
-    `seed` only draws assouad's tau bits when the spec gives none.  Raises
-    :class:`UnsupportedRegimeError` when the requested moment order is
-    infinite for the family, and :class:`NumericalFailureError` when the
-    discretization cannot be certified to `disc_tol`.
-    """
-    if not (0 < disc_tol <= 1e-2):
-        raise InvalidInputError("disc_tol must lie in (0, 1e-2]")
-    return _resolve_impl(spec, p, disc_tol, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ import numpy as np
 from .errors import InvalidInputError, UnsupportedRegimeError
 from .mixtures import (
     DiscretePrior,
-    MixturePmf,
     pmf_on_range,
     posterior_mean_table,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "bounded_beyond_table",
     "TunedDefaults",
     "tune_defaults",
-    "centered_bayes_diagnostic",
 ]
 
 ESTIMATOR_KINDS = ("oracle", "robbins_plain", "robbins_addone", "robbins_trunc", "npmle_eb")
@@ -314,29 +312,3 @@ def tune_defaults(n: int, p: float, m_p: float = 1.0, c: float = 1.0) -> TunedDe
     robbins_y0 = math.ceil(c * (n / math.log(n) ** 3) ** (1.0 / (p + 2.0)))
     return TunedDefaults(npmle_y0=npmle_y0, npmle_rho=npmle_rho, robbins_y0=robbins_y0)
 
-
-# ---------------------------------------------------------------------------
-# diagnostics
-# ---------------------------------------------------------------------------
-
-def centered_bayes_diagnostic(pmf: MixturePmf) -> float:
-    """max_y |theta_G(y) - y| / (sqrt(y v 1) * log(1/f_G(y))).
-
-    Scanned over the cells with f_G(y) >= 1e-12 (and log(1/f) bounded away
-    from zero, which excludes only near-deterministic cells where the
-    numerator vanishes as well).  Values staying below ~10 are the expected
-    regime; larger values indicate a posterior mean drifting anomalously far
-    from the observation.
-    """
-    f = pmf.values
-    if f.size < 2:
-        raise InvalidInputError("pmf table too short")
-    ys = np.arange(f.size - 1, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        theta = (ys + 1.0) * f[1:] / f[:-1]
-        log_inv = -np.log(f[:-1])
-        ratio = np.abs(theta - ys) / (np.sqrt(np.maximum(ys, 1.0)) * log_inv)
-    ok = (f[:-1] >= 1e-12) & (log_inv > 1e-6)
-    if not np.any(ok):
-        raise InvalidInputError("no cells pass the mass threshold")
-    return float(np.max(ratio[ok]))

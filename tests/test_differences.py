@@ -33,6 +33,8 @@ def test_finite_diff_hand_values():
     assert finite_diff(TRI, 2, "forward", 0) == 1.0       # 6 - 2*3 + 1
     assert finite_diff(TRI, 1, "backward", 0) == 1.0      # f(-1) = 0
     assert finite_diff(TRI, 1, "backward", 2) == 3.0
+    assert finite_diff([], 0, "forward", 0) == 0.0        # empty: all zero extension
+    assert finite_diff([], 2, "backward", 3) == 0.0
 
 
 def test_finite_diff_validation():

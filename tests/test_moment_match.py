@@ -3,32 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from poisson_eb.errors import InvalidInputError, MomentDegeneracyError
+from poisson_eb.errors import InvalidInputError
 from poisson_eb.mixtures import DiscretePrior, pmf_on_range
-from poisson_eb.moment_match import (
-    MeasureFragment,
-    QuadraticPartition,
-    local_moment_match,
-    quadrature_from_moments,
-    sup_pmf_gap_direct,
-)
+from poisson_eb.moment_match import QuadraticPartition, _stieltjes_gauss, local_moment_match
 
 
 # ---------------------------------------------------------------------------
-# fragments and partitions
+# the partition
 # ---------------------------------------------------------------------------
-
-def test_fragment_sorts_and_sums():
-    frag = MeasureFragment([3.0, 1.0], [0.2, 0.6])
-    np.testing.assert_allclose(frag.atoms, [1.0, 3.0])
-    np.testing.assert_allclose(frag.weights, [0.6, 0.2])
-    assert frag.mass == pytest.approx(0.8)
-    assert frag.moment(1) == pytest.approx(0.6 + 0.6)
-    with pytest.raises(InvalidInputError):
-        MeasureFragment([1.0], [-0.1])
-    with pytest.raises(InvalidInputError):
-        MeasureFragment([], [])
-
 
 def test_partition_edges():
     part = QuadraticPartition(M=50.0, eta=1e-2, C=1.0)
@@ -55,67 +37,20 @@ def test_partition_validation():
 
 
 # ---------------------------------------------------------------------------
-# quadrature from raw moments
+# Gauss rules
 # ---------------------------------------------------------------------------
 
-def test_gauss_two_point_rule_for_uniform_moments():
-    # m_1..m_3 of uniform[0,1]; the 2-point Gauss rule is (3 -/+ sqrt 3)/6
-    frag = quadrature_from_moments([0.5, 1.0 / 3.0, 0.25], 0.0, 1.0)
-    np.testing.assert_allclose(
-        frag.atoms, [0.21132486540518713, 0.7886751345948128], rtol=1e-9
-    )
-    np.testing.assert_allclose(frag.weights, [0.5, 0.5], rtol=1e-9)
-
-
-def test_radau_rule_for_even_moment_count():
-    # even L anchors a node at lo: uniform[0,1] m_1..m_2 gives {0, 2/3}
-    frag = quadrature_from_moments([0.5, 1.0 / 3.0], 0.0, 1.0)
-    np.testing.assert_allclose(frag.atoms, [0.0, 2.0 / 3.0], atol=1e-9)
-    np.testing.assert_allclose(frag.weights, [0.25, 0.75], rtol=1e-9)
-
-
-def test_single_moment_collapses_to_mean():
-    frag = quadrature_from_moments([1.7], 0.0, 4.0, mass=0.5)
-    np.testing.assert_allclose(frag.atoms, [1.7 / 0.5])
-    np.testing.assert_allclose(frag.weights, [0.5])
-
-
-def test_mass_scaling():
-    frag = quadrature_from_moments([1.0, 2.0 / 3.0, 0.5], 0.0, 1.0, mass=2.0)
-    np.testing.assert_allclose(
-        frag.atoms, [0.21132486540518713, 0.7886751345948128], rtol=1e-9
-    )
-    np.testing.assert_allclose(frag.weights, [1.0, 1.0], rtol=1e-9)
-
-
-def test_infeasible_moments_raise():
-    # m_2 < m_1^2 cannot come from any measure
-    with pytest.raises(MomentDegeneracyError):
-        quadrature_from_moments([0.5, 0.2, 0.1], 0.0, 1.0)
-
-
-def test_nodes_escaping_interval_raise():
-    # moments of mass on {2, 3} are inconsistent with support [0, 1]
-    with pytest.raises(MomentDegeneracyError):
-        quadrature_from_moments([2.5, 6.5, 17.5], 0.0, 1.0)
-
-
-def test_quadrature_validation():
-    with pytest.raises(InvalidInputError):
-        quadrature_from_moments([], 0.0, 1.0)
-    with pytest.raises(InvalidInputError):
-        quadrature_from_moments([0.5], 1.0, 0.0)
-    with pytest.raises(InvalidInputError):
-        quadrature_from_moments([0.5], 0.0, 1.0, mass=0.0)
-
-
-def test_matched_moments_round_trip():
-    # five moments of a known three-atom measure reproduce themselves
-    src = MeasureFragment([0.5, 2.0, 4.5], [0.3, 0.5, 0.2])
-    mom = [src.moment(k) for k in range(1, 6)]
-    frag = quadrature_from_moments(mom, 0.0, 5.0)
-    for k in range(1, 6):
-        assert frag.moment(k) == pytest.approx(src.moment(k), rel=1e-9)
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_stieltjes_gauss_reproduces_leading_moments(n):
+    # an n-point Gauss rule integrates polynomials of degree <= 2n - 1 exactly
+    rng = np.random.default_rng(11)
+    atoms = np.sort(rng.uniform(2.0, 10.0, size=400))
+    weights = rng.uniform(0.5, 1.5, size=400) * 1e-3
+    nodes, wts = _stieltjes_gauss(atoms, weights, n, 2.0, 10.0)
+    assert nodes.size == n
+    assert np.all((nodes >= 2.0) & (nodes <= 10.0)) and np.all(wts > 0)
+    for k in range(2 * n):
+        assert wts @ nodes ** k == pytest.approx(weights @ atoms ** k, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +124,30 @@ def test_match_validation():
 # ---------------------------------------------------------------------------
 # independent pmf-gap route
 # ---------------------------------------------------------------------------
+
+def sup_pmf_gap_direct(g1: DiscretePrior, g2: DiscretePrior, y_hi: int) -> float:
+    """Independent route to sup_{y<=y_hi} |f_{g1}(y) - f_{g2}(y)|.
+
+    Computes each mixture pmf in plain linear arithmetic (explicit products,
+    no log-domain shortcuts) so it can cross-check the table-based path.
+    """
+    ys = np.arange(y_hi + 1)
+
+    def plain_pmf(g: DiscretePrior) -> np.ndarray:
+        out = np.zeros(y_hi + 1)
+        for theta, w in zip(g.atoms, g.weights):
+            if theta == 0.0:
+                out[0] += w
+                continue
+            terms = np.empty(y_hi + 1)
+            terms[0] = math.exp(-theta)
+            for y in ys[1:]:
+                terms[y] = terms[y - 1] * theta / y
+            out += w * terms
+        return out
+
+    return float(np.max(np.abs(plain_pmf(g1) - plain_pmf(g2))))
+
 
 def test_sup_pmf_gap_direct_matches_table_route():
     g1 = DiscretePrior([1.0, 5.0], [0.5, 0.5])

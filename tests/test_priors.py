@@ -5,7 +5,14 @@ import pytest
 
 from poisson_eb import priors
 from poisson_eb.errors import InvalidInputError, UnsupportedRegimeError
-from poisson_eb.mixtures import mixture_tail_bound, mmse_exact, pmf_table, posterior_mean_table
+from poisson_eb.mixtures import (
+    DiscretePrior,
+    mixture_tail_bound,
+    mmse_exact,
+    pmf_on_range,
+    pmf_table,
+    posterior_mean_table,
+)
 from poisson_eb.priors import (
     PriorSpec,
     assouad_prior,
@@ -55,7 +62,6 @@ def test_point_mass_resolution():
     assert r.exact_discrete
     assert r.discretization.atoms.tolist() == [2.5]
     assert r.p_moment == pytest.approx(6.25)
-    assert r.verify_discretization() == 0.0
 
 
 @pytest.mark.parametrize("spec", [
@@ -71,7 +77,6 @@ def test_exact_families_are_their_own_discretization(spec):
     assert r.exact_discrete
     assert r.second_moment_finite is True
     assert r.p_moment == r.discretization.moment(r.p)
-    assert r.verify_discretization() == 0.0
     assert np.all(np.isin(r.sample(7, 500), r.discretization.atoms))
 
 
@@ -129,8 +134,23 @@ def test_heavy_tail_zero_mass_and_moment():
 def test_heavy_tail_discretization_certified():
     assert not HT2.exact_discrete
     assert HT2.disc_error <= HT2.disc_tol
-    # re-checking against a refined quadrature stays within tolerance
-    assert HT2.verify_discretization(factor=2) <= HT2.disc_tol
+    # rebuild the certified rule from its quadrature, then re-check it against
+    # one with twice and eight times the panels
+    eps = HT2.discretization.weights[0]
+    u_hi = math.log(priors._heavy_tail_theta_max(2.0, 1e-9))
+    panels = (HT2.discretization.n_atoms - 1) // priors._QUAD_NODES
+
+    def quadrature(k):
+        atoms, w = priors._gl_discretize(lambda a: priors.heavy_tail_density(2.0, a),
+                                         1.0, u_hi, k * panels)
+        return DiscretePrior(np.append(0.0, atoms), np.append(eps, w * ((1.0 - eps) / w.sum())))
+
+    np.testing.assert_array_equal(quadrature(1).atoms, HT2.discretization.atoms)
+    np.testing.assert_array_equal(quadrature(1).weights, HT2.discretization.weights)
+    y = min(HT2.quantile_y(1e-9), 20000)
+    for k in (2, 8):
+        gap = np.abs(pmf_on_range(HT2.discretization, y) - pmf_on_range(quadrature(k), y))
+        assert float(np.max(gap)) <= HT2.disc_tol
 
 
 def test_heavy_tail_higher_moment_is_infinite():
@@ -160,6 +180,20 @@ def test_sqrt_cauchy_first_moment_closed_form():
 def test_sqrt_cauchy_second_moment_is_infinite():
     with pytest.raises(UnsupportedRegimeError):
         resolve(PriorSpec("sqrt_cauchy"), p=2.0)
+
+
+@pytest.mark.parametrize("spec", [
+    PriorSpec("heavy_tail", {"p": 2.0}),
+    PriorSpec("sqrt_cauchy"),
+    PriorSpec("point_mass", {"value": 2.5}),
+    PriorSpec("two_point", {"eps": 0.3, "a": 12.5}),
+], ids=lambda spec: spec.family)
+def test_moment_order_is_nonnegative_and_zeroth_is_one(spec):
+    # heavy_tail's atom at 0 makes every negative moment infinite; all
+    # families count 0^0 = 1, as DiscretePrior.moment does
+    with pytest.raises(InvalidInputError):
+        resolve(spec, p=-3.0)
+    assert resolve(spec, p=0.0).p_moment == pytest.approx(1.0, rel=1e-15)
 
 
 def test_second_moment_finiteness_recorded(heavy_tail_15):

@@ -12,7 +12,6 @@ from poisson_eb.rules import (
     EstimatorConfig,
     FittedRule,
     bounded_beyond_table,
-    centered_bayes_diagnostic,
     fit_rule,
     npmle_eb,
     robbins,
@@ -239,10 +238,3 @@ def test_tune_defaults_regime_guards():
         tune_defaults(100, 2.0, m_p=0.0)
     with pytest.raises(InvalidInputError):
         tune_defaults(100, 2.0, c=-1.0)
-
-
-def test_centered_bayes_diagnostic_modest_for_light_tails():
-    val = centered_bayes_diagnostic(pmf_table(G15))
-    assert 0.0 < val < 10.0
-    with pytest.raises(InvalidInputError):
-        centered_bayes_diagnostic(pmf_table(DiscretePrior([0.0], [1.0])))
