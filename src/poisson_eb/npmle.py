@@ -1,7 +1,8 @@
 """Nonparametric maximum-likelihood mixing distribution for Poisson counts.
 
 Maximizes ``sum_y N(y) log f_G(y)`` over all mixing distributions G on
-[0, inf) by the constrained Newton method of Wang (2007).  G is optimal iff
+[0, inf) by the constrained Newton method of Wang (2007), which adds every
+new support point in one step.  G is optimal iff
 
     D(theta) = sum_y N(y) Poi(y; theta) / f_G(y)
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
-from scipy.special import gammaln
+from scipy.special import gammaln, softmax
 
 from .errors import InvalidInputError, NumericalFailureError
 from .mixtures import WEIGHT_FLOOR, DiscretePrior, _log_mix, log_poisson_pmf
@@ -37,7 +38,7 @@ __all__ = [
 ]
 
 _SUM_ROW_WEIGHT = 1e3  # NNLS weight of the sum-to-one row, times sqrt(n)
-_LOG_RATIO_FLOOR = -600.0  # NNLS columns whose largest log Poi/f is lower get weight 0
+_RATIO_FLOOR = math.exp(-600.0)  # NNLS columns whose largest Poi/f is lower get weight 0
 _NEWTON_STEPS = 40  # bisection alone shrinks a bracket by 2^-40
 
 
@@ -177,14 +178,10 @@ def grid_spec(data: CountHistogram, density: float = 4.0) -> np.ndarray:
     """
     if not (density >= 1):
         raise InvalidInputError("grid density must be >= 1")
-    y_min = float(data.ys[0])
-    y_max = float(data.ys[-1])
-    lo = max(1e-3, 0.5 * y_min)
-    hi = max(1.5 * y_max, 1.0)
-    s_lo, s_hi = math.sqrt(lo), math.sqrt(hi)
-    step = 1.0 / float(density)
+    s_lo = math.sqrt(max(1e-3, 0.5 * float(data.ys[0])))
+    s_hi = math.sqrt(max(1.5 * float(data.ys[-1]), 1.0))
     k = max(1, int(math.ceil((s_hi - s_lo) * density)))
-    grid = (s_lo + step * np.arange(k + 1)) ** 2
+    grid = (s_lo + (1.0 / float(density)) * np.arange(k + 1)) ** 2
     return np.unique(np.concatenate([grid, data.ys, [data.mean]]))
 
 
@@ -250,22 +247,30 @@ class NpmleFit:
         }
 
 
-def _insertion_alpha(fa: np.ndarray, pj: np.ndarray, cnts: np.ndarray) -> float:
-    # Exact concave line search for mixing a new vertex: maximize
-    # sum N(y) log((1-a) f + a p_j) over a in [0, a_hi] by bisecting the
-    # decreasing derivative.  Rows of fa, pj peak at 1: the mix stays positive.
-    a_lo, a_hi = 0.0, 1.0 - 1e-9
-    diff = pj - fa
-    gain = cnts * diff
-    if gain @ (1.0 / (fa + a_hi * diff)) >= 0.0:
-        return a_hi
-    for _ in range(60):
-        mid = 0.5 * (a_lo + a_hi)
-        if gain @ (1.0 / (fa + mid * diff)) > 0.0:
-            a_lo = mid
-        else:
-            a_hi = mid
-    return 0.5 * (a_lo + a_hi)
+def _line_search(logf: np.ndarray, logp: np.ndarray, cnts: np.ndarray) -> float:
+    # Exact line search for a mix (1-a) f + a p: maximize the concave
+    # phi(a) = sum N(y) log((1-a) f + a p) over [0, 1 - 1e-9].  lo < a* < hi:
+    # -(1-a) phi' and a phi' are concave and vanish at a*, so Newton's step on
+    # the first from lo, and on the second from hi, cannot cross a*; nor can
+    # EM's, a (1-a) phi'/n.  Each end takes the longer step: EM's crosses the
+    # pole of phi' at a = 1 (rows where p << f), where Newton's only doubles 1-a.
+    fp = np.exp(np.column_stack([logf, logp]) - np.maximum(logf, logp)[:, None])  # rows peak at 1
+    diff = fp[:, 1] - fp[:, 0]
+    gain, n, lo, hi = cnts * diff, float(cnts.sum()), 0.0, 1.0 - 1e-9
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            r = 1.0 / (fp @ np.array([[1.0 - lo, 1.0 - hi], [lo, hi]]))
+            (g_lo, g_hi), (c_lo, c_hi) = (gain @ r).tolist(), ((gain * diff) @ (r * r)).tolist()
+            if not (g_lo > 0.0 and g_hi < 0.0):  # an end reached a* (first pass: a = 0 or a_hi)
+                return lo if g_lo <= 0.0 else hi
+            step_lo = 0.0 if g_lo == math.inf else max(  # f = 0 on a row at a = 0
+                lo * (1.0 - lo) * g_lo / n, (1.0 - lo) * g_lo / (g_lo + (1.0 - lo) * c_lo))
+            step_hi = max(hi * (1.0 - hi) * -g_hi / n, hi * g_hi / (g_hi - hi * c_hi))
+            lo, hi = lo + step_lo, hi - step_hi
+            done_lo, done_hi = step_lo < 1e-9 * min(lo, 1.0 - lo), step_hi < 1e-9 * min(hi, 1.0 - hi)
+            if done_lo or done_hi:  # Newton's step converges quadratically: a* is met
+                return hi if done_hi else lo
+    return hi
 
 
 def _solve_weights(
@@ -290,23 +295,22 @@ def _solve_weights(
     logf = _log_mix(logP, w)
     steps = 0
     while True:
-        logS = logP - logf[:, None]  # Poi/f <= 1/w <= 1/WEIGHT_FLOOR
-        top = logS.max(axis=0)
-        live = top >= _LOG_RATIO_FLOOR
-        A = sqrt_c[:, None] * np.exp(logS[:, live] - top[live])
-        logD = np.full(w.size, -np.inf)
-        logD[live] = top[live] + np.log(sqrt_c @ A)
+        S = np.exp(logP - logf[:, None])  # Poi/f <= 1/w <= 1/WEIGHT_FLOOR
+        with np.errstate(divide="ignore"):
+            logD = np.log(cnts @ S)
         if steps >= budget or np.all((logD >= log_lo) & (logD <= log_hi)):
             break
-        scale = np.exp(-top[live])
+        top = S.max(axis=0)
+        live = top >= _RATIO_FLOOR
+        scale = 1.0 / top[live]
         try:
-            v = nnls(np.vstack([A, sum_row * scale]), np.append(2.0 * sqrt_c, sum_row))[0]
+            v = nnls(np.vstack([sqrt_c[:, None] * S[:, live] * scale, sum_row * scale]),
+                     np.append(2.0 * sqrt_c, sum_row))[0]
         except RuntimeError:  # NNLS iteration cap
             break
         target = np.zeros_like(w)
         target[live] = v * scale
         d = target / target.sum() - w
-        S = np.exp(logS)
         u = S @ d  # f(w + t d) / f(w) = 1 + t u
         u[S @ target == 0.0] = -1.0  # exactly, where the target leaves no mass
         slope = float(cnts @ u)  # directional derivative of the log-likelihood
@@ -339,8 +343,7 @@ def _refine_peaks(
     k = np.where(theta - scan[j - 1] < scan[j] - theta, j - 1, j)
     lo, hi = scan[np.maximum(k - 1, 0)], scan[np.minimum(k + 1, scan.size - 1)]
     x, lo, hi = np.sqrt(theta), np.sqrt(np.minimum(lo, theta)), np.sqrt(np.maximum(hi, theta))
-    y2 = 2.0 * ys[:, None]
-    base = log_r[:, None] - lgam[:, None]
+    y2, base = 2.0 * ys[:, None], (log_r - lgam)[:, None]
     for _ in range(_NEWTON_STEPS):
         s = np.maximum(x, 1e-100)  # D is even in s; its slope at 0 is read just above
         logu = base + y2 * np.log(s) - s * s
@@ -349,14 +352,16 @@ def _refine_peaks(
         g = y2 / s - 2.0 * s  # d log u / ds
         d1 = (u * g).sum(axis=0)
         d2 = (u * (g * g - y2 / (s * s) - 2.0)).sum(axis=0)
-        logD, found = top + np.log(u.sum(axis=0)), theta
+        mass, found = u.sum(axis=0), theta
+        logD = top + np.log(mass)
         rising = d1 > 0.0
         lo, hi = np.where(rising, x, lo), np.where(rising, hi, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = x - d1 / d2
         ok = (d2 < 0.0) & (newton >= lo) & (newton <= hi)
         x_new = np.where(ok, newton, 0.5 * (lo + hi))
-        if np.all(np.abs(x_new - x) <= 1e-13 * (1.0 + x)):
+        # done where s moves by under 1e-13, or Newton's step raises D by under 5e-15 of it
+        if np.all((np.abs(x_new - x) <= 1e-13 * (1.0 + x)) | (ok & (d1 * d1 <= -1e-14 * d2 * mass))):
             break
         x, theta = x_new, x_new * x_new
     return found, logD
@@ -378,7 +383,8 @@ def fit_npmle(
     local maxima and the points where D' turns down by Newton steps in
     sqrt(theta) within their scan neighbours, 5. stops, converged, when
     D <= n (1 + tol) there and D >= n (1 - tol) on every atom, and 6. else
-    mixes each peak with D > n in, (1 - a) G + a delta_theta, by line search.
+    mixes all peaks with D > n in at once, (1 - a) G + a sum_j c_j delta_theta_j
+    with c_j proportional to D_j/n - 1, by one exact line search in a.
 
     data : CountHistogram or array of integer samples.
     grid : optional explicit candidate grid; it replaces the scan and
@@ -418,10 +424,8 @@ def fit_npmle(
         start = DiscretePrior(scan[idx], np.full(idx.size, 1.0 / idx.size))
     atoms, w = start.atoms, start.weights
 
-    ys = data.ys.astype(float)
-    cnts = data.cnts.astype(float)
-    n = float(data.n)
-    log_n = math.log(n)
+    ys, cnts = data.ys.astype(float), data.cnts.astype(float)
+    n, log_n = float(data.n), math.log(data.n)
     lgam = gammaln(ys + 1.0)
     logP = log_poisson_pmf(ys[:, None], atoms[None, :])
     # D on the scan is one product with the row-scaled kernel
@@ -464,27 +468,23 @@ def fit_npmle(
         stalled = steps == 0 and not inserted  # nothing has moved since the last check
         if converged or stalled or iterations >= max_iter or len(ll_trace) >= max_iter:
             break
-        inserted = False
-        new = peaks[logD_peaks > log_n]
-        for theta, logp in zip(new, log_poisson_pmf(ys[:, None], new[None, :]).T):
-            top = np.maximum(logf, logp)
-            a = _insertion_alpha(np.exp(logf - top), np.exp(logp - top), cnts)
-            inserted |= a >= WEIGHT_FLOOR
-            atoms, w = np.append(atoms, theta), np.append((1.0 - a) * w, a)
-            logP = np.column_stack([logP, logp])
-            logf = np.logaddexp(math.log1p(-a) + logf, math.log(a) + logp)
+        # every peak with D > n enters at once, with c_j proportional to
+        # D_j/n - 1 > 0, formed in logs: D/n can overflow at a far count
+        up = logD_peaks > log_n
+        inserted = bool(up.any())
+        if inserted:
+            excess = logD_peaks[up] - log_n
+            c = softmax(excess + np.log(-np.expm1(-excess)))
+            logp_new = log_poisson_pmf(ys[:, None], peaks[up][None, :])
+            a = _line_search(logf, _log_mix(logp_new, c), cnts)
+            inserted = bool(np.any(a * c >= WEIGHT_FLOOR))  # a new atom survives the prune
+            atoms, w = np.append(atoms, peaks[up]), np.append((1.0 - a) * w, a * c)
+            logP = np.hstack([logP, logp_new])  # _solve_weights recomputes log f
 
     prior = DiscretePrior(atoms, w)
-    fit = NpmleFit(
-        prior=prior,
-        log_likelihood=log_likelihood(prior, data),
-        kkt_gap=kkt_gap,
-        iterations=iterations,
-        converged=converged,
-        tol=tol,
-        grid=scan if user_grid else np.union1d(scan, prior.atoms),
-        ll_trace=tuple(ll_trace),
-    )
+    fit = NpmleFit(prior=prior, log_likelihood=log_likelihood(prior, data), kkt_gap=kkt_gap,
+                   iterations=iterations, converged=converged, tol=tol,
+                   grid=scan if user_grid else np.union1d(scan, prior.atoms), ll_trace=tuple(ll_trace))
     if not converged:
         msg = (f"NPMLE did not reach tol={tol:g} within {max_iter} weight-solve steps "
                f"(kkt_gap={kkt_gap:.3e})")

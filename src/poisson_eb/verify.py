@@ -222,6 +222,9 @@ def check_npmle_certificates() -> CheckResult:
         npmle.CountHistogram([1, 2], [7, 13]),
         npmle.CountHistogram([0, 1, 2, 3, 4, 5, 6, 7, 10, 66],
                              [956, 1, 12, 11, 8, 3, 4, 3, 1, 1]),  # isolated count
+        npmle.CountHistogram(np.r_[0:40, 81, 499], [  # Pareto draw: at 499, D/n > e^709
+            421, 869, 982, 774, 536, 375, 257, 184, 119, 107, 89, 65, 52, 47, 40, 33, 36, 32, 17,
+            20, 16, 12, 8, 18, 11, 16, 11, 10, 11, 5, 6, 6, 5, 8, 7, 5, 7, 9, 6, 4, 1, 1]),
     ]
     worst = 0.0
     detail = []

@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import softmax
+
 from poisson_eb.errors import InvalidInputError, NumericalFailureError
-from poisson_eb.mixtures import DiscretePrior
+from poisson_eb.mixtures import WEIGHT_FLOOR, DiscretePrior, _log_mix, log_poisson_pmf
 from poisson_eb.npmle import (
     CountHistogram,
     NpmleFit,
+    _line_search,
     directional_derivative,
     fit_npmle,
     grid_spec,
@@ -256,3 +259,113 @@ def test_fit_to_dict_layout():
         "grid_size",
     }
     assert doc["prior"]["atoms"] == [pytest.approx(2.0, abs=1e-6)]
+
+
+# ---------------------------------------------------------------------------
+# joint insertion: certificates on random data, and the line search
+# ---------------------------------------------------------------------------
+
+RANDOM_KINDS = ("gamma", "pareto", "few_atoms", "zeros_far")
+
+
+def _random_histogram(kind: str, seed: int) -> CountHistogram:
+    rng = np.random.default_rng([20261018, RANDOM_KINDS.index(kind), seed])
+    n = int(round(10 ** rng.uniform(1.0, 4.5)))
+    if kind == "gamma":
+        theta = rng.gamma(rng.uniform(0.3, 3.0), rng.uniform(0.5, 10.0), n)
+    elif kind == "pareto":  # y_max reaches 35,298 at n = 28,344
+        theta = (rng.pareto(rng.uniform(1.0, 2.5), n) + 1.0) * rng.uniform(0.2, 3.0)
+    elif kind == "few_atoms":
+        k = int(rng.integers(1, 5))
+        theta = rng.choice(rng.uniform(0.0, 40.0, k), n, p=rng.dirichlet(np.ones(k)))
+    else:  # zeros plus one or two far counts
+        far = rng.integers(30, 301, int(rng.integers(1, 3)))
+        return CountHistogram.from_samples(np.concatenate([np.zeros(n - far.size, int), far]))
+    return CountHistogram.from_samples(rng.poisson(theta))
+
+
+def _fine_grid_gap(fit: NpmleFit, data: CountHistogram) -> float:
+    s = np.linspace(0.0, 1.2 * math.sqrt(1.5 * data.y_max), 20_000)
+    return kkt_gap_on_grid(fit.prior, data, s * s)
+
+
+@pytest.mark.parametrize("kind", RANDOM_KINDS)
+def test_random_fits_certify_on_a_fine_grid(kind):
+    failed = []
+    for seed in range(25):
+        data = _random_histogram(kind, seed)
+        fit = fit_npmle(data)
+        gap = _fine_grid_gap(fit, data)
+        if not (fit.converged and fit.kkt_gap <= fit.tol and gap <= fit.tol):
+            failed.append((seed, data.n, data.y_max, fit.kkt_gap, gap))
+    assert not failed
+
+
+# Pareto draws kept below 40 and 70, plus two far counts.  On the first outer
+# iteration D/n at the far peak exceeds e^709, so D/n - 1 overflows unless
+# the insertion weights are formed in logs.
+FAR_OUTLIER_PARETO = {
+    "81-499": {
+        0: 421, 1: 869, 2: 982, 3: 774, 4: 536, 5: 375, 6: 257, 7: 184, 8: 119, 9: 107,
+        10: 89, 11: 65, 12: 52, 13: 47, 14: 40, 15: 33, 16: 36, 17: 32, 18: 17, 19: 20,
+        20: 16, 21: 12, 22: 8, 23: 18, 24: 11, 25: 16, 26: 11, 27: 10, 28: 11, 29: 5,
+        30: 6, 31: 6, 32: 5, 33: 8, 34: 7, 35: 5, 36: 7, 37: 9, 38: 6, 39: 4, 81: 1, 499: 1,
+    },
+    "140-540": {
+        0: 40, 1: 178, 2: 279, 3: 319, 4: 280, 5: 226, 6: 188, 7: 139, 8: 84, 9: 52,
+        10: 34, 11: 23, 12: 25, 13: 15, 14: 10, 15: 14, 16: 6, 17: 5, 18: 4, 19: 4,
+        20: 4, 21: 5, 22: 5, 23: 3, 24: 2, 25: 1, 27: 1, 28: 1, 29: 1, 30: 1, 32: 1,
+        33: 1, 34: 2, 35: 1, 40: 1, 42: 2, 47: 1, 48: 1, 49: 1, 54: 1, 57: 1, 140: 1, 540: 1,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAR_OUTLIER_PARETO))
+def test_far_outlier_pareto_fits_certify(name):
+    data = CountHistogram.from_counts(FAR_OUTLIER_PARETO[name])
+    fit = fit_npmle(data)
+    assert fit.converged
+    assert fit.kkt_gap <= fit.tol
+    assert _fine_grid_gap(fit, data) <= fit.tol
+
+
+def _phi(a, logf, logp, cnts):
+    top = np.maximum(logf, logp)
+    f, p = np.exp(logf - top), np.exp(logp - top)
+    with np.errstate(divide="ignore"):
+        return np.log(np.outer(1.0 - a, f) + np.outer(a, p)) @ cnts
+
+
+def _line_search_case(name):
+    ys = np.arange(41.0)
+    mix = 0.6 * np.exp(log_poisson_pmf(ys, 2.0)) + 0.4 * np.exp(log_poisson_pmf(ys, 9.0))
+    if name == "interior":  # G = delta_2 against delta_9 on a 60/40 mix of both
+        cnts, new, c = np.round(5000 * mix), np.array([9.0]), np.array([1.0])
+    elif name == "boundary":  # the data sit at the new atom only
+        cnts, new, c = np.round(5000 * np.exp(log_poisson_pmf(ys, 10.0))), np.array([10.0]), np.array([1.0])
+    else:  # a far count dominates; f there underflows beside the scaled p
+        ys = np.append(ys, 499.0)
+        cnts = np.append(np.round(5000 * np.exp(log_poisson_pmf(ys[:-1], 2.0))), 1.0)
+        new, c = np.array([499.0, 3.0, 5.0]), softmax([0.0, -690.0, -690.0])
+    keep = cnts > 0
+    ys, cnts = ys[keep], cnts[keep]
+    logf = log_poisson_pmf(ys, 2.0)
+    logp = _log_mix(log_poisson_pmf(ys[:, None], new[None, :]), c)
+    return logf, logp, cnts, c
+
+
+@pytest.mark.parametrize("name", ["interior", "boundary", "dominant"])
+def test_line_search_matches_brute_force(name):
+    logf, logp, cnts, c = _line_search_case(name)
+    a = _line_search(logf, logp, cnts)
+    grid = np.unique(np.concatenate([np.linspace(0.0, 1.0 - 1e-9, 20_001),
+                                     np.geomspace(1e-12, 1.0 - 1e-9, 20_001)]))
+    phi = _phi(grid, logf, logp, cnts)
+    i = int(phi.argmax())
+    assert _phi(np.array([a]), logf, logp, cnts)[0] >= phi.max() - 1e-9 * abs(phi.max())
+    if name == "boundary":
+        assert a == 1.0 - 1e-9 == grid[i]
+    else:
+        assert grid[i - 1] <= a <= grid[i + 1]
+    if name == "dominant":
+        assert c[1] < 1e-299 and a * c[0] >= WEIGHT_FLOOR > a * c[1]
