@@ -125,14 +125,13 @@ def cmd_eb_estimate(ctx, input_path, method, y0, rho, y_cap, tol, out_path):
         elif kind == "robbins_trunc":
             raise InvalidInputError("--y0 is required for method robbins-trunc")
         config = EstimatorConfig(**cfg_kwargs)
-    except (PoissonEBError, ValueError, json.JSONDecodeError) as exc:
-        _fail(_EXIT_BAD_CONFIG, str(exc))
-    cap = y_cap if y_cap is not None else data.y_max + 5
-    try:
+        cap = y_cap if y_cap is not None else data.y_max + 5
         fit = fit_npmle(data, tol=tol, strict=strict) if kind == "npmle_eb" else None
         rule = fit_rule(config, cap, train=data, fit=fit)
     except NumericalFailureError as exc:
         _fail(_EXIT_NUMERICAL, str(exc))
+    except (PoissonEBError, ValueError, json.JSONDecodeError) as exc:
+        _fail(_EXIT_BAD_CONFIG, str(exc))
     buf = io.StringIO()
     for line in _config_header("eb-estimate", input=input_path, method=method,
                                y0=y0, rho=rho, y_cap=cap, tol=tol, strict=strict):

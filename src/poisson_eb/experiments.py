@@ -502,24 +502,21 @@ def total_regret_trial(
     direct_seed=None,
     y_cap_eps: float = 1e-9,
 ) -> dict:
-    """Total regret by the product path, and by the direct LOO path when
-    `direct_seed` is given.
+    """The regret rows of one trial: ``{metric: (value, tail_term, flags)}``.
 
-    Product path: n times the individual regret at training size n-1, on the
-    sample drawn from `seed`.  Direct path: draw (theta_i, Y_i) pairs from
-    the stream `direct_seed`, estimate each Y_i from the other n-1
-    observations, and subtract n times the reference Bayes risk.  The two
-    agree in expectation; their standing comparison is a consistency check on
-    the whole pipeline.
+    ``individual_regret`` is :func:`individual_regret_trial` on the sample
+    drawn from `seed`; ``total_regret``, the product path, is n times it.
+    With `direct_seed`, ``total_regret_direct`` draws (theta_i, Y_i) pairs
+    from that stream, estimates each Y_i from the other n-1 observations and
+    subtracts n times the reference Bayes risk.  The two total-regret paths
+    agree in expectation: a standing consistency check on the pipeline.
     """
     ind, tail, flags = individual_regret_trial(resolved, n, method, seed, config=config,
                                                y_cap_eps=y_cap_eps)
-    out = {"value": n * ind, "tail_term": n * tail, "flags": list(flags)}
+    out = {"individual_regret": (ind, tail, flags), "total_regret": (n * ind, n * tail, flags)}
     if direct_seed is not None:
-        if config is None:
-            config = _default_config(resolved, n, method)
-        out["direct_value"], out["direct_flags"] = _direct_total(resolved, n, config,
-                                                                 direct_seed)
+        out["total_regret_direct"] = _direct_total(
+            resolved, n, config or _default_config(resolved, n, method), direct_seed)
     return out
 
 
@@ -528,8 +525,8 @@ def _direct_total(
     n: int,
     config: EstimatorConfig,
     seed,
-) -> tuple[float, list[str]]:
-    """Direct leave-one-out total regret on a fresh (theta_i, Y_i) sample.
+) -> tuple[float, float, list[str]]:
+    """The direct leave-one-out total regret row (value, 0.0, flags) on fresh (theta_i, Y_i).
 
     The sampled value is finite even where the regret diverges; such a value
     carries the ``divergent_regret`` flag.
@@ -543,7 +540,7 @@ def _direct_total(
     mmse_val, _ = resolved.mmse_ref()
     if _regret_diverges(resolved, config):
         dflags.append(DIVERGENT_FLAG)
-    return float(sq.sum() - n * mmse_val), dflags
+    return float(sq.sum() - n * mmse_val), 0.0, dflags
 
 
 # ---------------------------------------------------------------------------
@@ -639,16 +636,11 @@ def run_plan(plan: ExperimentPlan, resolved: ResolvedPrior | None = None) -> Exp
     def regret(n, rep, method):
         config = _default_config(resolved, n, method, plan.tuning_c, plan.overrides,
                                  plan.solver_tol)
-        ind, tail, flags = individual_regret_trial(
-            resolved, n, method, _stream_key(plan.seed, n, rep, _PURPOSE_TRAIN),
-            config=config, y_cap_eps=plan.y_cap_eps,
+        return total_regret_trial(
+            resolved, n, method, _stream_key(plan.seed, n, rep, _PURPOSE_TRAIN), config=config,
+            direct_seed=_stream_key(plan.seed, n, rep, _PURPOSE_DIRECT) if direct else None,
+            y_cap_eps=plan.y_cap_eps,
         )
-        out = {"individual_regret": (ind, tail, flags), "total_regret": (n * ind, n * tail, flags)}
-        if direct:  # total_regret_trial's direct path, without redoing the product path
-            dval, dflags = _direct_total(resolved, n, config,
-                                         _stream_key(plan.seed, n, rep, _PURPOSE_DIRECT))
-            out["total_regret_direct"] = (dval, 0.0, dflags)
-        return out
 
     regret_metrics = [m for m in ("individual_regret", "total_regret") if m in plan.metrics]
     regret_metrics += ["total_regret_direct"] if direct else []

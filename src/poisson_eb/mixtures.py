@@ -174,13 +174,18 @@ def log_poisson_pmf(y, theta):
     return out
 
 
+def _deviation_exponent(theta, t: np.ndarray) -> np.ndarray:
+    """t^2 / (2(theta + t)), the exponent of the Poisson deviation bound; 0 where t <= 0."""
+    return np.divide(t * t, 2.0 * (theta + t), out=np.zeros_like(t), where=t > 0)
+
+
 def poisson_tail_bound(theta: float, t: float) -> float:
     """Upper bound exp(-t^2 / (2(theta + t))) on P(+-(X - theta) > t), t > 0."""
     if not (t > 0):
         raise InvalidInputError("deviation t must be positive")
     if not (theta >= 0):
         raise InvalidInputError("theta must be nonnegative")
-    return math.exp(-t * t / (2.0 * (theta + t)))
+    return math.exp(-float(_deviation_exponent(theta, np.float64(t))))
 
 
 def mixture_tail_bound(prior: DiscretePrior, y: float) -> float:
@@ -189,10 +194,7 @@ def mixture_tail_bound(prior: DiscretePrior, y: float) -> float:
     Applies the one-sided deviation bound per atom with t = y - theta (atoms
     at or above y contribute their full weight).
     """
-    t = y - prior.atoms
-    with np.errstate(over="ignore"):
-        b = np.where(t > 0, np.exp(-(t * t) / (2.0 * (prior.atoms + t))), 1.0)
-    return float(prior.weights @ np.minimum(b, 1.0))
+    return float(prior.weights @ np.exp(-_deviation_exponent(prior.atoms, y - prior.atoms)))
 
 
 def _y_max_for_tail(prior: DiscretePrior, tail_tol: float) -> int:
@@ -232,8 +234,7 @@ def _mixture_rows(prior: DiscretePrior, y_hi: int, r: int | None) -> np.ndarray:
     for start in range(0, y_hi + 1, _BLOCK):
         stop = min(start + _BLOCK, y_hi + 1)
         ys = np.arange(start, stop, dtype=float)[:, None]
-        t = np.maximum(np.maximum(start - atoms, atoms - (stop - 1)), 0.0)
-        drop = np.divide(t * t, 2.0 * (atoms + t), out=np.zeros_like(t), where=t > 0)
+        drop = _deviation_exponent(atoms, np.maximum(start - atoms, atoms - (stop - 1)))
         near = np.flatnonzero(log_coefs[0] - drop >= np.max(log_coefs[0] - drop) - _BAND_NATS)
         lo = min(near[0], max(np.searchsorted(atoms, start) - 1, 0))
         hi = max(near[-1], min(np.searchsorted(atoms, stop - 1, side="right"), atoms.size - 1)) + 1

@@ -8,8 +8,8 @@ new support point in one step.  G is optimal iff
 
 satisfies D <= n for every theta >= 0, with equality on the support of G
 (Lindsay 1983).  ``kkt_gap = max(D/n - 1, 0)`` is taken over a sqrt(theta)
-scan and the local maxima of D refined in theta, in full fits, warm-started
-refits and fits on an explicit grid alike (see :func:`fit_npmle`).
+scan and the local maxima of D refined in theta, in cold and warm-started
+fits alike (see :func:`fit_npmle`).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
 _SUM_ROW_WEIGHT = 1e3  # NNLS weight of the sum-to-one row, times sqrt(n)
 _RATIO_FLOOR = math.exp(-600.0)  # NNLS columns whose largest Poi/f is lower get weight 0
 _NEWTON_STEPS = 40  # bisection alone shrinks a bracket by 2^-40
+_GRID_DENSITY = 4.0  # scan points per unit of sqrt(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -167,21 +168,19 @@ def load_count_data(text: str) -> CountHistogram:
 # candidate grid
 # ---------------------------------------------------------------------------
 
-def grid_spec(data: CountHistogram, density: float = 4.0) -> np.ndarray:
+def grid_spec(data: CountHistogram) -> np.ndarray:
     """Candidate atom grid: uniform in sqrt(theta) over the data range.
 
-    Covers [max(1e-3, y_min/2), max(1.5 y_max, 1)] with `density` points per
-    unit of sqrt(theta), augmented with the exact point 0 whenever N(0) > 0
-    and with the exact observed values and the sample mean (so pure point-mass
-    data can be fit with zero atom-location error).  Sorted, duplicates
-    dropped.
+    Covers [max(1e-3, y_min/2), max(1.5 y_max, 1)] with _GRID_DENSITY points
+    per unit of sqrt(theta), augmented with the exact point 0 whenever
+    N(0) > 0 and with the exact observed values and the sample mean (so pure
+    point-mass data can be fit with zero atom-location error).  Sorted,
+    duplicates dropped.
     """
-    if not (density >= 1):
-        raise InvalidInputError("grid density must be >= 1")
     s_lo = math.sqrt(max(1e-3, 0.5 * float(data.ys[0])))
     s_hi = math.sqrt(max(1.5 * float(data.ys[-1]), 1.0))
-    k = max(1, int(math.ceil((s_hi - s_lo) * density)))
-    grid = (s_lo + (1.0 / float(density)) * np.arange(k + 1)) ** 2
+    k = max(1, int(math.ceil((s_hi - s_lo) * _GRID_DENSITY)))
+    grid = (s_lo + (1.0 / _GRID_DENSITY) * np.arange(k + 1)) ** 2
     return np.unique(np.concatenate([grid, data.ys, [data.mean]]))
 
 
@@ -369,7 +368,6 @@ def _refine_peaks(
 
 def fit_npmle(
     data,
-    grid: np.ndarray | None = None,
     tol: float = 1e-6,
     max_iter: int = 10_000,
     strict: bool = False,
@@ -387,17 +385,15 @@ def fit_npmle(
     with c_j proportional to D_j/n - 1, by one exact line search in a.
 
     data : CountHistogram or array of integer samples.
-    grid : optional explicit candidate grid; it replaces the scan and
-        step 4 is skipped, so every atom is a grid point.
     tol : KKT tolerance of the certificate above.
     max_iter : cap on the weight-solve steps, reported as ``iterations``.
     strict : raise :class:`NumericalFailureError` instead of returning a
         non-converged fit (which is otherwise flagged and warned about).
-    init_prior : optional warm start, snapped to `grid` when one is given
-        and ignored if it gives an observed count zero mass.
+    init_prior : optional warm start, ignored if it gives an observed count
+        zero mass.
 
-    The fit's ``grid`` is the scan plus the fitted atoms, or the given
-    grid.  In lenient mode numerical trouble ends the loop unconverged.
+    The fit's ``grid`` is the scan plus the fitted atoms.  In lenient mode
+    numerical trouble ends the loop unconverged.
     """
     if not isinstance(data, CountHistogram):
         data = CountHistogram.from_samples(data)
@@ -406,18 +402,9 @@ def fit_npmle(
     max_iter = int(max_iter)
     if max_iter < 1:
         raise InvalidInputError("max_iter must be >= 1")
-    user_grid = grid is not None
-    if user_grid:
-        grid = np.unique(np.asarray(grid, dtype=float))
-        if grid.size == 0 or np.any(grid < 0) or not np.all(np.isfinite(grid)) \
-                or (grid[-1] == 0 and data.y_max > 0):  # no prior on it fits a count > 0
-            raise InvalidInputError("grid must be nonempty, finite, nonnegative, fit every count")
-    scan = grid if user_grid else grid_spec(data)
+    scan = grid_spec(data)
 
     start = init_prior
-    if start is not None and user_grid:
-        start = DiscretePrior(scan[np.abs(start.atoms[:, None] - scan).argmin(axis=1)],
-                              start.weights)
     if start is None or not np.isfinite(log_likelihood(start, data)):
         idx = np.linspace(0, scan.size - 1, min(12, scan.size)).astype(int)
         idx = np.unique(np.append(idx, np.abs(scan - data.mean).argmin()))
@@ -453,15 +440,13 @@ def fit_npmle(
             logD_pts = np.concatenate([logD_scan, logD_atoms])[first]
             rise = np.diff(logD_pts, prepend=-np.inf, append=-np.inf)
         idx = np.flatnonzero((rise[:-1] >= 0.0) & (rise[1:] < 0.0))
-        peaks, logD_peaks = pts[idx], logD_pts[idx]
-        if not user_grid:
-            # so does a scan point where D' turns from + to - before the next
-            rising = (v * ys) @ P_scan > scan * mass
-            turn = np.flatnonzero(rising[:-1] & ~rising[1:])
-            peaks, logD_peaks = _refine_peaks(np.union1d(peaks, scan[turn]), scan, ys, lgam, log_r)
-            # starts that reach the same maximum give one atom
-            _, first = np.unique(np.round(np.sqrt(peaks), 9), return_index=True)
-            peaks, logD_peaks = peaks[first], logD_peaks[first]
+        # refinement starts at these maxima and where D' turns from + to - on the scan
+        rising = (v * ys) @ P_scan > scan * mass
+        turn = np.flatnonzero(rising[:-1] & ~rising[1:])
+        peaks, logD_peaks = _refine_peaks(np.union1d(pts[idx], scan[turn]), scan, ys, lgam, log_r)
+        # starts that reach the same maximum give one atom
+        _, first = np.unique(np.round(np.sqrt(peaks), 9), return_index=True)
+        peaks, logD_peaks = peaks[first], logD_peaks[first]
         log_top = max(float(logD_pts.max()), float(logD_peaks.max(initial=-np.inf)))
         kkt_gap = max(math.expm1(min(log_top - log_n, 709.0)), 0.0)
         converged = kkt_gap <= tol and bool(np.all(logD_atoms >= log_n + math.log1p(-tol)))
@@ -484,7 +469,7 @@ def fit_npmle(
     prior = DiscretePrior(atoms, w)
     fit = NpmleFit(prior=prior, log_likelihood=log_likelihood(prior, data), kkt_gap=kkt_gap,
                    iterations=iterations, converged=converged, tol=tol,
-                   grid=scan if user_grid else np.union1d(scan, prior.atoms), ll_trace=tuple(ll_trace))
+                   grid=np.union1d(scan, prior.atoms), ll_trace=tuple(ll_trace))
     if not converged:
         msg = (f"NPMLE did not reach tol={tol:g} within {max_iter} weight-solve steps "
                f"(kkt_gap={kkt_gap:.3e})")

@@ -100,6 +100,12 @@ class PriorSpec:
                 f"unknown prior family {self.family!r}; choose from {FAMILIES}"
             )
 
+    def param(self, key: str):
+        """The required parameter `key`; a missing one is an input error."""
+        if key not in self.params:
+            raise InvalidInputError(f"prior family {self.family} needs parameter {key!r}")
+        return self.params[key]
+
     def describe(self) -> str:
         inner = " ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"{self.family}({inner})" if inner else self.family
@@ -405,8 +411,8 @@ def resolve(spec: PriorSpec, p: float | None = None, disc_tol: float = 1e-6,
     """Resolve a prior spec into sampler + certified discretization.
 
     `seed` only draws assouad's tau bits when the spec gives none.  Raises
-    :class:`InvalidInputError` for a negative moment order,
-    :class:`UnsupportedRegimeError` when the requested moment order is
+    :class:`InvalidInputError` for a missing parameter or a negative moment
+    order, :class:`UnsupportedRegimeError` when the requested moment order is
     infinite for the family, and :class:`NumericalFailureError` when the
     discretization cannot be certified to `disc_tol`.
     """
@@ -418,7 +424,7 @@ def resolve(spec: PriorSpec, p: float | None = None, disc_tol: float = 1e-6,
     p_eff = 1.0 if p is None else p
 
     if family == "heavy_tail":
-        p_fam = float(params["p"])
+        p_fam = float(spec.param("p"))
         if not (p_fam > 0):
             raise InvalidInputError("heavy_tail needs p > 0")
         p_eff = p_fam if p is None else p
@@ -464,22 +470,22 @@ def resolve(spec: PriorSpec, p: float | None = None, disc_tol: float = 1e-6,
             raise InvalidInputError("point mass location must be >= 0")
         prior = DiscretePrior([lam], [1.0])
     elif family == "two_point":
-        eps = float(params["eps"])
-        a = float(params["a"])
+        eps = float(spec.param("eps"))
+        a = float(spec.param("a"))
         if not (0 < eps < 1) or not (a > 0):
             raise InvalidInputError("two_point needs eps in (0,1) and a > 0")
         prior = DiscretePrior([0.0, a], [1.0 - eps, eps])
     elif family == "moment_class_extremal":
-        u = float(params["u"])
+        u = float(spec.param("u"))
         m1 = float(params.get("m1", 1.0))
         if not (u > 1) or not (m1 > 0):
             raise InvalidInputError("moment_class_extremal needs u > 1 and m1 > 0")
         prior = DiscretePrior([0.0, u * m1], [1.0 - 1.0 / u, 1.0 / u])
     elif family == "discrete":
-        prior = DiscretePrior(np.asarray(params["atoms"], dtype=float),
-                              np.asarray(params["weights"], dtype=float))
+        prior = DiscretePrior(np.asarray(spec.param("atoms"), dtype=float),
+                              np.asarray(spec.param("weights"), dtype=float))
     elif family == "assouad":
-        n = int(params["n"])
+        n = int(spec.param("n"))
         p_eff = float(params.get("p", p if p is not None else 2.0))
         m_p = float(params.get("m_p", 1.0))
         c_p = float(params.get("c_p", 0.1))

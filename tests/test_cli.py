@@ -115,6 +115,14 @@ def test_eb_estimate_rejects_oracle(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("method", ["robbins", "npmle"])
+def test_eb_estimate_rejects_negative_y_cap(runner, tmp_path, method):
+    data = write(tmp_path, "counts.txt", SAMPLE)
+    result = runner.invoke(main, ["eb-estimate", data, "--method", method, "--y-cap", "-1"])
+    assert result.exit_code == 2, result.output
+    assert "y_cap must be >= 0" in result.output
+
+
 def test_eb_estimate_npmle_method(runner, tmp_path):
     data = write(tmp_path, "counts.txt", "2\n2\n2\n2\n2\n2\n2\n2\n2\n2\n")
     result = runner.invoke(main, ["eb-estimate", data, "--method", "npmle", "--y-cap", "4"])
@@ -159,6 +167,7 @@ def test_regret_sweep_rejects_bad_plan(runner, tmp_path):
     "solver_tol = 2",
     "disc_tol = 0.5",
     "prior = family=heavy_tail p=1.5",      # p = 2 moments are infinite
+    "prior = family=two_point a=5",         # eps missing
 ])
 def test_regret_sweep_rejects_bad_plan_values(runner, tmp_path, bad):
     plan = write(tmp_path, "plan.txt", PLAN_TEXT + bad + "\n")
@@ -226,6 +235,14 @@ def test_moment_match_rejects_bad_source(runner):
         main, ["moment-match", "--source", "family=gaussian", "--m", "16", "--eta", "1e-2"]
     )
     assert result.exit_code == 2
+
+
+def test_moment_match_rejects_source_missing_a_parameter(runner):
+    result = runner.invoke(
+        main, ["moment-match", "--source", "family=heavy_tail", "--m", "64", "--eta", "1e-2"]
+    )
+    assert result.exit_code == 2, result.output
+    assert "heavy_tail needs parameter 'p'" in result.output
 
 
 def test_verify_command_passes(runner):

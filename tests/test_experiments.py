@@ -173,14 +173,16 @@ def test_npmle_method_runs_for_label_moment_p1():
 
 def test_total_regret_product_and_direct_paths():
     out = total_regret_trial(TP, 40, "robbins-addone", (7, 1), direct_seed=(7, 1, 2))
-    assert out["value"] == pytest.approx(
-        40 * individual_regret_trial(TP, 40, "robbins-addone", (7, 1))[0]
-    )
-    assert "direct_value" in out
-    assert math.isfinite(out["direct_value"])
+    ind = individual_regret_trial(TP, 40, "robbins-addone", (7, 1))
+    assert out["individual_regret"] == ind
+    assert out["total_regret"][0] == pytest.approx(40 * ind[0])
+    assert out["total_regret_direct"][1] == 0.0
+    assert math.isfinite(out["total_regret_direct"][0])
     # direct path re-run reproduces itself
     again = total_regret_trial(TP, 40, "robbins-addone", (7, 1), direct_seed=(7, 1, 2))
-    assert out["direct_value"] == again["direct_value"]
+    assert out["total_regret_direct"] == again["total_regret_direct"]
+    assert set(total_regret_trial(TP, 40, "robbins-addone", (7, 1))) == {
+        "individual_regret", "total_regret"}
 
 
 def test_trial_rejects_config_of_another_method():
@@ -203,10 +205,10 @@ def test_bounded_rule_regret_diverges_on_infinite_second_moment(heavy_tail_15):
     assert "infinite=1" in plain[2]
     out = total_regret_trial(heavy_tail_15, 200, "robbins-addone", (5, 1),
                              direct_seed=(5, 1, 2))
-    assert out["value"] == out["tail_term"] == math.inf
-    assert out["flags"] == ["divergent_regret"]
-    assert math.isfinite(out["direct_value"])
-    assert out["direct_flags"] == ["divergent_regret"]
+    assert out["total_regret"] == (math.inf, math.inf, ["divergent_regret"])
+    direct, _, direct_flags = out["total_regret_direct"]
+    assert math.isfinite(direct)
+    assert direct_flags == ["divergent_regret"]
 
 
 def test_unbounded_rules_stay_finite_on_infinite_second_moment(heavy_tail_15):
@@ -400,15 +402,11 @@ def test_run_plan_rows_are_the_public_trial_calls():
         expected.append(ExperimentRow(20, rep, "npmle", "hellinger_sq", value, 0.0,
                                       ";".join(flags)))
         for method in plan.methods:
-            ind, tail, flags = individual_regret_trial(tp2, 20, method, train)
             out = total_regret_trial(tp2, 20, method, train, direct_seed=direct)
-            expected += [
-                ExperimentRow(20, rep, method, "individual_regret", ind, tail, ";".join(flags)),
-                ExperimentRow(20, rep, method, "total_regret", out["value"],
-                              out["tail_term"], ";".join(out["flags"])),
-                ExperimentRow(20, rep, method, "total_regret_direct", out["direct_value"],
-                              0.0, ";".join(out["direct_flags"])),
-            ]
+            for metric in ("individual_regret", "total_regret", "total_regret_direct"):
+                value, tail, flags = out[metric]
+                expected.append(ExperimentRow(20, rep, method, metric, value, tail,
+                                              ";".join(flags)))
     assert run_plan(plan, resolved=tp2).rows == expected
 
 

@@ -53,6 +53,19 @@ def test_parse_prior_spec():
         parse_prior_spec("family=heavy_tail p")   # not key=value
 
 
+@pytest.mark.parametrize("family, params, missing", [
+    ("heavy_tail", {}, "p"),
+    ("two_point", {"a": 5.0}, "eps"),
+    ("two_point", {"eps": 0.2}, "a"),
+    ("moment_class_extremal", {"m1": 2.0}, "u"),
+    ("discrete", {"atoms": [1.0, 5.0]}, "weights"),
+    ("assouad", {"p": 2.0}, "n"),
+])
+def test_resolve_names_a_missing_parameter(family, params, missing):
+    with pytest.raises(InvalidInputError, match=f"{family} needs parameter '{missing}'"):
+        resolve(PriorSpec(family, params))
+
+
 # ---------------------------------------------------------------------------
 # simple atomic families
 # ---------------------------------------------------------------------------
