@@ -3,8 +3,8 @@
 Every artifact written by a subcommand starts with a header recording the
 library version and the fully resolved configuration, so a run can be
 reproduced from its own output.  Exit codes: 0 success, 1 verification
-failure, 2 invalid configuration or input, 3 numerical failure in strict
-mode.
+failure, 2 invalid configuration or input, 3 numerical failure, or under
+``--strict`` an uncertified result once the output is written.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -48,12 +49,31 @@ def _fail(code: int, message: str) -> None:
     raise SystemExit(code)
 
 
+@contextmanager
+def _exit_codes(context: str = ""):
+    """The one map from library errors to exit codes, `context` prefixing the message."""
+    try:
+        yield
+    except NumericalFailureError as exc:
+        _fail(_EXIT_NUMERICAL, f"{context}{exc}")
+    except (PoissonEBError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        _fail(_EXIT_BAD_CONFIG, f"{context}{exc}")
+
+
+def _require_certified(strict: bool, fit) -> None:
+    """Under strict, an uncertified fit exits 3; call after writing the output."""
+    if strict and fit is not None and not fit.converged:
+        _fail(_EXIT_NUMERICAL, f"NPMLE did not reach tol={fit.tol:g} within {fit.iterations} "
+                               f"weight-solve steps (kkt_gap={fit.kkt_gap:.3e})")
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="peb")
 @click.option("--seed", type=int, default=None,
               help="Base seed for any randomized step; overrides a plan's seed.")
 @click.option("--strict/--lenient", default=None,
-              help="Fail (exit 3) on solver non-convergence instead of flagging it.")
+              help="Exit 3 after writing the output if an NPMLE fit in it is uncertified "
+                   "or a sweep row failed (default: strict for fits, lenient for sweeps).")
 @click.pass_context
 def main(ctx: click.Context, seed: int | None, strict: bool | None) -> None:
     """Poisson empirical-Bayes toolkit: NPMLE fits, Robbins-style rules, sweeps."""
@@ -76,16 +96,10 @@ def cmd_npmle_fit(ctx, input_path, out_path, tol, max_iter):
     strict mode.
     """
     strict = ctx.obj["strict"] is not False  # default strict for single fits
-    try:
+    with _exit_codes("could not parse counts: "):
         data = load_count_data(Path(input_path).read_text())
-    except (PoissonEBError, ValueError, json.JSONDecodeError) as exc:
-        _fail(_EXIT_BAD_CONFIG, f"could not parse counts: {exc}")
-    try:
-        fit = fit_npmle(data, tol=tol, max_iter=max_iter, strict=strict)
-    except NumericalFailureError as exc:
-        _fail(_EXIT_NUMERICAL, str(exc))
-    except PoissonEBError as exc:
-        _fail(_EXIT_BAD_CONFIG, str(exc))
+    with _exit_codes():
+        fit = fit_npmle(data, tol=tol, max_iter=max_iter)
     doc = {
         "meta": {
             "tool": f"poisson_eb {__version__}",
@@ -96,6 +110,7 @@ def cmd_npmle_fit(ctx, input_path, out_path, tol, max_iter):
         "fit": fit.to_dict(),
     }
     _write_text(out_path, json.dumps(doc, indent=2) + "\n")
+    _require_certified(strict, fit)
 
 
 @main.command("eb-estimate")
@@ -114,7 +129,7 @@ def cmd_npmle_fit(ctx, input_path, out_path, tol, max_iter):
 def cmd_eb_estimate(ctx, input_path, method, y0, rho, y_cap, tol, out_path):
     """Tabulate an empirical-Bayes estimate of theta for each count y."""
     strict = ctx.obj["strict"] is not False
-    try:
+    with _exit_codes():
         data = load_count_data(Path(input_path).read_text())
         kind = CLI_KIND_NAMES[method]
         if kind == "oracle":
@@ -126,12 +141,8 @@ def cmd_eb_estimate(ctx, input_path, method, y0, rho, y_cap, tol, out_path):
             raise InvalidInputError("--y0 is required for method robbins-trunc")
         config = EstimatorConfig(**cfg_kwargs)
         cap = y_cap if y_cap is not None else data.y_max + 5
-        fit = fit_npmle(data, tol=tol, strict=strict) if kind == "npmle_eb" else None
+        fit = fit_npmle(data, tol=tol) if kind == "npmle_eb" else None
         rule = fit_rule(config, cap, train=data, fit=fit)
-    except NumericalFailureError as exc:
-        _fail(_EXIT_NUMERICAL, str(exc))
-    except (PoissonEBError, ValueError, json.JSONDecodeError) as exc:
-        _fail(_EXIT_BAD_CONFIG, str(exc))
     buf = io.StringIO()
     for line in _config_header("eb-estimate", input=input_path, method=method,
                                y0=y0, rho=rho, y_cap=cap, tol=tol, strict=strict):
@@ -141,29 +152,28 @@ def cmd_eb_estimate(ctx, input_path, method, y0, rho, y_cap, tol, out_path):
     for y in range(cap + 1):
         w.writerow([y, repr(float(rule.table[y]))])
     _write_text(out_path, buf.getvalue())
+    _require_certified(strict, fit)
 
 
 def _run_plan_command(ctx, plan_path, out_rows, out_slopes, forced_metrics=None):
     from dataclasses import replace
 
-    try:
+    with _exit_codes("bad plan: "):
         plan = parse_plan(Path(plan_path).read_text())
         if ctx.obj["seed"] is not None:
             plan = replace(plan, seed=ctx.obj["seed"])
         if forced_metrics is not None:
             plan = replace(plan, metrics=forced_metrics)
         resolved = resolve(plan.prior, p=plan.p, disc_tol=plan.disc_tol, seed=plan.seed)
-    except NumericalFailureError as exc:
-        _fail(_EXIT_NUMERICAL, str(exc))
-    except (PoissonEBError, ValueError) as exc:
-        _fail(_EXIT_BAD_CONFIG, f"bad plan: {exc}")
     report = run_plan(plan, resolved)
     _write_text(out_rows, report.rows_csv())
     if out_slopes is not None:
         _write_text(out_slopes, report.slopes_csv())
-    n_failed = sum(1 for r in report.rows if r.flags.startswith("failed:"))
-    if n_failed and ctx.obj["strict"]:
-        _fail(_EXIT_NUMERICAL, f"{n_failed} trial(s) failed")
+    n_failed = sum(r.flags.startswith("failed:") for r in report.rows)
+    n_uncertified = sum("solver_not_converged" in r.flags for r in report.rows)
+    if ctx.obj["strict"] and (n_failed or n_uncertified):  # default lenient for sweeps
+        _fail(_EXIT_NUMERICAL, f"{n_failed} row(s) failed and {n_uncertified} row(s) "
+                               "carry an uncertified NPMLE fit")
 
 
 @main.command("regret-sweep")
@@ -199,14 +209,10 @@ def cmd_density_risk(ctx, plan_path, out_rows, out_slopes):
 @click.pass_context
 def cmd_moment_match(ctx, source, big_m, eta, c_const, p, out_path):
     """Compress a prior to few atoms while matching local moments."""
-    try:
+    with _exit_codes():
         spec = parse_prior_spec(source)
         resolved = resolve(spec, p=p, seed=ctx.obj["seed"] or 0)
         report = local_moment_match(resolved.discretization, big_m, eta, C=c_const)
-    except NumericalFailureError as exc:
-        _fail(_EXIT_NUMERICAL, str(exc))
-    except (PoissonEBError, ValueError) as exc:
-        _fail(_EXIT_BAD_CONFIG, str(exc))
     doc = {
         "meta": {
             "tool": f"poisson_eb {__version__}",

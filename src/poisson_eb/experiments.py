@@ -47,7 +47,7 @@ import numpy as np
 from ._version import __version__
 from .errors import InvalidInputError, UnsupportedRegimeError
 from .mixtures import hellinger_sq, pmf_table
-from .npmle import CountHistogram, NpmleFit, fit_npmle
+from .npmle import CountHistogram, fit_npmle
 from .priors import PriorSpec, ResolvedPrior, parse_prior_spec, resolve
 from .rules import (
     CLI_KIND_NAMES,
@@ -127,6 +127,12 @@ class ExperimentPlan:
         needs_rules = {"individual_regret", "total_regret"} & set(self.metrics)
         if needs_rules and not self.methods:
             raise InvalidInputError("regret metrics need at least one method")
+        if not set(self.overrides) <= set(_OVERRIDE_KEYS):
+            raise InvalidInputError(f"overrides must be among {_OVERRIDE_KEYS}")
+        # the configs the overrides feed refuse what they would refuse per trial
+        EstimatorConfig("npmle_eb", y0=self.overrides.get("npmle_y0", math.inf),
+                        rho=self.overrides.get("npmle_rho", 1e-6), npmle_tol=self.solver_tol)
+        EstimatorConfig("robbins_trunc", y0=self.overrides.get("robbins_y0", math.inf))
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "metrics", tuple(self.metrics))
@@ -327,31 +333,20 @@ def density_risk_trial(
 ) -> tuple[float, list[str]]:
     """Squared Hellinger distance of the fitted mixture pmf from the reference.
 
-    Draws n counts, fits the NPMLE (lenient mode), and compares pmf tables on
-    a shared certified range.  Returns (H^2, flags).
+    Draws n counts, fits the NPMLE, and compares pmf tables on a shared
+    certified range.  Returns (H^2, flags); an uncertified fit is flagged
+    ``solver_not_converged``.
     """
     if n < 10:
         raise InvalidInputError("n must be >= 10")
     _, y = resolved.sample_counts(seed, n)
     hist = CountHistogram.from_samples(y)
-    fit = _fit_npmle_leniently(hist, solver_tol)
+    fit = fit_npmle(hist, tol=solver_tol)
     ref = resolved.pmf()
     fit_table = pmf_table(fit.prior, tail_tol=ref.tail_tol, min_len=ref.values.size)
     value = hellinger_sq(fit_table, ref)
     flags = [] if fit.converged else ["solver_not_converged"]
     return value, flags
-
-
-def _fit_npmle_leniently(
-    data: CountHistogram,
-    tol: float,
-    warm: NpmleFit | None = None,
-) -> NpmleFit:
-    """Lenient NPMLE fit, started from `warm`'s prior when given (a
-    leave-one-out refit: same solver and certificate, another start)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return fit_npmle(data, tol=tol, init_prior=None if warm is None else warm.prior)
 
 
 def _rule_estimates(
@@ -376,14 +371,14 @@ def _rule_estimates(
         return (table[ys] if loo else table), []
     warm = None
     if config.kind == "npmle_eb":
-        warm = _fit_npmle_leniently(data, config.npmle_tol)
+        warm = fit_npmle(data, tol=config.npmle_tol)
     if not loo:
         rule = fit_rule(config, y_hi, train=data, fit=warm)
         return rule.table, [f"{name}={v}" for name, v in rule.flags.items() if v]
     if warm is not None:
         est, flags = [], []
         for y in ys.tolist():
-            refit = _fit_npmle_leniently(data.remove_one(y), config.npmle_tol, warm=warm)
+            refit = fit_npmle(data.remove_one(y), tol=config.npmle_tol, init_prior=warm.prior)
             rule = fit_rule(config, y, fit=refit)
             est.append(rule.table[y])
             flags += [f"{name}@{y}" for name, v in rule.flags.items() if v]
@@ -490,7 +485,7 @@ def _default_config(
         except UnsupportedRegimeError:
             y0 = math.inf if y0 is None else y0
             rho = 1e-10 if rho is None else rho
-    return EstimatorConfig(kind=kind, y0=y0, rho=min(rho, 1.0 / math.e), npmle_tol=solver_tol)
+    return EstimatorConfig(kind=kind, y0=y0, rho=rho, npmle_tol=solver_tol)
 
 
 def total_regret_trial(

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
 from scipy.special import gammaln, softmax
 
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError
 from .mixtures import WEIGHT_FLOOR, DiscretePrior, _log_mix, log_poisson_pmf
 
 __all__ = [
@@ -41,6 +40,7 @@ _SUM_ROW_WEIGHT = 1e3  # NNLS weight of the sum-to-one row, times sqrt(n)
 _RATIO_FLOOR = math.exp(-600.0)  # NNLS columns whose largest Poi/f is lower get weight 0
 _NEWTON_STEPS = 40  # bisection alone shrinks a bracket by 2^-40
 _GRID_DENSITY = 4.0  # scan points per unit of sqrt(theta)
+_SUPPORT_SLACK = 16  # atoms past the distinct-y count, which bounds an NPMLE's support
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +370,6 @@ def fit_npmle(
     data,
     tol: float = 1e-6,
     max_iter: int = 10_000,
-    strict: bool = False,
     init_prior: DiscretePrior | None = None,
 ) -> NpmleFit:
     """Fit the NPMLE mixing distribution by the constrained Newton method.
@@ -387,13 +386,14 @@ def fit_npmle(
     data : CountHistogram or array of integer samples.
     tol : KKT tolerance of the certificate above.
     max_iter : cap on the weight-solve steps, reported as ``iterations``.
-    strict : raise :class:`NumericalFailureError` instead of returning a
-        non-converged fit (which is otherwise flagged and warned about).
     init_prior : optional warm start, ignored if it gives an observed count
         zero mass.
 
-    The fit's ``grid`` is the scan plus the fitted atoms.  In lenient mode
-    numerical trouble ends the loop unconverged.
+    The fit's ``grid`` is the scan plus the fitted atoms.  The loop also ends,
+    unconverged, when nothing moves any more, at the ``max_iter`` cap, or when
+    the support outgrows the distinct counts by ``_SUPPORT_SLACK`` atoms.  An
+    uncertified fit is returned as it stands, with ``converged=False`` and
+    its ``kkt_gap``: whether that is an error is the caller's decision.
     """
     if not isinstance(data, CountHistogram):
         data = CountHistogram.from_samples(data)
@@ -451,7 +451,8 @@ def fit_npmle(
         kkt_gap = max(math.expm1(min(log_top - log_n, 709.0)), 0.0)
         converged = kkt_gap <= tol and bool(np.all(logD_atoms >= log_n + math.log1p(-tol)))
         stalled = steps == 0 and not inserted  # nothing has moved since the last check
-        if converged or stalled or iterations >= max_iter or len(ll_trace) >= max_iter:
+        crowded = atoms.size > data.distinct + _SUPPORT_SLACK
+        if converged or stalled or crowded or iterations >= max_iter or len(ll_trace) >= max_iter:
             break
         # every peak with D > n enters at once, with c_j proportional to
         # D_j/n - 1 > 0, formed in logs: D/n can overflow at a far count
@@ -467,13 +468,6 @@ def fit_npmle(
             logP = np.hstack([logP, logp_new])  # _solve_weights recomputes log f
 
     prior = DiscretePrior(atoms, w)
-    fit = NpmleFit(prior=prior, log_likelihood=log_likelihood(prior, data), kkt_gap=kkt_gap,
-                   iterations=iterations, converged=converged, tol=tol,
-                   grid=np.union1d(scan, prior.atoms), ll_trace=tuple(ll_trace))
-    if not converged:
-        msg = (f"NPMLE did not reach tol={tol:g} within {max_iter} weight-solve steps "
-               f"(kkt_gap={kkt_gap:.3e})")
-        if strict:
-            raise NumericalFailureError(msg)
-        warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    return fit
+    return NpmleFit(prior=prior, log_likelihood=log_likelihood(prior, data), kkt_gap=kkt_gap,
+                    iterations=iterations, converged=converged, tol=tol,
+                    grid=np.union1d(scan, prior.atoms), ll_trace=tuple(ll_trace))

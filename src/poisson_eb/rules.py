@@ -73,8 +73,9 @@ class EstimatorConfig:
     """Which rule to use and its truncation/regularization knobs.
 
     y0 may be 0 (truncate everywhere except y=0) up to infinity (never
-    truncate); rho is the pmf floor of the mixture-based rule; npmle_tol is
-    passed through to the solver when a fit is made on the fly.
+    truncate, the only value for oracle, plain and add-one Robbins); rho is
+    the pmf floor of the mixture-based rule; npmle_tol is passed through to
+    the solver when a fit is made on the fly.
     """
 
     kind: str
@@ -90,6 +91,8 @@ class EstimatorConfig:
         if self.y0 != math.inf:
             if self.y0 < 0 or int(self.y0) != self.y0:
                 raise InvalidInputError("y0 must be a nonnegative integer or inf")
+            if self.kind not in ("robbins_trunc", "npmle_eb"):
+                raise InvalidInputError(f"kind {self.kind!r} never truncates; y0 must be inf")
         if not (0 < self.rho <= 1 / math.e):
             raise InvalidInputError("rho must lie in (0, 1/e]")
         if not (0 < self.npmle_tol < 1):
@@ -211,10 +214,10 @@ def fit_rule(
         src = fit.prior if isinstance(fit, NpmleFit) else fit
         if not isinstance(src, DiscretePrior):
             raise InvalidInputError("npmle_eb rule needs a fit or prior")
-        f = pmf_on_range(src, y_cap + 1)
-        table = (ys + 1.0) * ((f[1:] - f[:-1]) / np.maximum(f[:-1], config.rho) + 1.0)
-        table = np.maximum(table, 0.0)
-        table = np.where(ys > config.y0, ys, table)
+        k = int(min(y_cap, config.y0)) + 1  # cells 0..y0 by the formula, then y itself
+        f = pmf_on_range(src, k)
+        head = (ys[:k] + 1.0) * ((f[1:] - f[:-1]) / np.maximum(f[:-1], config.rho) + 1.0)
+        table = np.concatenate([np.maximum(head, 0.0), ys[k:]])
         provenance = f"npmle_eb({src.describe()}, rho={config.rho:g})"
         if isinstance(fit, NpmleFit):
             provenance += f", kkt_gap={fit.kkt_gap:.2e}"

@@ -68,6 +68,20 @@ def test_npmle_fit_rejects_garbage(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_npmle_fit_uncertified_exits_3_unless_lenient(runner, tmp_path):
+    data = write(tmp_path, "counts.json", json.dumps({"counts": {"0": 30, "4": 15, "9": 5}}))
+    args = ["npmle-fit", data, "--tol", "1e-12", "--max-iter", "200"]
+    strict = runner.invoke(main, args)
+    assert strict.exit_code == 3, strict.output
+    assert "NPMLE did not reach tol=1e-12" in strict.output
+    lenient = runner.invoke(main, ["--lenient"] + args)
+    assert lenient.exit_code == 0, lenient.output
+    doc = json.loads(lenient.output)
+    assert doc["fit"]["converged"] is False
+    assert doc["fit"]["kkt_gap"] > 1e-12
+    assert doc["meta"]["config"]["strict"] is False
+
+
 @pytest.mark.parametrize("counts", [[5, 3], {"3": 2.5, "0": 4}, {"3": True, "0": 4}])
 def test_npmle_fit_malformed_counts_exit_2(runner, tmp_path, counts):
     data = write(tmp_path, "counts.json", json.dumps({"counts": counts}))
@@ -113,6 +127,14 @@ def test_eb_estimate_rejects_oracle(runner, tmp_path):
     data = write(tmp_path, "counts.txt", SAMPLE)
     result = runner.invoke(main, ["eb-estimate", data, "--method", "oracle"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("method", ["robbins", "robbins-addone"])
+def test_eb_estimate_rejects_y0_for_untruncated_rules(runner, tmp_path, method):
+    data = write(tmp_path, "counts.txt", SAMPLE)
+    result = runner.invoke(main, ["eb-estimate", data, "--method", method, "--y0", "2"])
+    assert result.exit_code == 2, result.output
+    assert "never truncates" in result.output
 
 
 @pytest.mark.parametrize("method", ["robbins", "npmle"])
@@ -168,6 +190,10 @@ def test_regret_sweep_rejects_bad_plan(runner, tmp_path):
     "disc_tol = 0.5",
     "prior = family=heavy_tail p=1.5",      # p = 2 moments are infinite
     "prior = family=two_point a=5",         # eps missing
+    "npmle_rho = -1",
+    "npmle_rho = 0.9",                      # above 1/e
+    "npmle_y0 = -3",
+    "robbins_y0 = -2",
 ])
 def test_regret_sweep_rejects_bad_plan_values(runner, tmp_path, bad):
     plan = write(tmp_path, "plan.txt", PLAN_TEXT + bad + "\n")
@@ -199,6 +225,22 @@ def test_sweep_strictness_controls_exit_code(runner, tmp_path, monkeypatch):
     assert "failed:ValueError" in lenient.output
     strict = runner.invoke(main, ["--strict", "regret-sweep", plan])
     assert strict.exit_code == 3
+
+
+def test_strict_sweep_exits_3_on_uncertified_rows(runner, tmp_path, monkeypatch):
+    real_fit = ex.fit_npmle
+    monkeypatch.setattr(ex, "fit_npmle", lambda data, **kw: real_fit(data, max_iter=1, **kw))
+    plan = write(tmp_path, "plan.txt", PLAN_TEXT.replace("robbins,robbins-addone", "npmle"))
+    out = tmp_path / "rows.csv"
+    lenient = runner.invoke(main, ["regret-sweep", plan])
+    assert lenient.exit_code == 0, lenient.output
+    assert "solver_not_converged" in lenient.output
+    strict = runner.invoke(main, ["--strict", "regret-sweep", plan, "--out", str(out)])
+    assert strict.exit_code == 3, strict.output
+    assert "uncertified" in strict.output
+    body = out.read_text().splitlines()[3:]
+    assert len(body) == 2 * 2 * 2                  # every row is written first
+    assert all("solver_not_converged" in line for line in body)
 
 
 def test_seed_flag_overrides_plan_seed_even_at_zero(runner, tmp_path):

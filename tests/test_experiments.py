@@ -1,4 +1,7 @@
 import math
+import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +73,10 @@ def test_plan_validation():
         small_plan(methods=("james-stein",))
     with pytest.raises(InvalidInputError):
         small_plan(methods=(), metrics=("individual_regret",))
+    for overrides in ({"npmle_rho": -1.0}, {"npmle_rho": 0.9},    # 0.9 > 1/e: not clamped
+                      {"npmle_y0": -3}, {"robbins_y0": -2}, {"robbins_rho": 1e-3}):
+        with pytest.raises(InvalidInputError):
+            small_plan(overrides=overrides)
     assert small_plan(methods=(), metrics=("hellinger_sq",)).methods == ()
 
 
@@ -467,3 +474,15 @@ def test_run_plan_emits_slopes_for_wide_grids():
     assert s.method == "robbins-addone" and s.metric == "individual_regret"
     assert s.n_points == 4
     assert "slope" in rep.slopes_csv().splitlines()[2]
+
+
+def test_regret_small_plan_runs_clean_with_warnings_as_errors():
+    # uncertified fits are flagged, never warned about: no row fails on a warning
+    plan = parse_plan((Path(__file__).resolve().parents[1] / "demos" / "plans"
+                       / "regret_small.plan").read_text())
+    plan = replace(plan, n_grid=(316, 1000), replicates=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = run_plan(plan)
+    assert len(rep.rows) == 2 * 2
+    assert not [r.flags for r in rep.rows if r.flags.startswith("failed:")]

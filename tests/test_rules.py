@@ -145,6 +145,9 @@ def test_fit_rule_npmle_eb_matches_pointwise_and_is_nonnegative():
     assert np.all(rule.table >= 0.0)
     np.testing.assert_array_equal(rule.table[5:], np.arange(5.0, 9.0))
     assert "npmle_eb" in rule.provenance
+    # the cells up to y0 do not depend on how far the table reaches
+    full = fit_rule(EstimatorConfig("npmle_eb", rho=1e-6), y_cap=40, fit=G15)
+    np.testing.assert_array_equal(rule.table[:5], full.table[:5])
 
 
 def test_fit_rule_records_solver_certificate():
@@ -208,7 +211,12 @@ def test_estimator_config_validation():
         EstimatorConfig("npmle_eb", rho=0.9)
     with pytest.raises(InvalidInputError):
         EstimatorConfig("npmle_eb", npmle_tol=2.0)
+    for kind in ("oracle", "robbins_plain", "robbins_addone"):   # never truncate
+        with pytest.raises(InvalidInputError, match="never truncates"):
+            EstimatorConfig(kind, y0=2)
+        assert EstimatorConfig(kind, y0=math.inf).y0 == math.inf
     assert EstimatorConfig("robbins_trunc", y0=0).y0 == 0
+    assert EstimatorConfig("npmle_eb", y0=0).y0 == 0
 
 
 def test_cli_names_cover_all_kinds():
