@@ -14,10 +14,11 @@ Conventions
 * pmf tables are truncated at a ``y_max`` chosen from the Poisson deviation
   bound ``P(|X - theta| > t) <= exp(-t^2 / (2(theta + t)))`` applied atom by
   atom, so the neglected tail is provably below the requested tolerance.
-* Mixture tables sum each block of 256 rows over the atoms whose deviation
-  bound is near the block's best.  That bound, summed over the atoms left out,
-  must be 2^-60 below every kept row sum, else the block sums all atoms: a
-  table equals the all-atom sum to within the rounding of a double.
+* Mixture tables sum each block of ``max(256, 2^16 // atoms)`` rows (few-atom
+  priors, such as fitted NPMLEs, take few blocks) over the atoms whose
+  deviation bound is near the block's best.  That bound, summed over the atoms
+  left out, must be 2^-60 below every kept row sum, else the block sums all
+  atoms: a table equals the all-atom sum to within the rounding of a double.
 * Squared Hellinger distance between pmfs is the *unnormalized* sum
   ``sum_y (sqrt f - sqrt g)^2``, which lives in ``[0, 2]``.  The closed forms
   in :func:`poisson_divergences` use the 1/2-normalized convention in
@@ -61,7 +62,8 @@ __all__ = [
 WEIGHT_FLOOR = 1e-15
 
 _WEIGHT_SUM_TOL = 1e-12
-_BLOCK = 256  # rows per block when tabulating mixtures
+_BLOCK = 256  # fewest rows per block when tabulating mixtures
+_BLOCK_CELLS = 2 ** 16  # a block spans max(_BLOCK, _BLOCK_CELLS // atoms) rows
 _BAND_NATS = 200.0  # atoms whose bound is this far below a block's best are left out
 _CERT_LOG = 60.0 * math.log(2.0)  # left-out mass must sit 2^-60 below every kept sum
 
@@ -231,8 +233,9 @@ def _mixture_rows(prior: DiscretePrior, y_hi: int, r: int | None) -> np.ndarray:
     with np.errstate(divide="ignore"):
         log_coefs = [np.log(c) for c in coefs]
     out = np.empty(y_hi + 1)
-    for start in range(0, y_hi + 1, _BLOCK):
-        stop = min(start + _BLOCK, y_hi + 1)
+    rows = max(_BLOCK, _BLOCK_CELLS // atoms.size)
+    for start in range(0, y_hi + 1, rows):
+        stop = min(start + rows, y_hi + 1)
         ys = np.arange(start, stop, dtype=float)[:, None]
         drop = _deviation_exponent(atoms, np.maximum(start - atoms, atoms - (stop - 1)))
         near = np.flatnonzero(log_coefs[0] - drop >= np.max(log_coefs[0] - drop) - _BAND_NATS)

@@ -7,9 +7,10 @@ new support point in one step.  G is optimal iff
     D(theta) = sum_y N(y) Poi(y; theta) / f_G(y)
 
 satisfies D <= n for every theta >= 0, with equality on the support of G
-(Lindsay 1983).  ``kkt_gap = max(D/n - 1, 0)`` is taken over a sqrt(theta)
-scan and the local maxima of D refined in theta, in cold and warm-started
-fits alike (see :func:`fit_npmle`).
+(Lindsay 1983); that support has at most one atom per distinct count, all in
+[y_min, y_max], so a cold fit starts from the counts' own distribution.
+``kkt_gap = max(D/n - 1, 0)`` is taken over a sqrt(theta) scan and the local
+maxima of D refined in theta, in cold and warm starts alike (:func:`fit_npmle`).
 """
 
 from __future__ import annotations
@@ -387,13 +388,14 @@ def fit_npmle(
     tol : KKT tolerance of the certificate above.
     max_iter : cap on the weight-solve steps, reported as ``iterations``.
     init_prior : optional warm start, ignored if it gives an observed count
-        zero mass.
+        zero mass; the cold start puts (N(y) + 1) / (n + distinct) on each y.
 
     The fit's ``grid`` is the scan plus the fitted atoms.  The loop also ends,
-    unconverged, when nothing moves any more, at the ``max_iter`` cap, or when
-    the support outgrows the distinct counts by ``_SUPPORT_SLACK`` atoms.  An
-    uncertified fit is returned as it stands, with ``converged=False`` and
-    its ``kkt_gap``: whether that is an error is the caller's decision.
+    unconverged, when an iteration adds no atom and does not raise the
+    likelihood, at the ``max_iter`` cap, or when the support outgrows the
+    distinct counts by ``_SUPPORT_SLACK`` atoms.  An uncertified fit is
+    returned as it stands, with ``converged=False`` and its ``kkt_gap``:
+    whether that is an error is the caller's decision.
     """
     if not isinstance(data, CountHistogram):
         data = CountHistogram.from_samples(data)
@@ -406,9 +408,7 @@ def fit_npmle(
 
     start = init_prior
     if start is None or not np.isfinite(log_likelihood(start, data)):
-        idx = np.linspace(0, scan.size - 1, min(12, scan.size)).astype(int)
-        idx = np.unique(np.append(idx, np.abs(scan - data.mean).argmin()))
-        start = DiscretePrior(scan[idx], np.full(idx.size, 1.0 / idx.size))
+        start = DiscretePrior(data.ys, (data.cnts + 1.0) / (data.n + data.distinct))
     atoms, w = start.atoms, start.weights
 
     ys, cnts = data.ys.astype(float), data.cnts.astype(float)
@@ -450,7 +450,7 @@ def fit_npmle(
         log_top = max(float(logD_pts.max()), float(logD_peaks.max(initial=-np.inf)))
         kkt_gap = max(math.expm1(min(log_top - log_n, 709.0)), 0.0)
         converged = kkt_gap <= tol and bool(np.all(logD_atoms >= log_n + math.log1p(-tol)))
-        stalled = steps == 0 and not inserted  # nothing has moved since the last check
+        stalled = not inserted and (steps == 0 or ll_trace[-1] <= ll_trace[-2])  # no progress
         crowded = atoms.size > data.distinct + _SUPPORT_SLACK
         if converged or stalled or crowded or iterations >= max_iter or len(ll_trace) >= max_iter:
             break

@@ -70,15 +70,15 @@ def test_npmle_fit_rejects_garbage(runner, tmp_path):
 
 def test_npmle_fit_uncertified_exits_3_unless_lenient(runner, tmp_path):
     data = write(tmp_path, "counts.json", json.dumps({"counts": {"0": 30, "4": 15, "9": 5}}))
-    args = ["npmle-fit", data, "--tol", "1e-12", "--max-iter", "200"]
+    args = ["npmle-fit", data, "--tol", "1e-15", "--max-iter", "200"]
     strict = runner.invoke(main, args)
     assert strict.exit_code == 3, strict.output
-    assert "NPMLE did not reach tol=1e-12" in strict.output
+    assert "NPMLE did not reach tol=1e-15" in strict.output
     lenient = runner.invoke(main, ["--lenient"] + args)
     assert lenient.exit_code == 0, lenient.output
     doc = json.loads(lenient.output)
     assert doc["fit"]["converged"] is False
-    assert doc["fit"]["kkt_gap"] > 1e-12
+    assert doc["fit"]["kkt_gap"] > 1e-15
     assert doc["meta"]["config"]["strict"] is False
 
 

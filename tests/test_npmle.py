@@ -20,6 +20,7 @@ from poisson_eb.npmle import (
     load_count_data,
     log_likelihood,
 )
+from poisson_eb.priors import PriorSpec, resolve
 
 MIXED = CountHistogram.from_counts({0: 30, 4: 15, 9: 5})
 
@@ -204,7 +205,7 @@ def test_fit_returns_uncertified_fit_without_warning():
     # whether an uncertified fit is an error is the caller's decision
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fit = fit_npmle(MIXED, tol=1e-12, max_iter=200)
+        fit = fit_npmle(MIXED, tol=1e-15, max_iter=200)
     assert not fit.converged
     assert fit.kkt_gap > fit.tol
 
@@ -219,6 +220,30 @@ def test_fit_stops_when_support_outgrows_the_data():
     assert len(fit.ll_trace) <= 50
     assert fit.prior.n_atoms <= 2 * data.distinct + 16
     assert fit.kkt_gap < 1e-10                 # still a near-optimal fit
+
+
+@pytest.mark.parametrize("n", [316, 1000])
+def test_fit_stops_when_the_likelihood_stops_rising(n):
+    # regret_small.plan's training samples at a tol below what the
+    # certificate resolves used to spin for thousands of outer iterations,
+    # each accepting a weight step that did not raise the likelihood
+    heavy_tail_2 = resolve(PriorSpec("heavy_tail", {"p": 2}), p=2)
+    _, y = heavy_tail_2.sample_counts((11, n, 0, 1), n - 1)
+    fit = fit_npmle(y, tol=1e-15)
+    assert not fit.converged
+    assert len(fit.ll_trace) <= 100
+    assert fit.kkt_gap < 1e-11
+
+
+@pytest.mark.parametrize("counts", [{0: 50}, {7: 20}, {5: 1}, {0: 999, 300: 1}],
+                         ids=["all-zero", "one-value", "one-draw", "far-count"])
+def test_fit_from_the_counts_handles_edge_data(counts):
+    # the cold start is the counts' own distribution, one atom per distinct y
+    data = CountHistogram.from_counts(counts)
+    fit = fit_npmle(data)
+    assert fit.converged
+    assert fit.kkt_gap <= fit.tol
+    assert _fine_grid_gap(fit, data) <= fit.tol
 
 
 def test_fit_validation():
