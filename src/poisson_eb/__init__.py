@@ -80,7 +80,6 @@ from .experiments import (
     fit_rate,
     individual_regret_trial,
     parse_plan,
-    robbins_instability_probe,
     run_plan,
     total_regret_trial,
 )
@@ -113,5 +112,5 @@ __all__ = [
     # experiments
     "ExperimentPlan", "ExperimentReport", "parse_plan", "run_plan",
     "density_risk_trial", "individual_regret_trial", "total_regret_trial",
-    "robbins_instability_probe", "fit_rate",
+    "fit_rate",
 ]

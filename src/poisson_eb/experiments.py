@@ -13,7 +13,8 @@ Conventions
   sample (size n-1, matching the leave-one-out convention) is random, the
   test variable is integrated out.  Mass beyond the working cap y_cap is
   summed separately and reported in the std_error column as a deterministic
-  tail term.
+  tail term.  The oracle reads no training sample, so its trial draws none;
+  every other method trains on the sample drawn from the replicate's key.
 * Divergent regret is reported as infinite, never as a windowed partial sum.
   When the prior has E theta^2 = inf, so does theta_G(Y), and a rule that
   stays bounded beyond its table (`rules.bounded_beyond_table`: plain and
@@ -68,7 +69,6 @@ __all__ = [
     "density_risk_trial",
     "individual_regret_trial",
     "total_regret_trial",
-    "robbins_instability_probe",
     "fit_rate",
     "run_plan",
 ]
@@ -110,6 +110,8 @@ class ExperimentPlan:
             raise InvalidInputError("sample sizes below 10 are not meaningful here")
         if self.replicates < 1:
             raise InvalidInputError("replicates must be >= 1")
+        if self.seed < 0:
+            raise InvalidInputError("seed must be >= 0")
         if not self.tuning_c > 0:
             raise InvalidInputError("tuning_c must be > 0")
         if not 0 < self.solver_tol < 1:
@@ -175,7 +177,7 @@ def parse_plan(text: str) -> ExperimentPlan:
                   npmle, comma-separated (default none)
     metrics       from hellinger_sq, individual_regret, total_regret,
                   comma-separated (default individual_regret)
-    seed          plan seed, the first part of every stream key (default 0)
+    seed          plan seed >= 0, the first part of every stream key (default 0)
     disc_tol      sup-norm tolerance of the prior's discretization (1e-6)
     tuning_c      c > 0 of the tuned truncation levels (default 1)
     direct_total  1 adds a total_regret_direct row, the direct leave-one-out
@@ -273,25 +275,26 @@ class ExperimentReport:
             f"# plan {self.plan.name}: {cfg}",
         ]
 
-    def rows_csv(self) -> str:
+    def _csv(self, columns: list[str], records) -> str:
         buf = io.StringIO()
         for line in self.header_lines():
             buf.write(line + "\n")
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["n", "replicate", "method", "metric", "value", "std_error", "flags"])
-        for r in self.rows:
-            w.writerow([r.n, r.replicate, r.method, r.metric, repr(r.value), repr(r.std_error), r.flags])
+        w.writerow(columns)
+        w.writerows(records)
         return buf.getvalue()
 
+    def rows_csv(self) -> str:
+        return self._csv(
+            ["n", "replicate", "method", "metric", "value", "std_error", "flags"],
+            ([r.n, r.replicate, r.method, r.metric, repr(r.value), repr(r.std_error), r.flags]
+             for r in self.rows))
+
     def slopes_csv(self) -> str:
-        buf = io.StringIO()
-        for line in self.header_lines():
-            buf.write(line + "\n")
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["method", "metric", "slope", "ci_lo", "ci_hi", "n_points"])
-        for s in self.slopes:
-            w.writerow([s.method, s.metric, repr(s.slope), repr(s.ci_lo), repr(s.ci_hi), s.n_points])
-        return buf.getvalue()
+        return self._csv(
+            ["method", "metric", "slope", "ci_lo", "ci_hi", "n_points"],
+            ([s.method, s.metric, repr(s.slope), repr(s.ci_lo), repr(s.ci_hi), s.n_points]
+             for s in self.slopes))
 
     def mean_by_n(self, method: str, metric: str) -> dict:
         acc: dict = {}
@@ -349,51 +352,16 @@ def density_risk_trial(
     return value, flags
 
 
-def _rule_estimates(
-    resolved: ResolvedPrior,
-    config: EstimatorConfig,
-    data: CountHistogram,
-    y_hi: int | None = None,
-) -> tuple[np.ndarray, list[str]]:
-    """A rule's estimates and flags, trained on `data`.
-
-    With `y_hi`: the table on y = 0..y_hi of the rule trained on all of
-    `data`, flagged "name=count".  Without it: the leave-one-out estimate at
-    each distinct observed y (ascending), flagged "name@y".  The oracle reads
-    the prior's cached theta_G table.  Removing a point at y lowers only N(y),
-    so the frequency-ratio kinds are one closed-form table; only the NPMLE is
-    refitted per y, warm-started on the full-data fit.
-    """
-    loo = y_hi is None
-    ys = data.ys
-    if config.kind == "oracle":
-        table = resolved.oracle_table(data.y_max if loo else y_hi)
-        return (table[ys] if loo else table), []
-    warm = None
-    if config.kind == "npmle_eb":
-        warm = fit_npmle(data, tol=config.npmle_tol)
-    if not loo:
-        rule = fit_rule(config, y_hi, train=data, fit=warm)
-        return rule.table, [f"{name}={v}" for name, v in rule.flags.items() if v]
-    if warm is not None:
-        est, flags = [], []
-        for y in ys.tolist():
-            refit = fit_npmle(data.remove_one(y), tol=config.npmle_tol, init_prior=warm.prior)
-            rule = fit_rule(config, y, fit=refit)
-            est.append(rule.table[y])
-            flags += [f"{name}@{y}" for name, v in rule.flags.items() if v]
-        return np.array(est), flags
-    counts = np.zeros(data.y_max + 2)
-    counts[ys] = data.cnts
-    est, hazards = ratio_table(config, ys.astype(float), (ys + 1.0) * counts[ys + 1],
-                               data.cnts - 1.0)
-    flags = [f"{name}@{y}" for i, y in enumerate(ys.tolist())
-             for name, mask in hazards.items() if mask[i]]
-    return est, flags
-
-
 def _regret_diverges(resolved: ResolvedPrior, config: EstimatorConfig) -> bool:
     return not resolved.second_moment_finite and bounded_beyond_table(config)
+
+
+def _capped_sqerr(est: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared errors capped at SQERR_CAP, and the mask of the non-finite ones."""
+    with np.errstate(invalid="ignore"):
+        sq = (est - truth) ** 2
+    capped = ~np.isfinite(sq)
+    return np.where(capped, SQERR_CAP, np.minimum(sq, SQERR_CAP)), capped
 
 
 def _regret_from_table(
@@ -402,20 +370,13 @@ def _regret_from_table(
     rule_flags: list[str],
     y_cap: int,
 ) -> tuple[float, float, list[str]]:
-    ref = resolved.pmf()
     y_hi = table.size - 1
-    f = ref.values[: y_hi + 1]
-    theta_ref = resolved.oracle_table(y_hi)
-    with np.errstate(invalid="ignore"):
-        sq = (table - theta_ref) ** 2
-    capped = ~np.isfinite(sq)
-    sq = np.where(capped, SQERR_CAP, np.minimum(sq, SQERR_CAP))
+    f = resolved.pmf().values[: y_hi + 1]
+    sq, capped = _capped_sqerr(table, resolved.oracle_table(y_hi))
     value = float(f[: y_cap + 1] @ sq[: y_cap + 1])
     tail_term = float(f[y_cap + 1 :] @ sq[y_cap + 1 : f.size])
-    flags = []
-    if int(capped[: y_cap + 1].sum()):
-        flags.append(f"capped={int(capped[: y_cap + 1].sum())}")
-    return value, tail_term, flags + rule_flags
+    n_capped = int(capped[: y_cap + 1].sum())
+    return value, tail_term, ([f"capped={n_capped}"] if n_capped else []) + rule_flags
 
 
 def individual_regret_trial(
@@ -432,6 +393,7 @@ def individual_regret_trial(
     The expectation over the test count is an exact weighted sum against the
     reference mixture up to y_cap (its 1 - y_cap_eps quantile); the remainder
     of the reference table is returned as the deterministic tail term.
+    The oracle reads the prior's cached theta_G table and draws no sample.
     When the prior has E theta^2 = inf and the rule stays bounded beyond its
     table, the full expectation is infinite: the result is then
     (inf, inf, rule flags + ["divergent_regret"]) rather than a partial sum
@@ -440,16 +402,19 @@ def individual_regret_trial(
     """
     if n < 10:
         raise InvalidInputError("n must be >= 10")
-    if method not in CLI_KIND_NAMES:
-        raise InvalidInputError(f"unknown method {method!r}")
     if config is None:
         config = _default_config(resolved, n, method)
-    elif config.kind != CLI_KIND_NAMES[method]:
+    elif config.kind != CLI_KIND_NAMES.get(method):
         raise InvalidInputError(f"config kind {config.kind!r} is not method {method!r}'s rule")
-    _, y_train = resolved.sample_counts(seed, n - 1)
-    train = CountHistogram.from_samples(y_train)
-    ref = resolved.pmf()
-    table, rule_flags = _rule_estimates(resolved, config, train, ref.y_max)
+    y_hi = resolved.pmf().y_max
+    if config.kind == "oracle":
+        table, rule_flags = resolved.oracle_table(y_hi), []
+    else:
+        _, y_train = resolved.sample_counts(seed, n - 1)
+        train = CountHistogram.from_samples(y_train)
+        fit = fit_npmle(train, tol=config.npmle_tol) if config.kind == "npmle_eb" else None
+        rule = fit_rule(config, y_hi, train=train, fit=fit)
+        table, rule_flags = rule.table, [f"{name}={v}" for name, v in rule.flags.items() if v]
     if _regret_diverges(resolved, config):
         return math.inf, math.inf, rule_flags + [DIVERGENT_FLAG]
     return _regret_from_table(resolved, table, rule_flags, resolved.quantile_y(y_cap_eps))
@@ -463,6 +428,8 @@ def _default_config(
     overrides: dict | None = None,
     solver_tol: float = 1e-6,
 ) -> EstimatorConfig:
+    if method not in CLI_KIND_NAMES:
+        raise InvalidInputError(f"unknown method {method!r}")
     kind = CLI_KIND_NAMES[method]
     overrides = overrides or {}
     if kind in ("oracle", "robbins_plain", "robbins_addone"):
@@ -506,12 +473,12 @@ def total_regret_trial(
     subtracts n times the reference Bayes risk.  The two total-regret paths
     agree in expectation: a standing consistency check on the pipeline.
     """
+    config = config or _default_config(resolved, n, method)
     ind, tail, flags = individual_regret_trial(resolved, n, method, seed, config=config,
                                                y_cap_eps=y_cap_eps)
     out = {"individual_regret": (ind, tail, flags), "total_regret": (n * ind, n * tail, flags)}
     if direct_seed is not None:
-        out["total_regret_direct"] = _direct_total(
-            resolved, n, config or _default_config(resolved, n, method), direct_seed)
+        out["total_regret_direct"] = _direct_total(resolved, n, config, direct_seed)
     return out
 
 
@@ -528,39 +495,44 @@ def _direct_total(
     """
     theta, y = resolved.sample_counts(seed, n)
     hist = CountHistogram.from_samples(y)
-    est, dflags = _rule_estimates(resolved, config, hist)
-    with np.errstate(invalid="ignore"):
-        sq = (est[np.searchsorted(hist.ys, y)] - theta) ** 2
-    sq = np.where(np.isfinite(sq), np.minimum(sq, SQERR_CAP), SQERR_CAP)
+    est, dflags = _loo_estimates(resolved, config, hist)
+    sq, _ = _capped_sqerr(est[np.searchsorted(hist.ys, y)], theta)
     mmse_val, _ = resolved.mmse_ref()
     if _regret_diverges(resolved, config):
         dflags.append(DIVERGENT_FLAG)
     return float(sq.sum() - n * mmse_val), 0.0, dflags
 
 
-# ---------------------------------------------------------------------------
-# instability probe
-# ---------------------------------------------------------------------------
+def _loo_estimates(
+    resolved: ResolvedPrior,
+    config: EstimatorConfig,
+    data: CountHistogram,
+) -> tuple[np.ndarray, list[str]]:
+    """The leave-one-out estimate at each distinct observed y (ascending), flagged "name@y".
 
-@dataclass(frozen=True)
-class ProbeResult:
-    n: int
-    y_max: int
-    gap_sites: int      # y with N(y) = 0 < N(y+1): infinite plain-Robbins cells
-    huge_sites: int     # finite estimates exceeding 100 * max(y, 1)
-
-
-def robbins_instability_probe(resolved: ResolvedPrior, n: int, seed) -> ProbeResult:
-    """Census of pathological plain-Robbins cells in one sample of size n."""
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
-    _, y = resolved.sample_counts(seed, n)
-    hist = CountHistogram.from_samples(y)
-    rule = fit_rule(EstimatorConfig("robbins_plain"), hist.y_max, train=hist)
-    ys = np.arange(hist.y_max + 1, dtype=float)
-    huge = np.isfinite(rule.table) & (rule.table > 100.0 * np.maximum(ys, 1.0))
-    return ProbeResult(n=n, y_max=hist.y_max, gap_sites=rule.flags["infinite"],
-                       huge_sites=int(huge.sum()))
+    The oracle reads the prior's cached theta_G table.  Removing a point at y
+    lowers only N(y), so the frequency-ratio kinds are one closed-form table;
+    only the NPMLE is refitted per y, warm-started on the full-data fit.
+    """
+    ys = data.ys
+    if config.kind == "oracle":
+        return resolved.oracle_table(data.y_max)[ys], []
+    if config.kind == "npmle_eb":
+        warm = fit_npmle(data, tol=config.npmle_tol)
+        est, flags = [], []
+        for y in ys.tolist():
+            refit = fit_npmle(data.remove_one(y), tol=config.npmle_tol, init_prior=warm.prior)
+            rule = fit_rule(config, y, fit=refit)
+            est.append(rule.table[y])
+            flags += [f"{name}@{y}" for name, v in rule.flags.items() if v]
+        return np.array(est), flags
+    counts = np.zeros(data.y_max + 2)
+    counts[ys] = data.cnts
+    est, hazards = ratio_table(config, ys.astype(float), (ys + 1.0) * counts[ys + 1],
+                               data.cnts - 1.0)
+    flags = [f"{name}@{y}" for i, y in enumerate(ys.tolist())
+             for name, mask in hazards.items() if mask[i]]
+    return est, flags
 
 
 # ---------------------------------------------------------------------------

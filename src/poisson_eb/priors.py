@@ -80,6 +80,8 @@ FAMILIES = (
     "moment_class_extremal",
 )
 
+_LIST_PARAMS = {"discrete": ("atoms", "weights"), "assouad": ("tau",)}
+
 _QUAD_NODES = 12  # Gauss-Legendre nodes per panel
 
 
@@ -99,6 +101,9 @@ class PriorSpec:
             raise InvalidInputError(
                 f"unknown prior family {self.family!r}; choose from {FAMILIES}"
             )
+        for key, value in self.params.items():
+            if isinstance(value, list) and key not in _LIST_PARAMS.get(self.family, ()):
+                raise InvalidInputError(f"prior parameter {key!r} takes one value, not a list")
 
     def param(self, key: str):
         """The required parameter `key`; a missing one is an input error."""

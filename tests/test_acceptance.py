@@ -8,7 +8,9 @@ the slope bands and orderings the estimators are expected to reproduce at
 desk scale.
 """
 
+import importlib
 import math
+import pkgutil
 import warnings
 
 import numpy as np
@@ -351,5 +353,8 @@ def test_rerun_reproduces_csv_byte_for_byte():
 def test_public_namespace_resolves():
     import poisson_eb
 
-    for name in poisson_eb.__all__:
-        assert getattr(poisson_eb, name, None) is not None, name
+    modules = [poisson_eb] + [importlib.import_module(f"poisson_eb.{m.name}")
+                              for m in pkgutil.iter_modules(poisson_eb.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert getattr(module, name, None) is not None, f"{module.__name__}.{name}"

@@ -194,12 +194,21 @@ def test_regret_sweep_rejects_bad_plan(runner, tmp_path):
     "npmle_rho = 0.9",                      # above 1/e
     "npmle_y0 = -3",
     "robbins_y0 = -2",
+    "seed = -1",
+    "prior = family=heavy_tail p=1,2",      # p takes one number
 ])
 def test_regret_sweep_rejects_bad_plan_values(runner, tmp_path, bad):
     plan = write(tmp_path, "plan.txt", PLAN_TEXT + bad + "\n")
     result = runner.invoke(main, ["regret-sweep", plan])
     assert result.exit_code == 2, result.output
     assert "bad plan" in result.output
+
+
+def test_regret_sweep_rejects_negative_seed_option(runner, tmp_path):
+    plan = write(tmp_path, "plan.txt", PLAN_TEXT)
+    result = runner.invoke(main, ["--seed", "-1", "regret-sweep", plan])
+    assert result.exit_code == 2, result.output
+    assert "bad plan: seed must be >= 0" in result.output
 
 
 def test_density_risk_forces_metric(runner, tmp_path):
@@ -285,6 +294,15 @@ def test_moment_match_rejects_source_missing_a_parameter(runner):
     )
     assert result.exit_code == 2, result.output
     assert "heavy_tail needs parameter 'p'" in result.output
+
+
+def test_moment_match_rejects_a_list_for_a_single_parameter(runner):
+    result = runner.invoke(
+        main, ["moment-match", "--source", "family=two_point eps=0.1,0.2 a=5",
+               "--m", "64", "--eta", "1e-2"]
+    )
+    assert result.exit_code == 2, result.output
+    assert "prior parameter 'eps' takes one value" in result.output
 
 
 def test_verify_command_passes(runner):

@@ -16,12 +16,11 @@ from poisson_eb.experiments import (
     fit_rate,
     individual_regret_trial,
     parse_plan,
-    robbins_instability_probe,
     run_plan,
     total_regret_trial,
 )
 from poisson_eb.npmle import CountHistogram
-from poisson_eb.priors import PriorSpec, resolve
+from poisson_eb.priors import PriorSpec, ResolvedPrior, resolve
 from poisson_eb.rules import CLI_KIND_NAMES, EstimatorConfig, fit_rule
 
 TP_SPEC = PriorSpec("two_point", {"eps": 0.2, "a": 5.0})
@@ -161,6 +160,20 @@ def test_oracle_method_has_zero_regret():
     assert flags == []
 
 
+def test_oracle_regret_trial_draws_no_sample(monkeypatch):
+    # the oracle reads no training counts, so its trial must not draw them
+    calls = []
+    real_sample = ResolvedPrior.sample_counts
+
+    def spy(self, seed, size):
+        calls.append(size)
+        return real_sample(self, seed, size)
+
+    monkeypatch.setattr(ResolvedPrior, "sample_counts", spy)
+    assert individual_regret_trial(TP, 50, "oracle", (1, 2)) == (0.0, 0.0, [])
+    assert calls == []
+
+
 def test_individual_regret_trial_is_deterministic():
     a = individual_regret_trial(TP, 50, "robbins", (3, 4))
     b = individual_regret_trial(TP, 50, "robbins", (3, 4))
@@ -238,7 +251,7 @@ def test_leave_one_out_tables_match_per_y_refits():
     hist = CountHistogram.from_counts({0: 3, 1: 1, 2: 2, 4: 1, 5: 1, 9: 2, 10: 1})
     for config in (EstimatorConfig("robbins_plain"), EstimatorConfig("robbins_addone"),
                    EstimatorConfig("robbins_trunc", y0=4), EstimatorConfig("oracle")):
-        est, flags = ex._rule_estimates(TP, config, hist)
+        est, flags = ex._loo_estimates(TP, config, hist)
         ref_est, ref_flags = [], []
         for y in hist.ys.tolist():
             if config.kind == "oracle":
@@ -254,7 +267,7 @@ def test_leave_one_out_tables_match_per_y_refits():
         else:
             np.testing.assert_array_equal(est, ref_est)
         assert flags == ref_flags, config
-    _, flags = ex._rule_estimates(TP, EstimatorConfig("robbins_plain"), hist)
+    _, flags = ex._loo_estimates(TP, EstimatorConfig("robbins_plain"), hist)
     assert flags == ["infinite@1", "infinite@4", "degenerate@5", "degenerate@10"]
 
 
@@ -280,39 +293,6 @@ def test_density_risk_trial_bounds():
     assert isinstance(flags, list)
     with pytest.raises(InvalidInputError):
         density_risk_trial(TP, 5, (2, 8))
-
-
-# ---------------------------------------------------------------------------
-# instability probe
-# ---------------------------------------------------------------------------
-
-def test_probe_deterministic_census():
-    sc = resolve(PriorSpec("sqrt_cauchy"), p=1.0)
-    a = robbins_instability_probe(sc, 100, 5)
-    b = robbins_instability_probe(sc, 100, 5)
-    assert a == b
-    # a heavy-tailed sample of 100 counts leaves empty cells below its max
-    assert a.gap_sites >= 1
-    assert a.y_max > 0
-
-
-def test_probe_gaps_are_the_plain_rule_infinite_cells():
-    sc = resolve(PriorSpec("sqrt_cauchy"), p=1.0)
-    pr = robbins_instability_probe(sc, 100, 5)
-    _, y = sc.sample_counts(5, 100)
-    hist = CountHistogram.from_samples(y)
-    rule = fit_rule(EstimatorConfig("robbins_plain"), hist.y_max, train=hist)
-    observed = set(hist.ys.tolist())
-    census = sum(1 for v in range(hist.y_max) if v not in observed and v + 1 in observed)
-    assert pr.gap_sites == rule.flags["infinite"] == census
-
-
-def test_probe_degenerate_sample_is_clean():
-    pm0 = resolve(PriorSpec("point_mass", {"value": 0.0}))
-    pr = robbins_instability_probe(pm0, 50, 1)
-    assert pr == ex.ProbeResult(n=50, y_max=0, gap_sites=0, huge_sites=0)
-    with pytest.raises(InvalidInputError):
-        robbins_instability_probe(pm0, 0, 1)
 
 
 # ---------------------------------------------------------------------------

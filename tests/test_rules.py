@@ -6,6 +6,7 @@ import pytest
 from poisson_eb.errors import InvalidInputError, UnsupportedRegimeError
 from poisson_eb.mixtures import DiscretePrior, pmf_on_range, pmf_table, posterior_mean_table
 from poisson_eb.npmle import CountHistogram, fit_npmle
+from poisson_eb.priors import PriorSpec, resolve
 from poisson_eb.rules import (
     CLI_KIND_NAMES,
     ESTIMATOR_KINDS,
@@ -114,6 +115,18 @@ def test_plain_degenerate_count_ignores_the_table_length(heavy_tail_15):
         assert short.flags == long.flags
         assert long.flags["degenerate"] == gaps <= train.y_max
     assert gaps > 0
+
+
+def test_fit_rule_plain_infinite_count_is_the_empty_cell_census():
+    # a heavy-tailed sample of 100 counts leaves empty cells below its max;
+    # each y with N(y) = 0 < N(y+1) is one infinite plain-Robbins cell
+    sc = resolve(PriorSpec("sqrt_cauchy"), p=1.0)
+    _, y = sc.sample_counts(5, 100)
+    hist = CountHistogram.from_samples(y)
+    rule = fit_rule(EstimatorConfig("robbins_plain"), hist.y_max, train=hist)
+    observed = set(hist.ys.tolist())
+    census = sum(1 for v in range(hist.y_max) if v not in observed and v + 1 in observed)
+    assert rule.flags["infinite"] == census >= 1
 
 
 def test_fit_rule_addone_table():
