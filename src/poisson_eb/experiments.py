@@ -14,7 +14,10 @@ Conventions
   test variable is integrated out.  Mass beyond the working cap y_cap is
   summed separately and reported in the std_error column as a deterministic
   tail term.  The oracle reads no training sample, so its trial draws none;
-  every other method trains on the sample drawn from the replicate's key.
+  every other method trains on the sample drawn from the replicate's key,
+  drawn and histogrammed once for all of them
+  (`ResolvedPrior.count_histogram`).  The sums are numpy reductions, not
+  BLAS dots, whose rounding would depend on the BLAS thread count.
 * Divergent regret is reported as infinite, never as a windowed partial sum.
   When the prior has E theta^2 = inf, so does theta_G(Y), and a rule that
   stays bounded beyond its table (`rules.bounded_beyond_table`: plain and
@@ -342,9 +345,7 @@ def density_risk_trial(
     """
     if n < 10:
         raise InvalidInputError("n must be >= 10")
-    _, y = resolved.sample_counts(seed, n)
-    hist = CountHistogram.from_samples(y)
-    fit = fit_npmle(hist, tol=solver_tol)
+    fit = fit_npmle(resolved.count_histogram(seed, n), tol=solver_tol)
     ref = resolved.pmf()
     fit_table = pmf_table(fit.prior, tail_tol=ref.tail_tol, min_len=ref.values.size)
     value = hellinger_sq(fit_table, ref)
@@ -373,8 +374,8 @@ def _regret_from_table(
     y_hi = table.size - 1
     f = resolved.pmf().values[: y_hi + 1]
     sq, capped = _capped_sqerr(table, resolved.oracle_table(y_hi))
-    value = float(f[: y_cap + 1] @ sq[: y_cap + 1])
-    tail_term = float(f[y_cap + 1 :] @ sq[y_cap + 1 : f.size])
+    value = float(np.sum(f[: y_cap + 1] * sq[: y_cap + 1]))  # not a BLAS dot: Conventions
+    tail_term = float(np.sum(f[y_cap + 1 :] * sq[y_cap + 1 : f.size]))
     n_capped = int(capped[: y_cap + 1].sum())
     return value, tail_term, ([f"capped={n_capped}"] if n_capped else []) + rule_flags
 
@@ -410,8 +411,7 @@ def individual_regret_trial(
     if config.kind == "oracle":
         table, rule_flags = resolved.oracle_table(y_hi), []
     else:
-        _, y_train = resolved.sample_counts(seed, n - 1)
-        train = CountHistogram.from_samples(y_train)
+        train = resolved.count_histogram(seed, n - 1)
         fit = fit_npmle(train, tol=config.npmle_tol) if config.kind == "npmle_eb" else None
         rule = fit_rule(config, y_hi, train=train, fit=fit)
         table, rule_flags = rule.table, [f"{name}={v}" for name, v in rule.flags.items() if v]

@@ -19,6 +19,10 @@ Conventions
   deviation bound is near the block's best.  That bound, summed over the atoms
   left out, must be 2^-60 below every kept row sum, else the block sums all
   atoms: a table equals the all-atom sum to within the rounding of a double.
+* One pass over the blocks gives the pmf and any posterior moments
+  (`pmf_and_moment_tables`).  Each output keeps its own certificate: the pmf
+  sums all atoms only where the w sum fails, moment r where the w sum or the
+  w theta^r sum fails.  So each table equals the one its own call gives.
 * Squared Hellinger distance between pmfs is the *unnormalized* sum
   ``sum_y (sqrt f - sqrt g)^2``, which lives in ``[0, 2]``.  The closed forms
   in :func:`poisson_divergences` use the 1/2-normalized convention in
@@ -49,6 +53,7 @@ __all__ = [
     "pmf_on_range",
     "log_pmf_on_range",
     "pmf_table",
+    "pmf_and_moment_tables",
     "bayes_rule",
     "posterior_mean_table",
     "posterior_moment_table",
@@ -220,51 +225,66 @@ def _log_mix(logP: np.ndarray, w: np.ndarray) -> np.ndarray:
         return top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
 
 
-def _mixture_rows(prior: DiscretePrior, y_hi: int, r: int | None) -> np.ndarray:
-    """log f_G(y) (``r is None``) or E[theta^r | Y = y] for y = 0..y_hi.
+def _mixture_rows(prior: DiscretePrior, y_hi: int, orders=()) -> tuple[np.ndarray, list]:
+    """log f_G(y) and E[theta^r | Y = y] for each r in `orders`, y = 0..y_hi, in one pass.
 
     A block keeps the run of atoms whose bound ``log w_j - t^2/(2(theta_j + t))``,
     t the distance from theta_j to the block, is within _BAND_NATS of the best,
-    plus the nearest atom on each side.  For moments the theta^r-weighted sums
-    must pass the certificate of the module Conventions too.
+    plus the nearest atom on each side.  Each output keeps its own certificate
+    of the module Conventions: log f needs the w sum, moment r the w sum and
+    the w theta^r sum.  An output whose sums fail takes the block over all
+    atoms, so each table equals the one a pass for it alone would give.
     """
     atoms, w = prior.atoms, prior.weights
-    coefs = (w,) if r is None else (w, w * atoms ** r)  # the sums each block certifies
+    coefs = [w * atoms ** r for r in orders]
     with np.errstate(divide="ignore"):
+        log_w = np.log(w)
         log_coefs = [np.log(c) for c in coefs]
-    out = np.empty(y_hi + 1)
+    log_f = np.empty(y_hi + 1)
+    moments = [np.empty(y_hi + 1) for _ in orders]
     rows = max(_BLOCK, _BLOCK_CELLS // atoms.size)
     for start in range(0, y_hi + 1, rows):
         stop = min(start + rows, y_hi + 1)
         ys = np.arange(start, stop, dtype=float)[:, None]
         drop = _deviation_exponent(atoms, np.maximum(start - atoms, atoms - (stop - 1)))
-        near = np.flatnonzero(log_coefs[0] - drop >= np.max(log_coefs[0] - drop) - _BAND_NATS)
+        near = np.flatnonzero(log_w - drop >= np.max(log_w - drop) - _BAND_NATS)
         lo = min(near[0], max(np.searchsorted(atoms, start) - 1, 0))
         hi = max(near[-1], min(np.searchsorted(atoms, stop - 1, side="right"), atoms.size - 1)) + 1
-        logP = log_poisson_pmf(ys, atoms[lo:hi])
-        log_kept = [_log_mix(logP, c[lo:hi]) for c in coefs]
+        # (atoms, log Poisson pmf) of the band, and of all atoms if a certificate fails
+        kernels = {True: (slice(lo, hi), log_poisson_pmf(ys, atoms[lo:hi]))}
+        log_f[start:stop] = _log_mix(kernels[True][1], w[lo:hi])
         left_out = np.r_[0:lo, hi:atoms.size]
-        if left_out.size and any(
-            _log_mix((lc - drop)[None, left_out], 1.0)[0] > k.min() - _CERT_LOG
-            for lc, k in zip(log_coefs, log_kept)
-        ):
-            lo, hi = 0, atoms.size
-            logP = log_poisson_pmf(ys, atoms)
-            log_kept[0] = _log_mix(logP, w)
-        if r is None:
-            out[start:stop] = log_kept[0]
-        else:
-            block = logP + log_coefs[0][lo:hi]
-            post = np.exp(block - block.max(axis=1, keepdims=True))
-            out[start:stop] = (post / post.sum(axis=1, keepdims=True)) @ atoms[lo:hi] ** r
-    return out
+
+        def certified(log_c, log_kept):
+            return not left_out.size or not (
+                _log_mix((log_c - drop)[None, left_out], 1.0)[0] > log_kept.min() - _CERT_LOG)
+
+        pmf_banded = certified(log_w, log_f[start:stop])
+        banded = [pmf_banded and certified(lc, _log_mix(kernels[True][1], c[lo:hi]))
+                  for lc, c in zip(log_coefs, coefs)]
+        if not all([pmf_banded, *banded]):
+            if not any(banded):
+                kernels.clear()  # nothing reads the band now: free it before the full rows
+            kernels[False] = (slice(None), log_poisson_pmf(ys, atoms))
+        if not pmf_banded:
+            log_f[start:stop] = _log_mix(kernels[False][1], w)
+        post = {}  # posterior weights, one per kernel used
+        for r, band, out in zip(orders, banded, moments):
+            cols, lp = kernels[band]
+            if band not in post:
+                with np.errstate(invalid="ignore"):  # rows of zero mass give NaN
+                    block = lp + log_w[cols]
+                    e = np.exp(block - block.max(axis=1, keepdims=True))
+                    post[band] = e / e.sum(axis=1, keepdims=True)
+            out[start:stop] = post[band] @ atoms[cols] ** r
+    return log_f, moments
 
 
 def log_pmf_on_range(prior: DiscretePrior, y_hi: int) -> np.ndarray:
     """log f_G(y) for y = 0..y_hi (inclusive), over the atoms near each y."""
     if y_hi < 0:
         raise InvalidInputError("y_hi must be >= 0")
-    return _mixture_rows(prior, y_hi, None)
+    return _mixture_rows(prior, y_hi)[0]
 
 
 def pmf_on_range(prior: DiscretePrior, y_hi: int) -> np.ndarray:
@@ -331,6 +351,20 @@ def pmf_table(
     tail_tol : float in (0, 1)
     min_len : optional minimum table length (y_max >= min_len - 1).
     """
+    return pmf_and_moment_tables(prior, tail_tol, min_len=min_len)[0]
+
+
+def pmf_and_moment_tables(
+    prior: DiscretePrior,
+    tail_tol: float,
+    orders=(),
+    min_len: int | None = None,
+) -> tuple[MixturePmf, list]:
+    """`pmf_table` and, on its range, E[theta^r | Y = y] for each r in `orders`.
+
+    One pass over the mixture gives every table, each equal to what its own
+    call (`pmf_table`, `posterior_moment_table`) would give.
+    """
     if not isinstance(prior, DiscretePrior):
         raise InvalidInputError("pmf_table expects a DiscretePrior")
     if not (0.0 < tail_tol < 1.0):
@@ -338,13 +372,14 @@ def pmf_table(
     y_max = _y_max_for_tail(prior, tail_tol)
     if min_len is not None:
         y_max = max(y_max, int(min_len) - 1)
-    values = pmf_on_range(prior, y_max)
+    log_f, moments = _mixture_rows(prior, y_max, orders)
+    values = np.exp(log_f)
     # The analytic bound certifies the tolerance; 1 - sum is the sharper
     # (essentially exact) value of the same tail, so store the smaller of the
     # two.  Both keep head + tail within 1e-10 of one.
     analytic = mixture_tail_bound(prior, y_max)
     tail_mass = min(max(0.0, 1.0 - float(values.sum())), analytic)
-    return MixturePmf(values=values, tail_mass=tail_mass, tail_tol=tail_tol)
+    return MixturePmf(values=values, tail_mass=tail_mass, tail_tol=tail_tol), moments
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +412,7 @@ def posterior_moment_table(prior: DiscretePrior, y_hi: int, r: int = 1) -> np.nd
     underflowed marginals.  Rows where f_G(y) = 0 are NaN: the posterior is
     undefined there (and `bayes_rule` raises).
     """
-    with np.errstate(invalid="ignore"):
-        return _mixture_rows(prior, y_hi, r)
+    return _mixture_rows(prior, y_hi, (r,))[1][0]
 
 
 def posterior_mean_table(prior: DiscretePrior, y_hi: int) -> np.ndarray:
@@ -393,11 +427,9 @@ def mmse_exact(prior: DiscretePrior, tail_tol: float = 1e-12) -> tuple[float, fl
     neglected tail contribution: each tail term is f(y) Var(theta | y), and
     the posterior variance never exceeds (atom range / 2)^2.
     """
-    table = pmf_table(prior, tail_tol)
-    m1 = posterior_moment_table(prior, table.y_max)
-    m2 = posterior_moment_table(prior, table.y_max, r=2)
+    table, (m1, m2) = pmf_and_moment_tables(prior, tail_tol, (1, 2))
     var = np.maximum(m2 - m1 * m1, 0.0)
-    value = float(table.values @ var)
+    value = float(np.sum(table.values * var))  # a BLAS dot would round by thread count
     half_range = 0.5 * (prior.max_atom - float(prior.atoms[0]))
     remainder = table.tail_mass * half_range * half_range
     return value, remainder

@@ -21,6 +21,9 @@ The exact families (point_mass, two_point, discrete, assouad,
 moment_class_extremal) are their own discretization, with ``disc_error`` 0.
 `quantile_y(eps)` reads the shared 1e-11 reference pmf table (the one with
 tail min(eps, 1e-11) for smaller eps), whose range contains the quantile.
+That table and the oracle posterior-mean table over its range come from one
+pass over the discretization.  `count_histogram(seed, size)` keeps the last
+histogram it drew, so the methods that train on one stream key share a draw.
 
 Families
 --------
@@ -52,10 +55,12 @@ from .mixtures import (
     DiscretePrior,
     MixturePmf,
     mmse_exact,
+    pmf_and_moment_tables,
     pmf_on_range,
     pmf_table,
     posterior_mean_table,
 )
+from .npmle import CountHistogram
 
 __all__ = [
     "FAMILIES",
@@ -70,17 +75,21 @@ __all__ = [
     "divergent_mmse_diagnostic",
 ]
 
-FAMILIES = (
-    "point_mass",
-    "two_point",
-    "discrete",
-    "heavy_tail",
-    "sqrt_cauchy",
-    "assouad",
-    "moment_class_extremal",
-)
+# the parameter names each family accepts; any other name is an input error
+_PARAMS = {
+    "point_mass": ("value", "lam"),
+    "two_point": ("eps", "a"),
+    "discrete": ("atoms", "weights"),
+    "heavy_tail": ("p",),
+    "sqrt_cauchy": (),
+    "assouad": ("n", "p", "m_p", "c_p", "tau"),
+    "moment_class_extremal": ("u", "m1"),
+}
+FAMILIES = tuple(_PARAMS)
 
 _LIST_PARAMS = {"discrete": ("atoms", "weights"), "assouad": ("tau",)}
+
+_REFERENCE_TAIL = 1e-11  # tail of the shared reference pmf, whose range the oracle table shares
 
 _QUAD_NODES = 12  # Gauss-Legendre nodes per panel
 
@@ -102,6 +111,11 @@ class PriorSpec:
                 f"unknown prior family {self.family!r}; choose from {FAMILIES}"
             )
         for key, value in self.params.items():
+            if key not in _PARAMS[self.family]:
+                raise InvalidInputError(
+                    f"prior family {self.family} takes no parameter {key!r}; "
+                    f"it takes {_PARAMS[self.family] or 'none'}"
+                )
             if isinstance(value, list) and key not in _LIST_PARAMS.get(self.family, ()):
                 raise InvalidInputError(f"prior parameter {key!r} takes one value, not a list")
 
@@ -299,7 +313,10 @@ class ResolvedPrior:
     """A prior ready for experiments: sampler + certified discrete stand-in.
 
     Heavier derived artifacts (pmf tables, oracle posterior-mean tables, the
-    reference Bayes risk) are computed lazily and cached on the instance.
+    reference Bayes risk) are computed lazily and cached on the instance; the
+    reference pmf and the oracle table are built together, on first use of
+    either, and the oracle table is read-only.  The last training histogram
+    is cached too, keyed by its stream key and size.
     `second_moment_finite` records whether E theta^2 < inf for the family
     itself (not its truncated discretization, whose moments are all finite).
     """
@@ -336,13 +353,37 @@ class ResolvedPrior:
         theta = self.sample(seed, size)
         return theta, _generator(seed, 0x9E37).poisson(theta)
 
+    def count_histogram(self, seed, size: int) -> CountHistogram:
+        """The histogram of the counts Y of `sample_counts(seed, size)`.
+
+        Only the last (key, histogram) pair is kept, so the methods that
+        train on one stream key share one draw.  The old pair is dropped
+        before a new draw, and theta is never kept.
+        """
+        key = (_entropy(seed), int(size))
+        if self._cache.get("counts", (None,))[0] != key:
+            self._cache.pop("counts", None)
+            y = self.sample_counts(seed, size)[1]
+            self._cache["counts"] = (key, CountHistogram.from_samples(y))
+        return self._cache["counts"][1]
+
     # -- cached derived artifacts ------------------------------------------
 
-    def pmf(self, tail_tol: float = 1e-11) -> MixturePmf:
+    def _reference_tables(self) -> None:
+        """The reference pmf and the oracle table over its range, from one pass."""
+        table, (oracle,) = pmf_and_moment_tables(self.discretization, _REFERENCE_TAIL, (1,))
+        oracle.setflags(write=False)
+        self._cache[("pmf", _REFERENCE_TAIL)] = table
+        self._cache["oracle"] = oracle
+
+    def pmf(self, tail_tol: float = _REFERENCE_TAIL) -> MixturePmf:
         """Reference mixture pmf table with P(Y > y_max) <= `tail_tol`."""
         key = ("pmf", tail_tol)
         if key not in self._cache:
-            self._cache[key] = pmf_table(self.discretization, tail_tol)
+            if tail_tol == _REFERENCE_TAIL:
+                self._reference_tables()
+            else:
+                self._cache[key] = pmf_table(self.discretization, tail_tol)
         return self._cache[key]
 
     def quantile_y(self, eps: float = 1e-9) -> int:
@@ -352,17 +393,23 @@ class ResolvedPrior:
         has no 1 - cumsum rounding floor and is <= eps at y_max."""
         key = ("q", eps)
         if key not in self._cache:
-            table = self.pmf(min(eps, 1e-11))
+            table = self.pmf(min(eps, _REFERENCE_TAIL))
             beyond = np.append(np.cumsum(table.values[:0:-1])[::-1], 0.0)
             self._cache[key] = int(np.argmax(table.tail_mass + beyond <= eps))
         return self._cache[key]
 
     def oracle_table(self, y_hi: int) -> np.ndarray:
-        key = "oracle"
-        have = self._cache.get(key)
-        if have is None or have.size <= y_hi:
-            self._cache[key] = posterior_mean_table(self.discretization, y_hi)
-        return self._cache[key][: y_hi + 1]
+        """theta_G(y) for y = 0..y_hi, a read-only view of the cached table.
+
+        The table spans the reference pmf's range; a longer request extends it.
+        """
+        if "oracle" not in self._cache:
+            self._reference_tables()
+        if self._cache["oracle"].size <= y_hi:
+            table = posterior_mean_table(self.discretization, y_hi)
+            table.setflags(write=False)
+            self._cache["oracle"] = table
+        return self._cache["oracle"][: y_hi + 1]
 
     def mmse_ref(self) -> tuple[float, float]:
         """Reference Bayes risk (value, remainder bound) of the discretization."""
@@ -375,10 +422,15 @@ class ResolvedPrior:
 # family constructors
 # ---------------------------------------------------------------------------
 
+def _entropy(seed) -> tuple:
+    """The entropy a `seed` (an int or a tuple of ints) keys its streams by."""
+    return tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
+
+
 def _generator(seed, *extra: int) -> np.random.Generator:
     """Philox generator keyed by `seed` (an int or a tuple of ints) plus `extra`."""
-    entropy = list(seed) if isinstance(seed, (tuple, list)) else [int(seed)]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy + list(extra))))
+    entropy = list(_entropy(seed) + extra)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
 def _categorical_sampler(prior: DiscretePrior):

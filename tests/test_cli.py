@@ -196,6 +196,7 @@ def test_regret_sweep_rejects_bad_plan(runner, tmp_path):
     "robbins_y0 = -2",
     "seed = -1",
     "prior = family=heavy_tail p=1,2",      # p takes one number
+    "prior = family=two_point eps=0.2 a=5 epz=0.3",  # no such parameter
 ])
 def test_regret_sweep_rejects_bad_plan_values(runner, tmp_path, bad):
     plan = write(tmp_path, "plan.txt", PLAN_TEXT + bad + "\n")
@@ -294,6 +295,16 @@ def test_moment_match_rejects_source_missing_a_parameter(runner):
     )
     assert result.exit_code == 2, result.output
     assert "heavy_tail needs parameter 'p'" in result.output
+
+
+def test_moment_match_rejects_an_unknown_parameter(runner):
+    # a misspelt name once fell back to the default point_mass(1)
+    result = runner.invoke(
+        main, ["moment-match", "--source", "family=point_mass valu=3",
+               "--m", "64", "--eta", "1e-2"]
+    )
+    assert result.exit_code == 2, result.output
+    assert "point_mass takes no parameter 'valu'" in result.output
 
 
 def test_moment_match_rejects_a_list_for_a_single_parameter(runner):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -172,6 +175,47 @@ def test_oracle_regret_trial_draws_no_sample(monkeypatch):
     monkeypatch.setattr(ResolvedPrior, "sample_counts", spy)
     assert individual_regret_trial(TP, 50, "oracle", (1, 2)) == (0.0, 0.0, [])
     assert calls == []
+
+
+def test_methods_sharing_a_key_share_one_draw(monkeypatch):
+    r = resolve(TP_SPEC, p=2.0)
+    calls = []
+    real_sample = ResolvedPrior.sample
+
+    def spy(self, seed, size):
+        calls.append((seed, size))
+        return real_sample(self, seed, size)
+
+    monkeypatch.setattr(ResolvedPrior, "sample", spy)
+    addone = individual_regret_trial(r, 50, "robbins-addone", (3, 4))
+    trunc = individual_regret_trial(r, 50, "robbins-trunc", (3, 4))
+    assert calls == [((3, 4), 49)]
+    individual_regret_trial(r, 50, "robbins-trunc", (3, 5))  # a new key draws again
+    individual_regret_trial(r, 60, "robbins-trunc", (3, 5))  # and so does a new size
+    assert calls == [((3, 4), 49), ((3, 5), 49), ((3, 5), 59)]
+    # the shared draw scores as a fresh prior's own draws do
+    assert individual_regret_trial(resolve(TP_SPEC, p=2.0), 50, "robbins-addone", (3, 4)) == addone
+    assert individual_regret_trial(resolve(TP_SPEC, p=2.0), 50, "robbins-trunc", (3, 4)) == trunc
+    fresh = CountHistogram.from_samples(r.sample_counts((3, 5), 59)[1])
+    np.testing.assert_array_equal(r.count_histogram((3, 5), 59).ys, fresh.ys)
+    np.testing.assert_array_equal(r.count_histogram((3, 5), 59).cnts, fresh.cnts)
+
+
+def test_regret_sums_do_not_depend_on_the_blas_thread_count():
+    # y_cap is 23,311 on heavy_tail p=1.5: long enough for BLAS to split a dot product
+    src = str(Path(ex.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            "from poisson_eb.experiments import individual_regret_trial\n"
+            "from poisson_eb.priors import PriorSpec, resolve\n"
+            "r = resolve(PriorSpec('heavy_tail', {'p': 1.5}), p=1.5)\n"
+            "print(repr(individual_regret_trial(r, 1000, 'robbins-trunc', (1, 1000, 0, 1))))\n"
+            "print(repr(r.mmse_ref()))")  # the direct path subtracts n times this
+    out = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS=threads)).stdout
+           for threads in ("1", "2")]
+    assert out[0] == out[1]
+    assert "inf" not in out[0] and "nan" not in out[0]
 
 
 def test_individual_regret_trial_is_deterministic():

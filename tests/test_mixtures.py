@@ -18,6 +18,7 @@ from poisson_eb.mixtures import (
     log_poisson_pmf,
     mixture_tail_bound,
     mmse_exact,
+    pmf_and_moment_tables,
     pmf_table,
     poisson_divergences,
     poisson_tail_bound,
@@ -300,6 +301,51 @@ def test_banded_kernel_falls_back_to_full_rows(monkeypatch):
     monkeypatch.setattr(mixtures, "log_poisson_pmf", spy)
     log_pmf_on_range(prior, y_hi)
     assert columns == [2, 3]
+
+
+def test_shared_pass_equals_the_separate_tables(heavy_tail_15):
+    # the reference pmf and the oracle table come from one pass over the prior
+    prior = heavy_tail_15.discretization
+    ref = heavy_tail_15.pmf()
+    alone = pmf_table(prior, 1e-11)
+    np.testing.assert_array_equal(ref.values, alone.values)
+    assert (ref.tail_mass, ref.tail_tol) == (alone.tail_mass, alone.tail_tol)
+    np.testing.assert_array_equal(heavy_tail_15.oracle_table(ref.y_max),
+                                  posterior_mean_table(prior, ref.y_max))
+
+
+def test_shared_pass_falls_back_per_output(monkeypatch):
+    # on y = 0..255 the atom at 2130 is left out; the w sum certifies without
+    # it, and so does the w theta sum, but the w theta^2 sum does not
+    prior, y_hi = DiscretePrior([400.0, 2130.0], [0.99, 0.01]), 255
+    columns = []
+
+    def spy(y, theta):
+        columns.append(np.size(theta))
+        return log_poisson_pmf(y, theta)
+
+    monkeypatch.setattr(mixtures, "log_poisson_pmf", spy)
+    log_f, (m1, m2) = mixtures._mixture_rows(prior, y_hi, (1, 2))
+    assert columns == [1, 2]
+    np.testing.assert_array_equal(log_f, log_pmf_on_range(prior, y_hi))
+    np.testing.assert_array_equal(m1, posterior_moment_table(prior, y_hi, 1))
+    np.testing.assert_array_equal(m2, posterior_moment_table(prior, y_hi, 2))
+    assert columns[2:] == [1, 1, 1, 2]  # pmf banded, r = 1 banded, r = 2 over all atoms
+    np.testing.assert_allclose(m2, _full_rows(prior, y_hi, 2), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("name", ["G15", "heavy_tail_15"])
+def test_one_pass_mmse_equals_three_passes(name, request):
+    prior = G15 if name == "G15" else request.getfixturevalue(name).discretization
+    table = pmf_table(prior, 1e-13)
+    m1 = posterior_moment_table(prior, table.y_max)
+    m2 = posterior_moment_table(prior, table.y_max, r=2)
+    value = float(np.sum(table.values * np.maximum(m2 - m1 * m1, 0.0)))
+    assert mmse_exact(prior, tail_tol=1e-13)[0] == value
+    shared, (s1, s2) = pmf_and_moment_tables(prior, 1e-13, (1, 2))
+    np.testing.assert_array_equal(shared.values, table.values)
+    np.testing.assert_array_equal(s1, m1)
+    np.testing.assert_array_equal(s2, m2)
 
 
 def test_resolve_certificate_matches_full_rows(heavy_tail_15, monkeypatch):

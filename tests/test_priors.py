@@ -66,6 +66,23 @@ def test_resolve_names_a_missing_parameter(family, params, missing):
         resolve(PriorSpec(family, params))
 
 
+@pytest.mark.parametrize("family, params, unknown", [
+    ("point_mass", {"valu": 3.0}, "valu"),
+    ("heavy_tail", {"p": 2.0, "q": 1.0}, "q"),
+    ("sqrt_cauchy", {"p": 1.0}, "p"),
+    ("two_point", {"eps": 0.2, "a": 5.0, "m1": 1.0}, "m1"),
+    ("assouad", {"n": 10_000, "taus": 1}, "taus"),
+])
+def test_spec_refuses_an_unknown_parameter(family, params, unknown):
+    with pytest.raises(InvalidInputError, match=f"{family} takes no parameter '{unknown}'"):
+        PriorSpec(family, params)
+
+
+def test_parse_prior_spec_refuses_a_misspelt_parameter():
+    with pytest.raises(InvalidInputError, match="point_mass takes no parameter 'valu'"):
+        parse_prior_spec("family=point_mass valu=3")
+
+
 # ---------------------------------------------------------------------------
 # simple atomic families
 # ---------------------------------------------------------------------------
@@ -122,6 +139,33 @@ def test_oracle_table_matches_posterior_mean_table():
     val, rem = TP.mmse_ref()
     exact, _ = mmse_exact(TP.discretization, tail_tol=1e-13)
     assert val == pytest.approx(exact, rel=1e-12)
+
+
+def test_oracle_table_is_read_only():
+    r = resolve(PriorSpec("two_point", {"eps": 0.2, "a": 5.0}))
+    for y_hi in (5, r.pmf().y_max + 10):  # the cached table, then its extension
+        tab = r.oracle_table(y_hi)
+        assert not tab.flags.writeable
+        with pytest.raises(ValueError):
+            tab[0] = 1.0
+
+
+def test_reference_pmf_and_oracle_table_come_from_one_pass(monkeypatch):
+    calls = []
+    real = priors.pmf_and_moment_tables
+
+    def spy(*args, **kwargs):
+        calls.append(args[1:])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(priors, "pmf_and_moment_tables", spy)
+    monkeypatch.setattr(priors, "posterior_mean_table", None)  # no separate oracle pass
+    r = resolve(PriorSpec("two_point", {"eps": 0.2, "a": 5.0}))
+    r.oracle_table(3)
+    r.pmf()
+    r.oracle_table(r.pmf().y_max)
+    r.quantile_y(1e-9)
+    assert calls == [(1e-11, (1,))]
 
 
 # ---------------------------------------------------------------------------
