@@ -428,7 +428,7 @@ def mmse_exact(prior: DiscretePrior, tail_tol: float = 1e-12) -> tuple[float, fl
     the posterior variance never exceeds (atom range / 2)^2.
     """
     table, (m1, m2) = pmf_and_moment_tables(prior, tail_tol, (1, 2))
-    var = np.maximum(m2 - m1 * m1, 0.0)
+    var = np.where(table.values > 0.0, np.maximum(m2 - m1 * m1, 0.0), 0.0)  # moments NaN at f = 0
     value = float(np.sum(table.values * var))  # a BLAS dot would round by thread count
     half_range = 0.5 * (prior.max_atom - float(prior.atoms[0]))
     remainder = table.tail_mass * half_range * half_range

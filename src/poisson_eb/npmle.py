@@ -11,6 +11,11 @@ satisfies D <= n for every theta >= 0, with equality on the support of G
 [y_min, y_max], so a cold fit starts from the counts' own distribution.
 ``kkt_gap = max(D/n - 1, 0)`` is taken over a sqrt(theta) scan and the local
 maxima of D refined in theta, in cold and warm starts alike (:func:`fit_npmle`).
+
+The solver's arrays are small, so per-call overhead is its cost: a fit and the
+helpers it calls run in one error-state scope (divide, overflow and invalid
+ignored), and explicit finiteness checks guard them: the start's likelihood,
+``_RATIO_FLOOR``, the ascent tests and D >= n (1 - tol) on the atoms.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
-from scipy.special import gammaln, softmax
+from scipy.special import gammaln
 
 from .errors import InvalidInputError
 from .mixtures import WEIGHT_FLOOR, DiscretePrior, _log_mix, log_poisson_pmf
@@ -247,6 +252,16 @@ class NpmleFit:
         }
 
 
+def _unique_first(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_index=True)`` for NaN-free 1-d input: one stable
+    sort, and each run of equal values keeps its first occurrence."""
+    order = values.argsort(kind="mergesort")
+    values = values[order]
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first], order[first]
+
+
 def _line_search(logf: np.ndarray, logp: np.ndarray, cnts: np.ndarray) -> float:
     # Exact line search for a mix (1-a) f + a p: maximize the concave
     # phi(a) = sum N(y) log((1-a) f + a p) over [0, 1 - 1e-9].  lo < a* < hi:
@@ -289,23 +304,23 @@ def _solve_weights(
     """
     sqrt_c = np.sqrt(cnts)
     sum_row = _SUM_ROW_WEIGHT * math.sqrt(n)
+    rhs = np.concatenate([2.0 * sqrt_c, [sum_row]])
     log_lo, log_hi = math.log(n) + math.log1p(-tol), math.log(n) + math.log1p(tol)
-    kept = np.flatnonzero(w >= WEIGHT_FLOOR)  # the weights a DiscretePrior keeps
+    kept = (w >= WEIGHT_FLOOR).nonzero()[0]  # the weights a DiscretePrior keeps
     logP, w = logP[:, kept], w[kept]
     logf = _log_mix(logP, w)
     steps = 0
     while True:
         S = np.exp(logP - logf[:, None])  # Poi/f <= 1/w <= 1/WEIGHT_FLOOR
-        with np.errstate(divide="ignore"):
-            logD = np.log(cnts @ S)
-        if steps >= budget or np.all((logD >= log_lo) & (logD <= log_hi)):
+        logD = np.log(cnts @ S)
+        if steps >= budget or ((logD >= log_lo) & (logD <= log_hi)).all():
             break
         top = S.max(axis=0)
         live = top >= _RATIO_FLOOR
         scale = 1.0 / top[live]
         try:
-            v = nnls(np.vstack([sqrt_c[:, None] * S[:, live] * scale, sum_row * scale]),
-                     np.append(2.0 * sqrt_c, sum_row))[0]
+            v = nnls(np.concatenate([sqrt_c[:, None] * S[:, live] * scale,
+                                     (sum_row * scale)[None, :]]), rhs)[0]
         except RuntimeError:  # NNLS iteration cap
             break
         target = np.zeros_like(w)
@@ -315,9 +330,8 @@ def _solve_weights(
         u[S @ target == 0.0] = -1.0  # exactly, where the target leaves no mass
         slope = float(cnts @ u)  # directional derivative of the log-likelihood
         t = 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            while slope > 0.0 and t > 1e-10 and not cnts @ np.log1p(t * u) >= t * slope / 3.0:
-                t *= 0.5
+        while slope > 0.0 and t > 1e-10 and not cnts @ np.log1p(t * u) >= t * slope / 3.0:
+            t *= 0.5
         if not (slope > 0.0 and t > 1e-10):
             break
         steps += 1
@@ -339,7 +353,7 @@ def _refine_peaks(
     or leaves it bisects.  D, D', D'' come from one (distinct y x peaks)
     block of N(y) Poi / f, log_r = log N(y) - log f(y).  Returns (theta, log D).
     """
-    j = np.clip(np.searchsorted(scan, theta), 1, scan.size - 1)
+    j = scan.searchsorted(theta).clip(1, scan.size - 1)
     k = np.where(theta - scan[j - 1] < scan[j] - theta, j - 1, j)
     lo, hi = scan[np.maximum(k - 1, 0)], scan[np.minimum(k + 1, scan.size - 1)]
     x, lo, hi = np.sqrt(theta), np.sqrt(np.minimum(lo, theta)), np.sqrt(np.maximum(hi, theta))
@@ -356,12 +370,11 @@ def _refine_peaks(
         logD = top + np.log(mass)
         rising = d1 > 0.0
         lo, hi = np.where(rising, x, lo), np.where(rising, hi, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = x - d1 / d2
+        newton = x - d1 / d2
         ok = (d2 < 0.0) & (newton >= lo) & (newton <= hi)
         x_new = np.where(ok, newton, 0.5 * (lo + hi))
         # done where s moves by under 1e-13, or Newton's step raises D by under 5e-15 of it
-        if np.all((np.abs(x_new - x) <= 1e-13 * (1.0 + x)) | (ok & (d1 * d1 <= -1e-14 * d2 * mass))):
+        if ((np.abs(x_new - x) <= 1e-13 * (1.0 + x)) | (ok & (d1 * d1 <= -1e-14 * d2 * mass))).all():
             break
         x, theta = x_new, x_new * x_new
     return found, logD
@@ -419,53 +432,59 @@ def fit_npmle(
     logP_scan = log_poisson_pmf(ys[:, None], scan[None, :])
     row_top = logP_scan.max(axis=1)
     P_scan = np.exp(logP_scan - row_top[:, None])
+    log_c = np.log(cnts)
     iterations = 0
     ll_trace: list[float] = []
     inserted = True
-    while True:
-        kept, w, logf, logD_atoms, steps = _solve_weights(
-            logP, w, cnts, n, tol, max_iter - iterations)
-        iterations += steps
-        atoms, logP = atoms[kept], logP[:, kept]
-        ll_trace.append(float(cnts @ logf))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while True:
+            kept, w, logf, logD_atoms, steps = _solve_weights(
+                logP, w, cnts, n, tol, max_iter - iterations)
+            iterations += steps
+            atoms, logP = atoms[kept], logP[:, kept]
+            ll_trace.append(float(cnts @ logf))
 
-        log_r = np.log(cnts) - logf
-        b = log_r + row_top
-        v = np.exp(b - b.max())
-        mass = v @ P_scan
-        # the atoms join the scan: two peaks of D can share a scan cell
-        pts, first = np.unique(np.concatenate([scan, atoms]), return_index=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
+            log_r = log_c - logf
+            b = log_r + row_top
+            v = np.exp(b - b.max())
+            mass = v @ P_scan
+            # the atoms join the scan: two peaks of D can share a scan cell
+            pts, first = _unique_first(np.concatenate([scan, atoms]))
             logD_scan = b.max() + np.log(mass)
             logD_pts = np.concatenate([logD_scan, logD_atoms])[first]
-            rise = np.diff(logD_pts, prepend=-np.inf, append=-np.inf)
-        idx = np.flatnonzero((rise[:-1] >= 0.0) & (rise[1:] < 0.0))
-        # refinement starts at these maxima and where D' turns from + to - on the scan
-        rising = (v * ys) @ P_scan > scan * mass
-        turn = np.flatnonzero(rising[:-1] & ~rising[1:])
-        peaks, logD_peaks = _refine_peaks(np.union1d(pts[idx], scan[turn]), scan, ys, lgam, log_r)
-        # starts that reach the same maximum give one atom
-        _, first = np.unique(np.round(np.sqrt(peaks), 9), return_index=True)
-        peaks, logD_peaks = peaks[first], logD_peaks[first]
-        log_top = max(float(logD_pts.max()), float(logD_peaks.max(initial=-np.inf)))
-        kkt_gap = max(math.expm1(min(log_top - log_n, 709.0)), 0.0)
-        converged = kkt_gap <= tol and bool(np.all(logD_atoms >= log_n + math.log1p(-tol)))
-        stalled = not inserted and (steps == 0 or ll_trace[-1] <= ll_trace[-2])  # no progress
-        crowded = atoms.size > data.distinct + _SUPPORT_SLACK
-        if converged or stalled or crowded or iterations >= max_iter or len(ll_trace) >= max_iter:
-            break
-        # every peak with D > n enters at once, with c_j proportional to
-        # D_j/n - 1 > 0, formed in logs: D/n can overflow at a far count
-        up = logD_peaks > log_n
-        inserted = bool(up.any())
-        if inserted:
-            excess = logD_peaks[up] - log_n
-            c = softmax(excess + np.log(-np.expm1(-excess)))
-            logp_new = log_poisson_pmf(ys[:, None], peaks[up][None, :])
-            a = _line_search(logf, _log_mix(logp_new, c), cnts)
-            inserted = bool(np.any(a * c >= WEIGHT_FLOOR))  # a new atom survives the prune
-            atoms, w = np.append(atoms, peaks[up]), np.append((1.0 - a) * w, a * c)
-            logP = np.hstack([logP, logp_new])  # _solve_weights recomputes log f
+            edged = np.concatenate([[-np.inf], logD_pts, [-np.inf]])
+            rise = edged[1:] - edged[:-1]
+            idx = ((rise[:-1] >= 0.0) & (rise[1:] < 0.0)).nonzero()[0]
+            # refinement starts at these maxima and where D' turns from + to - on the scan
+            rising = (v * ys) @ P_scan > scan * mass
+            turn = (rising[:-1] & ~rising[1:]).nonzero()[0]
+            starts = _unique_first(np.concatenate([pts[idx], scan[turn]]))[0]
+            peaks, logD_peaks = _refine_peaks(starts, scan, ys, lgam, log_r)
+            # starts that reach the same maximum give one atom
+            first = _unique_first(np.round(np.sqrt(peaks), 9))[1]
+            peaks, logD_peaks = peaks[first], logD_peaks[first]
+            log_top = max(float(logD_pts.max()), float(logD_peaks.max(initial=-np.inf)))
+            kkt_gap = max(math.expm1(min(log_top - log_n, 709.0)), 0.0)
+            converged = kkt_gap <= tol and bool((logD_atoms >= log_n + math.log1p(-tol)).all())
+            stalled = not inserted and (steps == 0 or ll_trace[-1] <= ll_trace[-2])  # no progress
+            crowded = atoms.size > data.distinct + _SUPPORT_SLACK
+            if converged or stalled or crowded or max(iterations, len(ll_trace)) >= max_iter:
+                break
+            # every peak with D > n enters at once, with c_j proportional to
+            # D_j/n - 1 > 0, formed in logs: D/n can overflow at a far count
+            up = logD_peaks > log_n
+            inserted = bool(up.any())
+            if inserted:
+                excess = logD_peaks[up] - log_n
+                c = excess + np.log(-np.expm1(-excess))
+                c = np.exp(c - c.max())  # softmax
+                c = c / c.sum()
+                logp_new = log_poisson_pmf(ys[:, None], peaks[up][None, :])
+                a = _line_search(logf, _log_mix(logp_new, c), cnts)
+                inserted = bool((a * c >= WEIGHT_FLOOR).any())  # a new atom survives the prune
+                atoms = np.concatenate([atoms, peaks[up]])
+                w = np.concatenate([(1.0 - a) * w, a * c])
+                logP = np.concatenate([logP, logp_new], axis=1)  # _solve_weights recomputes log f
 
     prior = DiscretePrior(atoms, w)
     return NpmleFit(prior=prior, log_likelihood=log_likelihood(prior, data), kkt_gap=kkt_gap,

@@ -249,6 +249,14 @@ def test_total_regret_product_and_direct_paths():
         "individual_regret", "total_regret"}
 
 
+def test_direct_total_regret_is_finite_on_a_point_mass_at_zero():
+    # f(y) = 0 for every y > 0, and the direct row subtracts n times mmse_ref
+    r = resolve(PriorSpec("point_mass", {"value": 0.0}))
+    value, tail, flags = total_regret_trial(r, 50, "robbins", (1, 2),
+                                            direct_seed=(1, 3))["total_regret_direct"]
+    assert math.isfinite(value) and math.isfinite(tail)
+
+
 def test_trial_rejects_config_of_another_method():
     with pytest.raises(InvalidInputError):
         individual_regret_trial(TP, 50, "robbins", (1, 2), config=EstimatorConfig("oracle"))

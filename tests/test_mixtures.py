@@ -142,6 +142,13 @@ def test_mmse_bounded_by_prior_variance():
     assert 0.0 < val < var
 
 
+def test_mmse_exact_skips_rows_of_zero_mass():
+    # a point mass at 0 gives f(y) = 0 for y > 0, where the posterior moments
+    # are NaN; those rows add nothing to the Bayes risk
+    resolved = priors.resolve(priors.PriorSpec("point_mass", {"value": 0.0}))
+    assert resolved.mmse_ref() == (0.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # divergences
 # ---------------------------------------------------------------------------

@@ -7,12 +7,14 @@ import pytest
 
 from scipy.special import softmax
 
+from poisson_eb import npmle
 from poisson_eb.errors import InvalidInputError
 from poisson_eb.mixtures import WEIGHT_FLOOR, DiscretePrior, _log_mix, log_poisson_pmf
 from poisson_eb.npmle import (
     CountHistogram,
     NpmleFit,
     _line_search,
+    _unique_first,
     directional_derivative,
     fit_npmle,
     grid_spec,
@@ -21,6 +23,9 @@ from poisson_eb.npmle import (
     log_likelihood,
 )
 from poisson_eb.priors import PriorSpec, resolve
+
+# the solver runs in one error-state scope; a statement left outside it warns
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 MIXED = CountHistogram.from_counts({0: 30, 4: 15, 9: 5})
 
@@ -387,3 +392,40 @@ def test_line_search_matches_brute_force(name):
         assert grid[i - 1] <= a <= grid[i + 1]
     if name == "dominant":
         assert c[1] < 1e-299 and a * c[0] >= WEIGHT_FLOOR > a * c[1]
+
+
+def test_fit_restores_the_error_state(monkeypatch):
+    before = np.geterr()
+    fit_npmle(MIXED)
+    assert np.geterr() == before
+
+    def failing_nnls(*args, **kwargs):
+        raise ValueError("weight step failed")
+
+    monkeypatch.setattr(npmle, "nnls", failing_nnls)  # _solve_weights does not catch it
+    with pytest.raises(ValueError, match="weight step failed"):
+        fit_npmle(MIXED)
+    assert np.geterr() == before
+
+
+_SCAN = grid_spec(MIXED)
+_PEAKS = np.array([2.25, 9.0, 2.25 * (1.0 + 1e-13), 2.25 * (1.0 - 1e-13), 9.0 + 1e-12])
+
+
+@pytest.mark.parametrize("values", [
+    np.array([3.0, 1.0, 3.0, 2.0, 1.0, 1.0]),
+    np.concatenate([_SCAN, [4.0, _SCAN[5], 0.5 * (_SCAN[2] + _SCAN[3]), 9.0]]),
+    np.round(np.sqrt(_PEAKS), 9),
+    np.array([]),
+], ids=["ties", "atoms-on-scan", "rounded-peaks", "empty"])
+def test_unique_first_matches_np_unique(values):
+    got_values, got_first = _unique_first(values)
+    want_values, want_first = np.unique(values, return_index=True)
+    np.testing.assert_array_equal(got_values, want_values)
+    np.testing.assert_array_equal(got_first, want_first)
+
+
+def test_unique_first_cases_hold_what_they_claim():
+    assert {4.0, 9.0, _SCAN[5]} <= set(_SCAN.tolist())  # these atoms sit on scan points
+    assert np.unique(_PEAKS).size == 5
+    assert np.unique(np.round(np.sqrt(_PEAKS), 9)).size == 2
