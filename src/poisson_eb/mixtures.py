@@ -20,9 +20,13 @@ Conventions
   left out, must be 2^-60 below every kept row sum, else the block sums all
   atoms: a table equals the all-atom sum to within the rounding of a double.
 * One pass over the blocks gives the pmf and any posterior moments
-  (`pmf_and_moment_tables`).  Each output keeps its own certificate: the pmf
-  sums all atoms only where the w sum fails, moment r where the w sum or the
-  w theta^r sum fails.  So each table equals the one its own call gives.
+  (`pmf_and_moment_tables`).  One exponential per cell, E = w Poi / e^top
+  with top the row's largest log term, is shared by the pmf and every
+  moment: log f = top + log sum E, and moment r is the theta^r-weighted
+  row sum of E over the row mass sum E.  Each output keeps its own
+  certificate: the pmf sums all atoms only where the w sum fails, moment r
+  where the w sum or the w theta^r sum fails.  So each table equals the one
+  its own call gives.
 * Squared Hellinger distance between pmfs is the *unnormalized* sum
   ``sum_y (sqrt f - sqrt g)^2``, which lives in ``[0, 2]``.  The closed forms
   in :func:`poisson_divergences` use the 1/2-normalized convention in
@@ -230,16 +234,22 @@ def _mixture_rows(prior: DiscretePrior, y_hi: int, orders=()) -> tuple[np.ndarra
 
     A block keeps the run of atoms whose bound ``log w_j - t^2/(2(theta_j + t))``,
     t the distance from theta_j to the block, is within _BAND_NATS of the best,
-    plus the nearest atom on each side.  Each output keeps its own certificate
-    of the module Conventions: log f needs the w sum, moment r the w sum and
-    the w theta^r sum.  An output whose sums fail takes the block over all
-    atoms, so each table equals the one a pass for it alone would give.
+    plus the nearest atom on each side.  Its kernel E = w Poi / e^top takes one
+    exponential per cell, shared by every output: log f is top + log of the row
+    mass sum E, and moment r the theta^r-weighted row sum of E over that mass.
+    Each output keeps its own certificate of the module Conventions: log f needs
+    the w sum, moment r the w sum and the w theta^r sum.  An output whose sums
+    fail takes the block over all atoms, with the band freed first, so each
+    table equals the one a pass for it alone would give.
     """
+    if y_hi < 0:
+        raise InvalidInputError("y_hi must be >= 0")
+    if not all(r >= 0 for r in orders):  # NaN too
+        raise InvalidInputError("moment order must be nonnegative")
     atoms, w = prior.atoms, prior.weights
-    coefs = [w * atoms ** r for r in orders]
     with np.errstate(divide="ignore"):
         log_w = np.log(w)
-        log_coefs = [np.log(c) for c in coefs]
+        log_coefs = [np.log(w * atoms ** r) for r in orders]
     log_f = np.empty(y_hi + 1)
     moments = [np.empty(y_hi + 1) for _ in orders]
     rows = max(_BLOCK, _BLOCK_CELLS // atoms.size)
@@ -250,40 +260,39 @@ def _mixture_rows(prior: DiscretePrior, y_hi: int, orders=()) -> tuple[np.ndarra
         near = np.flatnonzero(log_w - drop >= np.max(log_w - drop) - _BAND_NATS)
         lo = min(near[0], max(np.searchsorted(atoms, start) - 1, 0))
         hi = max(near[-1], min(np.searchsorted(atoms, stop - 1, side="right"), atoms.size - 1)) + 1
-        # (atoms, log Poisson pmf) of the band, and of all atoms if a certificate fails
-        kernels = {True: (slice(lo, hi), log_poisson_pmf(ys, atoms[lo:hi]))}
-        log_f[start:stop] = _log_mix(kernels[True][1], w[lo:hi])
         left_out = np.r_[0:lo, hi:atoms.size]
 
         def certified(log_c, log_kept):
             return not left_out.size or not (
                 _log_mix((log_c - drop)[None, left_out], 1.0)[0] > log_kept.min() - _CERT_LOG)
 
-        pmf_banded = certified(log_w, log_f[start:stop])
-        banded = [pmf_banded and certified(lc, _log_mix(kernels[True][1], c[lo:hi]))
-                  for lc, c in zip(log_coefs, coefs)]
-        if not all([pmf_banded, *banded]):
-            if not any(banded):
-                kernels.clear()  # nothing reads the band now: free it before the full rows
-            kernels[False] = (slice(None), log_poisson_pmf(ys, atoms))
-        if not pmf_banded:
-            log_f[start:stop] = _log_mix(kernels[False][1], w)
-        post = {}  # posterior weights, one per kernel used
-        for r, band, out in zip(orders, banded, moments):
-            cols, lp = kernels[band]
-            if band not in post:
-                with np.errstate(invalid="ignore"):  # rows of zero mass give NaN
-                    block = lp + log_w[cols]
-                    e = np.exp(block - block.max(axis=1, keepdims=True))
-                    post[band] = e / e.sum(axis=1, keepdims=True)
-            out[start:stop] = post[band] @ atoms[cols] ** r
+        redo = [True] * (1 + len(orders))  # log f, then each moment: still to (re)compute
+        for band, cols in ((True, slice(lo, hi)), (False, slice(None))):
+            e = log_poisson_pmf(ys, atoms[cols])  # becomes E = exp(log Poi + log w - top)
+            e += log_w[cols]
+            top = e.max(axis=1)
+            top[~np.isfinite(top)] = 0.0  # a row of zero mass
+            e -= top[:, None]
+            mass = np.exp(e, out=e).sum(axis=1)
+            # rows of zero mass give log f = -inf and NaN moments
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if redo[0]:
+                    log_f[start:stop] = top + np.log(mass)
+                    redo[0] = band and not certified(log_w, log_f[start:stop])
+                for i, r in enumerate(orders):
+                    if redo[i + 1]:
+                        num = e @ atoms[cols] ** r
+                        moments[i][start:stop] = num / mass
+                        redo[i + 1] = band and (
+                            redo[0] or not certified(log_coefs[i], top + np.log(num)))
+            del e  # free the band before the full rows
+            if not any(redo):
+                break
     return log_f, moments
 
 
 def log_pmf_on_range(prior: DiscretePrior, y_hi: int) -> np.ndarray:
     """log f_G(y) for y = 0..y_hi (inclusive), over the atoms near each y."""
-    if y_hi < 0:
-        raise InvalidInputError("y_hi must be >= 0")
     return _mixture_rows(prior, y_hi)[0]
 
 
@@ -408,9 +417,9 @@ def posterior_moment_table(prior: DiscretePrior, y_hi: int, r: int = 1) -> np.nd
     """E[theta^r | Y = y] for y = 0..y_hi, computed atom-wise in log domain.
 
     Unlike the pmf-ratio form this stays accurate arbitrarily far into the
-    tail: posterior weights are a softmax over atoms, never a ratio of
-    underflowed marginals.  Rows where f_G(y) = 0 are NaN: the posterior is
-    undefined there (and `bayes_rule` raises).
+    tail: it is a ratio of row sums over atoms shifted by each row's largest
+    log term, never a ratio of underflowed marginals.  Rows where f_G(y) = 0
+    are NaN: the posterior is undefined there (and `bayes_rule` raises).
     """
     return _mixture_rows(prior, y_hi, (r,))[1][0]
 

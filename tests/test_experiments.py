@@ -209,7 +209,13 @@ def test_regret_sums_do_not_depend_on_the_blas_thread_count():
             "from poisson_eb.priors import PriorSpec, resolve\n"
             "r = resolve(PriorSpec('heavy_tail', {'p': 1.5}), p=1.5)\n"
             "print(repr(individual_regret_trial(r, 1000, 'robbins-trunc', (1, 1000, 0, 1))))\n"
-            "print(repr(r.mmse_ref()))")  # the direct path subtracts n times this
+            "print(repr(r.mmse_ref()))\n"  # the direct path subtracts n times this
+            # the mixture kernel's row sums are matrix products
+            "import hashlib; from poisson_eb.mixtures import posterior_moment_table\n"
+            "y = r.pmf().y_max\n"
+            "print(hashlib.sha256(r.oracle_table(y).tobytes()).hexdigest())\n"
+            "print(hashlib.sha256(posterior_moment_table(r.discretization, y, 2).tobytes())"
+            ".hexdigest())")
     out = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, timeout=120,
                           env=dict(os.environ, OPENBLAS_NUM_THREADS=threads)).stdout

@@ -26,6 +26,9 @@ from poisson_eb.mixtures import (
     posterior_moment_table,
 )
 
+# the kernel works in place; an unscoped log(0) or 0/0 in it warns
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 G15 = DiscretePrior([1.0, 5.0], [0.5, 0.5])
 
 
@@ -284,6 +287,49 @@ def test_banded_kernel_matches_full_rows(name, request):
         for r in (1, 2):
             np.testing.assert_allclose(posterior_moment_table(prior, y_hi, r),
                                        _full_rows(prior, y_hi, r), rtol=1e-13, atol=0)
+
+
+# y values checked against 40-digit sums over every atom, and the kernel's
+# relative error bounds on (log f, E[theta | y], E[theta^2 | y]): about twice
+# the worst error measured, and at least two ulps
+_MP_CHECKS = {
+    "heavy_tail_15": ((0, 1, 37, 4_000, 20_000, 42_073), (1.2e-12, 3e-14, 6e-14)),
+    "two_point_gap": ((0, 1, 25_000, 50_000, 60_000), (2.1e-11, 4.4e-16, 4.4e-16)),
+    "floor_weight": ((0, 10, 100, 500, 1_500), (2.1e-14, 7.4e-16, 1.6e-15)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MP_CHECKS))
+def test_kernel_matches_40_digit_sums(name, request):
+    mp = pytest.importorskip("mpmath")
+    ys, bounds = _MP_CHECKS[name]
+    prior = _kernel_case(name, request)[0]
+    log_f, (m1, m2) = mixtures._mixture_rows(prior, max(ys), (1, 2))
+    with mp.workdps(40):
+        for y in ys:
+            sums = [mp.mpf(0)] * 3  # sum_j w_j Poi(y; theta_j) theta_j^k, k = 0, 1, 2
+            for theta, w in zip(prior.atoms.tolist(), prior.weights.tolist()):
+                if theta > 0:
+                    term = w * mp.exp(y * mp.log(theta) - theta - mp.loggamma(y + 1))
+                else:
+                    term = mp.mpf(w if y == 0 else 0)
+                sums = [s + term * mp.mpf(theta) ** k for k, s in enumerate(sums)]
+            want = (mp.log(sums[0]), sums[1] / sums[0], sums[2] / sums[0])
+            for got, exact, bound in zip((log_f[y], m1[y], m2[y]), want, bounds):
+                assert abs(got - float(exact)) <= bound * abs(float(exact)), (y, got, exact)
+
+
+def test_kernel_refuses_negative_range_and_order():
+    # an atom at 0 would turn a negative order into inf / NaN rows
+    prior = DiscretePrior([0.0, 2.0], [0.5, 0.5])
+    for call in (lambda: log_pmf_on_range(prior, -1),
+                 lambda: posterior_moment_table(prior, -1),
+                 lambda: posterior_moment_table(prior, 3, r=-1),
+                 lambda: posterior_moment_table(prior, 3, r=math.nan),
+                 lambda: pmf_and_moment_tables(prior, 1e-10, (-1,)),
+                 lambda: pmf_and_moment_tables(prior, 1e-10, (2, -0.5))):
+        with pytest.raises(InvalidInputError):
+            call()
 
 
 def test_posterior_mean_is_nan_where_the_mixture_vanishes():
