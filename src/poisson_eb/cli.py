@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -42,6 +43,11 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
+
+
+def _write_json(path: str | None, command: str, config: dict, key: str, payload: dict) -> None:
+    meta = {"tool": f"poisson_eb {__version__}", "command": command, "config": config}
+    _write_text(path, json.dumps({"meta": meta, key: payload}, indent=2) + "\n")
 
 
 def _fail(code: int, message: str) -> None:
@@ -100,16 +106,9 @@ def cmd_npmle_fit(ctx, input_path, out_path, tol, max_iter):
         data = load_count_data(Path(input_path).read_text())
     with _exit_codes():
         fit = fit_npmle(data, tol=tol, max_iter=max_iter)
-    doc = {
-        "meta": {
-            "tool": f"poisson_eb {__version__}",
-            "command": "npmle-fit",
-            "config": {"input": str(input_path), "tol": tol, "max_iter": max_iter,
-                       "strict": strict},
-        },
-        "fit": fit.to_dict(),
-    }
-    _write_text(out_path, json.dumps(doc, indent=2) + "\n")
+    _write_json(out_path, "npmle-fit", {"input": str(input_path), "tol": tol,
+                                        "max_iter": max_iter, "strict": strict},
+                "fit", fit.to_dict())
     _require_certified(strict, fit)
 
 
@@ -134,12 +133,10 @@ def cmd_eb_estimate(ctx, input_path, method, y0, rho, y_cap, tol, out_path):
         kind = CLI_KIND_NAMES[method]
         if kind == "oracle":
             raise InvalidInputError("the oracle rule needs a known prior; use the library API")
-        cfg_kwargs = {"kind": kind, "rho": rho, "npmle_tol": tol}
-        if y0 is not None:
-            cfg_kwargs["y0"] = y0
-        elif kind == "robbins_trunc":
+        if y0 is None and kind == "robbins_trunc":
             raise InvalidInputError("--y0 is required for method robbins-trunc")
-        config = EstimatorConfig(**cfg_kwargs)
+        config = EstimatorConfig(kind=kind, y0=math.inf if y0 is None else y0, rho=rho,
+                                 npmle_tol=tol)
         cap = y_cap if y_cap is not None else data.y_max + 5
         fit = fit_npmle(data, tol=tol) if kind == "npmle_eb" else None
         rule = fit_rule(config, cap, train=data, fit=fit)
@@ -213,15 +210,9 @@ def cmd_moment_match(ctx, source, big_m, eta, c_const, p, out_path):
         spec = parse_prior_spec(source)
         resolved = resolve(spec, p=p, seed=ctx.obj["seed"] or 0)
         report = local_moment_match(resolved.discretization, big_m, eta, C=c_const)
-    doc = {
-        "meta": {
-            "tool": f"poisson_eb {__version__}",
-            "command": "moment-match",
-            "config": {"source": source, "M": big_m, "eta": eta, "C": c_const, "p": p},
-        },
-        "report": report.to_dict(),
-    }
-    _write_text(out_path, json.dumps(doc, indent=2) + "\n")
+    _write_json(out_path, "moment-match",
+                {"source": source, "M": big_m, "eta": eta, "C": c_const, "p": p},
+                "report", report.to_dict())
 
 
 @main.command("verify")

@@ -60,7 +60,7 @@ def diff_table(values, order: int, direction: str = "forward") -> np.ndarray:
     """All k-th differences of a zero-extended sequence, aligned with it.
 
     Entry y of the result is D^k f(y) (forward) or B^k f(y) (backward),
-    computed by k first-order reductions of the zero-padded sequence.
+    the k-th order ``np.diff`` of the zero-padded sequence.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
@@ -74,9 +74,7 @@ def diff_table(values, order: int, direction: str = "forward") -> np.ndarray:
         arr = np.concatenate([np.zeros(order), values])
     else:
         raise InvalidInputError("direction must be 'forward' or 'backward'")
-    for _ in range(order):
-        arr = arr[1:] - arr[:-1]
-    return arr
+    return np.diff(arr, order)
 
 
 def summation_by_parts(f, g) -> tuple[float, float]:

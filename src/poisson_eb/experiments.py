@@ -56,6 +56,7 @@ from .priors import PriorSpec, ResolvedPrior, parse_prior_spec, resolve
 from .rules import (
     CLI_KIND_NAMES,
     EstimatorConfig,
+    _robbins_counts,
     bounded_beyond_table,
     fit_rule,
     ratio_table,
@@ -259,7 +260,6 @@ class ExperimentReport:
     rows: list
     slopes: list
     runtime_seconds: float  # in-memory only; never serialized (reruns stay byte-identical)
-    version: str = __version__
 
     def header_lines(self) -> list[str]:
         cfg = (
@@ -274,7 +274,7 @@ class ExperimentReport:
         ) + "".join(f" {k}={self.plan.overrides[k]}"
                     for k in _OVERRIDE_KEYS if k in self.plan.overrides)
         return [
-            f"# poisson_eb {self.version} experiment report",
+            f"# poisson_eb {__version__} experiment report",
             f"# plan {self.plan.name}: {cfg}",
         ]
 
@@ -371,11 +371,10 @@ def _regret_from_table(
     rule_flags: list[str],
     y_cap: int,
 ) -> tuple[float, float, list[str]]:
-    y_hi = table.size - 1
-    f = resolved.pmf().values[: y_hi + 1]
-    sq, capped = _capped_sqerr(table, resolved.oracle_table(y_hi))
+    f = resolved.pmf().values  # `table` spans the reference pmf's range
+    sq, capped = _capped_sqerr(table, resolved.oracle_table(f.size - 1))
     value = float(np.sum(f[: y_cap + 1] * sq[: y_cap + 1]))  # not a BLAS dot: Conventions
-    tail_term = float(np.sum(f[y_cap + 1 :] * sq[y_cap + 1 : f.size]))
+    tail_term = float(np.sum(f[y_cap + 1 :] * sq[y_cap + 1 :]))
     n_capped = int(capped[: y_cap + 1].sum())
     return value, tail_term, ([f"capped={n_capped}"] if n_capped else []) + rule_flags
 
@@ -526,8 +525,7 @@ def _loo_estimates(
             est.append(rule.table[y])
             flags += [f"{name}@{y}" for name, v in rule.flags.items() if v]
         return np.array(est), flags
-    counts = np.zeros(data.y_max + 2)
-    counts[ys] = data.cnts
+    counts = _robbins_counts(data, data.y_max)
     est, hazards = ratio_table(config, ys.astype(float), (ys + 1.0) * counts[ys + 1],
                                data.cnts - 1.0)
     flags = [f"{name}@{y}" for i, y in enumerate(ys.tolist())

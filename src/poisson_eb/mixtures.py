@@ -139,7 +139,7 @@ class DiscretePrior:
 
     def moment(self, r: float) -> float:
         """E theta^r under the prior, for r >= 0 (0^0 counted as 1)."""
-        if r < 0:
+        if not (r >= 0):  # NaN too
             raise InvalidInputError("moment order must be nonnegative")
         return float(self.weights @ self.atoms ** r)
 
@@ -242,8 +242,9 @@ def _mixture_rows(prior: DiscretePrior, y_hi: int, orders=()) -> tuple[np.ndarra
     fail takes the block over all atoms, with the band freed first, so each
     table equals the one a pass for it alone would give.
     """
-    if y_hi < 0:
-        raise InvalidInputError("y_hi must be >= 0")
+    if not (y_hi >= 0 and y_hi % 1 == 0):  # NaN and inf too
+        raise InvalidInputError("y_hi must be a whole number >= 0")
+    y_hi = int(y_hi)
     if not all(r >= 0 for r in orders):  # NaN too
         raise InvalidInputError("moment order must be nonnegative")
     atoms, w = prior.atoms, prior.weights

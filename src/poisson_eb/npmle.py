@@ -178,9 +178,9 @@ def grid_spec(data: CountHistogram) -> np.ndarray:
     """Candidate atom grid: uniform in sqrt(theta) over the data range.
 
     Covers [max(1e-3, y_min/2), max(1.5 y_max, 1)] with _GRID_DENSITY points
-    per unit of sqrt(theta), augmented with the exact point 0 whenever
-    N(0) > 0 and with the exact observed values and the sample mean (so pure
-    point-mass data can be fit with zero atom-location error).  Sorted,
+    per unit of sqrt(theta), augmented with the exact observed values and the
+    sample mean (so pure point-mass data can be fit with zero atom-location
+    error); the observed values bring the point 0 whenever N(0) > 0.  Sorted,
     duplicates dropped.
     """
     s_lo = math.sqrt(max(1e-3, 0.5 * float(data.ys[0])))

@@ -29,10 +29,11 @@ Families
 --------
 ``point_mass(value)`` | ``two_point(eps, a)`` | ``discrete(atoms, weights)``
 | ``heavy_tail(p)``: eps at 0 plus density c0 a^{-(p+1)} (log a)^{-2} on
-  [e, inf), normalized so the p-th moment is exactly 1
+  [e, inf), normalized so the p-th moment is exactly 1; p from about 0.96
+  (at most 10^7 certified pmf rows) to about 703 (c0 = 1/E_2(p) overflows)
 | ``sqrt_cauchy``: theta = sqrt(|C|) with C standard Cauchy (tail index 2)
-| ``assouad(n, ...)``: the near-black two-point-per-interval construction
-  used for lower-bound experiments
+| ``assouad(n, p, m_p, c_p, tau)``: the near-black two-point-per-interval
+  construction for lower bounds; n a whole number >= 3, p, m_p, c_p in (0, inf)
 | ``moment_class_extremal(u, m1)``: (1 - 1/u) at 0 plus 1/u at u*m1, the
   sparse two-point prior extremal for the first-moment class.
 """
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import exp1, expn, gammaincc
@@ -77,7 +78,7 @@ __all__ = [
 
 # the parameter names each family accepts; any other name is an input error
 _PARAMS = {
-    "point_mass": ("value", "lam"),
+    "point_mass": ("value",),
     "two_point": ("eps", "a"),
     "discrete": ("atoms", "weights"),
     "heavy_tail": ("p",),
@@ -92,6 +93,7 @@ _LIST_PARAMS = {"discrete": ("atoms", "weights"), "assouad": ("tau",)}
 _REFERENCE_TAIL = 1e-11  # tail of the shared reference pmf, whose range the oracle table shares
 
 _QUAD_NODES = 12  # Gauss-Legendre nodes per panel
+_MAX_CHECK_ROWS = 10_000_000  # longest pmf range a heavy_tail certificate may check
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +176,15 @@ def heavy_tail_normalizer(p: float) -> float:
     """c0(p) = 1 / integral_e^inf a^{-(p+1)} (log a)^{-2} da, always > 1.
 
     In u = log a the integral is integral_1^inf e^{-p u} u^{-2} du = E_2(p)
-    < 1, the generalized exponential integral (DLMF 8.19.3).
+    < 1, the generalized exponential integral (DLMF 8.19.3).  A p whose
+    1/E_2(p) overflows (p above about 703) is an input error.
     """
     if not (p > 0):
         raise InvalidInputError("tail exponent p must be positive")
-    return 1.0 / float(expn(2, p))
+    e2 = float(expn(2, p))
+    if not (e2 > 0 and 1.0 / e2 < math.inf):
+        raise InvalidInputError(f"tail exponent p={p} is too large: 1/E_2(p) overflows")
+    return 1.0 / e2
 
 
 def heavy_tail_density(p: float, a) -> np.ndarray | float:
@@ -190,19 +196,13 @@ def heavy_tail_density(p: float, a) -> np.ndarray | float:
     c0 = heavy_tail_normalizer(p)
     a_arr = np.asarray(a, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_a = np.log(np.maximum(a_arr, 1.0 + 1e-300))
+        log_a = np.log(a_arr)
         dens = np.where(
             a_arr >= math.e,
             c0 * a_arr ** -(p + 1.0) / (log_a * log_a),
             0.0,
         )
     return dens if dens.ndim else float(dens)
-
-
-def _heavy_tail_zero_mass(p: float) -> float:
-    # eps chosen so the p-th moment is exactly 1: the continuous part's p-th
-    # moment telescopes to c0, so (1 - eps) c0 = 1.
-    return 1.0 - 1.0 / heavy_tail_normalizer(p)
 
 
 def _heavy_tail_moment(p_family: float, q: float) -> float:
@@ -263,20 +263,13 @@ def _gl_discretize(density, u_lo: float, u_hi: float, panels: int) -> tuple[np.n
     return theta, w
 
 
-def _certified_continuous_prior(
-    density,
-    u_lo: float,
-    u_hi: float,
-    zero_mass: float,
-    body_mass: float,
-    tail_drop: float,
-    disc_tol: float,
-    y_check: int,
-    base_panels: int,
-    source: str,
-) -> tuple[DiscretePrior, float]:
+def _certified_continuous_prior(density, u_lo: float, u_hi: float, zero_mass: float,
+                                tail_drop: float, disc_tol: float, y_check: int,
+                                base_panels: int, source: str) -> tuple[DiscretePrior, float]:
     """Discretize `density` and certify sup-pmf accuracy against a 4x refinement.
 
+    The quadrature weights are scaled to mass 1 - zero_mass, and a positive
+    zero_mass is an atom at 0.
     The returned error bound is sup_y |f_K - f_4K| + tail_drop (mass dropped
     beyond theta_max shifts the pmf by at most itself, uniformly in y).
     Panels double until the bound passes disc_tol, up to 3 times.
@@ -287,7 +280,7 @@ def _certified_continuous_prior(
         atoms_f, w_f = _gl_discretize(density, u_lo, u_hi, 4 * panels)
 
         def _mk(atoms, w):
-            w = w * (body_mass / w.sum())
+            w = w * ((1.0 - zero_mass) / w.sum())
             if zero_mass > 0:
                 return DiscretePrior(np.concatenate([[0.0], atoms]),
                                      np.concatenate([[zero_mass], w]))
@@ -468,64 +461,63 @@ def resolve(spec: PriorSpec, p: float | None = None, disc_tol: float = 1e-6,
     """Resolve a prior spec into sampler + certified discretization.
 
     `seed` only draws assouad's tau bits when the spec gives none.  Raises
-    :class:`InvalidInputError` for a missing parameter or a negative moment
-    order, :class:`UnsupportedRegimeError` when the requested moment order is
-    infinite for the family, and :class:`NumericalFailureError` when the
+    :class:`InvalidInputError` for a missing or out-of-range parameter (a
+    negative or NaN moment order, and the ranges in the module docstring),
+    :class:`UnsupportedRegimeError` when the requested moment order is
+    infinite for the family or a heavy_tail certificate would check over
+    10^7 pmf rows, and :class:`NumericalFailureError` when the
     discretization cannot be certified to `disc_tol`.
     """
     if not (0 < disc_tol <= 1e-2):
         raise InvalidInputError("disc_tol must lie in (0, 1e-2]")
-    if p is not None and p < 0:  # as DiscretePrior.moment, for every family
+    if p is not None and not (p >= 0):  # as DiscretePrior.moment, for every family; NaN too
         raise InvalidInputError("moment order must be nonnegative")
     family, params = spec.family, dict(spec.params)
     p_eff = 1.0 if p is None else p
 
+    drop = min(disc_tol * 1e-2, 1e-9)  # the continuous families' dropped tail mass
     if family == "heavy_tail":
         p_fam = float(spec.param("p"))
         if not (p_fam > 0):
             raise InvalidInputError("heavy_tail needs p > 0")
         p_eff = p_fam if p is None else p
         p_moment = _heavy_tail_moment(p_fam, p_eff)  # raises when infinite
-        eps = _heavy_tail_zero_mass(p_fam)
-        drop = min(disc_tol * 1e-2, 1e-9)
+        # the continuous part's p-th moment telescopes to c0, so (1 - eps) c0 = 1
+        zero_mass = 1.0 - 1.0 / heavy_tail_normalizer(p_fam)
         theta_max = _heavy_tail_theta_max(p_fam, drop)
+        if not (1.2 * theta_max + 50 <= _MAX_CHECK_ROWS):  # checked before any table is built
+            raise UnsupportedRegimeError(f"heavy_tail(p={p_fam}) needs {1.2 * theta_max + 50:.3g}"
+                                         f" pmf rows to certify, over {_MAX_CHECK_ROWS:.0e}")
         y_check = int(1.2 * theta_max) + 50
-        base = max(24, int(6 * (math.log(theta_max) - 1.0)))
-        prior, err = _certified_continuous_prior(
-            lambda a: heavy_tail_density(p_fam, a),
-            1.0, math.log(theta_max),
-            zero_mass=eps, body_mass=1.0 - eps, tail_drop=drop,
-            disc_tol=disc_tol, y_check=y_check,
-            base_panels=base, source=f"heavy_tail(p={p_fam})",
-        )
+        u_lo, u_hi, panels_per_u = 1.0, math.log(theta_max), 6
+        density = partial(heavy_tail_density, p_fam)
+        sampler, source = _heavy_tail_sampler(p_fam, zero_mass), f"heavy_tail(p={p_fam})"
         # E theta^q < inf iff q <= p_fam, so the second moment is finite iff p_fam >= 2
-        return ResolvedPrior(spec, p_eff, prior, p_moment, disc_tol, err,
-                             _heavy_tail_sampler(p_fam, eps), p_fam >= 2.0)
-
-    if family == "sqrt_cauchy":
+        second_moment_finite = p_fam >= 2.0
+    elif family == "sqrt_cauchy":
         p_moment = _sqrt_cauchy_moment(p_eff)  # raises for p >= 2
-        drop = min(disc_tol * 1e-2, 1e-9)
         # mass below t_lo is ~ 2 t_lo^2 / pi; beyond t_hi it is <= (2/pi) t_hi^-2
         t_lo = math.sqrt(0.25 * math.pi * drop)
         t_hi = math.sqrt(2.0 / (math.pi * 0.5 * drop))
         y_check = min(int(1.2 * t_hi) + 50, 20000)
-        base = max(24, int(4 * (math.log(t_hi) - math.log(t_lo))))
+        u_lo, u_hi, panels_per_u = math.log(t_lo), math.log(t_hi), 4
+        density, zero_mass = _sqrt_cauchy_density, 0.0
+        sampler, source = _sqrt_cauchy_sampler(), "sqrt_cauchy"
+        second_moment_finite = False  # tail index 2: E theta^2 = inf
+    if family in ("heavy_tail", "sqrt_cauchy"):
         prior, err = _certified_continuous_prior(
-            _sqrt_cauchy_density,
-            math.log(t_lo), math.log(t_hi),
-            zero_mass=0.0, body_mass=1.0, tail_drop=drop,
-            disc_tol=disc_tol, y_check=y_check,
-            base_panels=base, source="sqrt_cauchy",
+            density, u_lo, u_hi, zero_mass, drop, disc_tol, y_check,
+            max(24, int(panels_per_u * (u_hi - u_lo))), source,
         )
-        return ResolvedPrior(spec, p_eff, prior, p_moment, disc_tol, err, _sqrt_cauchy_sampler(),
-                             False)  # tail index 2: E theta^2 = inf
+        return ResolvedPrior(spec, p_eff, prior, p_moment, disc_tol, err, sampler,
+                             second_moment_finite)
 
     # the exact families: each is its own discretization, with disc_error 0
     if family == "point_mass":
-        lam = float(params.get("value", params.get("lam", 1.0)))
-        if lam < 0:
+        value = float(params.get("value", 1.0))
+        if value < 0:
             raise InvalidInputError("point mass location must be >= 0")
-        prior = DiscretePrior([lam], [1.0])
+        prior = DiscretePrior([value], [1.0])
     elif family == "two_point":
         eps = float(spec.param("eps"))
         a = float(spec.param("a"))
@@ -542,7 +534,7 @@ def resolve(spec: PriorSpec, p: float | None = None, disc_tol: float = 1e-6,
         prior = DiscretePrior(np.asarray(spec.param("atoms"), dtype=float),
                               np.asarray(spec.param("weights"), dtype=float))
     elif family == "assouad":
-        n = int(spec.param("n"))
+        n = float(spec.param("n"))
         p_eff = float(params.get("p", p if p is not None else 2.0))
         m_p = float(params.get("m_p", 1.0))
         c_p = float(params.get("c_p", 0.1))
@@ -563,15 +555,18 @@ def resolve(spec: PriorSpec, p: float | None = None, disc_tol: float = 1e-6,
 # Assouad construction
 # ---------------------------------------------------------------------------
 
-def _assouad_shape(n: int, p: float, m_p: float, c_p: float) -> tuple[float, int, int]:
-    if n < 3:
-        raise InvalidInputError("assouad needs n >= 3")
+def _assouad_shape(n: float, p: float, m_p: float, c_p: float) -> tuple[float, int, int]:
+    if not (n >= 3 and n % 1 == 0):
+        raise InvalidInputError(f"assouad needs a whole number n >= 3, got n={n}")
+    if not all(0 < v < math.inf for v in (p, m_p, c_p)):
+        raise InvalidInputError(f"assouad needs positive, finite p, m_p and c_p, "
+                                f"got p={p}, m_p={m_p}, c_p={c_p}")
     x = c_p * n ** (1.0 / (2.0 * p + 1.0)) * m_p ** (1.0 / (2.0 * p + 1.0)) / math.log(n)
     N = math.ceil(x) - 1
     i0 = max(1, math.floor(x / 3.0))
     if N < i0:
         raise UnsupportedRegimeError(
-            f"assouad construction collapses at n={n}, p={p}, c_p={c_p}: "
+            f"assouad construction collapses at n={n:g}, p={p}, c_p={c_p}: "
             f"N={N} < i0={i0}; increase n or c_p"
         )
     return x, N - i0 + 1, i0
@@ -591,7 +586,7 @@ def assouad_prior(tau, n: int, p: float, m_p: float = 1.0, c_p: float = 0.1) -> 
     N = i0 + n_bits - 1
     tau = np.asarray(tau, dtype=int)
     if tau.shape != (n_bits,) or np.any((tau != 0) & (tau != 1)):
-        raise InvalidInputError(f"tau must be {n_bits} bits for n={n} (indices {i0}..{N})")
+        raise InvalidInputError(f"tau must be {n_bits} bits for n={n:g} (indices {i0}..{N})")
     log2n = math.log(n) ** 2
     idx = np.arange(i0, N + 1, dtype=float)
     lo_edge = idx ** 2 * log2n
@@ -641,15 +636,13 @@ def _divergent_summands(y_hi: int) -> np.ndarray:
     q_j = Q(j - 1, 1), which sidesteps the catastrophic cancellation of the
     raw form at large y.
     """
-    f = divergent_mixture_pmf(max(y_hi + 2, 4))
+    f = divergent_mixture_pmf(3)
     s = np.empty(y_hi + 1)
     for y in (0, 1):
         s[y] = (y + 1.0) / f[y] * ((y + 2.0) * f[y + 2] * f[y] - (y + 1.0) * f[y + 1] ** 2)
     ys = np.arange(2, y_hi + 1, dtype=float)
-    # q_j = Q(j - 1, 1) for j = y, y+1, y+2
-    qy = gammaincc(ys - 1.0, 1.0)
-    qy1 = gammaincc(ys, 1.0)
-    qy2 = gammaincc(ys + 1.0, 1.0)
+    q = gammaincc(np.arange(1, y_hi + 2, dtype=float), 1.0)  # q_j = Q(j - 1, 1), j = 2..y_hi+2
+    qy, qy1, qy2 = q[:-2], q[1:-1], q[2:]  # j = y, y+1, y+2
     d2 = qy2 * qy - qy1 * qy1
     s[2:] = (ys * d2 + qy1 * qy1) / (ys * qy)
     return s

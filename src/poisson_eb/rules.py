@@ -74,8 +74,9 @@ class EstimatorConfig:
 
     y0 may be 0 (truncate everywhere except y=0) up to infinity (never
     truncate, the only value for oracle, plain and add-one Robbins); rho is
-    the pmf floor of the mixture-based rule; npmle_tol is passed through to
-    the solver when a fit is made on the fly.
+    the pmf floor of the mixture-based rule; npmle_tol is the KKT tolerance
+    that the trial functions and the CLI pass to `fit_npmle` (`fit_rule`
+    itself never fits).
     """
 
     kind: str

@@ -197,6 +197,8 @@ def test_regret_sweep_rejects_bad_plan(runner, tmp_path):
     "seed = -1",
     "prior = family=heavy_tail p=1,2",      # p takes one number
     "prior = family=two_point eps=0.2 a=5 epz=0.3",  # no such parameter
+    "prior = family=heavy_tail p=inf",      # the normalizer 1/E_2(p) overflows
+    "p = nan",                              # a NaN moment order
 ])
 def test_regret_sweep_rejects_bad_plan_values(runner, tmp_path, bad):
     plan = write(tmp_path, "plan.txt", PLAN_TEXT + bad + "\n")

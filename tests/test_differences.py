@@ -18,6 +18,9 @@ from poisson_eb.differences import (
 )
 from poisson_eb.mixtures import DiscretePrior, pmf_on_range
 
+# differences and weighted sums run under scoped error states; a stray overflow warns
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 TRI = np.array([1.0, 3.0, 6.0, 10.0])  # triangular numbers
 
 

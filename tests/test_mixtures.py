@@ -332,6 +332,16 @@ def test_kernel_refuses_negative_range_and_order():
             call()
 
 
+def test_kernel_refuses_a_fractional_range_and_a_nan_moment_order():
+    prior = DiscretePrior([0.0, 2.0], [0.5, 0.5])
+    for call in (lambda: log_pmf_on_range(prior, 2.5),
+                 lambda: posterior_moment_table(prior, 2.5),
+                 lambda: posterior_moment_table(prior, math.inf),
+                 lambda: prior.moment(math.nan)):
+        with pytest.raises(InvalidInputError):
+            call()
+
+
 def test_posterior_mean_is_nan_where_the_mixture_vanishes():
     # under a point mass at 0, f_G(y) = 0 for y >= 1: no posterior, no warning
     with warnings.catch_warnings():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ from poisson_eb.priors import (
     parse_prior_spec,
     resolve,
 )
+
+# the quadrature and certificate run in error-state scopes; a stray log(0) warns
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 HT2 = resolve(PriorSpec("heavy_tail", {"p": 2.0}))
 TP = resolve(PriorSpec("two_point", {"eps": 0.2, "a": 5.0}))
@@ -180,6 +184,23 @@ def test_heavy_tail_normalizer_frozen():
         heavy_tail_normalizer(0.0)
 
 
+@pytest.mark.parametrize("p", [705.0, 710.0, math.inf])
+def test_heavy_tail_refuses_an_overflowing_normalizer(p):
+    # 1/E_2(p) overflows near p = 703, and E_2(p) itself underflows to 0 past 709.78
+    with pytest.raises(InvalidInputError, match="too large"):
+        heavy_tail_normalizer(p)
+    with pytest.raises(InvalidInputError, match="too large"):
+        resolve(PriorSpec("heavy_tail", {"p": p}))
+
+
+def test_heavy_tail_refuses_a_check_range_over_ten_million_rows():
+    # p = 0.7 would certify over 2.8e9 pmf rows; the refusal comes before any table
+    start = time.process_time()
+    with pytest.raises(UnsupportedRegimeError, match=r"heavy_tail\(p=0.7\) needs 2.77e\+09"):
+        resolve(PriorSpec("heavy_tail", {"p": 0.7}))
+    assert time.process_time() - start < 1.0
+
+
 def test_heavy_tail_zero_mass_and_moment():
     # eps = 1 - 1/c0; the p-th moment is 1 by normalization
     assert HT2.discretization.atoms[0] == 0.0
@@ -251,6 +272,15 @@ def test_moment_order_is_nonnegative_and_zeroth_is_one(spec):
     with pytest.raises(InvalidInputError):
         resolve(spec, p=-3.0)
     assert resolve(spec, p=0.0).p_moment == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("spec", [
+    PriorSpec("heavy_tail", {"p": 2.0}),
+    PriorSpec("two_point", {"eps": 0.3, "a": 12.5}),
+], ids=lambda spec: spec.family)
+def test_moment_order_nan_is_refused(spec):
+    with pytest.raises(InvalidInputError, match="nonnegative"):
+        resolve(spec, p=math.nan)
 
 
 def test_second_moment_finiteness_recorded(heavy_tail_15):
@@ -330,6 +360,18 @@ def test_quantile_y_resolves_eps_below_the_cumsum_rounding_floor():
 def test_assouad_collapses_at_small_budget():
     with pytest.raises(UnsupportedRegimeError):
         assouad_prior([0], 10_000, 2.0)          # c_p = 0.1 default
+
+
+@pytest.mark.parametrize("params", [
+    {"n": math.inf},
+    {"n": 10_000.5},                  # not a whole number
+    {"n": 10_000, "m_p": -1},
+    {"n": 10_000, "p": -0.5},
+    {"n": 10_000, "c_p": math.inf},
+], ids=["n_inf", "n_fractional", "m_p_negative", "p_negative", "c_p_inf"])
+def test_assouad_refuses_out_of_range_parameters(params):
+    with pytest.raises(InvalidInputError, match="assouad needs"):
+        resolve(PriorSpec("assouad", {"c_p": 30.0, **params}))
 
 
 def test_assouad_structure():
