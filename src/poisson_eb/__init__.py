@@ -31,7 +31,6 @@ from .mixtures import (
     mmse_exact,
     pmf_table,
     poisson_divergences,
-    poisson_tail_bound,
     posterior_mean_table,
 )
 from .differences import (
@@ -93,7 +92,7 @@ __all__ = [
     # mixtures
     "DiscretePrior", "MixturePmf", "log_poisson_pmf", "pmf_table",
     "bayes_rule", "posterior_mean_table", "mmse_exact",
-    "hellinger_sq", "poisson_divergences", "poisson_tail_bound",
+    "hellinger_sq", "poisson_divergences",
     "mixture_tail_bound", "generating_function_check",
     # differences
     "finite_diff", "diff_table", "summation_by_parts", "charlier",

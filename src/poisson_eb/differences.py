@@ -6,13 +6,13 @@ another: ``sum_y f(y) (Dg)(y) = - sum_y g(y) (Bf)(y)`` where ``D`` is the
 forward difference and ``B`` the backward one (the boundary term vanishes
 because f(-1) = 0).  That summation-by-parts identity, and the orthonormal
 polynomial family it generates under a Poisson weight, are the backbone of
-the weighted difference statistics ``A_k`` computed here.
+the weighted difference statistics ``A_k`` computed here: `ak_sequence`
+returns the array of A_k^2, indexed by k.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "diff_table",
     "summation_by_parts",
     "charlier",
-    "WeightedDiffSequence",
     "ak_sequence",
     "ak_recursion_residuals",
     "forward_weighted_diff_sum",
@@ -128,26 +127,6 @@ def charlier(k: int, y, theta: float):
 # weighted difference statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightedDiffSequence:
-    """One term of the weighted difference sequence: value = A_k^2 at level k.
-
-    A_k^2 = sum_y (y+1)^k (D^k f_1(y) - D^k f_2(y))^2 / (f_1(y) v rho + f_2(y) v rho)
-    """
-
-    k: int
-    value: float
-    rho: float
-
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise InvalidInputError("k must be >= 0")
-        if not (self.value >= 0):
-            raise InvalidInputError("A_k^2 must be nonnegative")
-        if not (0 < self.rho <= 1 / math.e):
-            raise InvalidInputError("rho must lie in (0, 1/e]")
-
-
 def _summation_end(crude, k: int) -> int:
     """Summation endpoint past which every weighted term is provably < 1e-25.
 
@@ -165,10 +144,11 @@ def ak_sequence(
     g2: DiscretePrior,
     rho: float,
     k_max: int = 10,
-) -> list[WeightedDiffSequence]:
-    """Weighted squared-difference statistics A_k^2 for k = 0..k_max.
+) -> np.ndarray:
+    """Weighted squared-difference statistics A_k^2, entry k for k = 0..k_max.
 
-    The weight at y is 1 / (max(f_1(y), rho) + max(f_2(y), rho)); the sum is
+    A_k^2 = sum_y (y+1)^k (D^k f_1(y) - D^k f_2(y))^2 / (f_1(y) v rho + f_2(y) v rho),
+    so the weight at y is 1 / (max(f_1(y), rho) + max(f_2(y), rho)); the sum is
     truncated only where a certified envelope proves the remaining terms are
     below 1e-25 in aggregate significance.
     """
@@ -189,7 +169,7 @@ def ak_sequence(
     f2 = pmf_on_range(g2, y_end + k_max)
     w = 1.0 / (np.maximum(f1, rho) + np.maximum(f2, rho))
     ys = np.arange(f1.size, dtype=float)
-    out = []
+    out = np.empty(k_max + 1)
     d1, d2 = f1.copy(), f2.copy()
     for k in range(0, k_max + 1):
         if k > 0:
@@ -197,19 +177,19 @@ def ak_sequence(
             d2 = diff_table(d2, 1, "forward")
         with np.errstate(over="ignore", under="ignore"):
             terms = (ys + 1.0) ** k * (d1 - d2) ** 2 * w
-        out.append(WeightedDiffSequence(k=k, value=float(terms.sum()), rho=rho))
+        out[k] = terms.sum()
     return out
 
 
-def ak_recursion_residuals(seqs: list[WeightedDiffSequence]) -> np.ndarray:
-    """Diagnostic residuals (A_k^2 - A_{k-1} A_{k+1}) / (A_k A_{k-1}).
+def ak_recursion_residuals(ak_sq: np.ndarray) -> np.ndarray:
+    """Diagnostic residuals (A_k^2 - A_{k-1} A_{k+1}) / (A_k A_{k-1}) of `ak_sequence`'s array.
 
     One entry per interior k (1 <= k <= k_max - 1).  NaN where a denominator
     vanishes (identical mixtures).
     """
-    if len(seqs) < 3:
+    if len(ak_sq) < 3:
         raise InvalidInputError("need at least k = 0, 1, 2 to form a residual")
-    a = np.sqrt(np.array([s.value for s in seqs]))
+    a = np.sqrt(np.asarray(ak_sq, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
         res = (a[1:-1] ** 2 - a[:-2] * a[2:]) / (a[1:-1] * a[:-2])
     return res

@@ -168,7 +168,7 @@ _OVERRIDE_KEYS = ("npmle_y0", "npmle_rho", "robbins_y0")  # kept in ExperimentPl
 def parse_plan(text: str) -> ExperimentPlan:
     """Parse a key=value plan file (one pair per line, # comments allowed).
 
-    Keys (an unknown key is an error; the first three are required):
+    Keys (an unknown or repeated key is an error; the first three are required):
 
     ============  =========================================================
     prior         prior spec, e.g. ``family=heavy_tail p=2``
@@ -206,6 +206,8 @@ def parse_plan(text: str) -> ExperimentPlan:
         key = key.strip()
         if key not in _PLAN_KEYS:
             raise InvalidInputError(f"unknown plan key {key!r}")
+        if key in raw:
+            raise InvalidInputError(f"plan key {key!r} is set twice")
         raw[key] = _PLAN_KEYS[key](val.strip())
     if "prior" not in raw or "n_grid" not in raw or "replicates" not in raw:
         raise InvalidInputError("plan needs at least prior, n_grid, replicates")
@@ -305,12 +307,6 @@ class ExperimentReport:
             if r.method == method and r.metric == metric:
                 acc.setdefault(r.n, []).append(r.value)
         return {n: float(np.mean(v)) for n, v in sorted(acc.items())}
-
-    def values(self, n: int, method: str, metric: str) -> list:
-        return [
-            r.value for r in self.rows
-            if r.n == n and r.method == method and r.metric == metric
-        ]
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ __all__ = [
     "DiscretePrior",
     "MixturePmf",
     "log_poisson_pmf",
-    "poisson_tail_bound",
     "mixture_tail_bound",
     "pmf_on_range",
     "log_pmf_on_range",
@@ -143,26 +142,13 @@ class DiscretePrior:
             raise InvalidInputError("moment order must be nonnegative")
         return float(self.weights @ self.atoms ** r)
 
-    @property
-    def mean(self) -> float:
-        return float(self.weights @ self.atoms)
-
     def describe(self) -> str:
         if self.n_atoms == 1:
             return f"point_mass({self.atoms[0]:g})"
         return f"discrete({self.n_atoms} atoms on [{self.atoms[0]:g}, {self.atoms[-1]:g}])"
 
-    # -- serialization ------------------------------------------------------
-
     def to_dict(self) -> dict:
         return {"atoms": self.atoms.tolist(), "weights": self.weights.tolist()}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "DiscretePrior":
-        try:
-            return cls(np.asarray(obj["atoms"]), np.asarray(obj["weights"]))
-        except KeyError as exc:
-            raise InvalidInputError(f"prior dict missing key {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -190,20 +176,12 @@ def _deviation_exponent(theta, t: np.ndarray) -> np.ndarray:
     return np.divide(t * t, 2.0 * (theta + t), out=np.zeros_like(t), where=t > 0)
 
 
-def poisson_tail_bound(theta: float, t: float) -> float:
-    """Upper bound exp(-t^2 / (2(theta + t))) on P(+-(X - theta) > t), t > 0."""
-    if not (t > 0):
-        raise InvalidInputError("deviation t must be positive")
-    if not (theta >= 0):
-        raise InvalidInputError("theta must be nonnegative")
-    return math.exp(-float(_deviation_exponent(theta, np.float64(t))))
-
-
 def mixture_tail_bound(prior: DiscretePrior, y: float) -> float:
     """Certified upper bound on P(Y > y) for the Poisson mixture of `prior`.
 
-    Applies the one-sided deviation bound per atom with t = y - theta (atoms
-    at or above y contribute their full weight).
+    Applies the one-sided deviation bound exp(-t^2 / (2(theta + t))) per atom
+    with t = y - theta (atoms at or above y contribute their full weight); a
+    one-atom prior gives the bound for Poi(theta) itself.
     """
     return float(prior.weights @ np.exp(-_deviation_exponent(prior.atoms, y - prior.atoms)))
 
@@ -337,11 +315,6 @@ class MixturePmf:
     @property
     def y_max(self) -> int:
         return self.values.size - 1
-
-    def f(self, y: int) -> float:
-        if not 0 <= y <= self.y_max:
-            raise InvalidInputError(f"y = {y} outside table range 0..{self.y_max}")
-        return float(self.values[y])
 
 
 def pmf_table(

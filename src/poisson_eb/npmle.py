@@ -138,9 +138,6 @@ class CountHistogram:
         keep = cnts > 0
         return CountHistogram(self.ys[keep], cnts[keep])
 
-    def to_dict(self) -> dict:
-        return {"counts": {str(int(y)): int(c) for y, c in zip(self.ys, self.cnts)}}
-
 
 def _whole_number(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \

@@ -131,13 +131,6 @@ class PriorSpec:
         inner = " ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"{self.family}({inner})" if inner else self.family
 
-    def to_dict(self) -> dict:
-        return {"family": self.family, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "PriorSpec":
-        return cls(obj["family"], dict(obj.get("params", {})))
-
 
 def _parse_value(tok: str):
     for cast in (int, float):
@@ -151,13 +144,18 @@ def _parse_value(tok: str):
 
 
 def parse_prior_spec(text: str) -> PriorSpec:
-    """Parse ``family=heavy_tail p=2``-style key=value prior descriptions."""
+    """Parse ``family=heavy_tail p=2``-style key=value prior descriptions.
+
+    A key given twice is an input error, not a silent override.
+    """
     family = None
     params: dict = {}
     for tok in text.replace("\n", " ").split():
         if "=" not in tok:
             raise InvalidInputError(f"expected key=value, got {tok!r}")
         key, _, raw = tok.partition("=")
+        if key in params or (key == "family" and family is not None):
+            raise InvalidInputError(f"prior spec sets {key!r} twice")
         if key == "family":
             family = raw
         else:
@@ -324,8 +322,6 @@ class ResolvedPrior:
         self.disc_tol = disc_tol
         self.disc_error = disc_error
         self._sample_impl = sample_impl
-        # the continuous families always add their dropped tail mass (> 0)
-        self.exact_discrete = disc_error == 0.0
         self.second_moment_finite = second_moment_finite
         self._cache: dict = {}
 
@@ -543,7 +539,7 @@ def resolve(spec: PriorSpec, p: float | None = None, disc_tol: float = 1e-6,
             n_bits = _assouad_shape(n, p_eff, m_p, c_p)[1]
             tau = _generator(seed, 0xA55).integers(0, 2, size=n_bits).tolist()
         elif isinstance(tau, (int, float)):
-            tau = [int(tau)]
+            tau = [tau]
         prior = assouad_prior(tau, n, p_eff, m_p, c_p)
     else:
         raise InvalidInputError(f"unknown family {family!r}")  # pragma: no cover
@@ -584,8 +580,8 @@ def assouad_prior(tau, n: int, p: float, m_p: float = 1.0, c_p: float = 0.1) -> 
     """
     x, n_bits, i0 = _assouad_shape(n, p, m_p, c_p)
     N = i0 + n_bits - 1
-    tau = np.asarray(tau, dtype=int)
-    if tau.shape != (n_bits,) or np.any((tau != 0) & (tau != 1)):
+    tau = np.asarray(tau, dtype=object)  # no cast before the check: 0.5 is not a bit
+    if tau.shape != (n_bits,) or not all(bit in (0, 1) for bit in tau):
         raise InvalidInputError(f"tau must be {n_bits} bits for n={n:g} (indices {i0}..{N})")
     log2n = math.log(n) ** 2
     idx = np.arange(i0, N + 1, dtype=float)

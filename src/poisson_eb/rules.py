@@ -14,10 +14,13 @@ at zero:
 
     (y+1) * ((f(y+1) - f(y)) / max(f(y), rho) + 1),   y <= y0;   y otherwise.
 
-`fit_rule` tabulates each rule on y = 0..y_cap and is the only place these
-formulas live.  `robbins`, `robbins_truncated` and `npmle_eb` are pointwise
-views of it (tabulate up to y, read cell y); leave-one-out callers feed its
-frequency-ratio helper `ratio_table` with N(y) - 1.
+`fit_rule` tabulates each data-driven rule on y = 0..y_cap, from training
+counts or a fitted mixing distribution, and is the only place these formulas
+live.  `robbins`, `robbins_truncated` and `npmle_eb` are pointwise views of it
+(tabulate up to y, read cell y); leave-one-out callers feed its
+frequency-ratio helper `ratio_table` with N(y) - 1.  The oracle, the Bayes
+rule theta_G(y) of the true prior, reads no data: its table is
+`ResolvedPrior.oracle_table`, and `fit_rule` refuses it.
 
 `tune_defaults` provides the truncation/regularization schedule as a function
 of the sample size and the assumed finite p-th moment of the mean
@@ -33,11 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedRegimeError
-from .mixtures import (
-    DiscretePrior,
-    pmf_on_range,
-    posterior_mean_table,
-)
+from .mixtures import DiscretePrior, pmf_on_range
 from .npmle import CountHistogram, NpmleFit
 
 __all__ = [
@@ -99,10 +98,6 @@ class EstimatorConfig:
         if not (0 < self.npmle_tol < 1):
             raise InvalidInputError("npmle_tol must lie in (0, 1)")
 
-    @property
-    def cli_name(self) -> str:
-        return {v: k for k, v in CLI_KIND_NAMES.items()}[self.kind]
-
 
 class RobbinsEstimate(NamedTuple):
     """A frequency-ratio estimate plus its hazard flag (None when clean)."""
@@ -117,11 +112,15 @@ class RobbinsEstimate(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class FittedRule:
-    """A rule tabulated on y = 0..y_cap, with provenance and hazard flags."""
+    """A rule tabulated on y = 0..y_cap, with its hazard flags.
+
+    `flags` maps a hazard name to its count: for the plain frequency ratio,
+    "degenerate" and "infinite" cells below the largest training count; for
+    the mixture rule, "solver_not_converged" 1 when its fit is uncertified.
+    """
 
     config: EstimatorConfig
     table: np.ndarray
-    provenance: str
     flags: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -181,35 +180,27 @@ def fit_rule(
     config: EstimatorConfig,
     y_cap: int,
     train: CountHistogram | None = None,
-    prior: DiscretePrior | None = None,
-    fit: NpmleFit | None = None,
+    fit: NpmleFit | DiscretePrior | None = None,
 ) -> FittedRule:
-    """Tabulate a configured rule on y = 0..y_cap.
+    """Tabulate a configured data-driven rule on y = 0..y_cap.
 
-    Requirements by kind: ``oracle`` needs `prior` (the true mixing
-    distribution); the frequency-ratio kinds need `train`; ``npmle_eb`` needs
-    `fit` (an NpmleFit or DiscretePrior).  The truncation contract is
-    enforced here: entries beyond y0 are exactly y.
+    The frequency-ratio kinds need `train` (the training counts); ``npmle_eb``
+    needs `fit` (an NpmleFit or DiscretePrior).  The ``oracle`` kind is
+    refused: its table is `ResolvedPrior.oracle_table`.  The truncation
+    contract is enforced here: entries beyond y0 are exactly y.
     """
     if y_cap < 0:
         raise InvalidInputError("y_cap must be >= 0")
     ys = np.arange(y_cap + 1, dtype=float)
     flags: dict = {}
 
-    if config.kind == "oracle":
-        if prior is None:
-            raise InvalidInputError("oracle rule needs the true prior")
-        table = posterior_mean_table(prior, y_cap)
-        provenance = f"oracle({prior.describe()})"
-
-    elif config.kind in ("robbins_plain", "robbins_addone", "robbins_trunc"):
+    if config.kind in ("robbins_plain", "robbins_addone", "robbins_trunc"):
         if train is None:
             raise InvalidInputError("frequency-ratio rules need training counts")
         counts = _robbins_counts(train, y_cap)
         table, hazards = ratio_table(config, ys, (ys + 1.0) * counts[1:], counts[:-1])
         # cells from y_max on are 0/0 or the last count: counting them measures the table
         flags = {name: int(mask[: train.y_max].sum()) for name, mask in hazards.items()}
-        provenance = f"{config.kind}(n_train={train.n})"
 
     elif config.kind == "npmle_eb":
         src = fit.prior if isinstance(fit, NpmleFit) else fit
@@ -219,16 +210,14 @@ def fit_rule(
         f = pmf_on_range(src, k)
         head = (ys[:k] + 1.0) * ((f[1:] - f[:-1]) / np.maximum(f[:-1], config.rho) + 1.0)
         table = np.concatenate([np.maximum(head, 0.0), ys[k:]])
-        provenance = f"npmle_eb({src.describe()}, rho={config.rho:g})"
-        if isinstance(fit, NpmleFit):
-            provenance += f", kkt_gap={fit.kkt_gap:.2e}"
-            if not fit.converged:
-                flags["solver_not_converged"] = 1
+        if isinstance(fit, NpmleFit) and not fit.converged:
+            flags["solver_not_converged"] = 1
 
-    else:  # pragma: no cover - kinds validated in EstimatorConfig
-        raise InvalidInputError(f"unknown kind {config.kind!r}")
+    else:  # the oracle: kinds are validated in EstimatorConfig
+        raise InvalidInputError("the oracle rule reads no data; its table is "
+                                "ResolvedPrior.oracle_table")
 
-    return FittedRule(config=config, table=table, provenance=provenance, flags=flags)
+    return FittedRule(config=config, table=table, flags=flags)
 
 
 def robbins(data: CountHistogram, y: int, addone: bool = False) -> RobbinsEstimate:

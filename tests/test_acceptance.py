@@ -76,9 +76,10 @@ def test_weighted_difference_caps_on_random_pairs():
     for _ in range(50):
         g1, g2 = _random_discrete_prior(rng), _random_discrete_prior(rng)
         for rho in (1e-4, 1e-6):
-            for entry in differences.ak_sequence(g1, g2, rho, k_max=10)[1:]:
-                cap = 4.0 * entry.k ** entry.k / rho
-                assert entry.value <= cap, (entry.k, rho, entry.value / cap)
+            ak_sq = differences.ak_sequence(g1, g2, rho, k_max=10)
+            for k in range(1, 11):
+                cap = 4.0 * k ** k / rho
+                assert ak_sq[k] <= cap, (k, rho, ak_sq[k] / cap)
         for g in (g1, g2):
             for k in (2, 4, 6, 8, 10):
                 fb = differences.forward_weighted_diff_sum(g, k)

@@ -8,8 +8,11 @@ import pytest
 from click.testing import CliRunner
 
 import poisson_eb
+from poisson_eb import cli
 from poisson_eb import experiments as ex
 from poisson_eb.cli import main
+from poisson_eb.errors import NumericalFailureError
+from poisson_eb.verify import CheckResult
 
 PLAN_TEXT = """\
 name = cli_demo
@@ -201,10 +204,39 @@ def test_regret_sweep_rejects_bad_plan(runner, tmp_path):
     "p = nan",                              # a NaN moment order
 ])
 def test_regret_sweep_rejects_bad_plan_values(runner, tmp_path, bad):
-    plan = write(tmp_path, "plan.txt", PLAN_TEXT + bad + "\n")
+    # the bad line replaces the plan's own line for its key, if any
+    key = bad.partition("=")[0].strip()
+    kept = [line for line in PLAN_TEXT.splitlines() if line.partition("=")[0].strip() != key]
+    plan = write(tmp_path, "plan.txt", "\n".join(kept + [bad]) + "\n")
     result = runner.invoke(main, ["regret-sweep", plan])
     assert result.exit_code == 2, result.output
     assert "bad plan" in result.output
+    assert "twice" not in result.output
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("replicates = 50", "plan key 'replicates' is set twice"),
+    ("prior = family=heavy_tail p=2 p=3", "plan key 'prior' is set twice"),
+])
+def test_regret_sweep_rejects_a_repeated_key(runner, tmp_path, extra, message):
+    plan = write(tmp_path, "plan.txt", PLAN_TEXT + extra + "\n")
+    result = runner.invoke(main, ["regret-sweep", plan])
+    assert result.exit_code == 2, result.output
+    assert f"bad plan: {message}" in result.output
+
+
+def test_regret_sweep_out_slopes_writes_the_slope_summary(runner, tmp_path):
+    text = PLAN_TEXT.replace("n_grid = 20,40", "n_grid = 20,60,200,700").replace(
+        "replicates = 2", "replicates = 1")
+    rows, slopes = tmp_path / "rows.csv", tmp_path / "slopes.csv"
+    result = runner.invoke(main, ["regret-sweep", write(tmp_path, "plan.txt", text),
+                                  "--out", str(rows), "--out-slopes", str(slopes)])
+    assert result.exit_code == 0, result.output
+    report = ex.run_plan(ex.parse_plan(text))
+    assert rows.read_text() == report.rows_csv()
+    assert slopes.read_text() == report.slopes_csv()
+    assert slopes.read_text().splitlines()[2] == "method,metric,slope,ci_lo,ci_hi,n_points"
+    assert len(report.slopes) == 4                   # 2 methods x 2 metrics
 
 
 def test_regret_sweep_rejects_negative_seed_option(runner, tmp_path):
@@ -323,6 +355,26 @@ def test_verify_command_passes(runner):
     assert result.exit_code == 0, result.output
     assert "6/6 checks passed" in result.output
     assert "[FAIL]" not in result.output
+
+
+def test_verify_command_exits_1_when_a_check_fails(runner, monkeypatch):
+    results = [CheckResult("fine", True, 0.0), CheckResult("broken", False, 2.0, "off")]
+    monkeypatch.setattr(cli, "run_all", lambda: results)
+    result = runner.invoke(main, ["verify"])
+    assert result.exit_code == 1, result.output
+    assert "[FAIL] broken: worst=2.000e+00 off" in result.output
+    assert "1/2 checks passed" in result.output
+
+
+def test_numerical_failure_exits_3(runner, monkeypatch):
+    def uncertifiable(*args, **kwargs):
+        raise NumericalFailureError("could not certify the discretization")
+
+    monkeypatch.setattr(cli, "resolve", uncertifiable)
+    result = runner.invoke(main, ["moment-match", "--source", "family=heavy_tail p=2",
+                                  "--m", "64", "--eta", "1e-2"])
+    assert result.exit_code == 3, result.output
+    assert "error: could not certify the discretization" in result.output
 
 
 def test_cli_import_skips_scipy_stats():

@@ -7,7 +7,6 @@ from scipy.special import comb
 
 from poisson_eb.errors import InvalidInputError
 from poisson_eb.differences import (
-    WeightedDiffSequence,
     ak_recursion_residuals,
     ak_sequence,
     charlier,
@@ -160,15 +159,15 @@ D23 = (DiscretePrior([2.0], [1.0]), DiscretePrior([3.0], [1.0]))
 
 def test_ak_sequence_frozen_point_mass_pair():
     # direct sums over y <= 170 (terms below float underflow beyond), rho=1e-4
-    seqs = ak_sequence(*D23, rho=1e-4, k_max=2)
-    assert seqs[1].value == pytest.approx(0.2498507491189233, rel=1e-10)
-    assert seqs[2].value == pytest.approx(0.5638484578761382, rel=1e-10)
+    ak_sq = ak_sequence(*D23, rho=1e-4, k_max=2)
+    assert ak_sq.shape == (3,)
+    assert ak_sq[1] == pytest.approx(0.2498507491189233, rel=1e-10)
+    assert ak_sq[2] == pytest.approx(0.5638484578761382, rel=1e-10)
 
 
 def test_ak_sequence_identical_mixtures_vanish():
     g = DiscretePrior([1.0, 4.0], [0.3, 0.7])
-    for s in ak_sequence(g, g, rho=1e-5, k_max=4):
-        assert s.value == 0.0
+    np.testing.assert_array_equal(ak_sequence(g, g, rho=1e-5, k_max=4), np.zeros(5))
 
 
 def test_ak_cap_bound():
@@ -179,16 +178,14 @@ def test_ak_cap_bound():
     ]
     for rho in (1e-3, 1e-5):
         for g1, g2 in pairs:
-            for s in ak_sequence(g1, g2, rho=rho, k_max=10):
-                if s.k == 0:
-                    continue
-                assert s.value <= 4.0 * s.k ** s.k / rho
+            ak_sq = ak_sequence(g1, g2, rho=rho, k_max=10)
+            for k in range(1, 11):
+                assert ak_sq[k] <= 4.0 * k ** k / rho
 
 
 def test_ak_recursion_residual_scale():
     rho = 1e-4
-    seqs = ak_sequence(*D23, rho=rho, k_max=8)
-    res = ak_recursion_residuals(seqs)
+    res = ak_recursion_residuals(ak_sequence(*D23, rho=rho, k_max=8))
     cap = 100.0 * math.log(1.0 / rho)
     for i, r in enumerate(res):
         if np.isfinite(r):
@@ -202,8 +199,6 @@ def test_ak_validation():
         ak_sequence(*D23, rho=0.0)
     with pytest.raises(InvalidInputError):
         ak_sequence(*D23, rho=1e-4, k_max=0)
-    with pytest.raises(InvalidInputError):
-        WeightedDiffSequence(k=1, value=-1.0, rho=1e-4)
     with pytest.raises(InvalidInputError):
         ak_recursion_residuals(ak_sequence(*D23, rho=1e-4, k_max=1))
 

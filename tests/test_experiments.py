@@ -22,6 +22,7 @@ from poisson_eb.experiments import (
     run_plan,
     total_regret_trial,
 )
+from poisson_eb.mixtures import posterior_mean_table
 from poisson_eb.npmle import CountHistogram
 from poisson_eb.priors import PriorSpec, ResolvedPrior, resolve
 from poisson_eb.rules import CLI_KIND_NAMES, EstimatorConfig, fit_rule
@@ -119,6 +120,31 @@ def test_parse_plan_errors():
         parse_plan("voltage = 9\n" + PLAN_TEXT)                  # unknown key
     with pytest.raises(InvalidInputError):
         parse_plan("just a line\n")
+
+
+@pytest.mark.parametrize("line, key", [
+    ("replicates = 50", "replicates"),
+    ("prior = family=heavy_tail p=2", "prior"),
+    ("npmle_y0 = 4\nnpmle_y0 = 5", "npmle_y0"),
+])
+def test_parse_plan_refuses_a_repeated_key(line, key):
+    # a second value must not silently replace the first
+    with pytest.raises(InvalidInputError, match=f"plan key '{key}' is set twice"):
+        parse_plan(PLAN_TEXT + line + "\n")
+
+
+def test_robbins_y0_override_reaches_the_trial_config():
+    config = ex._default_config(TP, 20, "robbins-trunc", overrides={"robbins_y0": 3})
+    assert config == EstimatorConfig("robbins_trunc", y0=3)
+    rep = run_plan(small_plan(methods=("robbins-trunc",), metrics=("individual_regret",),
+                              overrides={"robbins_y0": 3}), resolved=TP)
+    for row in rep.rows:
+        key = ex._stream_key(11, row.n, row.replicate, ex._PURPOSE_TRAIN)
+        value, _, _ = individual_regret_trial(TP, row.n, "robbins-trunc", key, config=config)
+        assert row.value == value
+    tuned = run_plan(small_plan(methods=("robbins-trunc",), metrics=("individual_regret",)),
+                     resolved=TP)
+    assert [r.value for r in tuned.rows] != [r.value for r in rep.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +339,7 @@ def test_leave_one_out_tables_match_per_y_refits():
         ref_est, ref_flags = [], []
         for y in hist.ys.tolist():
             if config.kind == "oracle":
-                ref_est.append(fit_rule(config, y, prior=TP.discretization).table[y])
+                ref_est.append(posterior_mean_table(TP.discretization, y)[y])
                 continue
             train = hist.remove_one(y)
             value = fit_rule(config, y, train=train).table[y]
@@ -417,10 +443,12 @@ def test_run_plan_header_and_accessors():
     assert "two_point" in head and "seed=11" in head and "poisson_eb" in head
     means = rep.mean_by_n("robbins", "individual_regret")
     assert sorted(means) == [20, 40]
-    assert means[20] == pytest.approx(
-        float(np.mean(rep.values(20, "robbins", "individual_regret")))
-    )
-    assert len(rep.values(40, "robbins-addone", "total_regret")) == 2
+    assert means[20] == pytest.approx(float(np.mean(
+        [r.value for r in rep.rows
+         if (r.n, r.method, r.metric) == (20, "robbins", "individual_regret")]
+    )))
+    assert sum((r.n, r.method, r.metric) == (40, "robbins-addone", "total_regret")
+               for r in rep.rows) == 2
 
 
 def test_run_plan_direct_total_rows():

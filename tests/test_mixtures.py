@@ -21,7 +21,6 @@ from poisson_eb.mixtures import (
     pmf_and_moment_tables,
     pmf_table,
     poisson_divergences,
-    poisson_tail_bound,
     posterior_mean_table,
     posterior_moment_table,
 )
@@ -53,7 +52,7 @@ def test_prior_rejects_bad_weights():
 
 
 def test_prior_moments_and_mean():
-    assert G15.mean == pytest.approx(3.0)
+    assert G15.moment(1) == pytest.approx(3.0)
     assert G15.moment(2) == pytest.approx(13.0)
     assert G15.moment(0) == pytest.approx(1.0)
     g0 = DiscretePrior([0.0], [1.0])
@@ -61,7 +60,7 @@ def test_prior_moments_and_mean():
 
 
 def test_prior_dict_round_trip():
-    g2 = DiscretePrior.from_dict(G15.to_dict())
+    g2 = DiscretePrior(**G15.to_dict())
     np.testing.assert_allclose(g2.atoms, G15.atoms)
     np.testing.assert_allclose(g2.weights, G15.weights)
 
@@ -100,7 +99,7 @@ def test_pmf_table_matches_direct_mixture():
         direct = 0.5 * math.exp(-1.0) / math.factorial(y) + 0.5 * math.exp(
             y * math.log(5.0) - 5.0 - math.lgamma(y + 1)
         )
-        assert t.f(y) == pytest.approx(direct, rel=1e-12)
+        assert t.values[y] == pytest.approx(direct, rel=1e-12)
 
 
 def test_pmf_min_len_extends_table():
@@ -140,7 +139,7 @@ def test_mmse_exact_enumeration_oracle():
 
 
 def test_mmse_bounded_by_prior_variance():
-    var = G15.moment(2) - G15.mean ** 2
+    var = G15.moment(2) - G15.moment(1) ** 2
     val, _ = mmse_exact(G15)
     assert 0.0 < val < var
 
@@ -199,8 +198,9 @@ def test_hellinger_rejects_fat_joint_tails():
 # ---------------------------------------------------------------------------
 
 def test_poisson_tail_bound_value():
-    # exp(-t^2 / (2 (theta + t)))
-    assert poisson_tail_bound(1.0, 10.0) == pytest.approx(0.010615346461976673, rel=1e-12)
+    # a one-atom prior: exp(-t^2 / (2 (theta + t))) at theta = 1, t = y - theta = 10
+    bound = mixture_tail_bound(DiscretePrior([1.0], [1.0]), 11.0)
+    assert bound == pytest.approx(0.010615346461976673, rel=1e-12)
 
 
 def test_poisson_tail_bound_dominates_exact_tail():
@@ -208,7 +208,7 @@ def test_poisson_tail_bound_dominates_exact_tail():
     pmf = np.exp(log_poisson_pmf(np.arange(200, dtype=float), np.array(theta)))
     for t in (2.0, 5.0, 10.0, 25.0):
         exact = float(pmf[int(theta + t) + 1 :].sum())
-        assert exact <= poisson_tail_bound(theta, t) + 1e-15
+        assert exact <= mixture_tail_bound(DiscretePrior([theta], [1.0]), theta + t) + 1e-15
 
 
 def test_mixture_tail_bound_dominates():

@@ -39,8 +39,7 @@ def test_spec_validation_and_round_trip():
     with pytest.raises(InvalidInputError):
         PriorSpec("lognormal")
     spec = PriorSpec("two_point", {"eps": 0.2, "a": 5.0})
-    again = PriorSpec.from_dict(spec.to_dict())
-    assert again.family == "two_point" and again.params == spec.params
+    assert parse_prior_spec("family=two_point eps=0.2 a=5.0") == spec
     assert "two_point" in spec.describe()
 
 
@@ -55,6 +54,17 @@ def test_parse_prior_spec():
         parse_prior_spec("p=2")                   # no family
     with pytest.raises(InvalidInputError):
         parse_prior_spec("family=heavy_tail p")   # not key=value
+
+
+@pytest.mark.parametrize("text, key", [
+    ("family=heavy_tail p=2 p=3", "p"),
+    ("family=heavy_tail family=two_point eps=0.2 a=5", "family"),
+    ("family=discrete atoms=1,5 weights=0.5,0.5 atoms=2,6", "atoms"),
+])
+def test_parse_prior_spec_refuses_a_repeated_key(text, key):
+    # a second value must not silently replace the first
+    with pytest.raises(InvalidInputError, match=f"sets '{key}' twice"):
+        parse_prior_spec(text)
 
 
 @pytest.mark.parametrize("family, params, missing", [
@@ -93,7 +103,7 @@ def test_parse_prior_spec_refuses_a_misspelt_parameter():
 
 def test_point_mass_resolution():
     r = resolve(PriorSpec("point_mass", {"value": 2.5}), p=2.0)
-    assert r.exact_discrete
+    assert r.disc_error == 0.0
     assert r.discretization.atoms.tolist() == [2.5]
     assert r.p_moment == pytest.approx(6.25)
 
@@ -108,7 +118,6 @@ def test_point_mass_resolution():
 def test_exact_families_are_their_own_discretization(spec):
     r = resolve(spec, p=1.5 if spec.family != "assouad" else None, seed=2)
     assert r.disc_error == 0.0
-    assert r.exact_discrete
     assert r.second_moment_finite is True
     assert r.p_moment == r.discretization.moment(r.p)
     assert np.all(np.isin(r.sample(7, 500), r.discretization.atoms))
@@ -131,7 +140,7 @@ def test_moment_class_extremal_structure():
     d = r.discretization
     np.testing.assert_allclose(d.atoms, [0.0, 8.0])
     np.testing.assert_allclose(d.weights, [0.75, 0.25])
-    assert d.mean == pytest.approx(2.0)
+    assert d.moment(1) == pytest.approx(2.0)
     with pytest.raises(InvalidInputError):
         resolve(PriorSpec("moment_class_extremal", {"u": 1.0}))
 
@@ -210,7 +219,7 @@ def test_heavy_tail_zero_mass_and_moment():
 
 
 def test_heavy_tail_discretization_certified():
-    assert not HT2.exact_discrete
+    assert HT2.disc_error > 0.0  # the dropped tail mass
     assert HT2.disc_error <= HT2.disc_tol
     # rebuild the certified rule from its quadrature, then re-check it against
     # one with twice and eight times the panels
@@ -398,6 +407,29 @@ def test_assouad_resolution_deterministic():
     r3 = resolve(spec, seed=4)
     np.testing.assert_array_equal(r1.discretization.atoms, r2.discretization.atoms)
     assert not np.array_equal(r1.discretization.atoms, r3.discretization.atoms)
+
+
+@pytest.mark.parametrize("tau", [0.5, 0.7, float("nan"), [0.5], "1"])
+def test_assouad_refuses_a_tau_that_is_not_a_bit(tau):
+    # checked before any cast, which would truncate 0.5 to the bit 0
+    with pytest.raises(InvalidInputError, match="tau must be 1 bits"):
+        resolve(PriorSpec("assouad", {"n": 10_000, "c_p": 1.5, "tau": tau}))
+    for bits in ([0.5, 0.5], [0, 0.7]):
+        with pytest.raises(InvalidInputError, match="tau must be 2 bits"):
+            assouad_prior(bits, 10_000, 2.0, 1.0, 3.0)
+
+
+def test_assouad_whole_bits_build_the_same_prior():
+    # scalar and list, int and whole float: the same atoms and weights, bit for bit
+    for tau in (1, 1.0, [1]):
+        d = resolve(PriorSpec("assouad", {"n": 10_000, "c_p": 1.5, "tau": tau})).discretization
+        assert d.atoms.tolist() == [0.0, 212.07912428279]
+        assert d.weights.tolist() == [0.9999995285109385, 4.714890614371891e-07]
+    spec = PriorSpec("assouad", {"n": 10_000, "p": 2.0, "c_p": 3.0, "tau": [0, 1]})
+    for g in (assouad_prior([0, 1], 10_000, 2.0, 1.0, 3.0), resolve(spec).discretization):
+        assert g.atoms.tolist() == [0.0, 212.07592441913596, 551.4116217446285]
+        assert g.weights.tolist() == [0.999999466421844, 4.714890614371891e-07,
+                                      6.208909451024713e-08]
 
 
 # ---------------------------------------------------------------------------

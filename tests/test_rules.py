@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -72,7 +73,7 @@ def test_npmle_eb_matches_posterior_ratio_when_floor_inactive():
     table = pmf_table(G15)
     for y in range(6):
         est = npmle_eb(G15, y, rho=1e-12)
-        assert est == pytest.approx((y + 1) * table.f(y + 1) / table.f(y), rel=1e-10)
+        assert est == pytest.approx((y + 1) * table.values[y + 1] / table.values[y], rel=1e-10)
 
 
 def test_npmle_eb_floor_and_truncation():
@@ -142,10 +143,13 @@ def test_fit_rule_trunc_contract():
 
 
 def test_fit_rule_oracle_is_posterior_mean():
-    rule = fit_rule(EstimatorConfig("oracle"), y_cap=7, prior=G15)
-    np.testing.assert_allclose(rule.table, posterior_mean_table(G15, 7), rtol=1e-12)
-    with pytest.raises(InvalidInputError):
-        fit_rule(EstimatorConfig("oracle"), y_cap=7)
+    # the oracle reads no data: fit_rule refuses it, and its table is the
+    # resolved prior's posterior-mean table
+    with pytest.raises(InvalidInputError, match="ResolvedPrior.oracle_table"):
+        fit_rule(EstimatorConfig("oracle"), y_cap=7, train=TRAIN, fit=G15)
+    resolved = resolve(PriorSpec("discrete", {"atoms": [1.0, 5.0], "weights": [0.5, 0.5]}))
+    np.testing.assert_allclose(resolved.oracle_table(7), posterior_mean_table(G15, 7),
+                               rtol=1e-12)
 
 
 def test_fit_rule_npmle_eb_matches_pointwise_and_is_nonnegative():
@@ -157,7 +161,6 @@ def test_fit_rule_npmle_eb_matches_pointwise_and_is_nonnegative():
         )
     assert np.all(rule.table >= 0.0)
     np.testing.assert_array_equal(rule.table[5:], np.arange(5.0, 9.0))
-    assert "npmle_eb" in rule.provenance
     # the cells up to y0 do not depend on how far the table reaches
     full = fit_rule(EstimatorConfig("npmle_eb", rho=1e-6), y_cap=40, fit=G15)
     np.testing.assert_array_equal(rule.table[:5], full.table[:5])
@@ -166,8 +169,12 @@ def test_fit_rule_npmle_eb_matches_pointwise_and_is_nonnegative():
 def test_fit_rule_records_solver_certificate():
     fit = fit_npmle([2, 2, 2])
     rule = fit_rule(EstimatorConfig("npmle_eb"), y_cap=4, fit=fit)
-    assert "kkt_gap" in rule.provenance
-    assert "solver_not_converged" not in rule.flags
+    assert fit.converged and "solver_not_converged" not in rule.flags
+    uncertified = dataclasses.replace(fit, converged=False)
+    rule = fit_rule(EstimatorConfig("npmle_eb"), y_cap=4, fit=uncertified)
+    assert rule.flags == {"solver_not_converged": 1}
+    # a bare prior carries no certificate to flag
+    assert fit_rule(EstimatorConfig("npmle_eb"), y_cap=4, fit=fit.prior).flags == {}
 
 
 def test_bounded_beyond_table_covers_every_kind():
@@ -199,16 +206,16 @@ def test_fit_rule_requirements():
         fit_rule(EstimatorConfig("robbins_plain"), y_cap=3)      # no train
     with pytest.raises(InvalidInputError):
         fit_rule(EstimatorConfig("npmle_eb"), y_cap=3)           # no fit
-    with pytest.raises(InvalidInputError):
-        fit_rule(EstimatorConfig("oracle"), y_cap=-1, prior=G15)
+    with pytest.raises(InvalidInputError, match="y_cap"):
+        fit_rule(EstimatorConfig("robbins_addone"), y_cap=-1, train=TRAIN)
 
 
 def test_fitted_rule_validation():
     cfg = EstimatorConfig("oracle")
     with pytest.raises(InvalidInputError):
-        FittedRule(config=cfg, table=np.array([1.0, -0.5]), provenance="x")
+        FittedRule(config=cfg, table=np.array([1.0, -0.5]))
     with pytest.raises(InvalidInputError):
-        FittedRule(config=cfg, table=np.array([]), provenance="x")
+        FittedRule(config=cfg, table=np.array([]))
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +240,9 @@ def test_estimator_config_validation():
 
 
 def test_cli_names_cover_all_kinds():
+    # one CLI name per kind, so the map inverts
     assert set(CLI_KIND_NAMES.values()) == set(ESTIMATOR_KINDS)
-    for kind in ESTIMATOR_KINDS:
-        assert EstimatorConfig(kind).cli_name in CLI_KIND_NAMES
+    assert len(CLI_KIND_NAMES) == len(ESTIMATOR_KINDS)
 
 
 def test_tune_defaults_frozen_reference_point():
