@@ -10,6 +10,9 @@ priors (`moment_match`), and a reproducible Monte Carlo harness
 (`experiments`).
 """
 
+import numpy.ma  # noqa: F401  numpy loads these two on first use (np.unique, sampling):
+import numpy.random  # noqa: F401  here, so that no trial pays the import
+
 from ._version import __version__
 from .errors import (
     DegenerateSupportError,

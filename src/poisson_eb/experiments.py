@@ -51,7 +51,7 @@ import numpy as np
 from ._version import __version__
 from .errors import InvalidInputError, UnsupportedRegimeError
 from .mixtures import hellinger_sq, pmf_table
-from .npmle import CountHistogram, fit_npmle
+from .npmle import CountHistogram, fit_npmle, load_solver
 from .priors import PriorSpec, ResolvedPrior, parse_prior_spec, resolve
 from .rules import (
     CLI_KIND_NAMES,
@@ -142,13 +142,15 @@ class ExperimentPlan:
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "metrics", tuple(self.metrics))
+        if "npmle" in self.methods or "hellinger_sq" in self.metrics:  # the plan fits NPMLEs:
+            load_solver()  # its solver's import is set-up, not the first trial's cost
 
 
 _PLAN_KEYS = {
     "name": str,
     "prior": str,
     "p": float,
-    "n_grid": str,
+    "n_grid": lambda text: tuple(int(tok) for tok in text.split(",")),
     "replicates": int,
     "methods": str,
     "metrics": str,
@@ -208,12 +210,15 @@ def parse_plan(text: str) -> ExperimentPlan:
             raise InvalidInputError(f"unknown plan key {key!r}")
         if key in raw:
             raise InvalidInputError(f"plan key {key!r} is set twice")
-        raw[key] = _PLAN_KEYS[key](val.strip())
+        try:
+            raw[key] = _PLAN_KEYS[key](val.strip())
+        except ValueError:
+            raise InvalidInputError(f"plan key {key!r}: malformed number {val.strip()!r}") from None
     if "prior" not in raw or "n_grid" not in raw or "replicates" not in raw:
         raise InvalidInputError("plan needs at least prior, n_grid, replicates")
     overrides = {k: raw.pop(k) for k in _OVERRIDE_KEYS if k in raw}
     prior = parse_prior_spec(raw.pop("prior"))
-    n_grid = tuple(int(tok) for tok in raw.pop("n_grid").split(","))
+    n_grid = raw.pop("n_grid")
     methods = tuple(tok.strip() for tok in raw.pop("methods", "").split(",") if tok.strip())
     metrics = tuple(
         tok.strip() for tok in raw.pop("metrics", "individual_regret").split(",") if tok.strip()

@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import InvalidInputError, MomentDegeneracyError
 from .mixtures import DiscretePrior, pmf_on_range
@@ -110,6 +109,7 @@ def _stieltjes_gauss(atoms: np.ndarray, weights: np.ndarray, n: int,
             raise MomentDegeneracyError("discrete measure exhausted before target degree")
         betas[k] = math.sqrt(norm2)
         p_prev, p = p, q / betas[k]
+    from scipy.linalg import eigh_tridiagonal
     # Golub-Welsch: nodes are the Jacobi matrix's eigenvalues, weights the
     # squared first components of its eigenvectors
     t_nodes, vecs = eigh_tridiagonal(alphas, betas)

@@ -25,11 +25,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
-from scipy.special import gammaln
 
 from .errors import InvalidInputError
-from .mixtures import WEIGHT_FLOOR, DiscretePrior, _log_mix, log_poisson_pmf
+from .mixtures import WEIGHT_FLOOR, DiscretePrior, _log_mix, log_factorial, log_poisson_pmf
 
 __all__ = [
     "CountHistogram",
@@ -40,6 +38,7 @@ __all__ = [
     "directional_derivative",
     "kkt_gap_on_grid",
     "fit_npmle",
+    "load_solver",
 ]
 
 _SUM_ROW_WEIGHT = 1e3  # NNLS weight of the sum-to-one row, times sqrt(n)
@@ -47,6 +46,18 @@ _RATIO_FLOOR = math.exp(-600.0)  # NNLS columns whose largest Poi/f is lower get
 _NEWTON_STEPS = 40  # bisection alone shrinks a bracket by 2^-40
 _GRID_DENSITY = 4.0  # scan points per unit of sqrt(theta)
 _SUPPORT_SLACK = 16  # atoms past the distinct-y count, which bounds an NPMLE's support
+
+
+def load_solver() -> None:
+    """Bind `nnls` to scipy's; only NPMLE fits pay the ``scipy.optimize`` import (~0.4 s)."""
+    global nnls
+    from scipy.optimize import nnls
+
+
+def nnls(A, b):
+    """scipy.optimize.nnls, loaded by this first call (see `load_solver`)."""
+    load_solver()
+    return nnls(A, b)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +434,7 @@ def fit_npmle(
 
     ys, cnts = data.ys.astype(float), data.cnts.astype(float)
     n, log_n = float(data.n), math.log(data.n)
-    lgam = gammaln(ys + 1.0)
+    lgam = log_factorial(ys)
     logP = log_poisson_pmf(ys[:, None], atoms[None, :])
     # D on the scan is one product with the row-scaled kernel
     logP_scan = log_poisson_pmf(ys[:, None], scan[None, :])

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.special import exp1, expn, gammaincc
 
 from .errors import (
     InvalidInputError,
@@ -120,6 +119,10 @@ class PriorSpec:
                 )
             if isinstance(value, list) and key not in _LIST_PARAMS.get(self.family, ()):
                 raise InvalidInputError(f"prior parameter {key!r} takes one value, not a list")
+            try:
+                np.asarray(value, dtype=float)
+            except (TypeError, ValueError):
+                raise InvalidInputError(f"prior parameter {key}={value!r} is no number") from None
 
     def param(self, key: str):
         """The required parameter `key`; a missing one is an input error."""
@@ -169,6 +172,30 @@ def parse_prior_spec(text: str) -> PriorSpec:
 # heavy-tail family internals
 # ---------------------------------------------------------------------------
 
+def _e2(x: float) -> float:
+    """E_2(x) = integral_1^inf e^{-x t} t^{-2} dt, as cephes ``expn(2, x)`` computes it."""
+    eps = 2.0 ** -53
+    if not 0 < x <= 7.09782712893383996843e2:  # E_2(0) = 1, and exp(-x) underflows past this
+        return 1.0 if x == 0 else 0.0 if x > 0 else math.nan
+    if x <= 1.0:  # the power series (DLMF 8.19.8); its k = 1 term is the -x psi returned
+        psi, yk, k, ans = -0.57721566490153286060 - math.log(x) + 1.0, -x, 1, -1.0
+        while k == 1 or abs(yk / ans) > eps:
+            k += 1
+            yk *= -x / k
+            ans += yk / (k - 1)
+        return -x * psi - ans
+    k, pkm2, qkm2, pkm1, qkm1, ans, t = 1, 1.0, x, 1.0, x + 2.0, 1.0 / (x + 2.0), 1.0
+    while t > eps:  # the continued fraction (DLMF 8.19.17)
+        k += 1
+        yk, xk = (1.0, 2 + (k - 1) // 2) if k & 1 else (x, k // 2)
+        pk, qk = pkm1 * yk + pkm2 * xk, qkm1 * yk + qkm2 * xk  # qk > 0
+        t, ans = abs((ans - pk / qk) / (pk / qk)), pk / qk
+        pkm2, pkm1, qkm2, qkm1 = pkm1, pk, qkm1, qk
+        if abs(pk) > 1.44115188075855872e17:  # rescale before the convergents overflow
+            pkm2, pkm1, qkm2, qkm1 = (v * eps for v in (pkm2, pkm1, qkm2, qkm1))
+    return ans * math.exp(-x)
+
+
 @lru_cache(maxsize=None)
 def heavy_tail_normalizer(p: float) -> float:
     """c0(p) = 1 / integral_e^inf a^{-(p+1)} (log a)^{-2} da, always > 1.
@@ -179,7 +206,7 @@ def heavy_tail_normalizer(p: float) -> float:
     """
     if not (p > 0):
         raise InvalidInputError("tail exponent p must be positive")
-    e2 = float(expn(2, p))
+    e2 = _e2(p)
     if not (e2 > 0 and 1.0 / e2 < math.inf):
         raise InvalidInputError(f"tail exponent p={p} is too large: 1/E_2(p) overflows")
     return 1.0 / e2
@@ -215,7 +242,7 @@ def _heavy_tail_moment(p_family: float, q: float) -> float:
         raise UnsupportedRegimeError(
             f"heavy_tail(p={p_family}) has infinite moments beyond order {p_family}"
         )
-    return 1.0 if q == 0 else float(expn(2, p_family - q))
+    return 1.0 if q == 0 else _e2(p_family - q)
 
 
 def _heavy_tail_theta_max(p: float, drop: float) -> float:
@@ -613,11 +640,11 @@ def divergent_mixture_pmf(y_hi: int) -> np.ndarray:
     gamma — equivalently the P(Poi(1) <= y-2) tail constant.  Decays like
     y^{-2}, so the mean E[Y] is already infinite.
     """
+    from scipy.special import exp1, gammaincc
     if y_hi < 2:
         raise InvalidInputError("y_hi must be >= 2")
     f = np.empty(y_hi + 1)
-    f[0] = expn(2, 1.0)
-    f[1] = exp1(1.0)
+    f[0], f[1] = _e2(1.0), exp1(1.0)
     ys = np.arange(2, y_hi + 1, dtype=float)
     f[2:] = gammaincc(ys - 1.0, 1.0) / (ys * (ys - 1.0))
     return f
@@ -632,6 +659,7 @@ def _divergent_summands(y_hi: int) -> np.ndarray:
     q_j = Q(j - 1, 1), which sidesteps the catastrophic cancellation of the
     raw form at large y.
     """
+    from scipy.special import gammaincc
     f = divergent_mixture_pmf(3)
     s = np.empty(y_hi + 1)
     for y in (0, 1):

@@ -377,11 +377,43 @@ def test_numerical_failure_exits_3(runner, monkeypatch):
     assert "error: could not certify the discretization" in result.output
 
 
-def test_cli_import_skips_scipy_stats():
-    # every peb run pays for what importing the CLI pulls in
+def _in_fresh_interpreter(code: str) -> str:
     src = str(Path(poisson_eb.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import poisson_eb.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
+    code = f"import sys; sys.path.insert(0, {src!r})\n" + code
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_skips_scipy_stats():
+    # every peb run pays for what importing the CLI pulls in; only NPMLE fits
+    # and a few commands load scipy, on first use
+    code = ("import poisson_eb.cli\n"
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    assert _in_fresh_interpreter(code) == "[]"
+
+
+_RUN_PLAN = """
+from poisson_eb import parse_plan, resolve, run_plan
+plan = parse_plan({plan!r})
+resolved = resolve(plan.prior, p=plan.p, disc_tol=plan.disc_tol, seed=plan.seed)
+before = set(sys.modules)
+report = run_plan(plan, resolved)
+assert not any("failed" in r.flags for r in report.rows)
+print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def test_f_modeling_and_oracle_plan_runs_without_scipy():
+    plan = ("prior = family=heavy_tail p=1.5\nn_grid = 1000,10000\nreplicates = 1\n"
+            "methods = robbins-addone,robbins-trunc,oracle\n")
+    assert _in_fresh_interpreter(_RUN_PLAN.format(plan=plan)).splitlines() == ["[]", "[]"]
+
+
+def test_npmle_plan_loads_its_solver_before_the_first_trial():
+    plan = ("prior = family=heavy_tail p=2\nn_grid = 100,1000\nreplicates = 1\n"
+            "methods = npmle\nmetrics = hellinger_sq,individual_regret\n")
+    scipy_loaded, loaded_in_trials = _in_fresh_interpreter(_RUN_PLAN.format(plan=plan)).splitlines()
+    assert "scipy.optimize" in scipy_loaded
+    assert loaded_in_trials == "[]"

@@ -133,6 +133,24 @@ def test_parse_plan_refuses_a_repeated_key(line, key):
         parse_plan(PLAN_TEXT + line + "\n")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("replicates", "2.5"),
+    ("n_grid", "20,4x"),
+    ("seed", "abc"),
+    ("p", "two"),
+    ("npmle_y0", "4.5"),
+    ("prior", "family=two_point eps=0.2 a=zz"),
+])
+def test_parse_plan_names_the_key_of_a_malformed_number(key, value):
+    # a library caller catching PoissonEBError sees the key and the value
+    text = "".join(f"{key} = {value}\n" if line.startswith(f"{key} =") else line + "\n"
+                   for line in PLAN_TEXT.splitlines())
+    if f"{key} =" not in PLAN_TEXT:
+        text += f"{key} = {value}\n"
+    with pytest.raises(InvalidInputError, match=key if key != "prior" else "a='zz'"):
+        parse_plan(text)
+
+
 def test_robbins_y0_override_reaches_the_trial_config():
     config = ex._default_config(TP, 20, "robbins-trunc", overrides={"robbins_y0": 3})
     assert config == EstimatorConfig("robbins_trunc", y0=3)

@@ -420,3 +420,54 @@ def test_resolve_certificate_matches_full_rows(heavy_tail_15, monkeypatch):
     np.testing.assert_array_equal(ref.discretization.atoms, heavy_tail_15.discretization.atoms)
     np.testing.assert_array_equal(ref.discretization.weights, heavy_tail_15.discretization.weights)
     assert heavy_tail_15.disc_error == pytest.approx(ref.disc_error, rel=1e-15, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# log y! without scipy
+# ---------------------------------------------------------------------------
+
+def _ulps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.abs(a.view(np.int64) - b.view(np.int64))  # both positive or both zero
+
+
+def test_log_factorial_table_matches_gammaln():
+    from scipy.special import gammaln
+
+    y = np.arange(2.0 ** 16)  # every row the table holds
+    assert _ulps(mixtures.log_factorial(y), gammaln(y + 1.0)).max() <= 1
+
+
+# a log-uniform sample up to 1e9 with the seams: table/formula, x = 1000 and x = 1e8
+_LOG_FACTORIAL_YS = np.unique(np.concatenate([
+    np.floor(np.exp(np.random.default_rng(2022).uniform(0.0, math.log(1e9), 20_000))),
+    [11.0, 12.0, 998.0, 999.0, 2.0 ** 16 - 1, 2.0 ** 16, 2.0 ** 16 + 1, 1e8 - 2, 1e8 - 1, 1e8, 1e9],
+]))
+
+
+def test_log_factorial_formula_matches_gammaln():
+    from scipy.special import gammaln
+
+    # above 2^16, numpy's log of x = y + 1 can round 1 ulp from libm's, which
+    # gammaln uses; the factor x - 1/2 carries that into up to 2 ulp of log y!
+    got = mixtures.log_factorial(_LOG_FACTORIAL_YS)
+    assert _ulps(got, gammaln(_LOG_FACTORIAL_YS + 1.0)).max() <= 2
+    # one call over rows on both sides of the table gives each row's own value
+    singles = np.array([mixtures.log_factorial(y) for y in _LOG_FACTORIAL_YS.tolist()])
+    np.testing.assert_array_equal(got, singles)
+
+
+def test_log_factorial_matches_40_digit_mpmath():
+    mp = pytest.importorskip("mpmath")
+    ys = _LOG_FACTORIAL_YS[::10]
+    got = mixtures.log_factorial(ys)
+    assert np.all(got[ys <= 1] == 0.0)
+    with mp.workdps(40):  # the error against the unrounded value
+        worst = max(abs(g / mp.loggamma(mp.mpf(y) + 1) - 1)
+                    for y, g in zip(ys[ys > 1].tolist(), got[ys > 1].tolist()))
+    assert worst <= 4e-16  # gammaln's is 3.0e-16 on these rows
+
+
+@pytest.mark.parametrize("y", [2.5, -1.0, [3.0, -2.0], math.nan, math.inf, 2.0 ** 16 + 0.5])
+def test_log_factorial_refuses_what_is_not_a_whole_count(y):
+    with pytest.raises(InvalidInputError, match="whole y >= 0"):
+        mixtures.log_factorial(y)

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -90,6 +91,17 @@ def test_resolve_names_a_missing_parameter(family, params, missing):
 def test_spec_refuses_an_unknown_parameter(family, params, unknown):
     with pytest.raises(InvalidInputError, match=f"{family} takes no parameter '{unknown}'"):
         PriorSpec(family, params)
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("family=heavy_tail p=abc", "p='abc'"),
+    ("family=discrete atoms=1,x weights=0.5,0.5", "atoms=[1, 'x']"),
+    ("family=two_point eps=0.2 a=zz", "a='zz'"),
+    ("family=point_mass value=", "value=''"),
+])
+def test_a_prior_parameter_that_is_no_number_is_named(text, shown):
+    with pytest.raises(InvalidInputError, match=re.escape(f"{shown} is no number")):
+        resolve(parse_prior_spec(text))
 
 
 def test_parse_prior_spec_refuses_a_misspelt_parameter():
@@ -471,3 +483,27 @@ def test_divergent_diagnostic_regime_guard():
         divergent_mmse_diagnostic(1.5)
     with pytest.raises(InvalidInputError):
         divergent_mmse_diagnostic(0.5, y_cap=8)
+
+
+# ---------------------------------------------------------------------------
+# E_2 without scipy
+# ---------------------------------------------------------------------------
+
+_E2_GRID = np.geomspace(1e-6, 700.0, 400)  # the series up to x = 1, the continued fraction above
+
+
+def test_e2_matches_40_digit_mpmath():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        worst = max(abs(priors._e2(x) / mp.expint(2, x) - 1) for x in _E2_GRID.tolist())
+    assert worst <= 2e-15  # scipy's expn(2, x) errs by 1.2e-15 on this grid
+    assert priors._e2(0.0) == 1.0
+    assert priors._e2(709.79) == 0.0  # exp(-x) underflows
+
+
+def test_e2_matches_scipy_expn():
+    from scipy.special import expn
+
+    got = np.array([priors._e2(x) for x in _E2_GRID.tolist()])
+    want = expn(2, _E2_GRID)
+    assert np.all(np.abs(got - want) <= np.spacing(want))
