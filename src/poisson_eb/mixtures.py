@@ -179,8 +179,10 @@ _LOG_FACTORIALS = np.concatenate([[math.log(math.factorial(k)) for k in range(12
 def log_factorial(y):
     """log y! for whole y >= 0, broadcasting; anything else is an input error."""
     y, rows = np.asarray(y, dtype=float), _LOG_FACTORIALS.size
-    if y.size and 0.0 <= y.min() and y.max() < rows and ((k := y.astype(np.intp)) == y).all():
-        return _LOG_FACTORIALS[k]  # NaN fails the range test, so only rows are cast
+    # the table's rows are the y that clamping to [0, last row] and flooring leave
+    # unchanged; NaN is not equal to itself, so only rows are cast
+    if not np.count_nonzero(np.floor(np.minimum(np.maximum(y, 0.0), rows - 1.0)) != y):
+        return _LOG_FACTORIALS[y.astype(np.intp)]
     if not (np.isfinite(y) & (y >= 0) & (y == np.floor(y))).all():
         raise InvalidInputError("log_factorial needs whole y >= 0")
     return np.where(y < rows, _LOG_FACTORIALS[np.minimum(y, rows - 1).astype(np.intp)],

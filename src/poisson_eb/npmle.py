@@ -16,12 +16,19 @@ The solver's arrays are small, so per-call overhead is its cost: a fit and the
 helpers it calls run in one error-state scope (divide, overflow and invalid
 ignored), and explicit finiteness checks guard them: the start's likelihood,
 ``_RATIO_FLOOR``, the ascent tests and D >= n (1 - tol) on the atoms.
+Each weight step's NNLS solve is scipy's compiled Lawson-Hanson routine, loaded
+from its own file without ``scipy.optimize``; a scipy build that lacks that file
+falls back to ``scipy.optimize.nnls`` (`load_solver`).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,16 +53,52 @@ _RATIO_FLOOR = math.exp(-600.0)  # NNLS columns whose largest Poi/f is lower get
 _NEWTON_STEPS = 40  # bisection alone shrinks a bracket by 2^-40
 _GRID_DENSITY = 4.0  # scan points per unit of sqrt(theta)
 _SUPPORT_SLACK = 16  # atoms past the distinct-y count, which bounds an NPMLE's support
+_NNLS_MODULE = "scipy.optimize._slsqplib"  # the compiled routine behind scipy.optimize.nnls
+
+
+def _compiled_nnls():
+    """scipy's compiled ``nnls(A, b, maxiter) -> (x, rnorm, info)``, loaded from its
+    file so that ``scipy/optimize/__init__.py`` (and scipy.linalg with it) never runs."""
+    lib = sys.modules.get(_NNLS_MODULE)
+    if lib is None:
+        import scipy
+        stem = os.path.join(scipy.__path__[0], "optimize", "_slsqplib")
+        paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                 if os.path.isfile(stem + suffix)]
+        if not paths:
+            raise ImportError(f"scipy has no compiled {_NNLS_MODULE}")
+        spec = importlib.util.spec_from_file_location(_NNLS_MODULE, paths[0])
+        lib = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(lib)
+    return lib.nnls
 
 
 def load_solver() -> None:
-    """Bind `nnls` to scipy's; only NPMLE fits pay the ``scipy.optimize`` import (~0.4 s)."""
+    """Bind `nnls`, so that only NPMLE fits load it, and they load no ``scipy.optimize``.
+
+    It wraps scipy's compiled routine as ``scipy.optimize.nnls`` does (finiteness
+    check, 3 iterations per column, RuntimeError at that cap), so every solve is
+    the same; a scipy build without that routine binds ``scipy.optimize.nnls``.
+    """
     global nnls
-    from scipy.optimize import nnls
+    try:
+        routine = _compiled_nnls()
+    except (ImportError, AttributeError):
+        from scipy.optimize import nnls
+        return
+
+    def nnls(A, b):
+        """argmin ||Ax - b|| over x >= 0 by Lawson-Hanson; returns (x, ||Ax - b||)."""
+        A = np.asarray_chkfinite(A, dtype=np.float64, order="C")
+        b = np.asarray_chkfinite(b, dtype=np.float64)
+        x, rnorm, info = routine(A, b, 3 * A.shape[1])
+        if info == 3:
+            raise RuntimeError("Maximum number of iterations reached.")
+        return x, rnorm
 
 
 def nnls(A, b):
-    """scipy.optimize.nnls, loaded by this first call (see `load_solver`)."""
+    """scipy's NNLS, loaded by this first call (see `load_solver`)."""
     load_solver()
     return nnls(A, b)
 

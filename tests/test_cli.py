@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -417,3 +418,25 @@ def test_npmle_plan_loads_its_solver_before_the_first_trial():
     scipy_loaded, loaded_in_trials = _in_fresh_interpreter(_RUN_PLAN.format(plan=plan)).splitlines()
     assert "scipy.optimize" in scipy_loaded
     assert loaded_in_trials == "[]"
+
+
+def test_npmle_plan_loads_only_the_compiled_nnls():
+    plan = ("prior = family=heavy_tail p=2\nn_grid = 100,1000\nreplicates = 1\n"
+            "methods = npmle\nmetrics = hellinger_sq,individual_regret\n")
+    code = _RUN_PLAN.format(plan=plan) + (
+        "import numpy as np\n"
+        "import scipy.optimize\n"
+        "from poisson_eb import npmle\n"
+        "rng = np.random.default_rng(7)\n"
+        "A, b = rng.random((30, 12)), rng.standard_normal(30)\n"
+        "x, rnorm = npmle.nnls(A, b)\n"
+        "y, ynorm = scipy.optimize.nnls(A, b)\n"
+        "print(npmle.nnls is not scipy.optimize.nnls, x.tobytes() == y.tobytes(), rnorm == ynorm)\n")
+    scipy_loaded, loaded_in_trials, agree = _in_fresh_interpreter(code).splitlines()
+    scipy_loaded = ast.literal_eval(scipy_loaded)
+    assert "scipy.optimize._slsqplib" in scipy_loaded
+    assert not [m for m in scipy_loaded if m.startswith(("scipy.optimize", "scipy.linalg",
+                                                         "scipy.special"))
+                and m != "scipy.optimize._slsqplib"]
+    assert loaded_in_trials == "[]"
+    assert agree == "True True True"

@@ -1,10 +1,14 @@
+import importlib.machinery
 import json
 import math
+import sys
+import types
 import warnings
 
 import numpy as np
 import pytest
 
+import scipy.optimize
 from scipy.special import softmax
 
 from poisson_eb import npmle
@@ -430,3 +434,83 @@ def test_unique_first_cases_hold_what_they_claim():
     assert {4.0, 9.0, _SCAN[5]} <= set(_SCAN.tolist())  # these atoms sit on scan points
     assert np.unique(_PEAKS).size == 5
     assert np.unique(np.round(np.sqrt(_PEAKS), 9)).size == 2
+
+
+# ---------------------------------------------------------------------------
+# the NNLS solver: scipy's compiled routine, bound without scipy.optimize
+# ---------------------------------------------------------------------------
+
+def _nnls_problems():
+    rng = np.random.default_rng(2023)
+    for i in range(400):
+        m, k = (int(v) for v in rng.integers(2, 40, size=2))
+        if i % 2:  # columns scaled by e^+-20
+            A = rng.standard_normal((m, k)) * np.exp(rng.uniform(-20.0, 20.0, size=k))
+        else:  # nonnegative, like the Poi/f columns of a weight step
+            A = rng.random((m, k))
+        yield A, rng.standard_normal(m)
+
+
+def _solve(solver, A, b):
+    try:
+        x, rnorm = solver(A, b)
+    except RuntimeError:
+        return "iteration cap"
+    return x.tobytes(), rnorm
+
+
+def test_load_solver_binds_the_compiled_routine(monkeypatch):
+    monkeypatch.setattr(npmle, "nnls", npmle.nnls)
+    monkeypatch.delitem(sys.modules, npmle._NNLS_MODULE)  # load it from its file again
+    npmle.load_solver()
+    assert npmle._NNLS_MODULE in sys.modules
+    assert npmle.nnls is not scipy.optimize.nnls
+    assert npmle.nnls.__module__ == npmle.__name__
+
+
+def test_nnls_equals_scipy_bit_for_bit():
+    npmle.load_solver()
+    assert npmle.nnls is not scipy.optimize.nnls
+    for A, b in _nnls_problems():
+        assert _solve(npmle.nnls, A, b) == _solve(scipy.optimize.nnls, A, b)
+
+
+@pytest.mark.parametrize("where", ["A", "b"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nnls_refuses_non_finite_input(where, bad):
+    npmle.load_solver()
+    A, b = np.eye(3), np.ones(3)
+    (A if where == "A" else b)[1] = bad
+    with pytest.raises(ValueError):
+        npmle.nnls(A, b)
+
+
+def test_nnls_raises_at_the_iteration_cap(monkeypatch):
+    calls = []
+
+    def capped(A, b, maxiter):
+        calls.append(maxiter)
+        return np.zeros(A.shape[1]), 0.0, 3
+
+    monkeypatch.setattr(npmle, "nnls", npmle.nnls)
+    monkeypatch.setitem(sys.modules, npmle._NNLS_MODULE, types.SimpleNamespace(nnls=capped))
+    npmle.load_solver()
+    with pytest.raises(RuntimeError):
+        npmle.nnls(np.ones((4, 3)), np.ones(4))
+    assert calls == [9]  # scipy's default cap, 3 per column
+    assert isinstance(fit_npmle(MIXED), NpmleFit)  # a weight step stops at the cap
+
+
+@pytest.mark.parametrize("lookup", ["no file", "no routine"])
+def test_load_solver_falls_back_to_scipy_optimize(monkeypatch, lookup):
+    npmle.load_solver()
+    want = fit_npmle(MIXED).to_dict()
+    monkeypatch.setattr(npmle, "nnls", npmle.nnls)
+    if lookup == "no file":
+        monkeypatch.delitem(sys.modules, npmle._NNLS_MODULE)
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    else:
+        monkeypatch.setitem(sys.modules, npmle._NNLS_MODULE, types.SimpleNamespace())
+    npmle.load_solver()
+    assert npmle.nnls is scipy.optimize.nnls
+    assert fit_npmle(MIXED).to_dict() == want
