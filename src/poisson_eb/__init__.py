@@ -17,7 +17,6 @@ from ._version import __version__
 from .errors import (
     DegenerateSupportError,
     InvalidInputError,
-    MomentDegeneracyError,
     NumericalFailureError,
     PoissonEBError,
     TailCoverageError,
@@ -34,7 +33,7 @@ from .mixtures import (
     mmse_exact,
     pmf_table,
     poisson_divergences,
-    posterior_mean_table,
+    posterior_moment_table,
 )
 from .differences import (
     ak_recursion_residuals,
@@ -90,11 +89,10 @@ __all__ = [
     "__version__",
     # errors
     "PoissonEBError", "InvalidInputError", "DegenerateSupportError",
-    "TailCoverageError", "UnsupportedRegimeError", "MomentDegeneracyError",
-    "NumericalFailureError",
+    "TailCoverageError", "UnsupportedRegimeError", "NumericalFailureError",
     # mixtures
     "DiscretePrior", "MixturePmf", "log_poisson_pmf", "pmf_table",
-    "bayes_rule", "posterior_mean_table", "mmse_exact",
+    "bayes_rule", "posterior_moment_table", "mmse_exact",
     "hellinger_sq", "poisson_divergences",
     "mixture_tail_bound", "generating_function_check",
     # differences

@@ -9,8 +9,6 @@ failure, 2 invalid configuration or input, 3 numerical failure, or under
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import sys
@@ -21,7 +19,7 @@ import click
 
 from ._version import __version__
 from .errors import InvalidInputError, NumericalFailureError, PoissonEBError
-from .experiments import parse_plan, run_plan
+from .experiments import csv_text, parse_plan, run_plan
 from .moment_match import local_moment_match
 from .npmle import fit_npmle, load_count_data
 from .priors import parse_prior_spec, resolve
@@ -140,15 +138,10 @@ def cmd_eb_estimate(ctx, input_path, method, y0, rho, y_cap, tol, out_path):
         cap = y_cap if y_cap is not None else data.y_max + 5
         fit = fit_npmle(data, tol=tol) if kind == "npmle_eb" else None
         rule = fit_rule(config, cap, train=data, fit=fit)
-    buf = io.StringIO()
-    for line in _config_header("eb-estimate", input=input_path, method=method,
-                               y0=y0, rho=rho, y_cap=cap, tol=tol, strict=strict):
-        buf.write(line + "\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["y", "estimate"])
-    for y in range(cap + 1):
-        w.writerow([y, repr(float(rule.table[y]))])
-    _write_text(out_path, buf.getvalue())
+    header = _config_header("eb-estimate", input=input_path, method=method,
+                            y0=y0, rho=rho, y_cap=cap, tol=tol, strict=strict)
+    _write_text(out_path, csv_text(header, ["y", "estimate"],
+                                   ([y, repr(float(v))] for y, v in enumerate(rule.table))))
     _require_certified(strict, fit)
 
 

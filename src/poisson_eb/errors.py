@@ -3,8 +3,8 @@
 Everything derives from :class:`PoissonEBError` so callers can catch the
 package's failures in one clause; the subclasses mirror the distinct failure
 modes the public operations document (bad arguments, degenerate support,
-insufficient tail coverage, unsupported parameter regimes, moment degeneracy,
-and numerical non-convergence).
+insufficient tail coverage, unsupported parameter regimes, and numerical
+non-convergence).
 """
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "DegenerateSupportError",
     "TailCoverageError",
     "UnsupportedRegimeError",
-    "MomentDegeneracyError",
     "NumericalFailureError",
 ]
 
@@ -36,10 +35,6 @@ class TailCoverageError(PoissonEBError, ValueError):
 
 class UnsupportedRegimeError(PoissonEBError, ValueError):
     """Parameter regime where the quantity is infinite or the method invalid."""
-
-
-class MomentDegeneracyError(PoissonEBError, ValueError):
-    """A moment sequence is not strictly positive-definite at the needed order."""
 
 
 class NumericalFailureError(PoissonEBError, RuntimeError):

@@ -69,6 +69,7 @@ __all__ = [
     "ExperimentRow",
     "RateFit",
     "ExperimentReport",
+    "csv_text",
     "parse_plan",
     "density_risk_trial",
     "individual_regret_trial",
@@ -116,8 +117,10 @@ class ExperimentPlan:
             raise InvalidInputError("replicates must be >= 1")
         if self.seed < 0:
             raise InvalidInputError("seed must be >= 0")
-        if not self.tuning_c > 0:
-            raise InvalidInputError("tuning_c must be > 0")
+        if not 0 < self.tuning_c < math.inf:
+            raise InvalidInputError("tuning_c must be finite and > 0")
+        if self.direct_total not in (0, 1):  # a flag: 0, 1, False or True
+            raise InvalidInputError(f"direct_total must be 0 or 1 (got {self.direct_total!r})")
         if not 0 < self.solver_tol < 1:
             raise InvalidInputError("solver_tol must lie in (0, 1)")
         if not 0 < self.y_cap_eps < 1:
@@ -142,6 +145,7 @@ class ExperimentPlan:
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "metrics", tuple(self.metrics))
+        object.__setattr__(self, "direct_total", bool(self.direct_total))
         if "npmle" in self.methods or "hellinger_sq" in self.metrics:  # the plan fits NPMLEs:
             load_solver()  # its solver's import is set-up, not the first trial's cost
 
@@ -185,9 +189,9 @@ def parse_plan(text: str) -> ExperimentPlan:
                   comma-separated (default individual_regret)
     seed          plan seed >= 0, the first part of every stream key (default 0)
     disc_tol      sup-norm tolerance of the prior's discretization (1e-6)
-    tuning_c      c > 0 of the tuned truncation levels (default 1)
-    direct_total  1 adds a total_regret_direct row, the direct leave-one-out
-                  path, after each total_regret row (default 0)
+    tuning_c      finite c > 0 of the tuned truncation levels (default 1)
+    direct_total  0 or 1; 1 adds a total_regret_direct row, the direct
+                  leave-one-out path, after each total_regret row (default 0)
     solver_tol    KKT tolerance of every NPMLE fit, in (0, 1) (1e-6)
     y_cap_eps     reference mass beyond the exact regret sum (1e-9)
     npmle_y0      npmle truncation level (default tuned to n)
@@ -230,7 +234,6 @@ def parse_plan(text: str) -> ExperimentPlan:
         n_grid=n_grid,
         methods=methods,
         metrics=metrics,
-        direct_total=bool(raw.pop("direct_total", 0)),
         overrides=overrides,
         **raw,
     )
@@ -239,6 +242,16 @@ def parse_plan(text: str) -> ExperimentPlan:
 # ---------------------------------------------------------------------------
 # rows and reports
 # ---------------------------------------------------------------------------
+
+def csv_text(header_lines: list[str], columns: list[str], records) -> str:
+    """The header lines, then `columns` and `records` as CSV rows, in one string."""
+    buf = io.StringIO()
+    buf.writelines(line + "\n" for line in header_lines)
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(columns)
+    w.writerows(records)
+    return buf.getvalue()
+
 
 @dataclass(frozen=True)
 class ExperimentRow:
@@ -285,24 +298,15 @@ class ExperimentReport:
             f"# plan {self.plan.name}: {cfg}",
         ]
 
-    def _csv(self, columns: list[str], records) -> str:
-        buf = io.StringIO()
-        for line in self.header_lines():
-            buf.write(line + "\n")
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(columns)
-        w.writerows(records)
-        return buf.getvalue()
-
     def rows_csv(self) -> str:
-        return self._csv(
-            ["n", "replicate", "method", "metric", "value", "std_error", "flags"],
+        return csv_text(
+            self.header_lines(), ["n", "replicate", "method", "metric", "value", "std_error", "flags"],
             ([r.n, r.replicate, r.method, r.metric, repr(r.value), repr(r.std_error), r.flags]
              for r in self.rows))
 
     def slopes_csv(self) -> str:
-        return self._csv(
-            ["method", "metric", "slope", "ci_lo", "ci_hi", "n_points"],
+        return csv_text(
+            self.header_lines(), ["method", "metric", "slope", "ci_lo", "ci_hi", "n_points"],
             ([s.method, s.metric, repr(s.slope), repr(s.ci_lo), repr(s.ci_hi), s.n_points]
              for s in self.slopes))
 

@@ -59,11 +59,9 @@ __all__ = [
     "log_poisson_pmf",
     "mixture_tail_bound",
     "pmf_on_range",
-    "log_pmf_on_range",
     "pmf_table",
     "pmf_and_moment_tables",
     "bayes_rule",
-    "posterior_mean_table",
     "posterior_moment_table",
     "mmse_exact",
     "hellinger_sq",
@@ -136,10 +134,6 @@ class DiscretePrior:
     @property
     def n_atoms(self) -> int:
         return int(self.atoms.size)
-
-    @property
-    def max_atom(self) -> float:
-        return float(self.atoms[-1])
 
     def moment(self, r: float) -> float:
         """E theta^r under the prior, for r >= 0 (0^0 counted as 1)."""
@@ -304,14 +298,9 @@ def _mixture_rows(prior: DiscretePrior, y_hi: int, orders=()) -> tuple[np.ndarra
     return log_f, moments
 
 
-def log_pmf_on_range(prior: DiscretePrior, y_hi: int) -> np.ndarray:
-    """log f_G(y) for y = 0..y_hi (inclusive), over the atoms near each y."""
-    return _mixture_rows(prior, y_hi)[0]
-
-
 def pmf_on_range(prior: DiscretePrior, y_hi: int) -> np.ndarray:
-    """f_G(y) for y = 0..y_hi (inclusive)."""
-    return np.exp(log_pmf_on_range(prior, y_hi))
+    """f_G(y) for y = 0..y_hi (inclusive), over the atoms near each y."""
+    return np.exp(_mixture_rows(prior, y_hi)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +411,7 @@ def bayes_rule(pmf: MixturePmf, y: int) -> float:
 
 
 def posterior_moment_table(prior: DiscretePrior, y_hi: int, r: int = 1) -> np.ndarray:
-    """E[theta^r | Y = y] for y = 0..y_hi, computed atom-wise in log domain.
+    """E[theta^r | Y = y] for y = 0..y_hi (r = 1: the Bayes rule theta_G), in log domain.
 
     Unlike the pmf-ratio form this stays accurate arbitrarily far into the
     tail: it is a ratio of row sums over atoms shifted by each row's largest
@@ -430,11 +419,6 @@ def posterior_moment_table(prior: DiscretePrior, y_hi: int, r: int = 1) -> np.nd
     are NaN: the posterior is undefined there (and `bayes_rule` raises).
     """
     return _mixture_rows(prior, y_hi, (r,))[1][0]
-
-
-def posterior_mean_table(prior: DiscretePrior, y_hi: int) -> np.ndarray:
-    """theta_G(y) = E[theta | Y = y] for y = 0..y_hi."""
-    return posterior_moment_table(prior, y_hi, r=1)
 
 
 def mmse_exact(prior: DiscretePrior, tail_tol: float = 1e-12) -> tuple[float, float]:
@@ -447,7 +431,7 @@ def mmse_exact(prior: DiscretePrior, tail_tol: float = 1e-12) -> tuple[float, fl
     table, (m1, m2) = pmf_and_moment_tables(prior, tail_tol, (1, 2))
     var = np.where(table.values > 0.0, np.maximum(m2 - m1 * m1, 0.0), 0.0)  # moments NaN at f = 0
     value = float(np.sum(table.values * var))  # a BLAS dot would round by thread count
-    half_range = 0.5 * (prior.max_atom - float(prior.atoms[0]))
+    half_range = 0.5 * float(prior.atoms[-1] - prior.atoms[0])
     remainder = table.tail_mass * half_range * half_range
     return value, remainder
 

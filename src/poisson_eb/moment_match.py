@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, MomentDegeneracyError
+from .errors import InvalidInputError
 from .mixtures import DiscretePrior, pmf_on_range
 
 __all__ = [
@@ -89,30 +89,32 @@ def _stieltjes_gauss(atoms: np.ndarray, weights: np.ndarray, n: int,
     """Gauss rule for a discrete measure by Stieltjes orthogonalization.
 
     Works in the affinely mapped coordinate t in [-1, 1] for conditioning.
-    Matches the first 2n-1 moments of the (probability-normalized) measure.
+    Matches the first 2m-1 moments of the (probability-normalized) measure with
+    m = n nodes, or m < n when the recurrence's norm stops being positive first
+    (the measure ran out of support): the rule from the recurrence so far.
     """
     mass = weights.sum()
     w = weights / mass
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     t = (atoms - mid) / half
-    alphas = np.empty(n)
-    betas = np.empty(max(n - 1, 0))
+    alphas: list[float] = []
+    betas: list[float] = []
     p_prev = np.zeros_like(t)
     p = np.ones_like(t)
     for k in range(n):
-        alphas[k] = float(w @ (t * p * p))
+        alphas.append(float(w @ (t * p * p)))
         if k == n - 1:
             break
         q = (t - alphas[k]) * p - (betas[k - 1] if k > 0 else 0.0) * p_prev
         norm2 = float(w @ (q * q))
         if norm2 <= 0:
-            raise MomentDegeneracyError("discrete measure exhausted before target degree")
-        betas[k] = math.sqrt(norm2)
+            break
+        betas.append(math.sqrt(norm2))
         p_prev, p = p, q / betas[k]
     from scipy.linalg import eigh_tridiagonal
     # Golub-Welsch: nodes are the Jacobi matrix's eigenvalues, weights the
     # squared first components of its eigenvectors
-    t_nodes, vecs = eigh_tridiagonal(alphas, betas)
+    t_nodes, vecs = eigh_tridiagonal(np.array(alphas), np.array(betas))
     nodes = mid + half * np.clip(t_nodes, -1.0, 1.0)
     return nodes, mass * vecs[0, :] ** 2
 
@@ -211,17 +213,9 @@ def local_moment_match(
             new_atoms.append(atoms_i)
             new_weights.append(weights_i)
             continue
-        lo, hi = part.window(i)
-        for n_try in range(n_pts, 0, -1):
-            try:
-                nodes, wts = _stieltjes_gauss(atoms_i, weights_i, n_try, lo, hi)
-                break
-            except MomentDegeneracyError:
-                continue
-        else:  # pragma: no cover - n_try = 1 cannot degenerate
-            raise MomentDegeneracyError(f"window {i} irreducibly degenerate")
-        if n_try < n_pts:
-            fallbacks.append(f"window_{i}_degree_reduced_to_{2 * n_try - 1}")
+        nodes, wts = _stieltjes_gauss(atoms_i, weights_i, n_pts, *part.window(i))
+        if nodes.size < n_pts:
+            fallbacks.append(f"window_{i}_degree_reduced_to_{2 * nodes.size - 1}")
         new_atoms.append(nodes)
         new_weights.append(np.maximum(wts, 0.0))
 

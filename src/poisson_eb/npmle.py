@@ -120,9 +120,9 @@ class CountHistogram:
         if ys.ndim != 1 or cnts.shape != ys.shape or ys.size == 0:
             raise InvalidInputError("histogram needs matching nonempty 1-d arrays")
         if not np.issubdtype(ys.dtype, np.integer):
-            if not np.allclose(ys, np.round(ys)):
-                raise InvalidInputError("observed values must be integers")
-            ys = np.round(ys).astype(np.int64)
+            if not (np.isfinite(ys) & (ys == np.floor(ys))).all():  # no rounding: 2.5 is no count
+                raise InvalidInputError("observed values must be whole numbers")
+            ys = ys.astype(np.int64)
         if np.any(ys < 0):
             raise InvalidInputError("observed values must be nonnegative")
         if np.any(np.diff(ys) <= 0):

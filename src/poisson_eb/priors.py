@@ -58,7 +58,7 @@ from .mixtures import (
     pmf_and_moment_tables,
     pmf_on_range,
     pmf_table,
-    posterior_mean_table,
+    posterior_moment_table,
 )
 from .npmle import CountHistogram
 
@@ -422,7 +422,7 @@ class ResolvedPrior:
         if "oracle" not in self._cache:
             self._reference_tables()
         if self._cache["oracle"].size <= y_hi:
-            table = posterior_mean_table(self.discretization, y_hi)
+            table = posterior_moment_table(self.discretization, y_hi)
             table.setflags(write=False)
             self._cache["oracle"] = table
         return self._cache["oracle"][: y_hi + 1]

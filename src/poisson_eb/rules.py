@@ -89,7 +89,7 @@ class EstimatorConfig:
                 f"unknown estimator kind {self.kind!r}; choose from {ESTIMATOR_KINDS}"
             )
         if self.y0 != math.inf:
-            if self.y0 < 0 or int(self.y0) != self.y0:
+            if not (self.y0 >= 0 and self.y0 % 1 == 0):  # NaN too
                 raise InvalidInputError("y0 must be a nonnegative integer or inf")
             if self.kind not in ("robbins_trunc", "npmle_eb"):
                 raise InvalidInputError(f"kind {self.kind!r} never truncates; y0 must be inf")
@@ -131,15 +131,6 @@ class FittedRule:
             raise InvalidInputError("rule estimates must be nonnegative")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
-
-    @property
-    def y_cap(self) -> int:
-        return self.table.size - 1
-
-    def estimate(self, y: int) -> float:
-        if not 0 <= y <= self.y_cap:
-            raise InvalidInputError(f"y = {y} outside table range")
-        return float(self.table[y])
 
 
 def _robbins_counts(train: CountHistogram, y_cap: int) -> np.ndarray:
@@ -228,7 +219,7 @@ def robbins(data: CountHistogram, y: int, addone: bool = False) -> RobbinsEstima
     """
     y = int(y)
     config = EstimatorConfig("robbins_addone" if addone else "robbins_plain")
-    value = fit_rule(config, y, train=data).estimate(y)
+    value = float(fit_rule(config, y, train=data).table[y])
     if addone or data.count_of(y) > 0:
         return RobbinsEstimate(value, None)
     return RobbinsEstimate(value, "infinite" if value == math.inf else "degenerate")
@@ -237,7 +228,7 @@ def robbins(data: CountHistogram, y: int, addone: bool = False) -> RobbinsEstima
 def robbins_truncated(data: CountHistogram, y: int, y0: float) -> float:
     """Add-one frequency ratio below the truncation level, identity beyond."""
     y = int(y)
-    return fit_rule(EstimatorConfig("robbins_trunc", y0=y0), y, train=data).estimate(y)
+    return float(fit_rule(EstimatorConfig("robbins_trunc", y0=y0), y, train=data).table[y])
 
 
 def npmle_eb(fit, y: int, y0: float = math.inf, rho: float = 1e-6) -> float:
@@ -249,7 +240,7 @@ def npmle_eb(fit, y: int, y0: float = math.inf, rho: float = 1e-6) -> float:
     """
     y = int(y)
     config = EstimatorConfig("npmle_eb", y0=y0, rho=rho)
-    return fit_rule(config, y, fit=fit).estimate(y)
+    return float(fit_rule(config, y, fit=fit).table[y])
 
 
 def bounded_beyond_table(config: EstimatorConfig) -> bool:
@@ -294,8 +285,8 @@ def tune_defaults(n: int, p: float, m_p: float = 1.0, c: float = 1.0) -> TunedDe
         raise InvalidInputError("n must be >= 2")
     if not (m_p > 0):
         raise InvalidInputError("m_p must be positive")
-    if not (c > 0):
-        raise InvalidInputError("c must be positive")
+    if not (0 < c < math.inf):  # NaN too
+        raise InvalidInputError("c must be positive and finite")
     if not (p > 1):
         raise UnsupportedRegimeError(
             f"tuning requires p > 1 (got p = {p}); no supported schedule below"

@@ -190,6 +190,9 @@ def test_regret_sweep_rejects_bad_plan(runner, tmp_path):
 
 @pytest.mark.parametrize("bad", [
     "tuning_c = -1",
+    "tuning_c = inf",                       # every tuned row would fail in math.ceil
+    "direct_total = 7",                     # a flag: 0 or 1
+    "direct_total = -1",
     "solver_tol = 2",
     "disc_tol = 0.5",
     "prior = family=heavy_tail p=1.5",      # p = 2 moments are infinite
@@ -410,14 +413,6 @@ def test_f_modeling_and_oracle_plan_runs_without_scipy():
     plan = ("prior = family=heavy_tail p=1.5\nn_grid = 1000,10000\nreplicates = 1\n"
             "methods = robbins-addone,robbins-trunc,oracle\n")
     assert _in_fresh_interpreter(_RUN_PLAN.format(plan=plan)).splitlines() == ["[]", "[]"]
-
-
-def test_npmle_plan_loads_its_solver_before_the_first_trial():
-    plan = ("prior = family=heavy_tail p=2\nn_grid = 100,1000\nreplicates = 1\n"
-            "methods = npmle\nmetrics = hellinger_sq,individual_regret\n")
-    scipy_loaded, loaded_in_trials = _in_fresh_interpreter(_RUN_PLAN.format(plan=plan)).splitlines()
-    assert "scipy.optimize" in scipy_loaded
-    assert loaded_in_trials == "[]"
 
 
 def test_npmle_plan_loads_only_the_compiled_nnls():

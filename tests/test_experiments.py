@@ -22,7 +22,7 @@ from poisson_eb.experiments import (
     run_plan,
     total_regret_trial,
 )
-from poisson_eb.mixtures import posterior_mean_table
+from poisson_eb.mixtures import posterior_moment_table
 from poisson_eb.npmle import CountHistogram
 from poisson_eb.priors import PriorSpec, ResolvedPrior, resolve
 from poisson_eb.rules import CLI_KIND_NAMES, EstimatorConfig, fit_rule
@@ -149,6 +149,16 @@ def test_parse_plan_names_the_key_of_a_malformed_number(key, value):
         text += f"{key} = {value}\n"
     with pytest.raises(InvalidInputError, match=key if key != "prior" else "a='zz'"):
         parse_plan(text)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("direct_total = 7", "direct_total must be 0 or 1"),
+    ("direct_total = -1", "direct_total must be 0 or 1"),
+    ("tuning_c = inf", "tuning_c must be finite"),
+])
+def test_parse_plan_refuses_a_value_it_would_misread(line, message):
+    with pytest.raises(InvalidInputError, match=message):
+        parse_plan(PLAN_TEXT + line + "\n")
 
 
 def test_robbins_y0_override_reaches_the_trial_config():
@@ -357,7 +367,7 @@ def test_leave_one_out_tables_match_per_y_refits():
         ref_est, ref_flags = [], []
         for y in hist.ys.tolist():
             if config.kind == "oracle":
-                ref_est.append(posterior_mean_table(TP.discretization, y)[y])
+                ref_est.append(posterior_moment_table(TP.discretization, y)[y])
                 continue
             train = hist.remove_one(y)
             value = fit_rule(config, y, train=train).table[y]

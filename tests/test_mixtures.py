@@ -14,14 +14,12 @@ from poisson_eb.mixtures import (
     bayes_rule,
     generating_function_check,
     hellinger_sq,
-    log_pmf_on_range,
     log_poisson_pmf,
     mixture_tail_bound,
     mmse_exact,
     pmf_and_moment_tables,
     pmf_table,
     poisson_divergences,
-    posterior_mean_table,
     posterior_moment_table,
 )
 
@@ -127,7 +125,7 @@ def test_bayes_rule_against_enumeration():
 
 def test_posterior_mean_table_agrees_with_bayes_rule():
     t = pmf_table(G15)
-    tab = posterior_mean_table(G15, 10)
+    tab = posterior_moment_table(G15, 10)
     for y in range(10):
         assert tab[y] == pytest.approx(bayes_rule(t, y), rel=1e-9)
 
@@ -281,8 +279,8 @@ def test_banded_kernel_matches_full_rows(name, request):
         assert prior.n_atoms == 3
     # assert_allclose with atol=0 also requires -inf (and NaN, for rows of
     # zero mass) exactly where the reference has them
-    np.testing.assert_allclose(log_pmf_on_range(prior, y_hi), _full_rows(prior, y_hi),
-                               rtol=1e-13, atol=0)
+    np.testing.assert_allclose(mixtures._mixture_rows(prior, y_hi)[0],
+                               _full_rows(prior, y_hi), rtol=1e-13, atol=0)
     with np.errstate(invalid="ignore"):
         for r in (1, 2):
             np.testing.assert_allclose(posterior_moment_table(prior, y_hi, r),
@@ -322,7 +320,7 @@ def test_kernel_matches_40_digit_sums(name, request):
 def test_kernel_refuses_negative_range_and_order():
     # an atom at 0 would turn a negative order into inf / NaN rows
     prior = DiscretePrior([0.0, 2.0], [0.5, 0.5])
-    for call in (lambda: log_pmf_on_range(prior, -1),
+    for call in (lambda: mixtures.pmf_on_range(prior, -1),
                  lambda: posterior_moment_table(prior, -1),
                  lambda: posterior_moment_table(prior, 3, r=-1),
                  lambda: posterior_moment_table(prior, 3, r=math.nan),
@@ -334,7 +332,7 @@ def test_kernel_refuses_negative_range_and_order():
 
 def test_kernel_refuses_a_fractional_range_and_a_nan_moment_order():
     prior = DiscretePrior([0.0, 2.0], [0.5, 0.5])
-    for call in (lambda: log_pmf_on_range(prior, 2.5),
+    for call in (lambda: mixtures.pmf_on_range(prior, 2.5),
                  lambda: posterior_moment_table(prior, 2.5),
                  lambda: posterior_moment_table(prior, math.inf),
                  lambda: prior.moment(math.nan)):
@@ -346,7 +344,7 @@ def test_posterior_mean_is_nan_where_the_mixture_vanishes():
     # under a point mass at 0, f_G(y) = 0 for y >= 1: no posterior, no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tab = posterior_mean_table(DiscretePrior([0.0], [1.0]), 4)
+        tab = posterior_moment_table(DiscretePrior([0.0], [1.0]), 4)
     np.testing.assert_array_equal(tab, [0.0, np.nan, np.nan, np.nan, np.nan])
 
 
@@ -362,7 +360,7 @@ def test_banded_kernel_falls_back_to_full_rows(monkeypatch):
         return log_poisson_pmf(y, theta)
 
     monkeypatch.setattr(mixtures, "log_poisson_pmf", spy)
-    log_pmf_on_range(prior, y_hi)
+    mixtures.pmf_on_range(prior, y_hi)
     assert columns == [2, 3]
 
 
@@ -374,7 +372,7 @@ def test_shared_pass_equals_the_separate_tables(heavy_tail_15):
     np.testing.assert_array_equal(ref.values, alone.values)
     assert (ref.tail_mass, ref.tail_tol) == (alone.tail_mass, alone.tail_tol)
     np.testing.assert_array_equal(heavy_tail_15.oracle_table(ref.y_max),
-                                  posterior_mean_table(prior, ref.y_max))
+                                  posterior_moment_table(prior, ref.y_max))
 
 
 def test_shared_pass_falls_back_per_output(monkeypatch):
@@ -390,7 +388,7 @@ def test_shared_pass_falls_back_per_output(monkeypatch):
     monkeypatch.setattr(mixtures, "log_poisson_pmf", spy)
     log_f, (m1, m2) = mixtures._mixture_rows(prior, y_hi, (1, 2))
     assert columns == [1, 2]
-    np.testing.assert_array_equal(log_f, log_pmf_on_range(prior, y_hi))
+    np.testing.assert_array_equal(log_f, mixtures._mixture_rows(prior, y_hi)[0])
     np.testing.assert_array_equal(m1, posterior_moment_table(prior, y_hi, 1))
     np.testing.assert_array_equal(m2, posterior_moment_table(prior, y_hi, 2))
     assert columns[2:] == [1, 1, 1, 2]  # pmf banded, r = 1 banded, r = 2 over all atoms

@@ -53,6 +53,14 @@ def test_stieltjes_gauss_reproduces_leading_moments(n):
         assert wts @ nodes ** k == pytest.approx(weights @ atoms ** k, rel=1e-9)
 
 
+def test_stieltjes_gauss_stops_where_the_measure_runs_out():
+    # on 1/2 delta_1 + 1/2 delta_3 the recurrence's norm is exactly 0 at k = 1:
+    # the rule asked for 3 nodes is the exact 2-node one computed so far
+    nodes, wts = _stieltjes_gauss(np.array([1.0, 3.0]), np.array([0.5, 0.5]), 3, 0.0, 4.0)
+    np.testing.assert_allclose(nodes, [1.0, 3.0], rtol=1e-15)
+    np.testing.assert_allclose(wts, [0.5, 0.5], rtol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # the local matcher
 # ---------------------------------------------------------------------------
@@ -102,7 +110,7 @@ def test_far_mass_lumps_at_twice_m():
     src = DiscretePrior([1.0, 50.0], [0.7, 0.3])
     with pytest.warns(RuntimeWarning):
         report = local_moment_match(src, M=10.0, eta=1e-2)
-    assert report.approximant.max_atom == 20.0
+    assert report.approximant.atoms[-1] == 20.0
     i = np.searchsorted(report.approximant.atoms, 20.0)
     assert report.approximant.weights[i] == pytest.approx(0.3)
 

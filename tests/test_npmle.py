@@ -87,6 +87,20 @@ def test_histogram_validation():
         CountHistogram.from_samples([])
 
 
+@pytest.mark.parametrize("samples", [
+    [1000000.5, 3.00001, 2],   # within np.allclose of whole numbers
+    [2.0, 2.000001],
+    [1.0, math.nan],
+    [1.0, math.inf],
+])
+def test_histogram_refuses_float_samples_that_are_not_whole(samples):
+    # a float observation is a count only if it equals its floor: nothing is rounded
+    with pytest.raises(InvalidInputError, match="whole numbers"):
+        CountHistogram.from_samples(samples)
+    with pytest.raises(InvalidInputError, match="whole numbers"):
+        fit_npmle(np.array(samples))
+
+
 def test_load_count_data_lines_and_json():
     h = load_count_data("3\n0\n3\n1\n")
     assert h.n == 4 and h.count_of(3) == 2

@@ -13,7 +13,7 @@ from poisson_eb.mixtures import (
     mmse_exact,
     pmf_on_range,
     pmf_table,
-    posterior_mean_table,
+    posterior_moment_table,
 )
 from poisson_eb.priors import (
     PriorSpec,
@@ -159,7 +159,7 @@ def test_moment_class_extremal_structure():
 
 def test_oracle_table_matches_posterior_mean_table():
     np.testing.assert_allclose(
-        TP.oracle_table(12), posterior_mean_table(TP.discretization, 12), rtol=1e-12
+        TP.oracle_table(12), posterior_moment_table(TP.discretization, 12), rtol=1e-12
     )
     val, rem = TP.mmse_ref()
     exact, _ = mmse_exact(TP.discretization, tail_tol=1e-13)
@@ -184,7 +184,7 @@ def test_reference_pmf_and_oracle_table_come_from_one_pass(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(priors, "pmf_and_moment_tables", spy)
-    monkeypatch.setattr(priors, "posterior_mean_table", None)  # no separate oracle pass
+    monkeypatch.setattr(priors, "posterior_moment_table", None)  # no separate oracle pass
     r = resolve(PriorSpec("two_point", {"eps": 0.2, "a": 5.0}))
     r.oracle_table(3)
     r.pmf()

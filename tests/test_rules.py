@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from poisson_eb.errors import InvalidInputError, UnsupportedRegimeError
-from poisson_eb.mixtures import DiscretePrior, pmf_on_range, pmf_table, posterior_mean_table
+from poisson_eb.mixtures import DiscretePrior, pmf_on_range, pmf_table, posterior_moment_table
 from poisson_eb.npmle import CountHistogram, fit_npmle
 from poisson_eb.priors import PriorSpec, resolve
 from poisson_eb.rules import (
@@ -97,10 +97,7 @@ def test_fit_rule_plain_table_and_flags():
     np.testing.assert_allclose(rule.table[:5], [2.0, 1.0, 1.5, 4.0, 0.0])
     assert rule.table[5] == 0.0                       # 0/0 cell
     assert rule.flags == {"degenerate": 0, "infinite": 0}   # cell 5 lies beyond y_max = 4
-    assert rule.y_cap == 5
-    assert rule.estimate(2) == 1.5
-    with pytest.raises(InvalidInputError):
-        rule.estimate(6)
+    assert rule.table.size == 6
 
 
 def test_plain_degenerate_count_ignores_the_table_length(heavy_tail_15):
@@ -148,7 +145,7 @@ def test_fit_rule_oracle_is_posterior_mean():
     with pytest.raises(InvalidInputError, match="ResolvedPrior.oracle_table"):
         fit_rule(EstimatorConfig("oracle"), y_cap=7, train=TRAIN, fit=G15)
     resolved = resolve(PriorSpec("discrete", {"atoms": [1.0, 5.0], "weights": [0.5, 0.5]}))
-    np.testing.assert_allclose(resolved.oracle_table(7), posterior_mean_table(G15, 7),
+    np.testing.assert_allclose(resolved.oracle_table(7), posterior_moment_table(G15, 7),
                                rtol=1e-12)
 
 
@@ -228,6 +225,8 @@ def test_estimator_config_validation():
     with pytest.raises(InvalidInputError):
         EstimatorConfig("robbins_trunc", y0=2.5)       # non-integer cutoff
     with pytest.raises(InvalidInputError):
+        EstimatorConfig("robbins_trunc", y0=math.nan)
+    with pytest.raises(InvalidInputError):
         EstimatorConfig("npmle_eb", rho=0.9)
     with pytest.raises(InvalidInputError):
         EstimatorConfig("npmle_eb", npmle_tol=2.0)
@@ -264,5 +263,6 @@ def test_tune_defaults_regime_guards():
         tune_defaults(1, 2.0)
     with pytest.raises(InvalidInputError):
         tune_defaults(100, 2.0, m_p=0.0)
-    with pytest.raises(InvalidInputError):
-        tune_defaults(100, 2.0, c=-1.0)
+    for c in (-1.0, math.inf, math.nan):  # inf would overflow math.ceil in every tuned trial
+        with pytest.raises(InvalidInputError):
+            tune_defaults(100, 2.0, c=c)
