@@ -10,8 +10,8 @@ priors (`moment_match`), and a reproducible Monte Carlo harness
 (`experiments`).
 """
 
-import numpy.ma  # noqa: F401  numpy loads these two on first use (np.unique, sampling):
-import numpy.random  # noqa: F401  here, so that no trial pays the import
+# numpy loads numpy.random on first use (sampling): import it here, so that no trial pays
+import numpy.random  # noqa: F401
 
 from ._version import __version__
 from .errors import (

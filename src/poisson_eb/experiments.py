@@ -560,7 +560,8 @@ def fit_rate(ns, values, method: str = "", metric: str = "") -> RateFit:
             RuntimeWarning, stacklevel=2,
         )
     ns, values = ns[ok], values[ok]
-    if np.unique(ns).size < 4:
+    distinct = len(set(ns.tolist()))
+    if distinct < 4:
         raise InvalidInputError("rate fit needs >= 4 distinct sample sizes")
     span = math.log10(ns.max() / ns.min())
     if span < 1.5:
@@ -576,7 +577,7 @@ def fit_rate(ns, values, method: str = "", metric: str = "") -> RateFit:
     return RateFit(
         method=method, metric=metric, slope=slope,
         ci_lo=slope - 1.96 * se, ci_hi=slope + 1.96 * se,
-        n_points=int(np.unique(ns).size),
+        n_points=distinct,
     )
 
 

@@ -379,13 +379,20 @@ def pmf_and_moment_tables(
     if min_len is not None:
         y_max = max(y_max, int(min_len) - 1)
     log_f, moments = _mixture_rows(prior, y_max, orders)
+    return _closed_pmf(prior, log_f, tail_tol), moments
+
+
+def _closed_pmf(prior: DiscretePrior, log_f: np.ndarray, tail_tol: float) -> MixturePmf:
+    """The `MixturePmf` of the rows log f_G(y), y = 0..y_max, of `prior`.
+
+    The analytic bound at y_max certifies the tolerance; 1 - sum is the
+    sharper (essentially exact) value of the same tail, so the smaller of the
+    two is stored.  Both keep head + tail within 1e-10 of one.
+    """
     values = np.exp(log_f)
-    # The analytic bound certifies the tolerance; 1 - sum is the sharper
-    # (essentially exact) value of the same tail, so store the smaller of the
-    # two.  Both keep head + tail within 1e-10 of one.
-    analytic = mixture_tail_bound(prior, y_max)
+    analytic = mixture_tail_bound(prior, values.size - 1)
     tail_mass = min(max(0.0, 1.0 - float(values.sum())), analytic)
-    return MixturePmf(values=values, tail_mass=tail_mass, tail_tol=tail_tol), moments
+    return MixturePmf(values=values, tail_mass=tail_mass, tail_tol=tail_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -119,17 +119,19 @@ class CountHistogram:
         cnts = np.asarray(self.cnts)
         if ys.ndim != 1 or cnts.shape != ys.shape or ys.size == 0:
             raise InvalidInputError("histogram needs matching nonempty 1-d arrays")
-        if not np.issubdtype(ys.dtype, np.integer):
-            if not (np.isfinite(ys) & (ys == np.floor(ys))).all():  # no rounding: 2.5 is no count
-                raise InvalidInputError("observed values must be whole numbers")
-            ys = ys.astype(np.int64)
+        _check_observed_kind(ys)
+        if ys.dtype.kind == "f" and not (np.isfinite(ys) & (ys == np.floor(ys))).all():
+            raise InvalidInputError("observed values must be whole numbers")  # 2.5 is no count
+        if ys.dtype.kind != "i" and not ys.max() < 2 ** 63:  # int64 holds every count below
+            raise InvalidInputError("observed values must be whole numbers below 2^63")
+        ys = ys.astype(np.int64)
         if np.any(ys < 0):
             raise InvalidInputError("observed values must be nonnegative")
         if np.any(np.diff(ys) <= 0):
             raise InvalidInputError("ys must be strictly increasing (use from_samples)")
-        if not np.issubdtype(cnts.dtype, np.integer) or np.any(cnts < 1):
-            raise InvalidInputError("counts must be positive integers")
-        ys = ys.astype(np.int64)
+        if not np.issubdtype(cnts.dtype, np.integer) or np.any(cnts < 1) \
+                or not cnts.max() < 2 ** 63:
+            raise InvalidInputError("counts must be positive integers below 2^63")
         cnts = cnts.astype(np.int64)
         ys.setflags(write=False)
         cnts.setflags(write=False)
@@ -163,6 +165,7 @@ class CountHistogram:
         samples = np.asarray(samples)
         if samples.size == 0:
             raise InvalidInputError("empty sample")
+        _check_observed_kind(samples)  # before np.unique, which may not sort them
         ys, cnts = np.unique(samples, return_counts=True)
         return cls(ys, cnts)
 
@@ -191,6 +194,13 @@ class CountHistogram:
         cnts[i] -= 1
         keep = cnts > 0
         return CountHistogram(self.ys[keep], cnts[keep])
+
+
+def _check_observed_kind(values: np.ndarray) -> None:
+    """Refuse observed values that are not numbers: a bool, string or object
+    array (numpy makes one of ints at or beyond 2^64) is no array of counts."""
+    if values.dtype.kind not in "iuf":
+        raise InvalidInputError("observed values must be whole numbers below 2^63")
 
 
 def _whole_number(value, what: str) -> int:
@@ -238,7 +248,7 @@ def grid_spec(data: CountHistogram) -> np.ndarray:
     s_hi = math.sqrt(max(1.5 * float(data.ys[-1]), 1.0))
     k = max(1, int(math.ceil((s_hi - s_lo) * _GRID_DENSITY)))
     grid = (s_lo + (1.0 / _GRID_DENSITY) * np.arange(k + 1)) ** 2
-    return np.unique(np.concatenate([grid, data.ys, [data.mean]]))
+    return _unique_first(np.concatenate([grid, data.ys, [data.mean]]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -540,4 +550,5 @@ def fit_npmle(
     prior = DiscretePrior(atoms, w)
     return NpmleFit(prior=prior, log_likelihood=log_likelihood(prior, data), kkt_gap=kkt_gap,
                     iterations=iterations, converged=converged, tol=tol,
-                    grid=np.union1d(scan, prior.atoms), ll_trace=tuple(ll_trace))
+                    grid=_unique_first(np.concatenate([scan, prior.atoms]))[0],
+                    ll_trace=tuple(ll_trace))

@@ -22,7 +22,8 @@ moment_class_extremal) are their own discretization, with ``disc_error`` 0.
 `quantile_y(eps)` reads the shared 1e-11 reference pmf table (the one with
 tail min(eps, 1e-11) for smaller eps), whose range contains the quantile.
 That table and the oracle posterior-mean table over its range come from one
-pass over the discretization.  `count_histogram(seed, size)` keeps the last
+pass over the discretization: for a continuous family, the pass that
+certifies it.  `count_histogram(seed, size)` keeps the last
 histogram it drew, so the methods that train on one stream key share a draw.
 
 Families
@@ -54,6 +55,9 @@ from .errors import (
 from .mixtures import (
     DiscretePrior,
     MixturePmf,
+    _closed_pmf,
+    _mixture_rows,
+    _y_max_for_tail,
     mmse_exact,
     pmf_and_moment_tables,
     pmf_on_range,
@@ -290,7 +294,8 @@ def _gl_discretize(density, u_lo: float, u_hi: float, panels: int) -> tuple[np.n
 
 def _certified_continuous_prior(density, u_lo: float, u_hi: float, zero_mass: float,
                                 tail_drop: float, disc_tol: float, y_check: int,
-                                base_panels: int, source: str) -> tuple[DiscretePrior, float]:
+                                base_panels: int,
+                                source: str) -> tuple[DiscretePrior, float, tuple]:
     """Discretize `density` and certify sup-pmf accuracy against a 4x refinement.
 
     The quadrature weights are scaled to mass 1 - zero_mass, and a positive
@@ -298,6 +303,12 @@ def _certified_continuous_prior(density, u_lo: float, u_hi: float, zero_mass: fl
     The returned error bound is sup_y |f_K - f_4K| + tail_drop (mass dropped
     beyond theta_max shifts the pmf by at most itself, uniformly in y).
     Panels double until the bound passes disc_tol, up to 3 times.
+
+    One pass over the coarse discretization K, up to the larger of y_check
+    and the reference range y_ref, gives log f_K and theta_K.  The
+    certificate reads rows 0..y_check of f_K; rows 0..y_ref are the returned
+    reference tables (pmf, [oracle]), equal to what `pmf_and_moment_tables`
+    gives for K at the reference tail.
     """
     panels = base_panels
     for _ in range(4):
@@ -312,10 +323,13 @@ def _certified_continuous_prior(density, u_lo: float, u_hi: float, zero_mass: fl
             return DiscretePrior(atoms, w)
 
         coarse, fine = _mk(atoms_c, w_c), _mk(atoms_f, w_f)
-        sup = float(np.max(np.abs(pmf_on_range(coarse, y_check) - pmf_on_range(fine, y_check))))
+        y_ref = _y_max_for_tail(coarse, _REFERENCE_TAIL)
+        log_f, (oracle,) = _mixture_rows(coarse, max(y_check, y_ref), (1,))
+        sup = float(np.max(np.abs(np.exp(log_f[:y_check + 1]) - pmf_on_range(fine, y_check))))
         bound = sup + tail_drop
         if bound <= disc_tol:
-            return coarse, bound
+            reference = _closed_pmf(coarse, log_f[:y_ref + 1], _REFERENCE_TAIL)
+            return coarse, bound, (reference, [oracle[:y_ref + 1]])
         panels *= 2
     raise NumericalFailureError(
         f"could not certify {source} discretization to {disc_tol:g} "
@@ -331,17 +345,19 @@ class ResolvedPrior:
     """A prior ready for experiments: sampler + certified discrete stand-in.
 
     Heavier derived artifacts (pmf tables, oracle posterior-mean tables, the
-    reference Bayes risk) are computed lazily and cached on the instance; the
-    reference pmf and the oracle table are built together, on first use of
-    either, and the oracle table is read-only.  The last training histogram
-    is cached too, keyed by its stream key and size.
+    reference Bayes risk) are cached on the instance.  The reference pmf and
+    the read-only oracle table over its range come together: a continuous
+    family's from the pass `resolve` certifies it with (`reference_tables`),
+    an exact family's from one pass on first use of either.  Other pmf
+    tails, longer oracle tables and the Bayes risk are computed lazily.  The
+    last training histogram is cached too, keyed by its stream key and size.
     `second_moment_finite` records whether E theta^2 < inf for the family
     itself (not its truncated discretization, whose moments are all finite).
     """
 
     def __init__(self, spec: PriorSpec, p: float, discretization: DiscretePrior,
                  p_moment: float, disc_tol: float, disc_error: float, sample_impl,
-                 second_moment_finite: bool) -> None:
+                 second_moment_finite: bool, reference_tables=None) -> None:
         self.spec = spec
         self.p = p
         self.discretization = discretization
@@ -351,6 +367,8 @@ class ResolvedPrior:
         self._sample_impl = sample_impl
         self.second_moment_finite = second_moment_finite
         self._cache: dict = {}
+        if reference_tables is not None:
+            self._reference_tables(reference_tables)
 
     # -- sampling -----------------------------------------------------------
 
@@ -385,9 +403,11 @@ class ResolvedPrior:
 
     # -- cached derived artifacts ------------------------------------------
 
-    def _reference_tables(self) -> None:
-        """The reference pmf and the oracle table over its range, from one pass."""
-        table, (oracle,) = pmf_and_moment_tables(self.discretization, _REFERENCE_TAIL, (1,))
+    def _reference_tables(self, tables=None) -> None:
+        """Cache the reference pmf and the oracle table over its range: `tables`
+        as (pmf, [oracle]) when given, else both from one pass."""
+        table, (oracle,) = tables or pmf_and_moment_tables(self.discretization,
+                                                           _REFERENCE_TAIL, (1,))
         oracle.setflags(write=False)
         self._cache[("pmf", _REFERENCE_TAIL)] = table
         self._cache["oracle"] = oracle
@@ -528,12 +548,12 @@ def resolve(spec: PriorSpec, p: float | None = None, disc_tol: float = 1e-6,
         sampler, source = _sqrt_cauchy_sampler(), "sqrt_cauchy"
         second_moment_finite = False  # tail index 2: E theta^2 = inf
     if family in ("heavy_tail", "sqrt_cauchy"):
-        prior, err = _certified_continuous_prior(
+        prior, err, tables = _certified_continuous_prior(
             density, u_lo, u_hi, zero_mass, drop, disc_tol, y_check,
             max(24, int(panels_per_u * (u_hi - u_lo))), source,
         )
         return ResolvedPrior(spec, p_eff, prior, p_moment, disc_tol, err, sampler,
-                             second_moment_finite)
+                             second_moment_finite, tables)
 
     # the exact families: each is its own discretization, with disc_error 0
     if family == "point_mass":

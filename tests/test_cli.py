@@ -72,6 +72,15 @@ def test_npmle_fit_rejects_garbage(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("big", ["100000000000000000000", "10000000000000000000"])
+def test_npmle_fit_counts_beyond_int64_exit_2(runner, tmp_path, big):
+    data = write(tmp_path, "counts.txt", f"1\n2\n{big}\n")
+    result = runner.invoke(main, ["npmle-fit", data])
+    assert result.exit_code == 2, result.output
+    assert "could not parse counts: observed values must be whole numbers below 2^63" \
+        in result.output
+
+
 def test_npmle_fit_uncertified_exits_3_unless_lenient(runner, tmp_path):
     data = write(tmp_path, "counts.json", json.dumps({"counts": {"0": 30, "4": 15, "9": 5}}))
     args = ["npmle-fit", data, "--tol", "1e-15", "--max-iter", "200"]
@@ -406,13 +415,16 @@ report = run_plan(plan, resolved)
 assert not any("failed" in r.flags for r in report.rows)
 print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))
 print(sorted(set(sys.modules) - before))
+print('numpy.ma' in sys.modules)
 """
 
 
 def test_f_modeling_and_oracle_plan_runs_without_scipy():
     plan = ("prior = family=heavy_tail p=1.5\nn_grid = 1000,10000\nreplicates = 1\n"
             "methods = robbins-addone,robbins-trunc,oracle\n")
-    assert _in_fresh_interpreter(_RUN_PLAN.format(plan=plan)).splitlines() == ["[]", "[]"]
+    # nor numpy.ma, which plain np.unique loads on first use
+    assert _in_fresh_interpreter(_RUN_PLAN.format(plan=plan)).splitlines() == ["[]", "[]",
+                                                                               "False"]
 
 
 def test_npmle_plan_loads_only_the_compiled_nnls():
@@ -427,11 +439,12 @@ def test_npmle_plan_loads_only_the_compiled_nnls():
         "x, rnorm = npmle.nnls(A, b)\n"
         "y, ynorm = scipy.optimize.nnls(A, b)\n"
         "print(npmle.nnls is not scipy.optimize.nnls, x.tobytes() == y.tobytes(), rnorm == ynorm)\n")
-    scipy_loaded, loaded_in_trials, agree = _in_fresh_interpreter(code).splitlines()
+    scipy_loaded, loaded_in_trials, ma_loaded, agree = _in_fresh_interpreter(code).splitlines()
     scipy_loaded = ast.literal_eval(scipy_loaded)
     assert "scipy.optimize._slsqplib" in scipy_loaded
     assert not [m for m in scipy_loaded if m.startswith(("scipy.optimize", "scipy.linalg",
                                                          "scipy.special"))
                 and m != "scipy.optimize._slsqplib"]
     assert loaded_in_trials == "[]"
+    assert ma_loaded == "False"
     assert agree == "True True True"

@@ -413,6 +413,9 @@ def test_resolve_certificate_matches_full_rows(heavy_tail_15, monkeypatch):
     assert heavy_tail_15.discretization.n_atoms == 685
     monkeypatch.setattr(priors, "pmf_on_range",
                         lambda prior, y_hi: np.exp(_full_rows(prior, y_hi)))
+    banded = priors._mixture_rows  # the certificate reads its log f, not its moments
+    monkeypatch.setattr(priors, "_mixture_rows", lambda prior, y_hi, orders: (
+        _full_rows(prior, y_hi), banded(prior, y_hi, orders)[1]))
     ref = priors.resolve(heavy_tail_15.spec, p=1.5)
     # ref.disc_error is the full-row sup-gap plus the tail drop
     np.testing.assert_array_equal(ref.discretization.atoms, heavy_tail_15.discretization.atoms)

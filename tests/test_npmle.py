@@ -101,6 +101,37 @@ def test_histogram_refuses_float_samples_that_are_not_whole(samples):
         fit_npmle(np.array(samples))
 
 
+@pytest.mark.parametrize("samples", [
+    ["1", "2"],                                  # strings
+    np.array([True, False, True]),               # booleans are no counts
+    [1.0, 1e19],                                 # a whole float at or beyond 2^63
+    [1, -1, 10 ** 19],                           # numpy makes these floats
+    np.array([1, 2 ** 63], dtype=np.uint64),
+    [1, 2, 10 ** 20],                            # numpy keeps these as Python ints
+])
+def test_histogram_refuses_samples_that_are_no_int64_counts(samples):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no cast warning on the way to the refusal
+        with pytest.raises(InvalidInputError, match=r"whole numbers below 2\^63"):
+            CountHistogram.from_samples(samples)
+
+
+def test_histogram_refuses_counts_beyond_int64():
+    with pytest.raises(InvalidInputError, match=r"below 2\^63"):
+        CountHistogram(np.array([1, 2]), np.array([3, 2 ** 63], dtype=np.uint64))
+
+
+def test_histogram_keeps_the_largest_int64_count():
+    h = CountHistogram.from_samples(np.array([2 ** 63 - 1, 3], dtype=np.uint64))
+    assert h.ys.dtype == np.int64 and h.ys.tolist() == [3, 2 ** 63 - 1]
+
+
+@pytest.mark.parametrize("text", ["1 2 100000000000000000000", "1 2 10000000000000000000"])
+def test_load_count_data_refuses_counts_beyond_int64(text):
+    with pytest.raises(InvalidInputError, match=r"below 2\^63"):
+        load_count_data(text)
+
+
 def test_load_count_data_lines_and_json():
     h = load_count_data("3\n0\n3\n1\n")
     assert h.n == 4 and h.count_of(3) == 2

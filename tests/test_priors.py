@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from poisson_eb import priors
+from poisson_eb import mixtures, priors
 from poisson_eb.errors import InvalidInputError, UnsupportedRegimeError
 from poisson_eb.mixtures import (
     DiscretePrior,
@@ -191,6 +191,72 @@ def test_reference_pmf_and_oracle_table_come_from_one_pass(monkeypatch):
     r.oracle_table(r.pmf().y_max)
     r.quantile_y(1e-9)
     assert calls == [(1e-11, (1,))]
+
+
+def _certificate_inputs(spec):
+    """(density, u_lo, u_hi, zero_mass, y_check) of resolve's certificate at disc_tol 1e-6."""
+    drop = 1e-9
+    if spec.family == "heavy_tail":
+        p = spec.params["p"]
+        theta_max = priors._heavy_tail_theta_max(p, drop)
+        return (lambda a: priors.heavy_tail_density(p, a), 1.0, math.log(theta_max),
+                1.0 - 1.0 / heavy_tail_normalizer(p), int(1.2 * theta_max) + 50)
+    t_lo, t_hi = math.sqrt(0.25 * math.pi * drop), math.sqrt(2.0 / (math.pi * 0.5 * drop))
+    return (priors._sqrt_cauchy_density, math.log(t_lo), math.log(t_hi), 0.0,
+            min(int(1.2 * t_hi) + 50, 20000))
+
+
+def _quadrature_prior(density, u_lo, u_hi, zero_mass, panels):
+    atoms, w = priors._gl_discretize(density, u_lo, u_hi, panels)
+    w = w * ((1.0 - zero_mass) / w.sum())
+    if zero_mass > 0:
+        return DiscretePrior(np.r_[0.0, atoms], np.r_[zero_mass, w])
+    return DiscretePrior(atoms, w)
+
+
+@pytest.mark.parametrize("spec", [None, PriorSpec("heavy_tail", {"p": 2.0}),
+                                  PriorSpec("heavy_tail", {"p": 3.0}),
+                                  PriorSpec("sqrt_cauchy")])
+def test_certification_pass_gives_the_reference_tables(spec, heavy_tail_15):
+    # resolve's one coarse pass yields the certificate and the reference tables,
+    # bit for bit what their own passes give; p = 3 and sqrt_cauchy have
+    # y_ref > y_check, p = 1.5 and p = 2 the reverse
+    r = heavy_tail_15 if spec is None else resolve(spec)
+    table, (oracle,) = mixtures.pmf_and_moment_tables(r.discretization, 1e-11, (1,))
+    np.testing.assert_array_equal(r.pmf().values, table.values)
+    assert (r.pmf().tail_mass, r.pmf().tail_tol) == (table.tail_mass, table.tail_tol)
+    np.testing.assert_array_equal(r.oracle_table(r.pmf().y_max), oracle)
+
+    # the certificate: sup |f_K - f_4K| over 0..y_check plus the dropped mass,
+    # with K the panel count whose quadrature is r's discretization
+    density, u_lo, u_hi, zero_mass, y_check = _certificate_inputs(r.spec)
+    panels = (r.discretization.n_atoms - (zero_mass > 0)) // priors._QUAD_NODES
+    coarse = _quadrature_prior(density, u_lo, u_hi, zero_mass, panels)
+    np.testing.assert_array_equal(coarse.atoms, r.discretization.atoms)
+    np.testing.assert_array_equal(coarse.weights, r.discretization.weights)
+    fine = _quadrature_prior(density, u_lo, u_hi, zero_mass, 4 * panels)
+    gap = np.max(np.abs(pmf_on_range(coarse, y_check) - pmf_on_range(fine, y_check)))
+    assert r.disc_error == float(gap) + 1e-9
+
+
+@pytest.mark.parametrize("spec", [PriorSpec("heavy_tail", {"p": 2.0}), PriorSpec("sqrt_cauchy")])
+def test_continuous_reference_tables_need_no_pass_after_resolve(monkeypatch, spec):
+    r = resolve(spec)
+    calls = []
+    real = mixtures._mixture_rows
+
+    def spy(*args, **kwargs):
+        calls.append(args[1:])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mixtures, "_mixture_rows", spy)
+    monkeypatch.setattr(priors, "_mixture_rows", spy)
+    r.pmf()
+    r.oracle_table(r.pmf().y_max)
+    r.quantile_y(1e-9)
+    assert calls == []
+    resolve(PriorSpec("two_point", {"eps": 0.2, "a": 5.0})).pmf()  # an exact family's one pass
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
