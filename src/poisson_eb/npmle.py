@@ -360,8 +360,10 @@ def _solve_weights(
     exact gain passes.  Columns with no representable Poi/f get weight 0;
     atoms below WEIGHT_FLOOR leave at once (D at a zeroed one can be
     astronomical).  Stops when n (1 - tol) <= D <= n (1 + tol) on the support,
-    when no step ascends, or after `budget` accepted steps.  Returns (kept
-    atom indices, w, log f, log D, steps).
+    when no step ascends, when a step leaves the recomputed log-likelihood no
+    higher (its gain is below rounding; the step is dropped), or after
+    `budget` accepted steps.  Returns (kept atom indices, w, log f, log D,
+    steps), all of one state.
     """
     sqrt_c = np.sqrt(cnts)
     sum_row = _SUM_ROW_WEIGHT * math.sqrt(n)
@@ -370,6 +372,7 @@ def _solve_weights(
     kept = (w >= WEIGHT_FLOOR).nonzero()[0]  # the weights a DiscretePrior keeps
     logP, w = logP[:, kept], w[kept]
     logf = _log_mix(logP, w)
+    ll = float(cnts @ logf)
     steps = 0
     while True:
         S = np.exp(logP - logf[:, None])  # Poi/f <= 1/w <= 1/WEIGHT_FLOOR
@@ -395,11 +398,15 @@ def _solve_weights(
             t *= 0.5
         if not (slope > 0.0 and t > 1e-10):
             break
+        w_new = np.maximum(w + t * d, 0.0)
+        keep = w_new >= WEIGHT_FLOOR
+        w_new = w_new[keep] / w_new[keep].sum()
+        logf_new = _log_mix(logP[:, keep], w_new)
+        ll_new = float(cnts @ logf_new)
+        if not ll_new > ll:
+            break
         steps += 1
-        w = np.maximum(w + t * d, 0.0)
-        keep = w >= WEIGHT_FLOOR
-        w, logP, kept = w[keep] / w[keep].sum(), logP[:, keep], kept[keep]
-        logf = _log_mix(logP, w)
+        w, logP, kept, logf, ll = w_new, logP[:, keep], kept[keep], logf_new, ll_new
     return kept, w, logf, logD, steps
 
 

@@ -290,6 +290,16 @@ def test_fit_stops_when_the_likelihood_stops_rising(n):
     assert fit.kkt_gap < 1e-11
 
 
+def test_weight_solve_stops_when_its_gain_is_below_rounding():
+    # at tol 1e-15 the first weight solve used to spend all 10,000 steps: D/n
+    # on the support was within 1.3e-13 of 1 after 20 steps, and each later
+    # step passed the Armijo test on a gain the recomputed likelihood missed
+    data = CountHistogram.from_counts({0: 308, 2: 2, 5: 1, 6: 2, 7: 1, 30: 1})
+    fit = fit_npmle(data, tol=1e-15)
+    assert fit.iterations <= 100
+    assert fit.kkt_gap < 1e-11
+
+
 @pytest.mark.parametrize("counts", [{0: 50}, {7: 20}, {5: 1}, {0: 999, 300: 1}],
                          ids=["all-zero", "one-value", "one-draw", "far-count"])
 def test_fit_from_the_counts_handles_edge_data(counts):
