@@ -545,14 +545,16 @@ def _loo_estimates(
 def fit_rate(ns, values, method: str = "", metric: str = "") -> RateFit:
     """OLS slope of log(value) on log(n), with a normal-theory 95% CI.
 
-    Requires >= 4 usable points spanning at least 1.5 decades of n.
-    Nonpositive and infinite values cannot enter the log fit; they are
-    excluded with a warning.
+    Requires finite, positive n and >= 4 usable points spanning at least
+    1.5 decades of n.  Nonpositive and infinite values cannot enter the log
+    fit; they are excluded with a warning.
     """
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
     if ns.shape != values.shape or ns.ndim != 1:
         raise InvalidInputError("ns and values must be matching 1-d arrays")
+    if not np.all((ns > 0) & (ns < math.inf)):
+        raise InvalidInputError("sample sizes n must be finite and positive")
     ok = (values > 0) & (values < math.inf)
     if not np.all(ok):
         warnings.warn(
