@@ -145,15 +145,19 @@ def cmd_eb_estimate(ctx, input_path, method, y0, rho, y_cap, tol, out_path):
     _require_certified(strict, fit)
 
 
-def _run_plan_command(ctx, plan_path, out_rows, out_slopes, forced_metrics=None):
+@main.command("regret-sweep")
+@click.argument("plan_path", type=click.Path(exists=True, dir_okay=False))
+@click.option("--out", "out_rows", default=None, help="Row CSV path (default stdout).")
+@click.option("--out-slopes", default=None, help="Optional slope-summary CSV path.")
+@click.pass_context
+def cmd_regret_sweep(ctx, plan_path, out_rows, out_slopes):
+    """Run a regret experiment plan and write its report CSVs."""
     from dataclasses import replace
 
     with _exit_codes("bad plan: "):
         plan = parse_plan(Path(plan_path).read_text())
         if ctx.obj["seed"] is not None:
             plan = replace(plan, seed=ctx.obj["seed"])
-        if forced_metrics is not None:
-            plan = replace(plan, metrics=forced_metrics)
         resolved = resolve(plan.prior, p=plan.p, disc_tol=plan.disc_tol, seed=plan.seed)
     report = run_plan(plan, resolved)
     _write_text(out_rows, report.rows_csv())
@@ -164,27 +168,6 @@ def _run_plan_command(ctx, plan_path, out_rows, out_slopes, forced_metrics=None)
     if ctx.obj["strict"] and (n_failed or n_uncertified):  # default lenient for sweeps
         _fail(_EXIT_NUMERICAL, f"{n_failed} row(s) failed and {n_uncertified} row(s) "
                                "carry an uncertified NPMLE fit")
-
-
-@main.command("regret-sweep")
-@click.argument("plan_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_rows", default=None, help="Row CSV path (default stdout).")
-@click.option("--out-slopes", default=None, help="Optional slope-summary CSV path.")
-@click.pass_context
-def cmd_regret_sweep(ctx, plan_path, out_rows, out_slopes):
-    """Run a regret experiment plan and write its report CSVs."""
-    _run_plan_command(ctx, plan_path, out_rows, out_slopes)
-
-
-@main.command("density-risk")
-@click.argument("plan_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_rows", default=None, help="Row CSV path (default stdout).")
-@click.option("--out-slopes", default=None, help="Optional slope-summary CSV path.")
-@click.pass_context
-def cmd_density_risk(ctx, plan_path, out_rows, out_slopes):
-    """Run a plan with the metric forced to squared-Hellinger density risk."""
-    _run_plan_command(ctx, plan_path, out_rows, out_slopes,
-                      forced_metrics=("hellinger_sq",))
 
 
 @main.command("moment-match")

@@ -259,18 +259,6 @@ def test_regret_sweep_rejects_negative_seed_option(runner, tmp_path):
     assert "bad plan: seed must be >= 0" in result.output
 
 
-def test_density_risk_forces_metric(runner, tmp_path):
-    plan = write(tmp_path, "plan.txt", PLAN_TEXT)
-    result = runner.invoke(main, ["density-risk", plan])
-    assert result.exit_code == 0, result.output
-    body = [l for l in result.output.splitlines() if l and not l.startswith("#")][1:]
-    assert body, "expected data rows"
-    for line in body:
-        cells = line.split(",")
-        assert cells[2] == "npmle"
-        assert cells[3] == "hellinger_sq"
-
-
 def test_sweep_strictness_controls_exit_code(runner, tmp_path, monkeypatch):
     def boom(*a, **k):
         raise ValueError("synthetic failure")
