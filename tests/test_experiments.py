@@ -196,6 +196,13 @@ def test_fit_rate_excludes_nonpositive_with_warning():
     assert fit.slope == pytest.approx(-1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad_n", [math.nan, math.inf, 0.0, -10.0])
+def test_fit_rate_refuses_nonfinite_and_nonpositive_n(bad_n):
+    # NaN used to give a NaN slope, and a negative n a bare ValueError
+    with pytest.raises(InvalidInputError, match="finite and positive"):
+        fit_rate([bad_n, 10, 100, 1000, 1e4], [1.0] * 5)
+
+
 def test_fit_rate_demands_span_and_points():
     with pytest.raises(InvalidInputError):
         fit_rate([100, 1000, 10_000], [1.0, 0.1, 0.01])          # 3 points
@@ -334,7 +341,9 @@ def test_bounded_rule_regret_diverges_on_infinite_second_moment(heavy_tail_15):
     plain = individual_regret_trial(heavy_tail_15, 200, "robbins", (5, 1))
     assert plain[0] == math.inf
     assert plain[2][-1] == "divergent_regret"
-    assert "infinite=1" in plain[2]
+    train = heavy_tail_15.count_histogram((5, 1), 199)
+    census = sum(1 for v in range(train.y_max) if train.count_of(v) == 0 < train.count_of(v + 1))
+    assert f"infinite={census}" in plain[2]
     out = total_regret_trial(heavy_tail_15, 200, "robbins-addone", (5, 1),
                              direct_seed=(5, 1, 2))
     assert out["total_regret"] == (math.inf, math.inf, ["divergent_regret"])

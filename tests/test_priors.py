@@ -394,6 +394,40 @@ def test_sampler_determinism_and_seed_sensitivity():
         TP.sample(0, 0)
 
 
+@pytest.mark.parametrize("spec", [
+    PriorSpec("heavy_tail", {"p": 2.0}),
+    PriorSpec("sqrt_cauchy"),
+    PriorSpec("point_mass", {"value": 2.5}),
+    PriorSpec("two_point", {"eps": 0.3, "a": 12.5}),
+    PriorSpec("moment_class_extremal", {"u": 4.0, "m1": 2.0}),
+    PriorSpec("discrete", {"atoms": [0.5, 2.0, 6.0], "weights": [0.5, 0.3, 0.2]}),
+    PriorSpec("assouad", {"n": 10_000, "p": 2.0, "c_p": 30.0}),
+], ids=lambda spec: spec.family)
+def test_every_family_draws_only_atoms_of_its_discretization(spec):
+    r = resolve(spec, p=1.5 if spec.family != "assouad" else None, seed=2)
+    draws = r.sample(7, 500)
+    assert draws.shape == (500,)
+    assert np.all(np.isin(draws, r.discretization.atoms))
+    assert np.all(np.diff(draws) >= 0.0)  # grouped by atom, in atom order
+
+
+def test_heavy_tail_draws_follow_the_discretization_weights(heavy_tail_15):
+    # the zero atom and four theta-blocks: each frequency within 4 SE of the
+    # block's summed weight (the last block's expects about 25 draws)
+    d = heavy_tail_15.discretization
+    n = 1_000_000
+    draws = heavy_tail_15.sample((2026, 10, 20), n)
+    edges = [0.0, 4.0, 10.0, 100.0, math.inf]
+    blocks = [(d.atoms == 0.0, draws == 0.0)] + [
+        ((d.atoms > lo) & (d.atoms <= hi), (draws > lo) & (draws <= hi))
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ]
+    for in_block, drawn in blocks:
+        mass = float(d.weights[in_block].sum())
+        assert 0.0 < mass < 1.0
+        assert abs(drawn.mean() - mass) <= 4.0 * math.sqrt(mass * (1.0 - mass) / n)
+
+
 def test_sample_counts_pairs():
     theta, y = TP.sample_counts(99, 5000)
     assert theta.shape == y.shape == (5000,)

@@ -116,11 +116,11 @@ def test_plain_degenerate_count_ignores_the_table_length(heavy_tail_15):
 
 
 def test_fit_rule_plain_infinite_count_is_the_empty_cell_census():
-    # a heavy-tailed sample of 100 counts leaves empty cells below its max;
-    # each y with N(y) = 0 < N(y+1) is one infinite plain-Robbins cell
-    sc = resolve(PriorSpec("sqrt_cauchy"), p=1.0)
-    _, y = sc.sample_counts(5, 100)
-    hist = CountHistogram.from_samples(y)
+    # a heavy-tailed sample of 100 counts (a sqrt_cauchy draw) leaves empty
+    # cells below its max; each y with N(y) = 0 < N(y+1) is one infinite
+    # plain-Robbins cell
+    hist = CountHistogram.from_counts({0: 39, 1: 25, 2: 16, 3: 4, 4: 7, 5: 3, 6: 1, 8: 3,
+                                       10: 1, 12: 1})
     rule = fit_rule(EstimatorConfig("robbins_plain"), hist.y_max, train=hist)
     observed = set(hist.ys.tolist())
     census = sum(1 for v in range(hist.y_max) if v not in observed and v + 1 in observed)
