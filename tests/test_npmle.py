@@ -1,9 +1,11 @@
 import importlib.machinery
 import json
 import math
+import subprocess
 import sys
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import pytest
 import scipy.optimize
 from scipy.special import softmax
 
+import poisson_eb
 from poisson_eb import npmle
 from poisson_eb.errors import InvalidInputError
 from poisson_eb.mixtures import WEIGHT_FLOOR, DiscretePrior, _log_mix, log_poisson_pmf
@@ -556,6 +559,34 @@ def test_nnls_raises_at_the_iteration_cap(monkeypatch):
     assert isinstance(fit_npmle(MIXED), NpmleFit)  # a weight step stops at the cap
 
 
+_EMPTY_NNLS = """
+import sys, types
+sys.path.insert(0, {src!r})
+import numpy as np
+import scipy.optimize
+from poisson_eb import npmle
+if {fallback}:  # a scipy build without the compiled routine's file
+    sys.modules[npmle._NNLS_MODULE] = types.SimpleNamespace()
+npmle.load_solver()
+print(npmle.nnls.__wrapped__ is scipy.optimize.nnls)
+for shape in [(3, 0), (0, 3), (0, 0)]:
+    x, rnorm = npmle.nnls(np.zeros(shape), np.full(shape[0], 2.0))
+    print(shape, x.tolist(), repr(rnorm))
+"""
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_nnls_of_an_empty_matrix_is_zero_on_both_routes(fallback):
+    # scipy's routine aborts the process on a matrix with no columns (and returns
+    # uninitialized memory on one with no rows), so a regression kills only the child
+    src = str(Path(poisson_eb.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _EMPTY_NNLS.format(src=src, fallback=fallback)],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [str(fallback), "(3, 0) [] 3.4641016151377544",
+                                       "(0, 3) [0.0, 0.0, 0.0] 0.0", "(0, 0) [] 0.0"]
+
+
 @pytest.mark.parametrize("lookup", ["no file", "no routine"])
 def test_load_solver_falls_back_to_scipy_optimize(monkeypatch, lookup):
     npmle.load_solver()
@@ -567,5 +598,5 @@ def test_load_solver_falls_back_to_scipy_optimize(monkeypatch, lookup):
     else:
         monkeypatch.setitem(sys.modules, npmle._NNLS_MODULE, types.SimpleNamespace())
     npmle.load_solver()
-    assert npmle.nnls is scipy.optimize.nnls
+    assert npmle.nnls.__wrapped__ is scipy.optimize.nnls  # behind the empty-matrix guard
     assert fit_npmle(MIXED).to_dict() == want

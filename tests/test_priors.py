@@ -1,6 +1,7 @@
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from poisson_eb.mixtures import (
     pmf_table,
     posterior_moment_table,
 )
+from poisson_eb.npmle import CountHistogram
 from poisson_eb.priors import (
     PriorSpec,
     assouad_prior,
@@ -436,6 +438,50 @@ def test_sample_counts_pairs():
     assert np.all(y[theta == 0.0] == 0)
     theta2, y2 = TP.sample_counts(99, 5000)
     np.testing.assert_array_equal(y, y2)
+
+
+@pytest.fixture(scope="module")
+def drawn_priors(heavy_tail_15):
+    return {
+        "heavy_tail_15": heavy_tail_15,
+        "two_point": TP,
+        "point_mass_zero": resolve(PriorSpec("point_mass", {"value": 0.0})),
+        "discrete_no_zero": resolve(PriorSpec("discrete", {"atoms": [0.5, 3.0, 40.0],
+                                                           "weights": [0.3, 0.5, 0.2]})),
+        "sqrt_cauchy": resolve(PriorSpec("sqrt_cauchy", {}), p=1.5),
+        # counts beyond 2^16 and the sample size: the histogram sorts them
+        "two_point_far": resolve(PriorSpec("two_point", {"eps": 0.5, "a": 1e7})),
+    }
+
+
+@pytest.mark.parametrize("size", [1, 10, 999, 10**5])
+@pytest.mark.parametrize("name", ["heavy_tail_15", "two_point", "point_mass_zero",
+                                  "discrete_no_zero", "sqrt_cauchy", "two_point_far"])
+def test_zero_atom_draws_skip_the_poisson_stream_bit_for_bit(drawn_priors, name, size):
+    # the counts of the zero atom's draws (a prefix of theta) are 0 without a
+    # Poisson draw; the rows rely on numpy's Poisson returning 0 at rate 0
+    # without touching its bit generator, so Y is one Poisson draw per theta
+    r, seed = drawn_priors[name], (27, size)
+    want = priors._generator(seed, 0x9E37).poisson(r.sample(seed, size))
+    theta, y = r.sample_counts(seed, size)
+    np.testing.assert_array_equal(theta, r.sample(seed, size))
+    assert y.dtype == want.dtype and y.tobytes() == want.tobytes()
+    hist, fresh = r.count_histogram(seed, size), CountHistogram.from_samples(want)
+    np.testing.assert_array_equal(hist.ys, fresh.ys)
+    np.testing.assert_array_equal(hist.cnts, fresh.cnts)
+
+
+def test_count_histogram_keeps_no_length_n_count_array(heavy_tail_15):
+    heavy_tail_15.count_histogram((1, 10), 10)  # evicts any cached draw, so the next one runs
+    tracemalloc.start()
+    try:
+        hist = heavy_tail_15.count_histogram((1, 10**6), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hist.n == 10**6
+    # theta alone is 8 MB; the per-sample route's length-n Y and its sort copies took 17 MB more
+    assert peak < 12e6
 
 
 def test_quantile_y_behavior():
