@@ -18,8 +18,9 @@ Conventions
   drawn and histogrammed once for all of them
   (`ResolvedPrior.count_histogram`: the zero atom's draws count at y = 0
   with no Poisson draw, the rest by `np.bincount`, with no length-n count
-  array; the histogram equals that of `sample_counts`' Y).  The sums are numpy reductions, not
-  BLAS dots, whose rounding would depend on the BLAS thread count.
+  array; the histogram equals that of `sample_counts`' Y).  The sums are
+  numpy reductions, not BLAS dots, whose rounding would depend on the BLAS
+  thread count.
 * Divergent regret is reported as infinite, never as a windowed partial sum.
   When the prior has E theta^2 = inf, so does theta_G(Y), and a rule that
   stays bounded beyond its table (`rules.bounded_beyond_table`: plain and

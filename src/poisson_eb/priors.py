@@ -403,19 +403,16 @@ class ResolvedPrior:
         return np.repeat(d.atoms, _generator(seed).multinomial(int(size), d.weights))
 
     def _draw(self, seed, size: int) -> tuple[np.ndarray, int, np.ndarray]:
-        """theta by `sample`, the number k of its draws at the zero atom (a
-        prefix, as the draws are grouped by atom in increasing order), and
-        the Poisson counts of the draws after them.  numpy's Poisson returns
-        0 at rate 0 without touching its bit generator, so Y is 0 then these
-        counts, bit for bit one Poisson draw per theta."""
+        """theta by `sample`, the length k of its zero-atom prefix (the draws
+        are grouped by atom in increasing order), and the Poisson counts of
+        theta[k:]; Y is k zeros and then these (module docstring)."""
         theta = self.sample(seed, size)
         k = int(np.searchsorted(theta, 0.0, side="right"))
         return theta, k, _generator(seed, 0x9E37).poisson(theta[k:])
 
     def sample_counts(self, seed, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw (theta, Y) pairs: theta by `sample`, from K grouped by atom; Y | theta Poisson.
-
-        The zero atom's draws consume no Poisson variates: their Y are 0."""
+        """Draw (theta, Y) pairs: theta by `sample`, from K grouped by atom; Y | theta
+        Poisson, with no Poisson variate spent on the zero atom's draws."""
         theta, k, rest = self._draw(seed, size)
         y = np.zeros(theta.size, dtype=rest.dtype)
         y[k:] = rest
@@ -424,13 +421,12 @@ class ResolvedPrior:
     def count_histogram(self, seed, size: int) -> CountHistogram:
         """The histogram of the counts Y of `sample_counts(seed, size)`.
 
-        The zero atom's draws consume no Poisson variates and enter as one
-        count at y = 0; the other counts are tabulated by `np.bincount`, or
-        sorted when their range is longer than both the sample and 2^16
-        (atoms far from 0), so no length-n Y array is built.  Only the last
-        (key, histogram) pair is kept, so the methods that train on one
-        stream key share one draw.  The old pair is dropped before a new
-        draw, and theta is never kept.
+        The zero atom's draws count at y = 0 and the rest by `np.bincount`,
+        with no length-n Y array; counts reaching max(size, 2^16) (atoms far
+        from 0) are sorted instead, so the table is never longer than that.
+        Only the last (key, histogram) pair is kept, so the methods that
+        train on one stream key share one draw.  The old pair is dropped
+        before a new draw, and theta is never kept.
         """
         key = (_entropy(seed), int(size))
         if self._cache.get("counts", (None,))[0] != key:
@@ -438,7 +434,7 @@ class ResolvedPrior:
             _, zeros, rest = self._draw(seed, size)
             if rest.size and rest.max() >= max(int(size), 1 << 16):
                 ys, cnts = np.unique(np.append(rest, 0), return_counts=True)
-                cnts[0] += zeros - 1
+                cnts[0] += zeros - 1  # the appended 0 stands for the zero atom's draws
             else:
                 cnts = np.bincount(rest, minlength=1)
                 cnts[0] += zeros

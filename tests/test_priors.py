@@ -480,7 +480,8 @@ def test_count_histogram_keeps_no_length_n_count_array(heavy_tail_15):
     finally:
         tracemalloc.stop()
     assert hist.n == 10**6
-    # theta alone is 8 MB; the per-sample route's length-n Y and its sort copies took 17 MB more
+    # theta alone is 8 MB; with the per-sample route's length-n Y and its sort
+    # copies the peak was 18 MB
     assert peak < 12e6
 
 
