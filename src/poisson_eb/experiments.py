@@ -17,8 +17,8 @@ Conventions
   every other method trains on the sample drawn from the replicate's key,
   drawn and histogrammed once for all of them
   (`ResolvedPrior.count_histogram`: the zero atom's draws count at y = 0
-  with no Poisson draw, the rest by `np.bincount`, with no length-n count
-  array; the histogram equals that of `sample_counts`' Y).  The sums are
+  with no Poisson draw, and only the rest are sorted, with no length-n
+  count array; the histogram equals that of `sample_counts`' Y).  The sums are
   numpy reductions, not BLAS dots, whose rounding would depend on the BLAS
   thread count.
 * Divergent regret is reported as infinite, never as a windowed partial sum.

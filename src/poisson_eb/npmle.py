@@ -78,35 +78,35 @@ def load_solver() -> None:
 
     It wraps scipy's compiled routine as ``scipy.optimize.nnls`` does (finiteness
     check, 3 iterations per column, RuntimeError at that cap), so every solve is
-    the same; a scipy build without that routine wraps ``scipy.optimize.nnls``.
-    On either route an empty A (no columns or no rows) gives x = 0 and ||b||
-    without calling scipy, whose routine aborts the process with a double free
-    on a matrix with no columns and returns uninitialized memory on one with no
-    rows.
+    the same; a scipy build without that routine calls ``scipy.optimize.nnls``.
+    On either route an empty A gives x = 0 and ||b|| without calling scipy,
+    whose routine aborts the process with a double free on a matrix with no
+    columns and returns uninitialized memory on one with no rows.
     """
     global nnls
     try:
         routine = _compiled_nnls()
     except (ImportError, AttributeError):
-        from scipy.optimize import nnls as solve
-    else:
-        def solve(A, b):
-            A = np.asarray_chkfinite(A, dtype=np.float64, order="C")
-            b = np.asarray_chkfinite(b, dtype=np.float64)
-            x, rnorm, info = routine(A, b, 3 * A.shape[1])
-            if info == 3:
-                raise RuntimeError("Maximum number of iterations reached.")
-            return x, rnorm
+        from scipy.optimize import nnls as scipy_nnls
+
+        def nnls(A, b):
+            """``scipy.optimize.nnls``; returns (x, ||Ax - b||)."""
+            A = np.asarray(A)
+            if A.ndim == 2 and A.size == 0:
+                return np.zeros(A.shape[1]), float(np.linalg.norm(b))
+            return scipy_nnls(A, b)
+        return
 
     def nnls(A, b):
         """argmin ||Ax - b|| over x >= 0 by Lawson-Hanson; returns (x, ||Ax - b||)."""
-        A = np.asarray(A)
-        if A.ndim == 2 and A.size == 0:
-            b = np.asarray_chkfinite(b, dtype=np.float64)
+        A = np.asarray_chkfinite(A, dtype=np.float64, order="C")
+        b = np.asarray_chkfinite(b, dtype=np.float64)
+        if A.size == 0:
             return np.zeros(A.shape[1]), float(np.linalg.norm(b))
-        return solve(A, b)
-
-    nnls.__wrapped__ = solve
+        x, rnorm, info = routine(A, b, 3 * A.shape[1])
+        if info == 3:
+            raise RuntimeError("Maximum number of iterations reached.")
+        return x, rnorm
 
 
 def nnls(A, b):

@@ -38,8 +38,8 @@ of a 16x refinement's.
 Y | theta is Poisson on a second stream of the same key.  The zero atom's
 draws lead theta and consume no Poisson variates: their Y are 0, which is
 what numpy's Poisson returns at rate 0 without touching its bit generator,
-so Y is bit for bit one Poisson draw per theta.  `count_histogram` counts
-the zero atom's draws at y = 0 and the others by `np.bincount`, with no
+so Y is bit for bit one Poisson draw per theta.  `count_histogram` sorts
+only the other draws' counts and adds the zero atom's at y = 0, with no
 length-n Y array; heavy_tail puts 0.93 (p = 1.5) to 0.99 (p = 3) of its
 mass at 0.
 
@@ -412,7 +412,8 @@ class ResolvedPrior:
 
     def sample_counts(self, seed, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw (theta, Y) pairs: theta by `sample`, from K grouped by atom; Y | theta
-        Poisson, with no Poisson variate spent on the zero atom's draws."""
+        Poisson, with no Poisson variate spent on the zero atom's draws (Y
+        shares its draw routine with `count_histogram`)."""
         theta, k, rest = self._draw(seed, size)
         y = np.zeros(theta.size, dtype=rest.dtype)
         y[k:] = rest
@@ -421,24 +422,18 @@ class ResolvedPrior:
     def count_histogram(self, seed, size: int) -> CountHistogram:
         """The histogram of the counts Y of `sample_counts(seed, size)`.
 
-        The zero atom's draws count at y = 0 and the rest by `np.bincount`,
-        with no length-n Y array; counts reaching max(size, 2^16) (atoms far
-        from 0) are sorted instead, so the table is never longer than that.
-        Only the last (key, histogram) pair is kept, so the methods that
-        train on one stream key share one draw.  The old pair is dropped
-        before a new draw, and theta is never kept.
+        The zero atom's draws count at y = 0 with no Poisson draw, and only
+        the rest are sorted (`np.unique`), with no length-n Y array.  Only
+        the last (key, histogram) pair is kept, so the methods that train on
+        one stream key share one draw.  The old pair is dropped before a new
+        draw, and theta is never kept.
         """
         key = (_entropy(seed), int(size))
         if self._cache.get("counts", (None,))[0] != key:
             self._cache.pop("counts", None)
             _, zeros, rest = self._draw(seed, size)
-            if rest.size and rest.max() >= max(int(size), 1 << 16):
-                ys, cnts = np.unique(np.append(rest, 0), return_counts=True)
-                cnts[0] += zeros - 1  # the appended 0 stands for the zero atom's draws
-            else:
-                cnts = np.bincount(rest, minlength=1)
-                cnts[0] += zeros
-                ys = np.arange(cnts.size)
+            ys, cnts = np.unique(np.append(rest, 0), return_counts=True)
+            cnts[0] += zeros - 1  # the appended 0 stands for the zero atom's draws
             seen = cnts > 0
             self._cache["counts"] = (key, CountHistogram(ys[seen], cnts[seen]))
         return self._cache["counts"][1]

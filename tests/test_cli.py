@@ -1,14 +1,11 @@
 import ast
 import json
-import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-import poisson_eb
 from poisson_eb import cli
 from poisson_eb import experiments as ex
 from poisson_eb.cli import main
@@ -378,20 +375,12 @@ def test_numerical_failure_exits_3(runner, monkeypatch):
     assert "error: could not certify the discretization" in result.output
 
 
-def _in_fresh_interpreter(code: str) -> str:
-    src = str(Path(poisson_eb.__file__).resolve().parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r})\n" + code
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, timeout=120)
-    return out.stdout.strip()
-
-
-def test_cli_import_skips_scipy_stats():
+def test_cli_import_skips_scipy_stats(in_fresh_interpreter):
     # every peb run pays for what importing the CLI pulls in; only NPMLE fits
     # and a few commands load scipy, on first use
     code = ("import poisson_eb.cli\n"
             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
-    assert _in_fresh_interpreter(code) == "[]"
+    assert in_fresh_interpreter(code) == "[]"
 
 
 _RUN_PLAN = """
@@ -407,15 +396,15 @@ print('numpy.ma' in sys.modules)
 """
 
 
-def test_f_modeling_and_oracle_plan_runs_without_scipy():
+def test_f_modeling_and_oracle_plan_runs_without_scipy(in_fresh_interpreter):
     plan = ("prior = family=heavy_tail p=1.5\nn_grid = 1000,10000\nreplicates = 1\n"
             "methods = robbins-addone,robbins-trunc,oracle\n")
     # nor numpy.ma, which plain np.unique loads on first use
-    assert _in_fresh_interpreter(_RUN_PLAN.format(plan=plan)).splitlines() == ["[]", "[]",
-                                                                               "False"]
+    assert in_fresh_interpreter(_RUN_PLAN.format(plan=plan)).splitlines() == ["[]", "[]",
+                                                                              "False"]
 
 
-def test_npmle_plan_loads_only_the_compiled_nnls():
+def test_npmle_plan_loads_only_the_compiled_nnls(in_fresh_interpreter):
     plan = ("prior = family=heavy_tail p=2\nn_grid = 100,1000\nreplicates = 1\n"
             "methods = npmle\nmetrics = hellinger_sq,individual_regret\n")
     code = _RUN_PLAN.format(plan=plan) + (
@@ -427,7 +416,7 @@ def test_npmle_plan_loads_only_the_compiled_nnls():
         "x, rnorm = npmle.nnls(A, b)\n"
         "y, ynorm = scipy.optimize.nnls(A, b)\n"
         "print(npmle.nnls is not scipy.optimize.nnls, x.tobytes() == y.tobytes(), rnorm == ynorm)\n")
-    scipy_loaded, loaded_in_trials, ma_loaded, agree = _in_fresh_interpreter(code).splitlines()
+    scipy_loaded, loaded_in_trials, ma_loaded, agree = in_fresh_interpreter(code).splitlines()
     scipy_loaded = ast.literal_eval(scipy_loaded)
     assert "scipy.optimize._slsqplib" in scipy_loaded
     assert not [m for m in scipy_loaded if m.startswith(("scipy.optimize", "scipy.linalg",

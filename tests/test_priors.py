@@ -449,7 +449,7 @@ def drawn_priors(heavy_tail_15):
         "discrete_no_zero": resolve(PriorSpec("discrete", {"atoms": [0.5, 3.0, 40.0],
                                                            "weights": [0.3, 0.5, 0.2]})),
         "sqrt_cauchy": resolve(PriorSpec("sqrt_cauchy", {}), p=1.5),
-        # counts beyond 2^16 and the sample size: the histogram sorts them
+        # counts far beyond the sample size: a table indexed by y would not fit
         "two_point_far": resolve(PriorSpec("two_point", {"eps": 0.5, "a": 1e7})),
     }
 
