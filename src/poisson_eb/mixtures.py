@@ -11,27 +11,40 @@ Conventions
 -----------
 * ``Poi(y; theta) = exp(-theta) theta^y / y!``, with ``theta = 0`` meaning a
   unit mass at ``y = 0``.
-* log y! (`log_factorial`) is cephes' ``lgam``, as in scipy's ``gammaln``:
-  exact for y < 12, else (x - 1/2) log x - x + log sqrt(2 pi) at x = y + 1
-  plus cephes' 5-term series in 1/x^2 (x < 1000) or 3-term one (x <= 10^8),
-  tabulated once for y < 2^16.  Where numpy's ``log`` rounds apart from libm's
-  it sits 1-2 ulp from ``gammaln`` (2 table rows).  A deviance form may replace it.
+* log Poi(y; theta) (`log_poisson_pmf`) is Loader's (2000) deviance form
+  -stirlerr(y) - log sqrt(2 pi y) - bd0(y, theta), bd0 = y log(y/theta) +
+  theta - y taken by its series near y = theta: within 4e-16 relative of
+  40-digit values up to y = 10^6, where y log theta - theta - log y! errs by
+  2e-11 to 4e-11 absolute near y = theta = 4 10^4 and by 7e-10 at 10^6.
+  y = 0 (-theta) and theta = 0 are exact, and the smallest theta stays
+  finite.  log y! is -1 - log Poi(y; 1).
 * pmf tables are truncated at a ``y_max`` chosen from the Poisson deviation
   bound ``P(|X - theta| > t) <= exp(-t^2 / (2(theta + t)))`` applied atom by
   atom, so the neglected tail is provably below the requested tolerance.
-* Mixture tables sum each block of ``max(256, 2^16 // atoms)`` rows (few-atom
-  priors, such as fitted NPMLEs, take few blocks) over the atoms whose
-  deviation bound is near the block's best.  That bound, summed over the atoms
-  left out, must be 2^-60 below every kept row sum, else the block sums all
-  atoms: a table equals the all-atom sum to within the rounding of a double.
+* Mixture tables sum each block of ``max(256, 2^16 // atoms)`` rows, in whole
+  256-row segments (few-atom priors, such as fitted NPMLEs, take few blocks),
+  over the atoms whose bound log w_j - bd0(y*, theta_j), y* the point of the
+  block nearest theta_j, is near the block's best.  Poi(y; theta) <=
+  exp(-bd0(y, theta)) for every y, so the bound is rigorous.  The left-out
+  atoms' bounds, summed (first as count x max), must be 2^-60 below every
+  kept row sum, else the block sums all atoms: a table equals the all-atom sum
+  to within rounding.
+* A cell is log(w_j Poi(y; theta_j)) less the row term log Poi(y; c), c the
+  centre of the row's segment: (y - c) log(theta_j / c) + log w_j - bd0(c,
+  theta_j), one multiply-add per cell.  The first segment is not centred (row
+  term -log y!), so row 0 is exact.  Its rounding, of order 2^-53 |theta_j -
+  c| |log(theta_j / c)| and 2^-53 bd0(c, theta_j), sits far below Loader's
+  form's own where the mixture has mass near c; in a gap of the prior the
+  moments are taken cell by cell in Loader's form (`_GAP_NATS`).  No row's
+  value depends on the length of its table.
 * One pass over the blocks gives the pmf and any posterior moments
-  (`pmf_and_moment_tables`).  One exponential per cell, E = w Poi / e^top
-  with top the row's largest log term, is shared by the pmf and every
-  moment: log f = top + log sum E, and moment r is the theta^r-weighted
-  row sum of E over the row mass sum E.  Each output keeps its own
-  certificate: the pmf sums all atoms only where the w sum fails, moment r
-  where the w sum or the w theta^r sum fails.  So each table equals the one
-  its own call gives.
+  (`pmf_and_moment_tables`).  One exponential per cell, E = w Poi / (Poi(y; c)
+  e^top) with top the row's largest cell, is shared by the pmf and every
+  moment: log f = log Poi(y; c) + top + log sum E, and moment r is the
+  theta^r-weighted row sum of E over the row mass sum E.  Each output keeps
+  its own certificate: the pmf sums all atoms only where the w sum fails,
+  moment r where the w sum or the w theta^r sum fails.  So each table equals
+  the one its own call gives.
 * Squared Hellinger distance between pmfs is the *unnormalized* sum
   ``sum_y (sqrt f - sqrt g)^2``, which lives in ``[0, 2]``.  The closed forms
   in :func:`poisson_divergences` use the 1/2-normalized convention in
@@ -55,7 +68,6 @@ __all__ = [
     "WEIGHT_FLOOR",
     "DiscretePrior",
     "MixturePmf",
-    "log_factorial",
     "log_poisson_pmf",
     "mixture_tail_bound",
     "pmf_on_range",
@@ -76,6 +88,11 @@ _WEIGHT_SUM_TOL = 1e-12
 _BLOCK = 256  # fewest rows per block when tabulating mixtures
 _BLOCK_CELLS = 2 ** 16  # a block spans max(_BLOCK, _BLOCK_CELLS // atoms) rows
 _BAND_NATS = 200.0  # atoms whose bound is this far below a block's best are left out
+_OFFSETS = np.arange(_BLOCK) - 0.5 * (_BLOCK - 1)  # y - c on a segment centred at c
+# A row is in a gap of the prior where f(y) is this many nats below max_theta Poi(y; theta):
+# every atom that counts there is far from the centre c, and the rounding of d a_j + b_j,
+# which grows with |theta_j - c|, shows in moments that split between far atoms.
+_GAP_NATS = 64.0
 _CERT_LOG = 60.0 * math.log(2.0)  # left-out mass must sit 2^-60 below every kept sum
 
 
@@ -154,49 +171,90 @@ class DiscretePrior:
 # Poisson pmf and tail machinery
 # ---------------------------------------------------------------------------
 
-def _stirling_log_factorial(y: np.ndarray) -> np.ndarray:
-    x = y + 1.0  # cephes lgam(x) for x >= 13; see the module Conventions
-    p = 1.0 / (x * x)
-    near = np.polyval([8.11614167470508450300e-4, -5.95061904284301438324e-4,
-                       7.93650340457716943945e-4, -2.77777777730099687205e-3,
-                       8.33333333333331927722e-2], p)
-    far = np.polyval([7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
-                      0.0833333333333333333333], p)
-    tail = np.where(x < 1e3, near, np.where(x > 1e8, 0.0, far))
-    return (x - 0.5) * np.log(x) - x + 0.91893853320467274178 + tail / x
+# log y! = y log y - y + stirlerr(y) + log sqrt(2 pi y) (Loader 2000).  Below y = 16 the
+# table holds stirlerr(y) + log sqrt(2 pi y) = log y! - y log y + y (0 at y = 0, and 1 at
+# y = 1, so that log 1! = 0 exactly), made with mpmath 1.3.0 at 40 digits and rounded
+# once to a double:  float(mp.loggamma(y + 1) - y * mp.log(y) + y) for y = 1..15.
+_LOG_NORM = np.array([
+    0.0, 1.0, 1.3068528194400546, 1.4959226032237258, 1.6328763858683832,
+    1.7403021806115442, 1.828694396641771, 1.9037903176782212, 1.9690705693065629,
+    2.0268062840554952, 2.0785616431350586, 2.12545984509181, 2.168334698205882,
+    2.207822206123445, 2.244418568125061, 2.2785183673077407,
+])
+# Above the table, stirlerr(y) = sum_k B_2k / (2k (2k - 1) y^(2k - 1)), k = 1..5,
+# in powers of 1/y^2; the first term left out is below 1.2e-16 at y = 16.
+_STIRLING = [1.0 / 1188, -1.0 / 1680, 1.0 / 1260, -1.0 / 360, 1.0 / 12]
+# Near y = theta, bd0 = s v^2 (1 + v (1 + v) sum_k v^(2k-2) / (2k+1)), s = y + theta and
+# v = (y - theta) / s, k = 1..8; for |v| < 1/10 the first term left out is below 2^-60.
+_BD0_SERIES = [1.0 / (2 * k + 1) for k in range(8, 0, -1)]
 
 
-_LOG_FACTORIALS = np.concatenate([[math.log(math.factorial(k)) for k in range(12)],
-                                  _stirling_log_factorial(np.arange(12.0, 2.0 ** 16))])
+def _whole_counts(y) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if not (y.min(initial=0.0) >= 0 and y.max(initial=0.0) < np.inf and (np.floor(y) == y).all()):
+        raise InvalidInputError("log_poisson_pmf needs whole y >= 0")
+    return y
 
 
-def log_factorial(y):
-    """log y! for whole y >= 0, broadcasting; anything else is an input error."""
-    y, rows = np.asarray(y, dtype=float), _LOG_FACTORIALS.size
-    # the table's rows are the y that clamping to [0, last row] and flooring leave
-    # unchanged; NaN is not equal to itself, so only rows are cast
-    if not np.count_nonzero(np.floor(np.minimum(np.maximum(y, 0.0), rows - 1.0)) != y):
-        return _LOG_FACTORIALS[y.astype(np.intp)]
-    if not (np.isfinite(y) & (y >= 0) & (y == np.floor(y))).all():
-        raise InvalidInputError("log_factorial needs whole y >= 0")
-    return np.where(y < rows, _LOG_FACTORIALS[np.minimum(y, rows - 1).astype(np.intp)],
-                    _stirling_log_factorial(y))
+def _log_norm(y: np.ndarray) -> np.ndarray:
+    """stirlerr(y) + log sqrt(2 pi y) for whole y >= 0 (0 at y = 0): log y! less y log y - y."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv2 = 1.0 / (y * y)
+        series = _STIRLING[0]
+        for coef in _STIRLING[1:]:
+            series = series * inv2 + coef
+        return np.where(y < _LOG_NORM.size, _LOG_NORM[np.minimum(y, _LOG_NORM.size - 1).astype(np.intp)],
+                        series / y + 0.5 * np.log(2.0 * np.pi * y))
 
 
-def log_poisson_pmf(y, theta):
-    """log Poi(y; theta), broadcasting, with theta = 0 handled exactly.
+def _bd0(y, theta) -> np.ndarray:
+    """Loader's deviance term y log(y / theta) + theta - y >= 0, broadcasting.
 
-    The zero atom gives a unit mass at y = 0 (log pmf 0 there, -inf
-    elsewhere), which the generic formula would turn into NaN.
+    Near y = theta (|v| < 1/10, v = (y - theta) / (y + theta)) it is the series
+    in v, which keeps its relative accuracy where the direct form cancels;
+    elsewhere y log1p((y - theta) / theta) + theta - y, with log y - log theta
+    where y / theta overflows, so a tiny theta stays finite.  It is theta at
+    y = 0 and inf at theta = 0 < y.  It makes few temporaries, since large
+    ones cost page faults.
     """
     y = np.asarray(y, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = y * np.log(theta) - theta - log_factorial(y)
-    if np.any(theta == 0):
-        at_zero = np.where(y == 0, 0.0, -np.inf)
-        out = np.where(theta == 0, at_zero, out)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        diff = np.asarray(y - theta)
+        out = np.asarray(diff / theta)  # u = y / theta - 1, and v = u / (2 + u)
+        near = (out > -2.0 / 11.0) & (out < 2.0 / 9.0)
+        if near.any():
+            u = out[near]
+            total = np.broadcast_to(theta, near.shape)[near] * (2.0 + u)
+            v = u / (2.0 + u)
+        np.log1p(out, out=out)
+        if theta.min(initial=np.inf) < 1e-290:  # y / theta can overflow
+            np.copyto(out, np.log(y) - np.log(theta), where=~np.isfinite(out))
+        out *= y
+        out -= diff
+        if near.any():
+            v2 = v * v
+            series = _BD0_SERIES[0]
+            for coef in _BD0_SERIES[1:]:
+                series = series * v2 + coef
+            out[near] = total * v2 * (1.0 + v * (1.0 + v) * series)
+        if not y.all():
+            np.copyto(out, theta, where=y == 0)
     return out
+
+
+def log_poisson_pmf(y, theta):
+    """log Poi(y; theta) for whole y >= 0, broadcasting; anything else is an input error.
+
+    Loader's (2000) form -stirlerr(y) - log sqrt(2 pi y) - bd0(y, theta): no
+    term grows with y log theta, so the result keeps its relative accuracy
+    at large y.  y = 0 gives -theta exactly, and theta = 0 a unit mass at
+    y = 0 (log pmf 0 there, -inf elsewhere).
+    """
+    y = _whole_counts(y)
+    out = _bd0(y, theta)
+    out += _log_norm(y)
+    return np.negative(out, out=out)[()]
 
 
 def _deviation_exponent(theta, t: np.ndarray) -> np.ndarray:
@@ -235,18 +293,92 @@ def _log_mix(logP: np.ndarray, w: np.ndarray) -> np.ndarray:
         return top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
 
 
+def _band_exponent(atoms: np.ndarray, log_atoms: np.ndarray, first: int, last: int) -> np.ndarray:
+    """bd0(y*, theta_j), y* the point of [first, last] nearest theta_j, by its direct form.
+
+    Poi(y; theta_j) <= exp(-bd0(y*, theta_j)) on every row of the span: log Poi
+    is -bd0(y, theta) less stirlerr(y) + log sqrt(2 pi y) >= 0 (0 at y = 0),
+    and bd0(., theta) is convex with its minimum at theta.
+    """
+    t = np.clip(atoms, first, last)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.fmax(t * (np.log(t) - log_atoms) + (atoms - t), 0.0)  # 0 * NaN at t = theta = 0
+
+
+_ROWS = np.empty((2, 0))  # _row_terms' rows so far
+
+
+def _row_terms(y_hi: int) -> np.ndarray:
+    """(shift, peak) for y = 0..y_hi, read-only: the row term log Poi(y; c) of `_cells`,
+    c the centre of y's _BLOCK-row segment (-log y! on the first, which is not
+    centred), and log Poi(y; y), the largest any Poisson pmf is at y.
+
+    Each row is computed on its own, so the rows are kept and extended (at
+    least doubled) when a longer range is asked for.
+    """
+    global _ROWS
+    if _ROWS.shape[1] <= y_hi:
+        ys = np.arange(max(y_hi + 1, 2 * _ROWS.shape[1]), dtype=float)
+        peak = -_log_norm(ys)
+        shift = peak - _bd0(ys, ys // _BLOCK * _BLOCK + 0.5 * (_BLOCK - 1))
+        shift[:_BLOCK] = peak[:_BLOCK] - _bd0(ys[:_BLOCK], 1.0) + 1.0  # -log y!
+        _ROWS = np.array([shift, peak])
+        _ROWS.setflags(write=False)
+    return _ROWS[:, :y_hi + 1]
+
+
+def _centring(theta, log_w, c) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) of the cells d a + b of a segment centred at c, elementwise in theta, log w
+    and c: a = log(theta / c), by log1p near c, and b = log w - bd0(c, theta).  The zero
+    atom gets a = 0 and b = -inf.  c = 0 stands for the first segment, which is not
+    centred: a = log theta and b = log w - theta, with d = y."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # theta - c is exact for theta >= c / 2
+        a = np.where(theta < 0.5 * c, np.log(theta) - np.log(c), np.log1p((theta - c) / c))
+        a = np.where(c > 0, np.where(theta > 0, a, 0.0), np.log(theta))
+        return a, log_w - _bd0(c, theta)  # bd0(0, theta) = theta
+
+
+def _cells(a: np.ndarray, b: np.ndarray, centres: np.ndarray, rows: int) -> np.ndarray:
+    """log(w_j Poi(y; theta_j)) less the row's shift (`_row_terms`) on `rows` rows: whole
+    segments of _BLOCK rows (the last may be clipped) with their `centres` and the (a, b)
+    of `_centring`.  A segment centred at c gives d a_j + b_j, d = y - c; the first,
+    not centred, gives y log theta_j + log w_j - theta_j, exact at row 0."""
+    d = _OFFSETS + np.where(centres == 0, 0.5 * (_BLOCK - 1), 0.0)[:, None]
+    with np.errstate(invalid="ignore"):  # 0 log 0 at row 0 is NaN, and set to b there
+        e = np.multiply(d[:, :, None], a[:, None, :])
+        e += b[:, None, :]
+    e = e.reshape(-1, a.shape[1])[:rows]
+    if centres[0] == 0:
+        e[0] = b[0]
+    return e
+
+
+def _softmax_rows(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, top, mass), E = exp(e - top) formed in place in e: top is each row's largest
+    entry (0 on a row of zero mass) and mass the row sum of E."""
+    top = e.max(axis=1)
+    top[~np.isfinite(top)] = 0.0
+    e -= top[:, None]
+    np.exp(e, out=e)
+    return e, top, e.sum(axis=1)
+
+
 def _mixture_rows(prior: DiscretePrior, y_hi: int, orders=()) -> tuple[np.ndarray, list]:
     """log f_G(y) and E[theta^r | Y = y] for each r in `orders`, y = 0..y_hi, in one pass.
 
-    A block keeps the run of atoms whose bound ``log w_j - t^2/(2(theta_j + t))``,
-    t the distance from theta_j to the block, is within _BAND_NATS of the best,
-    plus the nearest atom on each side.  Its kernel E = w Poi / e^top takes one
-    exponential per cell, shared by every output: log f is top + log of the row
-    mass sum E, and moment r the theta^r-weighted row sum of E over that mass.
-    Each output keeps its own certificate of the module Conventions: log f needs
-    the w sum, moment r the w sum and the w theta^r sum.  An output whose sums
-    fail takes the block over all atoms, with the band freed first, so each
-    table equals the one a pass for it alone would give.
+    Blocks of whole _BLOCK-row segments each keep the run of atoms whose bound
+    ``log w_j - bd0(y*, theta_j)`` (`_band_exponent` over the block's nominal
+    span) is within _BAND_NATS of the best, plus the nearest atom on each
+    side.  One call gives every segment's centring over its block's band.  A
+    block's kernel E = w Poi / (Poi(y; c) e^top) (`_cells`) takes one
+    exponential per cell, shared by every output: log f is top + shift + log
+    of the row mass sum E, and moment r the theta^r-weighted row sum of E over
+    that mass.  Each output keeps its own certificate of the module
+    Conventions: log f needs the w sum, moment r the w sum and the w theta^r
+    sum.  An output whose sums fail takes the block over all atoms, with the
+    band freed first, so each table equals the one a pass for it alone would
+    give.  No row's value depends on y_hi.
     """
     if not (y_hi >= 0 and y_hi % 1 == 0):  # NaN and inf too
         raise InvalidInputError("y_hi must be a whole number >= 0")
@@ -255,43 +387,81 @@ def _mixture_rows(prior: DiscretePrior, y_hi: int, orders=()) -> tuple[np.ndarra
         raise InvalidInputError("moment order must be nonnegative")
     atoms, w = prior.atoms, prior.weights
     with np.errstate(divide="ignore"):
-        log_w = np.log(w)
-        log_coefs = [np.log(w * atoms ** r) for r in orders]
+        log_w, log_atoms = np.log(w), np.log(atoms)
+        log_coefs = [log_w] + [np.log(w * atoms ** r) for r in orders]  # log f, then each moment
+    ys = np.arange(y_hi + 1, dtype=float)
+    centres = ys[::_BLOCK] + 0.5 * (_BLOCK - 1)
+    centres[0] = 0.0  # the first segment is not centred
+    row_terms = _row_terms(y_hi)
+    segments = max(1, _BLOCK_CELLS // (_BLOCK * atoms.size))
+    rows = segments * _BLOCK
+
+    bands = []  # per block: lo, hi and, per output, log(count x max) of its left-out bounds
+    for start in range(0, y_hi + 1, rows):
+        drop = _band_exponent(atoms, log_atoms, start, start + rows - 1)
+        score = log_w - drop
+        near = np.flatnonzero(score >= score.max() - _BAND_NATS)
+        lo = min(near[0], max(np.searchsorted(atoms, start) - 1, 0))
+        hi = max(near[-1], min(np.searchsorted(atoms, start + rows - 1, side="right"),
+                               atoms.size - 1)) + 1
+        out = np.r_[0:lo, hi:atoms.size]
+        bands.append((lo, hi, [math.log(out.size) + (log_c - drop)[out].max() if out.size
+                               else -math.inf for log_c in log_coefs]))
+    # every segment's centring over its block's band, in one call
+    lo_seg = np.repeat([lo for lo, _, _ in bands], segments)[:centres.size]
+    width = np.repeat([hi - lo for lo, hi, _ in bands], segments)[:centres.size]
+    ends = np.cumsum(width)  # segment k's pairs are ends[k] - width[k] .. ends[k] - 1
+    pairs = np.arange(ends[-1]) + np.repeat(lo_seg - (ends - width), width)  # their atoms
+    a_all, b_all = _centring(atoms[pairs], log_w[pairs], np.repeat(centres, width))
+
     log_f = np.empty(y_hi + 1)
     moments = [np.empty(y_hi + 1) for _ in orders]
-    rows = max(_BLOCK, _BLOCK_CELLS // atoms.size)
-    for start in range(0, y_hi + 1, rows):
-        stop = min(start + rows, y_hi + 1)
-        ys = np.arange(start, stop, dtype=float)[:, None]
-        drop = _deviation_exponent(atoms, np.maximum(start - atoms, atoms - (stop - 1)))
-        near = np.flatnonzero(log_w - drop >= np.max(log_w - drop) - _BAND_NATS)
-        lo = min(near[0], max(np.searchsorted(atoms, start) - 1, 0))
-        hi = max(near[-1], min(np.searchsorted(atoms, stop - 1, side="right"), atoms.size - 1)) + 1
-        left_out = np.r_[0:lo, hi:atoms.size]
+    for i, (lo, hi, bounds) in enumerate(bands):
+        start, stop = i * rows, min((i + 1) * rows, y_hi + 1)
+        first, last = i * segments, min((i + 1) * segments, centres.size)
 
-        def certified(log_c, log_kept):
-            return not left_out.size or not (
-                _log_mix((log_c - drop)[None, left_out], 1.0)[0] > log_kept.min() - _CERT_LOG)
+        def certified(k, log_kept):
+            # the left-out mass is at most count x max of its bounds, else their log-sum-exp
+            floor = log_kept.min() - _CERT_LOG
+            if not (bounds[k] > floor):
+                return True
+            drop = _band_exponent(atoms, log_atoms, start, start + rows - 1)
+            return not (_log_mix((log_coefs[k] - drop)[None, np.r_[0:lo, hi:atoms.size]], 1.0)[0] > floor)
 
         redo = [True] * (1 + len(orders))  # log f, then each moment: still to (re)compute
-        for band, cols in ((True, slice(lo, hi)), (False, slice(None))):
-            e = log_poisson_pmf(ys, atoms[cols])  # becomes E = exp(log Poi + log w - top)
-            e += log_w[cols]
-            top = e.max(axis=1)
-            top[~np.isfinite(top)] = 0.0  # a row of zero mass
-            e -= top[:, None]
-            mass = np.exp(e, out=e).sum(axis=1)
+        shift, peak = row_terms[:, start:stop]
+        segment_starts = np.arange(0, stop - start, _BLOCK)
+        for band in (True, False):
+            if band:
+                cols, span = slice(lo, hi), slice(ends[first] - width[first], ends[last - 1])
+                a, b = (x[span].reshape(last - first, hi - lo) for x in (a_all, b_all))
+            else:
+                cols = slice(None)
+                a, b = _centring(atoms, log_w, centres[first:last, None])
+            e, top, mass = _softmax_rows(_cells(a, b, centres[first:last], stop - start))
             # rows of zero mass give log f = -inf and NaN moments
             with np.errstate(divide="ignore", invalid="ignore"):
+                log_mass = shift + top + np.log(mass)
                 if redo[0]:
-                    log_f[start:stop] = top + np.log(mass)
-                    redo[0] = band and not certified(log_w, log_f[start:stop])
-                for i, r in enumerate(orders):
-                    if redo[i + 1]:
-                        num = e @ atoms[cols] ** r
-                        moments[i][start:stop] = num / mass
-                        redo[i + 1] = band and (
-                            redo[0] or not certified(log_coefs[i], top + np.log(num)))
+                    log_f[start:stop] = log_mass
+                    redo[0] = band and not certified(0, log_mass)
+                if any(redo[1:]):
+                    # the moments of a segment with a row in a gap of the prior come from
+                    # log w_j + log Poi(y; theta_j) cell by cell (see _GAP_NATS)
+                    exact = [(seg,) + _softmax_rows(log_poisson_pmf(ys[start:stop][seg, None], atoms[cols])
+                                                    + log_w[cols])
+                             for seg in (slice(s, s + _BLOCK) for s in segment_starts[
+                                 np.logical_or.reduceat(log_mass < peak - _GAP_NATS, segment_starts)])]
+                for k, r in enumerate(orders, 1):
+                    if redo[k]:
+                        coef = atoms[cols] ** r
+                        num = e @ coef
+                        moment, log_kept = num / mass, shift + top + np.log(num)
+                        for seg, e_seg, top_seg, mass_seg in exact:
+                            num = e_seg @ coef
+                            moment[seg], log_kept[seg] = num / mass_seg, top_seg + np.log(num)
+                        moments[k - 1][start:stop] = moment
+                        redo[k] = band and (redo[0] or not certified(k, log_kept))
             del e  # free the band before the full rows
             if not any(redo):
                 break

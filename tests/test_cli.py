@@ -78,6 +78,18 @@ def test_npmle_fit_counts_beyond_int64_exit_2(runner, tmp_path, big):
         in result.output
 
 
+@pytest.mark.parametrize("counts, message", [
+    ({str(2 ** 63): 1}, "observed values must be whole numbers below 2^63"),
+    ({"1": 2 ** 63}, "counts must be positive integers below 2^63"),
+    ({"5": 2 ** 62, "6": 2 ** 62}, "counts must total below 2^63"),
+])
+def test_npmle_fit_json_counts_beyond_int64_exit_2(runner, tmp_path, counts, message):
+    data = write(tmp_path, "counts.json", json.dumps({"counts": counts}))
+    result = runner.invoke(main, ["npmle-fit", data])
+    assert result.exit_code == 2, result.output
+    assert f"could not parse counts: {message}" in result.output
+
+
 def test_npmle_fit_uncertified_exits_3_unless_lenient(runner, tmp_path):
     data = write(tmp_path, "counts.json", json.dumps({"counts": {"0": 30, "4": 15, "9": 5}}))
     args = ["npmle-fit", data, "--tol", "1e-15", "--max-iter", "200"]

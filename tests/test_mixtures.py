@@ -266,7 +266,7 @@ def _kernel_case(name, request):
         "point_mass_zero": (DiscretePrior([0.0], [1.0]), 600),
         "floor_weight": (DiscretePrior([3.0, 40.0, 900.0],
                                        [WEIGHT_FLOOR, 0.6, 0.4 - WEIGHT_FLOOR]), 1500),
-        "fallback": (DiscretePrior([0.5, 2000.0, 3000.0], [0.5, 0.3, 0.2]), 255),
+        "fallback": (DiscretePrior([0.5, 22000.0, 30500.0], [0.5, 0.3, 0.2]), 5000),
     }[name]
 
 
@@ -289,11 +289,13 @@ def test_banded_kernel_matches_full_rows(name, request):
 
 # y values checked against 40-digit sums over every atom, and the kernel's
 # relative error bounds on (log f, E[theta | y], E[theta^2 | y]): about twice
-# the worst error measured, and at least two ulps
+# the worst error measured, and at least two ulps (measured with Loader's form:
+# heavy_tail_15 2.5e-15, 4.4e-16, 4.1e-16; two_point_gap 1.2e-16 in log f;
+# floor_weight 1.2e-15, 3.7e-16, 8.2e-16)
 _MP_CHECKS = {
-    "heavy_tail_15": ((0, 1, 37, 4_000, 20_000, 42_073), (1.2e-12, 3e-14, 6e-14)),
-    "two_point_gap": ((0, 1, 25_000, 50_000, 60_000), (2.1e-11, 4.4e-16, 4.4e-16)),
-    "floor_weight": ((0, 10, 100, 500, 1_500), (2.1e-14, 7.4e-16, 1.6e-15)),
+    "heavy_tail_15": ((0, 1, 37, 4_000, 20_000, 42_073), (5e-15, 8.9e-16, 8.9e-16)),
+    "two_point_gap": ((0, 1, 25_000, 50_000, 60_000), (4.4e-16, 4.4e-16, 4.4e-16)),
+    "floor_weight": ((0, 10, 100, 500, 1_500), (2.4e-15, 7.4e-16, 1.6e-15)),
 }
 
 
@@ -348,20 +350,45 @@ def test_posterior_mean_is_nan_where_the_mixture_vanishes():
     np.testing.assert_array_equal(tab, [0.0, np.nan, np.nan, np.nan, np.nan])
 
 
+def _count_columns(monkeypatch):
+    """The atoms of each kernel pass, recorded as `_cells` is called."""
+    columns, cells = [], mixtures._cells
+
+    def spy(a, *args):
+        columns.append(a.shape[1])  # a holds one coefficient per atom and segment
+        return cells(a, *args)
+
+    monkeypatch.setattr(mixtures, "_cells", spy)
+    return columns
+
+
 def test_banded_kernel_falls_back_to_full_rows(monkeypatch):
-    # block y = 0..255 keeps the atoms 0.5 and 2000 (its right neighbour);
-    # the bound on the atom at 3000 is not 2^-60 below f(255), so the block
-    # is summed again over all three atoms
+    # the block y = 0..21759 keeps the atoms 0.5 and 22000 (its right
+    # neighbour); the bound on the atom at 30500 is not 2^-60 below f(y) deep
+    # in the gap, so the block is summed again over all three atoms
     prior, y_hi = _kernel_case("fallback", None)
-    columns = []
-
-    def spy(y, theta):
-        columns.append(np.size(theta))
-        return log_poisson_pmf(y, theta)
-
-    monkeypatch.setattr(mixtures, "log_poisson_pmf", spy)
+    columns = _count_columns(monkeypatch)
     mixtures.pmf_on_range(prior, y_hi)
     assert columns == [2, 3]
+
+
+def test_band_bound_holds_on_every_row_of_its_block():
+    # the band leaves an atom out on log w - bd0(y*, theta), y* the point of the
+    # block nearest theta: log Poi(y; theta) may not exceed -bd0(y*, theta) on
+    # any row, for the zero atom, tiny atoms, and atoms inside and far outside
+    rng = np.random.default_rng(2028)
+    for first in [0, 0, 1, 255, 256] + rng.integers(1, 10 ** 6, 20).tolist():
+        last = first + int(rng.integers(0, 2048))
+        atoms = np.unique(np.concatenate([
+            [0.0, 5e-324, 1e-300, 1e-3],
+            rng.uniform(first, last, 4),  # inside
+            first * rng.uniform(0.0, 1.0, 4),  # below
+            (last + 1) * rng.uniform(1.0, 30.0, 4),  # above
+        ]))
+        with np.errstate(divide="ignore"):
+            bound = mixtures._band_exponent(atoms, np.log(atoms), first, last)
+        ys = np.arange(first, last + 1, dtype=float)[:, None]
+        assert np.all(log_poisson_pmf(ys, atoms) <= -bound), first
 
 
 def test_shared_pass_equals_the_separate_tables(heavy_tail_15):
@@ -376,22 +403,16 @@ def test_shared_pass_equals_the_separate_tables(heavy_tail_15):
 
 
 def test_shared_pass_falls_back_per_output(monkeypatch):
-    # on y = 0..255 the atom at 2130 is left out; the w sum certifies without
+    # on y = 0..46 the atom at 25000 is left out; the w sum certifies without
     # it, and so does the w theta sum, but the w theta^2 sum does not
-    prior, y_hi = DiscretePrior([400.0, 2130.0], [0.99, 0.01]), 255
-    columns = []
-
-    def spy(y, theta):
-        columns.append(np.size(theta))
-        return log_poisson_pmf(y, theta)
-
-    monkeypatch.setattr(mixtures, "log_poisson_pmf", spy)
+    prior, y_hi = DiscretePrior([0.5, 22000.0, 25000.0], [0.5, 0.49, 0.01]), 46
+    columns = _count_columns(monkeypatch)
     log_f, (m1, m2) = mixtures._mixture_rows(prior, y_hi, (1, 2))
-    assert columns == [1, 2]
+    assert columns == [2, 3]
     np.testing.assert_array_equal(log_f, mixtures._mixture_rows(prior, y_hi)[0])
     np.testing.assert_array_equal(m1, posterior_moment_table(prior, y_hi, 1))
     np.testing.assert_array_equal(m2, posterior_moment_table(prior, y_hi, 2))
-    assert columns[2:] == [1, 1, 1, 2]  # pmf banded, r = 1 banded, r = 2 over all atoms
+    assert columns[2:] == [2, 2, 2, 3]  # pmf banded, r = 1 banded, r = 2 over all atoms
     np.testing.assert_allclose(m2, _full_rows(prior, y_hi, 2), rtol=1e-13, atol=0)
 
 
@@ -424,43 +445,56 @@ def test_resolve_certificate_matches_full_rows(heavy_tail_15, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# log y! without scipy
+# log Poi(y; theta) in Loader's form, and log y! from it
 # ---------------------------------------------------------------------------
 
-def _ulps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.abs(a.view(np.int64) - b.view(np.int64))  # both positive or both zero
-
-
-def test_log_factorial_table_matches_gammaln():
-    from scipy.special import gammaln
-
-    y = np.arange(2.0 ** 16)  # every row the table holds
-    assert _ulps(mixtures.log_factorial(y), gammaln(y + 1.0)).max() <= 1
-
-
-# a log-uniform sample up to 1e9 with the seams: table/formula, x = 1000 and x = 1e8
-_LOG_FACTORIAL_YS = np.unique(np.concatenate([
-    np.floor(np.exp(np.random.default_rng(2022).uniform(0.0, math.log(1e9), 20_000))),
-    [11.0, 12.0, 998.0, 999.0, 2.0 ** 16 - 1, 2.0 ** 16, 2.0 ** 16 + 1, 1e8 - 2, 1e8 - 1, 1e8, 1e9],
+# a log-uniform sample of y up to 10^6, with the ends of the table of small y
+_LOG_POISSON_YS = np.unique(np.concatenate([
+    np.floor(np.exp(np.random.default_rng(2022).uniform(0.0, math.log(1e6), 60))),
+    [1.0, 2.0, 15.0, 16.0, 17.0, 1e6],
 ]))
 
 
-def test_log_factorial_formula_matches_gammaln():
-    from scipy.special import gammaln
+def test_log_poisson_pmf_matches_40_digit_mpmath():
+    mp = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mp.workdps(40):
+        for y in _LOG_POISSON_YS.tolist():
+            # far below and above y, and one standard deviation either side of it
+            for theta in (y / 1000, y / 10, y - math.sqrt(y), y, y + math.sqrt(y), 10 * y, 1000 * y):
+                if theta > 0:
+                    exact = y * mp.log(theta) - theta - mp.loggamma(y + 1)
+                    worst = max(worst, abs(float(log_poisson_pmf(y, theta) / exact) - 1.0))
+    # 3.8e-16 measured; y log theta - theta - log y! errs by 9e-11 relative at y = theta = 10^6
+    assert worst <= 8e-16
 
-    # above 2^16, numpy's log of x = y + 1 can round 1 ulp from libm's, which
-    # gammaln uses; the factor x - 1/2 carries that into up to 2 ulp of log y!
-    got = mixtures.log_factorial(_LOG_FACTORIAL_YS)
-    assert _ulps(got, gammaln(_LOG_FACTORIAL_YS + 1.0)).max() <= 2
-    # one call over rows on both sides of the table gives each row's own value
-    singles = np.array([mixtures.log_factorial(y) for y in _LOG_FACTORIAL_YS.tolist()])
-    np.testing.assert_array_equal(got, singles)
+
+def test_log_poisson_pmf_is_exact_at_its_edges():
+    thetas = np.array([0.0, 5e-324, 1e-300, 0.5, 7.0, 1e6])
+    np.testing.assert_array_equal(log_poisson_pmf(0.0, thetas), -thetas)  # exp(-theta) at y = 0
+    np.testing.assert_array_equal(log_poisson_pmf(np.arange(4.0), 0.0), [0.0] + [-math.inf] * 3)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):  # the smallest double stays finite: y log theta - log y!
+        for y in (0, 1, 20):
+            exact = float(y * mp.log(5e-324) - mp.mpf(5e-324) - mp.loggamma(y + 1))
+            got = log_poisson_pmf(float(y), 5e-324)
+            assert np.isfinite(got) and abs(got - exact) <= np.spacing(abs(exact)), (y, got, exact)
+
+
+def _log_factorial(y):
+    """log y! as the package forms it (`npmle`'s lgam): -1 - log Poi(y; 1)."""
+    return -1.0 - log_poisson_pmf(y, 1.0)
 
 
 def test_log_factorial_matches_40_digit_mpmath():
     mp = pytest.importorskip("mpmath")
-    ys = _LOG_FACTORIAL_YS[::10]
-    got = mixtures.log_factorial(ys)
+    # a log-uniform sample up to 1e9, with the seams of cephes' lgam, which log y! was,
+    # and of Loader's form (the table of small y ends at 15)
+    ys = np.union1d(np.unique(np.concatenate([
+        np.floor(np.exp(np.random.default_rng(2022).uniform(0.0, math.log(1e9), 20_000))),
+        [11.0, 12.0, 998.0, 999.0, 2.0 ** 16 - 1, 2.0 ** 16, 2.0 ** 16 + 1, 1e8 - 2, 1e8 - 1, 1e8, 1e9],
+    ]))[::10], [15.0, 16.0, 17.0])
+    got = _log_factorial(ys)
     assert np.all(got[ys <= 1] == 0.0)
     with mp.workdps(40):  # the error against the unrounded value
         worst = max(abs(g / mp.loggamma(mp.mpf(y) + 1) - 1)
@@ -471,4 +505,4 @@ def test_log_factorial_matches_40_digit_mpmath():
 @pytest.mark.parametrize("y", [2.5, -1.0, [3.0, -2.0], math.nan, math.inf, 2.0 ** 16 + 0.5])
 def test_log_factorial_refuses_what_is_not_a_whole_count(y):
     with pytest.raises(InvalidInputError, match="whole y >= 0"):
-        mixtures.log_factorial(y)
+        _log_factorial(y)

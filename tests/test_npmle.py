@@ -87,6 +87,19 @@ def test_histogram_validation():
         CountHistogram.from_samples([])
 
 
+@pytest.mark.parametrize("counts", [{2 ** 63: 1}, {1: 2 ** 63}, {5: 2 ** 62, 6: 2 ** 62},
+                                    {1: 2 ** 62, 2: 2 ** 62, 3: 2 ** 62, 4: 2 ** 62}])
+def test_histogram_refuses_what_int64_cannot_hold(counts):
+    # a value, a count or the total n at or past 2^63 (the last total wraps to 0 in int64)
+    with pytest.raises(InvalidInputError, match=r"below 2\^63"):
+        CountHistogram.from_counts(counts)
+
+
+def test_histogram_mean_does_not_overflow():
+    assert CountHistogram.from_counts({2 ** 62: 4, 1: 1}).mean == (4 * 2 ** 62 + 1) / 5
+    assert CountHistogram.from_counts({0: 30, 4: 15, 9: 5}).mean == 2.1
+
+
 @pytest.mark.parametrize("samples", [
     [1000000.5, 3.00001, 2],   # within np.allclose of whole numbers
     [2.0, 2.000001],
