@@ -189,13 +189,6 @@ _STIRLING = [1.0 / 1188, -1.0 / 1680, 1.0 / 1260, -1.0 / 360, 1.0 / 12]
 _BD0_SERIES = [1.0 / (2 * k + 1) for k in range(8, 0, -1)]
 
 
-def _whole_counts(y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if not (y.min(initial=0.0) >= 0 and y.max(initial=0.0) < np.inf and (np.floor(y) == y).all()):
-        raise InvalidInputError("log_poisson_pmf needs whole y >= 0")
-    return y
-
-
 def _log_norm(y: np.ndarray) -> np.ndarray:
     """stirlerr(y) + log sqrt(2 pi y) for whole y >= 0 (0 at y = 0): log y! less y log y - y."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -251,7 +244,9 @@ def log_poisson_pmf(y, theta):
     at large y.  y = 0 gives -theta exactly, and theta = 0 a unit mass at
     y = 0 (log pmf 0 there, -inf elsewhere).
     """
-    y = _whole_counts(y)
+    y = np.asarray(y, dtype=float)
+    if not (y.min(initial=0.0) >= 0 and y.max(initial=0.0) < np.inf and (np.floor(y) == y).all()):
+        raise InvalidInputError("log_poisson_pmf needs whole y >= 0")
     out = _bd0(y, theta)
     out += _log_norm(y)
     return np.negative(out, out=out)[()]
@@ -305,26 +300,15 @@ def _band_exponent(atoms: np.ndarray, log_atoms: np.ndarray, first: int, last: i
         return np.fmax(t * (np.log(t) - log_atoms) + (atoms - t), 0.0)  # 0 * NaN at t = theta = 0
 
 
-_ROWS = np.empty((2, 0))  # _row_terms' rows so far
-
-
 def _row_terms(y_hi: int) -> np.ndarray:
-    """(shift, peak) for y = 0..y_hi, read-only: the row term log Poi(y; c) of `_cells`,
-    c the centre of y's _BLOCK-row segment (-log y! on the first, which is not
-    centred), and log Poi(y; y), the largest any Poisson pmf is at y.
-
-    Each row is computed on its own, so the rows are kept and extended (at
-    least doubled) when a longer range is asked for.
-    """
-    global _ROWS
-    if _ROWS.shape[1] <= y_hi:
-        ys = np.arange(max(y_hi + 1, 2 * _ROWS.shape[1]), dtype=float)
-        peak = -_log_norm(ys)
-        shift = peak - _bd0(ys, ys // _BLOCK * _BLOCK + 0.5 * (_BLOCK - 1))
-        shift[:_BLOCK] = peak[:_BLOCK] - _bd0(ys[:_BLOCK], 1.0) + 1.0  # -log y!
-        _ROWS = np.array([shift, peak])
-        _ROWS.setflags(write=False)
-    return _ROWS[:, :y_hi + 1]
+    """(shift, peak) for y = 0..y_hi: the row term log Poi(y; c) of `_cells`, c the
+    centre of y's _BLOCK-row segment (-log y! on the first, which is not centred),
+    and log Poi(y; y), the largest any Poisson pmf is at y."""
+    ys = np.arange(y_hi + 1, dtype=float)
+    peak = -_log_norm(ys)
+    shift = peak - _bd0(ys, ys // _BLOCK * _BLOCK + 0.5 * (_BLOCK - 1))
+    shift[:_BLOCK] = peak[:_BLOCK] - _bd0(ys[:_BLOCK], 1.0) + 1.0  # -log y!
+    return np.array([shift, peak])
 
 
 def _centring(theta, log_w, c) -> tuple[np.ndarray, np.ndarray]:
