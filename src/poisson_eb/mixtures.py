@@ -17,7 +17,7 @@ Conventions
   40-digit values up to y = 10^6, where y log theta - theta - log y! errs by
   2e-11 to 4e-11 absolute near y = theta = 4 10^4 and by 7e-10 at 10^6.
   y = 0 (-theta) and theta = 0 are exact, and the smallest theta stays
-  finite.  log y! is -1 - log Poi(y; 1).
+  finite.  log y! (`_log_factorial`) is built from the same pieces.
 * pmf tables are truncated at a ``y_max`` chosen from the Poisson deviation
   bound ``P(|X - theta| > t) <= exp(-t^2 / (2(theta + t)))`` applied atom by
   atom, so the neglected tail is provably below the requested tolerance.
@@ -196,8 +196,8 @@ def _log_norm(y: np.ndarray) -> np.ndarray:
         series = _STIRLING[0]
         for coef in _STIRLING[1:]:
             series = series * inv2 + coef
-        return np.where(y < _LOG_NORM.size, _LOG_NORM[np.minimum(y, _LOG_NORM.size - 1).astype(np.intp)],
-                        series / y + 0.5 * np.log(2.0 * np.pi * y))
+        small = _LOG_NORM[np.minimum(y, _LOG_NORM.size - 1).astype(np.intp)]
+        return np.where(y < _LOG_NORM.size, small, series / y + 0.5 * np.log(2.0 * np.pi * y))
 
 
 def _bd0(y, theta) -> np.ndarray:
@@ -214,7 +214,7 @@ def _bd0(y, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         diff = np.asarray(y - theta)
-        out = np.asarray(diff / theta)  # u = y / theta - 1, and v = u / (2 + u)
+        out = np.asarray(diff / theta)  # u = y / theta - 1
         near = (out > -2.0 / 11.0) & (out < 2.0 / 9.0)
         if near.any():
             u = out[near]
@@ -236,6 +236,22 @@ def _bd0(y, theta) -> np.ndarray:
     return out
 
 
+def _whole_counts(y, caller: str) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if not (y.min(initial=0.0) >= 0 and y.max(initial=0.0) < np.inf and (np.floor(y) == y).all()):
+        raise InvalidInputError(f"{caller} needs whole y >= 0")
+    return y
+
+
+def _log_factorial(y):
+    """log y! for whole y >= 0, broadcasting; anything else is an input error.
+
+    stirlerr(y) + log sqrt(2 pi y) + y log y - y, the pieces of `log_poisson_pmf`.
+    """
+    y = _whole_counts(y, "log y!")
+    return (_log_norm(y) + (y * np.log(np.maximum(y, 1.0)) - y))[()]
+
+
 def log_poisson_pmf(y, theta):
     """log Poi(y; theta) for whole y >= 0, broadcasting; anything else is an input error.
 
@@ -244,9 +260,7 @@ def log_poisson_pmf(y, theta):
     at large y.  y = 0 gives -theta exactly, and theta = 0 a unit mass at
     y = 0 (log pmf 0 there, -inf elsewhere).
     """
-    y = np.asarray(y, dtype=float)
-    if not (y.min(initial=0.0) >= 0 and y.max(initial=0.0) < np.inf and (np.floor(y) == y).all()):
-        raise InvalidInputError("log_poisson_pmf needs whole y >= 0")
+    y = _whole_counts(y, "log_poisson_pmf")
     out = _bd0(y, theta)
     out += _log_norm(y)
     return np.negative(out, out=out)[()]
@@ -305,10 +319,14 @@ def _row_terms(y_hi: int) -> np.ndarray:
     centre of y's _BLOCK-row segment (-log y! on the first, which is not centred),
     and log Poi(y; y), the largest any Poisson pmf is at y."""
     ys = np.arange(y_hi + 1, dtype=float)
-    peak = -_log_norm(ys)
-    shift = peak - _bd0(ys, ys // _BLOCK * _BLOCK + 0.5 * (_BLOCK - 1))
-    shift[:_BLOCK] = peak[:_BLOCK] - _bd0(ys[:_BLOCK], 1.0) + 1.0  # -log y!
-    return np.array([shift, peak])
+    rows = np.array([ys, -_log_norm(ys)])
+    head = ys[:_BLOCK]
+    rows[0, :_BLOCK] = rows[1, :_BLOCK] - (head * np.log(np.maximum(head, 1.0)) - head)  # -log y!
+    tail = ys[_BLOCK:]
+    if tail.size:
+        centres = tail // _BLOCK * _BLOCK + 0.5 * (_BLOCK - 1)
+        rows[0, _BLOCK:] = rows[1, _BLOCK:] - _bd0(tail, centres)
+    return rows
 
 
 def _centring(theta, log_w, c) -> tuple[np.ndarray, np.ndarray]:
@@ -320,7 +338,8 @@ def _centring(theta, log_w, c) -> tuple[np.ndarray, np.ndarray]:
         # theta - c is exact for theta >= c / 2
         a = np.where(theta < 0.5 * c, np.log(theta) - np.log(c), np.log1p((theta - c) / c))
         a = np.where(c > 0, np.where(theta > 0, a, 0.0), np.log(theta))
-        return a, log_w - _bd0(c, theta)  # bd0(0, theta) = theta
+        # bd0(0, theta) = theta, with the shape of the general case
+        return a, log_w - (_bd0(c, theta) if np.any(c) else theta + 0.0 * c)
 
 
 def _cells(a: np.ndarray, b: np.ndarray, centres: np.ndarray, rows: int) -> np.ndarray:
@@ -410,7 +429,8 @@ def _mixture_rows(prior: DiscretePrior, y_hi: int, orders=()) -> tuple[np.ndarra
             if not (bounds[k] > floor):
                 return True
             drop = _band_exponent(atoms, log_atoms, start, start + rows - 1)
-            return not (_log_mix((log_coefs[k] - drop)[None, np.r_[0:lo, hi:atoms.size]], 1.0)[0] > floor)
+            left_out = (log_coefs[k] - drop)[np.r_[0:lo, hi:atoms.size]]
+            return not (_log_mix(left_out[None], 1.0)[0] > floor)
 
         redo = [True] * (1 + len(orders))  # log f, then each moment: still to (re)compute
         shift, peak = row_terms[:, start:stop]
@@ -432,10 +452,11 @@ def _mixture_rows(prior: DiscretePrior, y_hi: int, orders=()) -> tuple[np.ndarra
                 if any(redo[1:]):
                     # the moments of a segment with a row in a gap of the prior come from
                     # log w_j + log Poi(y; theta_j) cell by cell (see _GAP_NATS)
-                    exact = [(seg,) + _softmax_rows(log_poisson_pmf(ys[start:stop][seg, None], atoms[cols])
-                                                    + log_w[cols])
-                             for seg in (slice(s, s + _BLOCK) for s in segment_starts[
-                                 np.logical_or.reduceat(log_mass < peak - _GAP_NATS, segment_starts)])]
+                    gaps = np.logical_or.reduceat(log_mass < peak - _GAP_NATS, segment_starts)
+                    exact = []
+                    for s in start + segment_starts[gaps]:
+                        cells = log_poisson_pmf(ys[s:s + _BLOCK, None], atoms[cols]) + log_w[cols]
+                        exact.append((slice(s - start, s - start + _BLOCK),) + _softmax_rows(cells))
                 for k, r in enumerate(orders, 1):
                     if redo[k]:
                         coef = atoms[cols] ** r

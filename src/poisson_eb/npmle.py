@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .mixtures import WEIGHT_FLOOR, DiscretePrior, _log_mix, log_poisson_pmf
+from .mixtures import WEIGHT_FLOOR, DiscretePrior, _log_factorial, _log_mix
 
 __all__ = [
     "CountHistogram",
@@ -275,7 +275,8 @@ def grid_spec(data: CountHistogram) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _log_mixture_at(prior: DiscretePrior, data: CountHistogram) -> np.ndarray:
-    return _log_mix(log_poisson_pmf(data.ys[:, None].astype(float), prior.atoms), prior.weights)
+    ys = data.ys.astype(float)
+    return _log_mix(_log_kernel(ys, _log_factorial(ys), prior.atoms), prior.weights)
 
 
 def log_likelihood(prior: DiscretePrior, data: CountHistogram) -> float:
@@ -286,8 +287,10 @@ def log_likelihood(prior: DiscretePrior, data: CountHistogram) -> float:
 def directional_derivative(prior: DiscretePrior, data: CountHistogram, thetas) -> np.ndarray:
     """D(theta) = sum_y N(y) Poi(y; theta) / f_G(y) for each candidate theta."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    logf = _log_mixture_at(prior, data)
-    logp = log_poisson_pmf(data.ys[:, None].astype(float), thetas[None, :])
+    ys = data.ys.astype(float)
+    lgam = _log_factorial(ys)
+    logf = _log_mix(_log_kernel(ys, lgam, prior.atoms), prior.weights)
+    logp = _log_kernel(ys, lgam, thetas)
     with np.errstate(under="ignore"):
         ratio = np.exp(logp - logf[:, None])
     return data.cnts @ ratio
@@ -431,7 +434,7 @@ def _solve_weights(
 
 def _log_kernel(ys: np.ndarray, lgam: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """log Poi(y; theta) on (distinct y) x theta as y log theta - theta - log y!, the
-    solver's form (`_refine_peaks` too), with lgam = log y! from `log_poisson_pmf`.
+    form of every NPMLE quantity here (`_refine_peaks` too), with lgam = log y!.
 
     Its rounding, about 2^-53 of y log theta, is far below any KKT tolerance,
     and it takes a third of the passes of Loader's form.  The zero atom is a
@@ -528,7 +531,7 @@ def fit_npmle(
 
     ys, cnts = data.ys.astype(float), data.cnts.astype(float)
     n, log_n = float(data.n), math.log(data.n)
-    lgam = -1.0 - log_poisson_pmf(ys, 1.0)  # log y!
+    lgam = _log_factorial(ys)
     logP = _log_kernel(ys, lgam, atoms)
     # D on the scan is one product with the row-scaled kernel
     logP_scan = _log_kernel(ys, lgam, scan)

@@ -445,7 +445,7 @@ def test_resolve_certificate_matches_full_rows(heavy_tail_15, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# log Poi(y; theta) in Loader's form, and log y! from it
+# log Poi(y; theta) in Loader's form, and log y! from its pieces
 # ---------------------------------------------------------------------------
 
 # a log-uniform sample of y up to 10^6, with the ends of the table of small y
@@ -481,28 +481,28 @@ def test_log_poisson_pmf_is_exact_at_its_edges():
             assert np.isfinite(got) and abs(got - exact) <= np.spacing(abs(exact)), (y, got, exact)
 
 
-def _log_factorial(y):
-    """log y! as the package forms it (`npmle`'s lgam): -1 - log Poi(y; 1)."""
-    return -1.0 - log_poisson_pmf(y, 1.0)
+# a log-uniform sample up to 1e9 with the seams of cephes' lgam, which log y! was
+_LOG_FACTORIAL_YS = np.unique(np.concatenate([
+    np.floor(np.exp(np.random.default_rng(2022).uniform(0.0, math.log(1e9), 20_000))),
+    [11.0, 12.0, 998.0, 999.0, 2.0 ** 16 - 1, 2.0 ** 16, 2.0 ** 16 + 1, 1e8 - 2, 1e8 - 1, 1e8, 1e9],
+]))
 
 
 def test_log_factorial_matches_40_digit_mpmath():
     mp = pytest.importorskip("mpmath")
-    # a log-uniform sample up to 1e9, with the seams of cephes' lgam, which log y! was,
-    # and of Loader's form (the table of small y ends at 15)
-    ys = np.union1d(np.unique(np.concatenate([
-        np.floor(np.exp(np.random.default_rng(2022).uniform(0.0, math.log(1e9), 20_000))),
-        [11.0, 12.0, 998.0, 999.0, 2.0 ** 16 - 1, 2.0 ** 16, 2.0 ** 16 + 1, 1e8 - 2, 1e8 - 1, 1e8, 1e9],
-    ]))[::10], [15.0, 16.0, 17.0])
-    got = _log_factorial(ys)
+    ys = _LOG_FACTORIAL_YS[::10]
+    got = mixtures._log_factorial(ys)
     assert np.all(got[ys <= 1] == 0.0)
     with mp.workdps(40):  # the error against the unrounded value
         worst = max(abs(g / mp.loggamma(mp.mpf(y) + 1) - 1)
                     for y, g in zip(ys[ys > 1].tolist(), got[ys > 1].tolist()))
     assert worst <= 4e-16  # gammaln's is 3.0e-16 on these rows
+    # one call over rows on both sides of the table of small y gives each row's own value
+    singles = np.array([mixtures._log_factorial(y) for y in _LOG_FACTORIAL_YS.tolist()])
+    np.testing.assert_array_equal(mixtures._log_factorial(_LOG_FACTORIAL_YS), singles)
 
 
 @pytest.mark.parametrize("y", [2.5, -1.0, [3.0, -2.0], math.nan, math.inf, 2.0 ** 16 + 0.5])
 def test_log_factorial_refuses_what_is_not_a_whole_count(y):
     with pytest.raises(InvalidInputError, match="whole y >= 0"):
-        _log_factorial(y)
+        mixtures._log_factorial(y)
