@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -314,10 +315,11 @@ def _band_exponent(atoms: np.ndarray, log_atoms: np.ndarray, first: int, last: i
         return np.fmax(t * (np.log(t) - log_atoms) + (atoms - t), 0.0)  # 0 * NaN at t = theta = 0
 
 
+@lru_cache(maxsize=4)  # tables of one length recur: every fit's pmf on the reference range
 def _row_terms(y_hi: int) -> np.ndarray:
-    """(shift, peak) for y = 0..y_hi: the row term log Poi(y; c) of `_cells`, c the
-    centre of y's _BLOCK-row segment (-log y! on the first, which is not centred),
-    and log Poi(y; y), the largest any Poisson pmf is at y."""
+    """(shift, peak) for y = 0..y_hi, read-only: the row term log Poi(y; c) of `_cells`,
+    c the centre of y's _BLOCK-row segment (-log y! on the first, which is not
+    centred), and log Poi(y; y), the largest any Poisson pmf is at y."""
     ys = np.arange(y_hi + 1, dtype=float)
     rows = np.array([ys, -_log_norm(ys)])
     head = ys[:_BLOCK]
@@ -326,6 +328,7 @@ def _row_terms(y_hi: int) -> np.ndarray:
     if tail.size:
         centres = tail // _BLOCK * _BLOCK + 0.5 * (_BLOCK - 1)
         rows[0, _BLOCK:] = rows[1, _BLOCK:] - _bd0(tail, centres)
+    rows.setflags(write=False)
     return rows
 
 
