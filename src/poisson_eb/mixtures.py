@@ -21,22 +21,21 @@ Conventions
 * pmf tables are truncated at a ``y_max`` chosen from the Poisson deviation
   bound ``P(|X - theta| > t) <= exp(-t^2 / (2(theta + t)))`` applied atom by
   atom, so the neglected tail is provably below the requested tolerance.
-* Mixture tables sum each block of ``max(256, 2^16 // atoms)`` rows, in whole
-  256-row segments (few-atom priors, such as fitted NPMLEs, take few blocks),
-  over the atoms whose bound log w_j - bd0(y*, theta_j), y* the point of the
-  block nearest theta_j, is near the block's best.  Poi(y; theta) <=
-  exp(-bd0(y, theta)) for every y, so the bound is rigorous.  The left-out
+* Mixture tables sum each block of whole 256-row segments, about
+  ``max(256, 2^16 // atoms)`` rows (few-atom priors, such as fitted NPMLEs,
+  take few blocks), over the atoms whose bound log w_j - bd0(y*, theta_j),
+  y* the point of the block nearest theta_j, is near the block's best.
+  Poi(y; theta) <= exp(-bd0(y, theta)) for every y, so the bound is rigorous.  The left-out
   atoms' bounds, summed (first as count x max), must be 2^-60 below every
   kept row sum, else the block sums all atoms: a table equals the all-atom sum
   to within rounding.
 * A cell is log(w_j Poi(y; theta_j)) less the row term log Poi(y; c), c the
   centre of the row's segment: (y - c) log(theta_j / c) + log w_j - bd0(c,
   theta_j), one multiply-add per cell.  The first segment is not centred (row
-  term -log y!), so row 0 is exact.  Its rounding, of order 2^-53 |theta_j -
-  c| |log(theta_j / c)| and 2^-53 bd0(c, theta_j), sits far below Loader's
-  form's own where the mixture has mass near c; in a gap of the prior the
-  moments are taken cell by cell in Loader's form (`_GAP_NATS`).  No row's
-  value depends on the length of its table.
+  term -log y!), so row 0 is exact.  A cell rounds by about 2^-53 (bd0(c,
+  theta_j) + 128 |log(theta_j / c)|), small where the mixture has mass near
+  c; in a gap of the prior the moments are taken cell by cell in Loader's
+  form (`_GAP_NATS`).  No row's value depends on the length of its table.
 * One pass over the blocks gives the pmf and any posterior moments
   (`pmf_and_moment_tables`).  One exponential per cell, E = w Poi / (Poi(y; c)
   e^top) with top the row's largest cell, is shared by the pmf and every
@@ -86,8 +85,8 @@ __all__ = [
 WEIGHT_FLOOR = 1e-15
 
 _WEIGHT_SUM_TOL = 1e-12
-_BLOCK = 256  # fewest rows per block when tabulating mixtures
-_BLOCK_CELLS = 2 ** 16  # a block spans max(_BLOCK, _BLOCK_CELLS // atoms) rows
+_BLOCK = 256  # rows of a kernel segment, the fewest a block spans
+_BLOCK_CELLS = 2 ** 16  # a block spans the most whole segments with at most this many cells
 _BAND_NATS = 200.0  # atoms whose bound is this far below a block's best are left out
 _OFFSETS = np.arange(_BLOCK) - 0.5 * (_BLOCK - 1)  # y - c on a segment centred at c
 # A row is in a gap of the prior where f(y) is this many nats below max_theta Poi(y; theta):
