@@ -320,13 +320,10 @@ def _row_terms(y_hi: int) -> np.ndarray:
     c the centre of y's _BLOCK-row segment (-log y! on the first, which is not
     centred), and log Poi(y; y), the largest any Poisson pmf is at y."""
     ys = np.arange(y_hi + 1, dtype=float)
-    rows = np.array([ys, -_log_norm(ys)])
-    head = ys[:_BLOCK]
-    rows[0, :_BLOCK] = rows[1, :_BLOCK] - (head * np.log(np.maximum(head, 1.0)) - head)  # -log y!
-    tail = ys[_BLOCK:]
-    if tail.size:
-        centres = tail // _BLOCK * _BLOCK + 0.5 * (_BLOCK - 1)
-        rows[0, _BLOCK:] = rows[1, _BLOCK:] - _bd0(tail, centres)
+    peak = -_log_norm(ys)
+    shift = peak - _bd0(ys, ys // _BLOCK * _BLOCK + 0.5 * (_BLOCK - 1))
+    shift[:_BLOCK] = -_log_factorial(ys[:_BLOCK])
+    rows = np.array([shift, peak])
     rows.setflags(write=False)
     return rows
 
@@ -340,8 +337,7 @@ def _centring(theta, log_w, c) -> tuple[np.ndarray, np.ndarray]:
         # theta - c is exact for theta >= c / 2
         a = np.where(theta < 0.5 * c, np.log(theta) - np.log(c), np.log1p((theta - c) / c))
         a = np.where(c > 0, np.where(theta > 0, a, 0.0), np.log(theta))
-        # bd0(0, theta) = theta, with the shape of the general case
-        return a, log_w - (_bd0(c, theta) if np.any(c) else theta + 0.0 * c)
+        return a, log_w - _bd0(c, theta)  # bd0(0, theta) = theta
 
 
 def _cells(a: np.ndarray, b: np.ndarray, centres: np.ndarray, rows: int) -> np.ndarray:
