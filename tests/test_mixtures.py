@@ -481,16 +481,19 @@ def test_log_poisson_pmf_is_exact_at_its_edges():
             assert np.isfinite(got) and abs(got - exact) <= np.spacing(abs(exact)), (y, got, exact)
 
 
-# a log-uniform sample up to 1e9 with the seams of cephes' lgam, which log y! was
+# log y! has one seam, where `_log_norm` leaves its table of y < 16 for the Stirling
+# series: these rows pin it, with the table's ends and the largest y
+_LOG_FACTORIAL_EDGES = [0.0, 1.0, 2.0, 15.0, 16.0, 17.0, 1e9]
+# a log-uniform sample up to 1e9, with those rows
 _LOG_FACTORIAL_YS = np.unique(np.concatenate([
     np.floor(np.exp(np.random.default_rng(2022).uniform(0.0, math.log(1e9), 20_000))),
-    [11.0, 12.0, 998.0, 999.0, 2.0 ** 16 - 1, 2.0 ** 16, 2.0 ** 16 + 1, 1e8 - 2, 1e8 - 1, 1e8, 1e9],
+    _LOG_FACTORIAL_EDGES,
 ]))
 
 
 def test_log_factorial_matches_40_digit_mpmath():
     mp = pytest.importorskip("mpmath")
-    ys = _LOG_FACTORIAL_YS[::10]
+    ys = np.union1d(_LOG_FACTORIAL_YS[::10], _LOG_FACTORIAL_EDGES)
     got = mixtures._log_factorial(ys)
     assert np.all(got[ys <= 1] == 0.0)
     with mp.workdps(40):  # the error against the unrounded value
