@@ -17,10 +17,11 @@ Conventions
   every other method trains on the sample drawn from the replicate's key,
   drawn and histogrammed once for all of them
   (`ResolvedPrior.count_histogram`: the zero atom's draws count at y = 0
-  with no Poisson draw, and only the rest are sorted, with no length-n
-  count array; the histogram equals that of `sample_counts`' Y).  The sums are
-  numpy reductions, not BLAS dots, whose rounding would depend on the BLAS
-  thread count.
+  with no Poisson draw, and only the rest are sorted, with no length-n theta
+  or count array; the histogram equals that of `sample_counts`' Y).  The
+  squared errors and their products with the pmf are built in place.  The
+  sums are numpy reductions, not BLAS dots, whose rounding would depend on
+  the BLAS thread count.
 * Divergent regret is reported as infinite, never as a windowed partial sum.
   When the prior has E theta^2 = inf, so does theta_G(Y), and a rule that
   stays bounded beyond its table (`rules.bounded_beyond_table`: plain and
@@ -366,11 +367,17 @@ def _regret_diverges(resolved: ResolvedPrior, config: EstimatorConfig) -> bool:
 
 
 def _capped_sqerr(est: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared errors capped at SQERR_CAP, and the mask of the non-finite ones."""
+    """Squared errors capped at SQERR_CAP, and the mask of the non-finite ones.
+
+    Both are new arrays, built in place; the inputs are not written to."""
     with np.errstate(invalid="ignore"):
-        sq = (est - truth) ** 2
-    capped = ~np.isfinite(sq)
-    return np.where(capped, SQERR_CAP, np.minimum(sq, SQERR_CAP)), capped
+        sq = np.subtract(est, truth)
+        np.square(sq, out=sq)
+    capped = np.isfinite(sq)
+    np.logical_not(capped, out=capped)
+    np.minimum(sq, SQERR_CAP, out=sq)
+    np.copyto(sq, SQERR_CAP, where=capped)
+    return sq, capped
 
 
 def _regret_from_table(
@@ -380,10 +387,11 @@ def _regret_from_table(
     y_cap: int,
 ) -> tuple[float, float, list[str]]:
     f = resolved.pmf().values  # `table` spans the reference pmf's range
-    sq, capped = _capped_sqerr(table, resolved.oracle_table(f.size - 1))
-    value = float(np.sum(f[: y_cap + 1] * sq[: y_cap + 1]))  # not a BLAS dot: Conventions
-    tail_term = float(np.sum(f[y_cap + 1 :] * sq[y_cap + 1 :]))
-    n_capped = int(capped[: y_cap + 1].sum())
+    terms, capped = _capped_sqerr(table, resolved.oracle_table(f.size - 1))
+    terms *= f
+    value = float(np.sum(terms[: y_cap + 1]))  # not a BLAS dot: Conventions
+    tail_term = float(np.sum(terms[y_cap + 1 :]))
+    n_capped = int(np.count_nonzero(capped[: y_cap + 1]))
     return value, tail_term, ([f"capped={n_capped}"] if n_capped else []) + rule_flags
 
 

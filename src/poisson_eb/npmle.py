@@ -58,11 +58,14 @@ _NNLS_MODULE = "scipy.optimize._slsqplib"  # the compiled routine behind scipy.o
 
 def _compiled_nnls():
     """scipy's compiled ``nnls(A, b, maxiter) -> (x, rnorm, info)``, loaded from its
-    file so that ``scipy/optimize/__init__.py`` (and scipy.linalg with it) never runs."""
+    file so that no ``__init__.py`` of scipy (scipy.optimize's loads scipy.linalg)
+    runs: the package is found, not imported."""
     lib = sys.modules.get(_NNLS_MODULE)
     if lib is None:
-        import scipy
-        stem = os.path.join(scipy.__path__[0], "optimize", "_slsqplib")
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None or not scipy.submodule_search_locations:
+            raise ImportError("scipy is not installed")
+        stem = os.path.join(scipy.submodule_search_locations[0], "optimize", "_slsqplib")
         paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
                  if os.path.isfile(stem + suffix)]
         if not paths:

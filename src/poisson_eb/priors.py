@@ -38,10 +38,12 @@ of a 16x refinement's.
 Y | theta is Poisson on a second stream of the same key.  The zero atom's
 draws lead theta and consume no Poisson variates: their Y are 0, which is
 what numpy's Poisson returns at rate 0 without touching its bit generator,
-so Y is bit for bit one Poisson draw per theta.  `count_histogram` sorts
-only the other draws' counts and adds the zero atom's at y = 0, with no
-length-n Y array; heavy_tail puts 0.93 (p = 1.5) to 0.99 (p = 3) of its
-mass at 0.
+so Y is bit for bit one Poisson draw per theta.  `count_histogram` forms no
+theta: it reads the zero atom's draws off the multinomial's per-atom counts,
+repeats only the other atoms as Poisson rates, sorts only their counts and
+adds the zero atom's at y = 0, with no length-n array.  heavy_tail puts 0.93
+(p = 1.5) to 0.99 (p = 3) of its mass at 0, so a draw's memory is about
+that much smaller.  Only `sample` and `sample_counts` form theta.
 
 Families
 --------
@@ -397,36 +399,42 @@ class ResolvedPrior:
         (module docstring).  `seed` may be an int or a tuple of ints;
         identical seeds reproduce identical draws regardless of call order.
         """
+        return np.repeat(self.discretization.atoms, self._atom_counts(seed, size))
+
+    def _atom_counts(self, seed, size: int) -> np.ndarray:
+        """Each atom's count in `size` draws from K: the one multinomial of `sample`."""
         if size < 1:
             raise InvalidInputError("size must be >= 1")
-        d = self.discretization
-        return np.repeat(d.atoms, _generator(seed).multinomial(int(size), d.weights))
+        return _generator(seed).multinomial(int(size), self.discretization.weights)
 
     def _draw(self, seed, size: int) -> tuple[np.ndarray, int, np.ndarray]:
-        """theta by `sample`, the length k of its zero-atom prefix (the draws
-        are grouped by atom in increasing order), and the Poisson counts of
-        theta[k:]; Y is k zeros and then these (module docstring)."""
-        theta = self.sample(seed, size)
-        k = int(np.searchsorted(theta, 0.0, side="right"))
-        return theta, k, _generator(seed, 0x9E37).poisson(theta[k:])
+        """Each atom's count, the number of draws at the zero atom (atom 0 when
+        it is 0; the atoms increase), and the Poisson counts of the other draws
+        in `sample`'s order; Y is that many zeros and then these (module
+        docstring).  theta itself is not formed."""
+        counts = self._atom_counts(seed, size)
+        atoms = self.discretization.atoms
+        z = int(atoms[0] == 0.0)
+        rest = _generator(seed, 0x9E37).poisson(np.repeat(atoms[z:], counts[z:]))
+        return counts, int(counts[:z].sum()), rest
 
     def sample_counts(self, seed, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw (theta, Y) pairs: theta by `sample`, from K grouped by atom; Y | theta
-        Poisson, with no Poisson variate spent on the zero atom's draws (Y
-        shares its draw routine with `count_histogram`)."""
-        theta, k, rest = self._draw(seed, size)
-        y = np.zeros(theta.size, dtype=rest.dtype)
-        y[k:] = rest
-        return theta, y
+        """Draw (theta, Y) pairs: theta as `sample` draws it, from K grouped by atom;
+        Y | theta Poisson, with no Poisson variate spent on the zero atom's
+        draws (Y shares its draw routine with `count_histogram`)."""
+        counts, zeros, rest = self._draw(seed, size)
+        y = np.zeros(int(size), dtype=rest.dtype)
+        y[zeros:] = rest
+        return np.repeat(self.discretization.atoms, counts), y
 
     def count_histogram(self, seed, size: int) -> CountHistogram:
-        """The histogram of the counts Y of `sample_counts(seed, size)`.
+        """The histogram of the counts Y of `sample_counts(seed, size)`, drawn without theta.
 
         The zero atom's draws count at y = 0 with no Poisson draw, and only
-        the rest are sorted (`np.unique`), with no length-n Y array.  Only
-        the last (key, histogram) pair is kept, so the methods that train on
-        one stream key share one draw.  The old pair is dropped before a new
-        draw, and theta is never kept.
+        the rest are sorted (`np.unique`): no length-n theta or Y array is
+        formed.  Only the last (key, histogram) pair is kept, so the methods
+        that train on one stream key share one draw.  The old pair is dropped
+        before a new draw.
         """
         key = (_entropy(seed), int(size))
         if self._cache.get("counts", (None,))[0] != key:

@@ -127,7 +127,7 @@ class FittedRule:
         table = np.asarray(self.table, dtype=float)
         if table.ndim != 1 or table.size == 0:
             raise InvalidInputError("rule table must be nonempty 1-d")
-        if np.any(table < 0) or np.any(np.isnan(table)):
+        if not table.min() >= 0:  # the min is NaN when any estimate is; inf passes
             raise InvalidInputError("rule estimates must be nonnegative")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
@@ -152,18 +152,22 @@ def ratio_table(
     "degenerate" (0/0, estimate 0) and "infinite" (N(y) = 0 < N(y+1)) to
     boolean masks over the cells; the add-one kinds have no hazards.  A
     leave-one-out estimate at an observed y is the same formula with bot =
-    N(y) - 1, since removing one point at y lowers only N(y).
+    N(y) - 1, since removing one point at y lowers only N(y).  Neither input
+    is written to.
     """
     if config.kind == "robbins_plain":
         with np.errstate(divide="ignore", invalid="ignore"):
-            table = top / bot
-        degenerate = (bot == 0) & (top == 0)
-        infinite = (bot == 0) & (top > 0)
+            table = np.divide(top, bot)
+        infinite = bot == 0
+        degenerate = top == 0
+        degenerate &= infinite
+        infinite &= top > 0
         table[degenerate] = 0.0
         return table, {"degenerate": degenerate, "infinite": infinite}
-    table = top / (bot + 1.0)
+    table = np.add(bot, 1.0)
+    np.divide(top, table, out=table)
     if config.kind == "robbins_trunc":
-        table = np.where(ys > config.y0, ys, table)
+        np.copyto(table, ys, where=ys > config.y0)
     return table, {}
 
 
@@ -189,7 +193,9 @@ def fit_rule(
         if train is None:
             raise InvalidInputError("frequency-ratio rules need training counts")
         counts = _robbins_counts(train, y_cap)
-        table, hazards = ratio_table(config, ys, (ys + 1.0) * counts[1:], counts[:-1])
+        top = ys + 1.0
+        top *= counts[1:]
+        table, hazards = ratio_table(config, ys, top, counts[:-1])
         # cells from y_max on are 0/0 or the last count: counting them measures the table
         flags = {name: int(mask[: train.y_max].sum()) for name, mask in hazards.items()}
 

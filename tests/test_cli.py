@@ -431,6 +431,7 @@ def test_npmle_plan_loads_only_the_compiled_nnls(in_fresh_interpreter):
     scipy_loaded, loaded_in_trials, ma_loaded, agree = in_fresh_interpreter(code).splitlines()
     scipy_loaded = ast.literal_eval(scipy_loaded)
     assert "scipy.optimize._slsqplib" in scipy_loaded
+    assert "scipy" not in scipy_loaded  # the package is found, and its __init__ never runs
     assert not [m for m in scipy_loaded if m.startswith(("scipy.optimize", "scipy.linalg",
                                                          "scipy.special"))
                 and m != "scipy.optimize._slsqplib"]

@@ -224,6 +224,26 @@ def test_oracle_method_has_zero_regret():
     assert flags == []
 
 
+def test_regret_caps_each_squared_error_and_counts_the_non_finite():
+    f = TP.pmf().values
+    truth = TP.oracle_table(f.size - 1)
+    y_cap = TP.quantile_y(1e-9)
+    assert y_cap + 1 < f.size
+    table = truth.copy()
+    table[:4] = [math.inf, math.nan, truth[2] + 2e6, truth[3] + 1e3]
+    table[y_cap + 1] = math.inf  # a tail cell: capped, but not counted in the flag
+    given = table.copy()
+    value, tail, flags = ex._regret_from_table(TP, table, ["infinite=1"], y_cap)
+    # inf and NaN are capped and counted; a finite error past the cap is only capped
+    assert flags == ["capped=2", "infinite=1"]
+    want = ex.SQERR_CAP * (f[0] + f[1] + f[2]) + (table[3] - truth[3]) ** 2 * f[3]
+    assert value == pytest.approx(want, rel=1e-14)
+    assert tail == pytest.approx(ex.SQERR_CAP * f[y_cap + 1], rel=1e-14)
+    np.testing.assert_array_equal(table, given)  # the rule's table is not written to
+    # with nothing to cap there is no flag
+    assert ex._regret_from_table(TP, truth, [], y_cap) == (0.0, 0.0, [])
+
+
 def test_oracle_regret_trial_draws_no_sample(monkeypatch):
     # the oracle reads no training counts, so its trial must not draw them
     calls = []
@@ -241,13 +261,13 @@ def test_oracle_regret_trial_draws_no_sample(monkeypatch):
 def test_methods_sharing_a_key_share_one_draw(monkeypatch):
     r = resolve(TP_SPEC, p=2.0)
     calls = []
-    real_sample = ResolvedPrior.sample
+    real_atom_counts = ResolvedPrior._atom_counts  # every draw's one multinomial
 
     def spy(self, seed, size):
         calls.append((seed, size))
-        return real_sample(self, seed, size)
+        return real_atom_counts(self, seed, size)
 
-    monkeypatch.setattr(ResolvedPrior, "sample", spy)
+    monkeypatch.setattr(ResolvedPrior, "_atom_counts", spy)
     addone = individual_regret_trial(r, 50, "robbins-addone", (3, 4))
     trunc = individual_regret_trial(r, 50, "robbins-trunc", (3, 4))
     assert calls == [((3, 4), 49)]

@@ -215,6 +215,17 @@ def test_fitted_rule_validation():
         FittedRule(config=cfg, table=np.array([]))
 
 
+def test_fitted_rule_refuses_nan_and_accepts_inf():
+    cfg = EstimatorConfig("robbins_plain")
+    for bad in ([1.0, math.nan], [-math.inf, 1.0], [math.nan, math.inf]):
+        with pytest.raises(InvalidInputError, match="nonnegative"):
+            FittedRule(config=cfg, table=np.array(bad))
+    # a plain frequency ratio is inf where N(y) = 0 < N(y+1): a valid estimate
+    rule = FittedRule(config=cfg, table=np.array([0.0, math.inf, 2.0]))
+    assert rule.table.tolist() == [0.0, math.inf, 2.0]
+    assert not rule.table.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # configuration and tuning
 # ---------------------------------------------------------------------------
