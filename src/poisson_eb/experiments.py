@@ -369,14 +369,13 @@ def _regret_diverges(resolved: ResolvedPrior, config: EstimatorConfig) -> bool:
 def _capped_sqerr(est: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Squared errors capped at SQERR_CAP, and the mask of the non-finite ones.
 
-    Both are new arrays, built in place; the inputs are not written to."""
-    with np.errstate(invalid="ignore"):
+    Both are new arrays; the inputs are not written to."""
+    with np.errstate(invalid="ignore"):  # inf - inf
         sq = np.subtract(est, truth)
-        np.square(sq, out=sq)
-    capped = np.isfinite(sq)
-    np.logical_not(capped, out=capped)
+    sq *= sq
+    capped = ~np.isfinite(sq)
     np.minimum(sq, SQERR_CAP, out=sq)
-    np.copyto(sq, SQERR_CAP, where=capped)
+    sq[capped] = SQERR_CAP
     return sq, capped
 
 

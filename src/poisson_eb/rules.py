@@ -158,10 +158,8 @@ def ratio_table(
     if config.kind == "robbins_plain":
         with np.errstate(divide="ignore", invalid="ignore"):
             table = np.divide(top, bot)
-        infinite = bot == 0
-        degenerate = top == 0
-        degenerate &= infinite
-        infinite &= top > 0
+        degenerate = (bot == 0) & (top == 0)
+        infinite = (bot == 0) & (top > 0)
         table[degenerate] = 0.0
         return table, {"degenerate": degenerate, "infinite": infinite}
     table = np.add(bot, 1.0)
