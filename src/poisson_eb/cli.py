@@ -133,8 +133,7 @@ def cmd_eb_estimate(ctx, input_path, method, y0, rho, y_cap, tol, out_path):
             raise InvalidInputError("the oracle rule needs a known prior; use the library API")
         if y0 is None and kind == "robbins_trunc":
             raise InvalidInputError("--y0 is required for method robbins-trunc")
-        config = EstimatorConfig(kind=kind, y0=math.inf if y0 is None else y0, rho=rho,
-                                 npmle_tol=tol)
+        config = EstimatorConfig(kind=kind, y0=math.inf if y0 is None else y0, rho=rho)
         cap = y_cap if y_cap is not None else data.y_max + 5
         fit = fit_npmle(data, tol=tol) if kind == "npmle_eb" else None
         rule = fit_rule(config, cap, train=data, fit=fit)

@@ -38,7 +38,9 @@ Conventions
   (plan seed, n, replicate, purpose) and hands the key to the public trial
   function, which uses it as given; no function derives one key from
   another.  A row is therefore reproduced by calling its trial function with
-  the row's keys and the config `run_plan` built from the plan.
+  the row's keys and the plan's ``tuning_c``.
+* Every NPMLE fit runs to the KKT tolerance SOLVER_TOL and the exact regret
+  sum stops at the reference's 1 - Y_CAP_EPS quantile; the header records both.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import io
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,6 +88,9 @@ METRICS = ("hellinger_sq", "individual_regret", "total_regret")
 
 SQERR_CAP = 1e12
 
+SOLVER_TOL = 1e-6  # KKT tolerance of every NPMLE fit in a trial
+Y_CAP_EPS = 1e-9  # reference mass beyond the exact regret sum
+
 DIVERGENT_FLAG = "divergent_regret"
 
 
@@ -108,9 +113,6 @@ class ExperimentPlan:
     disc_tol: float = 1e-6
     tuning_c: float = 1.0
     direct_total: bool = False
-    solver_tol: float = 1e-6
-    y_cap_eps: float = 1e-9
-    overrides: dict = field(default_factory=dict)  # npmle_y0 / npmle_rho / robbins_y0
 
     def __post_init__(self) -> None:
         if not self.n_grid or list(self.n_grid) != sorted(set(int(n) for n in self.n_grid)):
@@ -125,10 +127,6 @@ class ExperimentPlan:
             raise InvalidInputError("tuning_c must be finite and > 0")
         if self.direct_total not in (0, 1):  # a flag: 0, 1, False or True
             raise InvalidInputError(f"direct_total must be 0 or 1 (got {self.direct_total!r})")
-        if not 0 < self.solver_tol < 1:
-            raise InvalidInputError("solver_tol must lie in (0, 1)")
-        if not 0 < self.y_cap_eps < 1:
-            raise InvalidInputError("y_cap_eps must lie in (0, 1)")
         for m in self.metrics:
             if m not in METRICS:
                 raise InvalidInputError(f"unknown metric {m!r}; choose from {METRICS}")
@@ -140,12 +138,8 @@ class ExperimentPlan:
         needs_rules = {"individual_regret", "total_regret"} & set(self.metrics)
         if needs_rules and not self.methods:
             raise InvalidInputError("regret metrics need at least one method")
-        if not set(self.overrides) <= set(_OVERRIDE_KEYS):
-            raise InvalidInputError(f"overrides must be among {_OVERRIDE_KEYS}")
-        # the configs the overrides feed refuse what they would refuse per trial
-        EstimatorConfig("npmle_eb", y0=self.overrides.get("npmle_y0", math.inf),
-                        rho=self.overrides.get("npmle_rho", 1e-6), npmle_tol=self.solver_tol)
-        EstimatorConfig("robbins_trunc", y0=self.overrides.get("robbins_y0", math.inf))
+        if self.direct_total and "total_regret" not in self.metrics:
+            raise InvalidInputError("direct_total = 1 needs total_regret among the metrics")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "metrics", tuple(self.metrics))
@@ -166,13 +160,7 @@ _PLAN_KEYS = {
     "disc_tol": float,
     "tuning_c": float,
     "direct_total": int,
-    "solver_tol": float,
-    "y_cap_eps": float,
-    "npmle_y0": int,
-    "npmle_rho": float,
-    "robbins_y0": int,
 }
-_OVERRIDE_KEYS = ("npmle_y0", "npmle_rho", "robbins_y0")  # kept in ExperimentPlan.overrides
 
 
 def parse_plan(text: str) -> ExperimentPlan:
@@ -195,12 +183,8 @@ def parse_plan(text: str) -> ExperimentPlan:
     disc_tol      sup-norm tolerance of the prior's discretization (1e-6)
     tuning_c      finite c > 0 of the tuned truncation levels (default 1)
     direct_total  0 or 1; 1 adds a total_regret_direct row, the direct
-                  leave-one-out path, after each total_regret row (default 0)
-    solver_tol    KKT tolerance of every NPMLE fit, in (0, 1) (1e-6)
-    y_cap_eps     reference mass beyond the exact regret sum (1e-9)
-    npmle_y0      npmle truncation level (default tuned to n)
-    npmle_rho     npmle density floor (default tuned to n)
-    robbins_y0    robbins-trunc truncation level (default tuned to n)
+                  leave-one-out path, after each total_regret row, and
+                  needs total_regret among the metrics (default 0)
     ============  =========================================================
 
     ``demos/plans/regret_small.plan`` is an example.
@@ -224,7 +208,6 @@ def parse_plan(text: str) -> ExperimentPlan:
             raise InvalidInputError(f"plan key {key!r}: malformed number {val.strip()!r}") from None
     if "prior" not in raw or "n_grid" not in raw or "replicates" not in raw:
         raise InvalidInputError("plan needs at least prior, n_grid, replicates")
-    overrides = {k: raw.pop(k) for k in _OVERRIDE_KEYS if k in raw}
     prior = parse_prior_spec(raw.pop("prior"))
     n_grid = raw.pop("n_grid")
     methods = tuple(tok.strip() for tok in raw.pop("methods", "").split(",") if tok.strip())
@@ -238,7 +221,6 @@ def parse_plan(text: str) -> ExperimentPlan:
         n_grid=n_grid,
         methods=methods,
         metrics=metrics,
-        overrides=overrides,
         **raw,
     )
 
@@ -293,10 +275,9 @@ class ExperimentReport:
             f"methods={','.join(self.plan.methods) or '-'} "
             f"metrics={','.join(self.plan.metrics)} "
             f"tuning_c={self.plan.tuning_c:g} disc_tol={self.plan.disc_tol:g} "
-            f"solver_tol={self.plan.solver_tol:g} y_cap_eps={self.plan.y_cap_eps:g} "
+            f"solver_tol={SOLVER_TOL:g} y_cap_eps={Y_CAP_EPS:g} "
             f"direct_total={int(self.plan.direct_total)}"
-        ) + "".join(f" {k}={self.plan.overrides[k]}"
-                    for k in _OVERRIDE_KEYS if k in self.plan.overrides)
+        )
         return [
             f"# poisson_eb {__version__} experiment report",
             f"# plan {self.plan.name}: {cfg}",
@@ -344,7 +325,6 @@ def density_risk_trial(
     resolved: ResolvedPrior,
     n: int,
     seed,
-    solver_tol: float = 1e-6,
 ) -> tuple[float, list[str]]:
     """Squared Hellinger distance of the fitted mixture pmf from the reference.
 
@@ -354,7 +334,7 @@ def density_risk_trial(
     """
     if n < 10:
         raise InvalidInputError("n must be >= 10")
-    fit = fit_npmle(resolved.count_histogram(seed, n), tol=solver_tol)
+    fit = fit_npmle(resolved.count_histogram(seed, n), tol=SOLVER_TOL)
     ref = resolved.pmf()
     fit_table = pmf_table(fit.prior, tail_tol=ref.tail_tol, min_len=ref.values.size)
     value = hellinger_sq(fit_table, ref)
@@ -399,15 +379,14 @@ def individual_regret_trial(
     n: int,
     method: str,
     seed,
-    config: EstimatorConfig | None = None,
-    y_cap_eps: float = 1e-9,
+    tuning_c: float = 1.0,
 ) -> tuple[float, float, list[str]]:
     """E(rule(Y) - theta_G(Y))^2 for one random training sample of size n-1.
 
-    `config` must be of `method`'s kind; None means the method's default.
-    The expectation over the test count is an exact weighted sum against the
-    reference mixture up to y_cap (its 1 - y_cap_eps quantile); the remainder
-    of the reference table is returned as the deterministic tail term.
+    The rule's knobs are tuned to n, scaled by `tuning_c`.  The expectation
+    over the test count is an exact weighted sum against the reference mixture
+    up to y_cap (its 1 - Y_CAP_EPS quantile); the remainder of the reference
+    table is returned as the deterministic tail term.
     The oracle reads the prior's cached theta_G table and draws no sample.
     When the prior has E theta^2 = inf and the rule stays bounded beyond its
     table, the full expectation is infinite: the result is then
@@ -417,56 +396,42 @@ def individual_regret_trial(
     """
     if n < 10:
         raise InvalidInputError("n must be >= 10")
-    if config is None:
-        config = _default_config(resolved, n, method)
-    elif config.kind != CLI_KIND_NAMES.get(method):
-        raise InvalidInputError(f"config kind {config.kind!r} is not method {method!r}'s rule")
+    config = _default_config(resolved, n, method, tuning_c)
     y_hi = resolved.pmf().y_max
     if config.kind == "oracle":
         table, rule_flags = resolved.oracle_table(y_hi), []
     else:
         train = resolved.count_histogram(seed, n - 1)
-        fit = fit_npmle(train, tol=config.npmle_tol) if config.kind == "npmle_eb" else None
+        fit = fit_npmle(train, tol=SOLVER_TOL) if config.kind == "npmle_eb" else None
         rule = fit_rule(config, y_hi, train=train, fit=fit)
         table, rule_flags = rule.table, [f"{name}={v}" for name, v in rule.flags.items() if v]
     if _regret_diverges(resolved, config):
         return math.inf, math.inf, rule_flags + [DIVERGENT_FLAG]
-    return _regret_from_table(resolved, table, rule_flags, resolved.quantile_y(y_cap_eps))
+    return _regret_from_table(resolved, table, rule_flags, resolved.quantile_y(Y_CAP_EPS))
 
 
 def _default_config(
     resolved: ResolvedPrior,
     n: int,
     method: str,
-    tuning_c: float = 1.0,
-    overrides: dict | None = None,
-    solver_tol: float = 1e-6,
+    tuning_c: float,
 ) -> EstimatorConfig:
     if method not in CLI_KIND_NAMES:
         raise InvalidInputError(f"unknown method {method!r}")
     kind = CLI_KIND_NAMES[method]
-    overrides = overrides or {}
     if kind in ("oracle", "robbins_plain", "robbins_addone"):
         return EstimatorConfig(kind=kind)
     if kind == "robbins_trunc":
-        if "robbins_y0" in overrides:
-            return EstimatorConfig(kind=kind, y0=overrides["robbins_y0"])
         tuned = tune_defaults(n, resolved.p, m_p=resolved.p_moment, c=tuning_c)
         return EstimatorConfig(kind=kind, y0=tuned.robbins_y0)
     # npmle_eb: tuned knobs where the moment regime supports them, otherwise
     # the untruncated rule with a tiny density floor (fixed-prior plans often
     # carry p as a mere label).
-    y0 = overrides.get("npmle_y0")
-    rho = overrides.get("npmle_rho")
-    if y0 is None or rho is None:
-        try:
-            tuned = tune_defaults(n, resolved.p, m_p=resolved.p_moment, c=tuning_c)
-            y0 = tuned.npmle_y0 if y0 is None else y0
-            rho = max(tuned.npmle_rho, 1e-300) if rho is None else rho
-        except UnsupportedRegimeError:
-            y0 = math.inf if y0 is None else y0
-            rho = 1e-10 if rho is None else rho
-    return EstimatorConfig(kind=kind, y0=y0, rho=rho, npmle_tol=solver_tol)
+    try:
+        tuned = tune_defaults(n, resolved.p, m_p=resolved.p_moment, c=tuning_c)
+    except UnsupportedRegimeError:
+        return EstimatorConfig(kind=kind, rho=1e-10)
+    return EstimatorConfig(kind=kind, y0=tuned.npmle_y0, rho=max(tuned.npmle_rho, 1e-300))
 
 
 def total_regret_trial(
@@ -474,9 +439,8 @@ def total_regret_trial(
     n: int,
     method: str,
     seed,
-    config: EstimatorConfig | None = None,
+    tuning_c: float = 1.0,
     direct_seed=None,
-    y_cap_eps: float = 1e-9,
 ) -> dict:
     """The regret rows of one trial: ``{metric: (value, tail_term, flags)}``.
 
@@ -487,11 +451,10 @@ def total_regret_trial(
     subtracts n times the reference Bayes risk.  The two total-regret paths
     agree in expectation: a standing consistency check on the pipeline.
     """
-    config = config or _default_config(resolved, n, method)
-    ind, tail, flags = individual_regret_trial(resolved, n, method, seed, config=config,
-                                               y_cap_eps=y_cap_eps)
+    ind, tail, flags = individual_regret_trial(resolved, n, method, seed, tuning_c)
     out = {"individual_regret": (ind, tail, flags), "total_regret": (n * ind, n * tail, flags)}
     if direct_seed is not None:
+        config = _default_config(resolved, n, method, tuning_c)
         out["total_regret_direct"] = _direct_total(resolved, n, config, direct_seed)
     return out
 
@@ -532,10 +495,10 @@ def _loo_estimates(
     if config.kind == "oracle":
         return resolved.oracle_table(data.y_max)[ys], []
     if config.kind == "npmle_eb":
-        warm = fit_npmle(data, tol=config.npmle_tol)
+        warm = fit_npmle(data, tol=SOLVER_TOL)
         est, flags = [], []
         for y in ys.tolist():
-            refit = fit_npmle(data.remove_one(y), tol=config.npmle_tol, init_prior=warm.prior)
+            refit = fit_npmle(data.remove_one(y), tol=SOLVER_TOL, init_prior=warm.prior)
             rule = fit_rule(config, y, fit=refit)
             est.append(rule.table[y])
             flags += [f"{name}@{y}" for name, v in rule.flags.items() if v]
@@ -601,7 +564,7 @@ def run_plan(plan: ExperimentPlan, resolved: ResolvedPrior | None = None) -> Exp
     """Execute a plan: all rows in deterministic (n, replicate, method, metric) order.
 
     Each row is the public trial call with the row's stream keys and the
-    config built from the plan.  Every scheduled row is produced; a trial
+    plan's ``tuning_c``.  Every scheduled row is produced; a trial
     that raises yields NaN rows flagged ``failed:<exception>`` for all the
     metrics it would have produced, rather than silently vanishing.
     """
@@ -609,24 +572,19 @@ def run_plan(plan: ExperimentPlan, resolved: ResolvedPrior | None = None) -> Exp
     if resolved is None:
         resolved = resolve(plan.prior, p=plan.p, disc_tol=plan.disc_tol, seed=plan.seed)
 
-    direct = plan.direct_total and "total_regret" in plan.metrics
-
     def density(n, rep, _method):
         key = _stream_key(plan.seed, n, rep, _PURPOSE_DENSITY)
-        value, flags = density_risk_trial(resolved, n, key, solver_tol=plan.solver_tol)
+        value, flags = density_risk_trial(resolved, n, key)
         return {"hellinger_sq": (value, 0.0, flags)}
 
     def regret(n, rep, method):
-        config = _default_config(resolved, n, method, plan.tuning_c, plan.overrides,
-                                 plan.solver_tol)
         return total_regret_trial(
-            resolved, n, method, _stream_key(plan.seed, n, rep, _PURPOSE_TRAIN), config=config,
-            direct_seed=_stream_key(plan.seed, n, rep, _PURPOSE_DIRECT) if direct else None,
-            y_cap_eps=plan.y_cap_eps,
+            resolved, n, method, _stream_key(plan.seed, n, rep, _PURPOSE_TRAIN), plan.tuning_c,
+            direct_seed=_stream_key(plan.seed, n, rep, _PURPOSE_DIRECT) if plan.direct_total else None,
         )
 
     regret_metrics = [m for m in ("individual_regret", "total_regret") if m in plan.metrics]
-    regret_metrics += ["total_regret_direct"] if direct else []
+    regret_metrics += ["total_regret_direct"] if plan.direct_total else []
     cells = [(density, "npmle", ["hellinger_sq"])] if "hellinger_sq" in plan.metrics else []
     if regret_metrics:
         cells += [(regret, method, regret_metrics) for method in plan.methods]

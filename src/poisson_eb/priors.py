@@ -17,8 +17,8 @@ turns it into a `ResolvedPrior` carrying
 
 The exact families (point_mass, two_point, discrete, assouad,
 moment_class_extremal) are their own discretization, with ``disc_error`` 0.
-`quantile_y(eps)` reads the shared 1e-11 reference pmf table (the one with
-tail min(eps, 1e-11) for smaller eps), whose range contains the quantile.
+`quantile_y(eps)` reads the shared 1e-11 reference pmf table, whose range
+contains the quantile for every eps >= 1e-11; a smaller eps is refused.
 That table and the oracle posterior-mean table over its range come from one
 pass over the discretization: for a continuous family, the pass that
 certifies it.  `count_histogram(seed, size)` keeps the last histogram it
@@ -80,7 +80,6 @@ from .mixtures import (
     mmse_exact,
     pmf_and_moment_tables,
     pmf_on_range,
-    pmf_table,
     posterior_moment_table,
 )
 from .npmle import CountHistogram
@@ -440,10 +439,11 @@ class ResolvedPrior:
         if self._cache.get("counts", (None,))[0] != key:
             self._cache.pop("counts", None)
             _, zeros, rest = self._draw(seed, size)
-            ys, cnts = np.unique(np.append(rest, 0), return_counts=True)
-            cnts[0] += zeros - 1  # the appended 0 stands for the zero atom's draws
-            seen = cnts > 0
-            self._cache["counts"] = (key, CountHistogram(ys[seen], cnts[seen]))
+            ys, cnts = np.unique(rest, return_counts=True)
+            if zeros and ys[:1].tolist() != [0]:  # no Poisson count is 0: insert the bin
+                ys, cnts = np.insert(ys, 0, 0), np.insert(cnts, 0, 0)
+            cnts[:1] += zeros  # the zero atom's draws count at y = 0
+            self._cache["counts"] = (key, CountHistogram(ys, cnts))
         return self._cache["counts"][1]
 
     # -- cached derived artifacts ------------------------------------------
@@ -454,27 +454,26 @@ class ResolvedPrior:
         table, (oracle,) = tables or pmf_and_moment_tables(self.discretization,
                                                            _REFERENCE_TAIL, (1,))
         oracle.setflags(write=False)
-        self._cache[("pmf", _REFERENCE_TAIL)] = table
+        self._cache["pmf"] = table
         self._cache["oracle"] = oracle
 
-    def pmf(self, tail_tol: float = _REFERENCE_TAIL) -> MixturePmf:
-        """Reference mixture pmf table with P(Y > y_max) <= `tail_tol`."""
-        key = ("pmf", tail_tol)
-        if key not in self._cache:
-            if tail_tol == _REFERENCE_TAIL:
-                self._reference_tables()
-            else:
-                self._cache[key] = pmf_table(self.discretization, tail_tol)
-        return self._cache[key]
+    def pmf(self) -> MixturePmf:
+        """The reference mixture pmf table, with P(Y > y_max) <= 1e-11."""
+        if "pmf" not in self._cache:
+            self._reference_tables()
+        return self._cache["pmf"]
 
     def quantile_y(self, eps: float = 1e-9) -> int:
         """Smallest y with P(Y > y) <= eps, read off the reference pmf table.
 
         P(Y > y) is tail_mass plus the table summed from its far end, which
-        has no 1 - cumsum rounding floor and is <= eps at y_max."""
+        has no 1 - cumsum rounding floor and is <= eps at y_max.  An eps below
+        the table's 1e-11 tail is refused with InvalidInputError."""
+        if not eps >= _REFERENCE_TAIL:  # NaN too
+            raise InvalidInputError(f"eps must be >= {_REFERENCE_TAIL:g} (got {eps!r})")
         key = ("q", eps)
         if key not in self._cache:
-            table = self.pmf(min(eps, _REFERENCE_TAIL))
+            table = self.pmf()
             beyond = np.append(np.cumsum(table.values[:0:-1])[::-1], 0.0)
             self._cache[key] = int(np.argmax(table.tail_mass + beyond <= eps))
         return self._cache[key]

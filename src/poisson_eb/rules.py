@@ -73,15 +73,13 @@ class EstimatorConfig:
 
     y0 may be 0 (truncate everywhere except y=0) up to infinity (never
     truncate, the only value for oracle, plain and add-one Robbins); rho is
-    the pmf floor of the mixture-based rule; npmle_tol is the KKT tolerance
-    that the trial functions and the CLI pass to `fit_npmle` (`fit_rule`
-    itself never fits).
+    the pmf floor of the mixture-based rule.  `fit_rule` never fits: a
+    caller passes its own tolerance to `fit_npmle`.
     """
 
     kind: str
     y0: float = math.inf
     rho: float = 1e-6
-    npmle_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.kind not in ESTIMATOR_KINDS:
@@ -95,8 +93,6 @@ class EstimatorConfig:
                 raise InvalidInputError(f"kind {self.kind!r} never truncates; y0 must be inf")
         if not (0 < self.rho <= 1 / math.e):
             raise InvalidInputError("rho must lie in (0, 1/e]")
-        if not (0 < self.npmle_tol < 1):
-            raise InvalidInputError("npmle_tol must lie in (0, 1)")
 
 
 class RobbinsEstimate(NamedTuple):

@@ -211,12 +211,13 @@ def test_regret_sweep_rejects_bad_plan(runner, tmp_path):
     "tuning_c = inf",                       # every tuned row would fail in math.ceil
     "direct_total = 7",                     # a flag: 0 or 1
     "direct_total = -1",
-    "solver_tol = 2",
     "disc_tol = 0.5",
     "prior = family=heavy_tail p=1.5",      # p = 2 moments are infinite
     "prior = family=two_point a=5",         # eps missing
+    # keys that plans no longer take: refused as unknown, never silently ignored
+    "solver_tol = 2",
     "npmle_rho = -1",
-    "npmle_rho = 0.9",                      # above 1/e
+    "npmle_rho = 0.9",
     "npmle_y0 = -3",
     "robbins_y0 = -2",
     "seed = -1",
@@ -234,6 +235,14 @@ def test_regret_sweep_rejects_bad_plan_values(runner, tmp_path, bad):
     assert result.exit_code == 2, result.output
     assert "bad plan" in result.output
     assert "twice" not in result.output
+
+
+def test_regret_sweep_refuses_direct_total_without_total_regret(runner, tmp_path):
+    # no total_regret_direct row would be written, yet the header would say direct_total=1
+    plan = write(tmp_path, "plan.txt", PLAN_TEXT.replace(",total_regret", "") + "direct_total = 1\n")
+    result = runner.invoke(main, ["regret-sweep", plan])
+    assert result.exit_code == 2, result.output
+    assert "direct_total = 1 needs total_regret" in result.output
 
 
 @pytest.mark.parametrize("extra, message", [

@@ -76,10 +76,6 @@ def test_plan_validation():
         small_plan(methods=("james-stein",))
     with pytest.raises(InvalidInputError):
         small_plan(methods=(), metrics=("individual_regret",))
-    for overrides in ({"npmle_rho": -1.0}, {"npmle_rho": 0.9},    # 0.9 > 1/e: not clamped
-                      {"npmle_y0": -3}, {"robbins_y0": -2}, {"robbins_rho": 1e-3}):
-        with pytest.raises(InvalidInputError):
-            small_plan(overrides=overrides)
     assert small_plan(methods=(), metrics=("hellinger_sq",)).methods == ()
 
 
@@ -94,23 +90,24 @@ def test_parse_plan_round_trip():
     assert plan.metrics == ("individual_regret", "total_regret")
     assert plan.seed == 11
     assert plan.direct_total is False
-    assert plan.overrides == {}
 
 
-def test_parse_plan_overrides_and_defaults():
+def test_parse_plan_defaults():
     plan = parse_plan(
         "prior = family=heavy_tail p=1.5\n"
         "n_grid = 100,1000\n"
         "replicates = 1\n"
         "methods = npmle\n"
-        "npmle_y0 = 25\n"
-        "npmle_rho = 1e-8\n"
-        "direct_total = 1\n"
     )
-    assert plan.overrides == {"npmle_y0": 25, "npmle_rho": 1e-8}
-    assert plan.direct_total is True
     assert plan.p == 1.5          # inherited from the prior parameters
     assert plan.metrics == ("individual_regret",)
+    assert (plan.seed, plan.tuning_c, plan.direct_total) == (0, 1.0, False)
+
+
+def test_parse_plan_docstring_lists_every_key():
+    table = parse_plan.__doc__.split("====\n", 1)[1].split("    ====")[0]
+    keys = [line.split()[0] for line in table.splitlines() if line[4:5].strip()]
+    assert sorted(keys) == sorted(ex._PLAN_KEYS)
 
 
 def test_parse_plan_errors():
@@ -125,7 +122,7 @@ def test_parse_plan_errors():
 @pytest.mark.parametrize("line, key", [
     ("replicates = 50", "replicates"),
     ("prior = family=heavy_tail p=2", "prior"),
-    ("npmle_y0 = 4\nnpmle_y0 = 5", "npmle_y0"),
+    ("tuning_c = 2\ntuning_c = 3", "tuning_c"),
 ])
 def test_parse_plan_refuses_a_repeated_key(line, key):
     # a second value must not silently replace the first
@@ -138,7 +135,7 @@ def test_parse_plan_refuses_a_repeated_key(line, key):
     ("n_grid", "20,4x"),
     ("seed", "abc"),
     ("p", "two"),
-    ("npmle_y0", "4.5"),
+    ("direct_total", "0.5"),
     ("prior", "family=two_point eps=0.2 a=zz"),
 ])
 def test_parse_plan_names_the_key_of_a_malformed_number(key, value):
@@ -161,18 +158,31 @@ def test_parse_plan_refuses_a_value_it_would_misread(line, message):
         parse_plan(PLAN_TEXT + line + "\n")
 
 
-def test_robbins_y0_override_reaches_the_trial_config():
-    config = ex._default_config(TP, 20, "robbins-trunc", overrides={"robbins_y0": 3})
-    assert config == EstimatorConfig("robbins_trunc", y0=3)
-    rep = run_plan(small_plan(methods=("robbins-trunc",), metrics=("individual_regret",),
-                              overrides={"robbins_y0": 3}), resolved=TP)
-    for row in rep.rows:
+def test_direct_total_needs_total_regret():
+    with pytest.raises(InvalidInputError, match="direct_total = 1 needs total_regret"):
+        small_plan(metrics=("individual_regret", "hellinger_sq"), direct_total=True)
+    assert small_plan(metrics=("total_regret",), direct_total=True).direct_total is True
+
+
+def test_tuning_c_reaches_the_trial_rows():
+    tp2 = resolve(TP_SPEC, p=2.0)  # tuning needs p > 1
+
+    def rows(c):
+        plan = small_plan(methods=("robbins-trunc", "npmle"), metrics=("total_regret",),
+                          direct_total=True, replicates=1, tuning_c=c)
+        return run_plan(plan, resolved=tp2).rows
+
+    wide = rows(4.0)
+    for row in wide:
         key = ex._stream_key(11, row.n, row.replicate, ex._PURPOSE_TRAIN)
-        value, _, _ = individual_regret_trial(TP, row.n, "robbins-trunc", key, config=config)
-        assert row.value == value
-    tuned = run_plan(small_plan(methods=("robbins-trunc",), metrics=("individual_regret",)),
-                     resolved=TP)
-    assert [r.value for r in tuned.rows] != [r.value for r in rep.rows]
+        direct = ex._stream_key(11, row.n, row.replicate, ex._PURPOSE_DIRECT)
+        trial = total_regret_trial(tp2, row.n, row.method, key, tuning_c=4.0, direct_seed=direct)
+        assert math.isfinite(row.value) and row.value == trial[row.metric][0], row
+    for metric in ("total_regret", "total_regret_direct"):
+        for method in ("robbins-trunc", "npmle"):
+            pick = [(r.n, r.value) for r in wide if (r.method, r.metric) == (method, metric)]
+            assert pick != [(r.n, r.value) for r in rows(1.0)
+                            if (r.method, r.metric) == (method, metric)], (method, metric)
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +354,6 @@ def test_direct_total_regret_is_finite_on_a_point_mass_at_zero():
     assert math.isfinite(value) and math.isfinite(tail)
 
 
-def test_trial_rejects_config_of_another_method():
-    with pytest.raises(InvalidInputError):
-        individual_regret_trial(TP, 50, "robbins", (1, 2), config=EstimatorConfig("oracle"))
-    with pytest.raises(InvalidInputError):
-        total_regret_trial(TP, 50, "npmle", (1, 2), config=EstimatorConfig("robbins_addone"))
-
-
 def test_bounded_rule_regret_diverges_on_infinite_second_moment(heavy_tail_15):
     # E theta^2 = inf and add-one predicts 0 above its largest training count:
     # the regret is infinite at every n, not a partial sum set by the window
@@ -412,7 +415,7 @@ def test_leave_one_out_tables_match_per_y_refits():
     assert flags == ["infinite@1", "infinite@4", "degenerate@5", "degenerate@10"]
 
 
-def test_plan_solver_tol_reaches_regret_and_loo_fits(monkeypatch):
+def test_solver_tol_reaches_density_regret_and_loo_fits(monkeypatch):
     calls = []
     real_fit = ex.fit_npmle
 
@@ -421,11 +424,11 @@ def test_plan_solver_tol_reaches_regret_and_loo_fits(monkeypatch):
         return real_fit(data, **kw)
 
     monkeypatch.setattr(ex, "fit_npmle", spy)
-    plan = small_plan(methods=("npmle",), metrics=("total_regret",), direct_total=True,
-                      n_grid=(20,), replicates=1, solver_tol=1e-4)
+    plan = small_plan(methods=("npmle",), metrics=("hellinger_sq", "total_regret"),
+                      direct_total=True, n_grid=(20,), replicates=1)
     run_plan(plan, resolved=TP)
     assert {restricted for restricted, _ in calls} == {False, True}   # full fits and refits
-    assert {tol for _, tol in calls} == {1e-4}
+    assert {tol for _, tol in calls} == {ex.SOLVER_TOL}
 
 
 def test_density_risk_trial_bounds():
@@ -472,13 +475,10 @@ def test_run_plan_total_is_n_times_individual():
 
 
 @pytest.mark.parametrize("change", [
-    {"solver_tol": 1e-4},
-    {"y_cap_eps": 1e-8},
     {"direct_total": True},
-    {"overrides": {"npmle_y0": 25}},
-    {"overrides": {"npmle_rho": 1e-8}},
-    {"overrides": {"robbins_y0": 3}},
-], ids=lambda change: "-".join(change.get("overrides", change)))
+    {"tuning_c": 2.0},
+    {"disc_tol": 1e-7},
+], ids=lambda change: "-".join(change))
 def test_header_records_every_plan_setting(change):
     def head(plan):
         return ExperimentReport(plan, [], [], 0.0).header_lines()
@@ -486,11 +486,10 @@ def test_header_records_every_plan_setting(change):
     assert head(small_plan()) != head(small_plan(**change))
 
 
-def test_header_lists_overrides_in_fixed_order():
-    plan = small_plan(overrides={"robbins_y0": 3, "npmle_rho": 1e-8, "npmle_y0": 25})
-    line = ExperimentReport(plan, [], [], 0.0).header_lines()[1]
+def test_header_prints_the_solver_and_cap_constants():
+    line = ExperimentReport(small_plan(), [], [], 0.0).header_lines()[1]
     assert line.endswith(
-        "solver_tol=1e-06 y_cap_eps=1e-09 direct_total=0 npmle_y0=25 npmle_rho=1e-08 robbins_y0=3"
+        "tuning_c=1 disc_tol=1e-06 solver_tol=1e-06 y_cap_eps=1e-09 direct_total=0"
     )
 
 

@@ -481,8 +481,9 @@ def test_count_histogram_keeps_no_length_n_count_array(heavy_tail_15):
         tracemalloc.stop()
     assert hist.n == 10**6
     # theta alone is 8 MB, and a draw that formed it peaked at 9.9 MB; drawn
-    # without it, only the 7% of draws off the zero atom take memory (1.9 MB)
-    assert peak < 3e6
+    # without it, only the 7% of draws off the zero atom take memory (1.3 MB;
+    # 1.9 MB when the zero bin was made by appending to a copy of their counts)
+    assert peak < 1.6e6
 
 
 def test_quantile_y_behavior():
@@ -505,16 +506,20 @@ def test_quantile_y_reads_the_shared_reference_table(name, eps, request, monkeyp
     def no_new_table(*args, **kwargs):
         raise AssertionError("quantile_y built a second reference table")
 
-    monkeypatch.setattr(priors, "pmf_table", no_new_table)
+    monkeypatch.setattr(priors, "pmf_and_moment_tables", no_new_table)
     assert r.quantile_y(eps) == expected
 
 
-def test_quantile_y_resolves_eps_below_the_cumsum_rounding_floor():
-    # 1 - cumsum bottoms out near 4e-14 here, so eps = 1e-14 once gave y_max
+def test_quantile_y_resolves_eps_down_to_the_reference_tail():
+    # the smallest eps the 1e-11 reference table answers; 1 - cumsum would
+    # bottom out near 4e-14 here, the suffix sum has no such floor
     r = resolve(PriorSpec("assouad", {"n": 10_000, "c_p": 30.0}), seed=2)
-    eps = 1e-14
+    for eps in (1e-12, 0.0, math.nan):
+        with pytest.raises(InvalidInputError, match="eps must be >= 1e-11"):
+            r.quantile_y(eps)
+    eps = 1e-11
     q = r.quantile_y(eps)
-    assert q < r.pmf(eps).y_max
+    assert q < r.pmf().y_max
     longer = pmf_table(r.discretization, 1e-16)
     beyond = math.fsum(longer.values[q + 1:]) + mixture_tail_bound(r.discretization, longer.y_max)
     assert beyond <= eps

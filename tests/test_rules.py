@@ -239,8 +239,6 @@ def test_estimator_config_validation():
         EstimatorConfig("robbins_trunc", y0=math.nan)
     with pytest.raises(InvalidInputError):
         EstimatorConfig("npmle_eb", rho=0.9)
-    with pytest.raises(InvalidInputError):
-        EstimatorConfig("npmle_eb", npmle_tol=2.0)
     for kind in ("oracle", "robbins_plain", "robbins_addone"):   # never truncate
         with pytest.raises(InvalidInputError, match="never truncates"):
             EstimatorConfig(kind, y0=2)
