@@ -36,7 +36,7 @@ print(f"  largest pmf gap on y <= 20 for the last match: "
 
 print("partial Bayes-risk sums for the 1/a^2 mixing density:")
 prev = None
-for y_cap, s in divergent_mmse_diagnostic(0.5, y_cap=4096):
+for y_cap, s in divergent_mmse_diagnostic(y_cap=4096):
     step = "" if prev is None else f"   (+{s - prev:.4f})"
     print(f"  S({y_cap:>4}) = {s:7.4f}{step}")
     prev = s

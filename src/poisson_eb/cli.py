@@ -176,17 +176,16 @@ def cmd_regret_sweep(ctx, plan_path, out_rows, out_slopes):
 @click.option("--eta", type=float, required=True, help="Target sup-norm pmf accuracy.")
 @click.option("--c", "c_const", type=float, default=1.0, show_default=True,
               help="Partition width constant.")
-@click.option("--p", type=float, default=None, help="Moment index for resolving the source.")
 @click.option("--out", "out_path", default=None, help="Output JSON path (default stdout).")
 @click.pass_context
-def cmd_moment_match(ctx, source, big_m, eta, c_const, p, out_path):
+def cmd_moment_match(ctx, source, big_m, eta, c_const, out_path):
     """Compress a prior to few atoms while matching local moments."""
     with _exit_codes():
         spec = parse_prior_spec(source)
-        resolved = resolve(spec, p=p, seed=ctx.obj["seed"] or 0)
+        resolved = resolve(spec, seed=ctx.obj["seed"] or 0)
         report = local_moment_match(resolved.discretization, big_m, eta, C=c_const)
     _write_json(out_path, "moment-match",
-                {"source": source, "M": big_m, "eta": eta, "C": c_const, "p": p},
+                {"source": source, "M": big_m, "eta": eta, "C": c_const},
                 "report", report.to_dict())
 
 

@@ -58,7 +58,7 @@ from ._version import __version__
 from .errors import InvalidInputError, UnsupportedRegimeError
 from .mixtures import hellinger_sq, pmf_table
 from .npmle import CountHistogram, fit_npmle, load_solver
-from .priors import PriorSpec, ResolvedPrior, parse_prior_spec, resolve
+from .priors import PriorSpec, ResolvedPrior, _moment_index, parse_prior_spec, resolve
 from .rules import (
     CLI_KIND_NAMES,
     EstimatorConfig,
@@ -140,6 +140,8 @@ class ExperimentPlan:
             raise InvalidInputError("regret metrics need at least one method")
         if self.direct_total and "total_regret" not in self.metrics:
             raise InvalidInputError("direct_total = 1 needs total_regret among the metrics")
+        if "robbins-trunc" in self.methods:  # its rows need a tuned y0, which needs p > 1
+            tune_defaults(self.n_grid[0], self.p)
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "metrics", tuple(self.metrics))
@@ -173,8 +175,8 @@ def parse_plan(text: str) -> ExperimentPlan:
     n_grid        ascending distinct sample sizes >= 10, comma-separated
     replicates    trials per sample size, >= 1
     name          label in the report header (default ``plan``)
-    p             moment index for resolving and tuning (default the
-                  prior's ``p`` parameter, else 1)
+    p             moment index that tuning reads (default the prior's
+                  own: heavy_tail's ``p``, assouad's ``p`` or 2, else 1)
     methods       rules from oracle, robbins, robbins-addone, robbins-trunc,
                   npmle, comma-separated (default none)
     metrics       from hellinger_sq, individual_regret, total_regret,
@@ -209,16 +211,13 @@ def parse_plan(text: str) -> ExperimentPlan:
     if "prior" not in raw or "n_grid" not in raw or "replicates" not in raw:
         raise InvalidInputError("plan needs at least prior, n_grid, replicates")
     prior = parse_prior_spec(raw.pop("prior"))
-    n_grid = raw.pop("n_grid")
     methods = tuple(tok.strip() for tok in raw.pop("methods", "").split(",") if tok.strip())
     metrics = tuple(
         tok.strip() for tok in raw.pop("metrics", "individual_regret").split(",") if tok.strip()
     )
-    p = raw.pop("p", float(prior.params.get("p", 1.0)))
     return ExperimentPlan(
         prior=prior,
-        p=p,
-        n_grid=n_grid,
+        p=_moment_index(prior, raw.pop("p", None)),  # popped before **raw is unpacked
         methods=methods,
         metrics=metrics,
         **raw,

@@ -296,10 +296,8 @@ def _y_max_for_tail(prior: DiscretePrior, tail_tol: float) -> int:
 def _log_mix(logP: np.ndarray, w: np.ndarray) -> np.ndarray:
     """log sum_j w_j exp(logP[:, j]) per row; a row of zero mass stays at -inf."""
     with np.errstate(divide="ignore"):
-        terms = logP + np.log(w)
-        top = terms.max(axis=1)
-        top = np.where(np.isfinite(top), top, 0.0)
-        return top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+        _, top, mass = _softmax_rows(logP + np.log(w))
+        return top + np.log(mass)
 
 
 def _band_exponent(atoms: np.ndarray, log_atoms: np.ndarray, first: int, last: int) -> np.ndarray:

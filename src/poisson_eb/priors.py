@@ -53,7 +53,8 @@ Families
   (at most 10^7 certified pmf rows) to about 703 (c0 = 1/E_2(p) overflows)
 | ``sqrt_cauchy``: theta = sqrt(|C|) with C standard Cauchy (tail index 2)
 | ``assouad(n, p, m_p, c_p, tau)``: the near-black two-point-per-interval
-  construction for lower bounds; n a whole number >= 3, p, m_p, c_p in (0, inf)
+  construction for lower bounds; n a whole number >= 3, p, m_p, c_p in (0, inf).
+  Its construction p comes from the spec (default 2), never from `resolve`'s p
 | ``moment_class_extremal(u, m1)``: (1 - 1/u) at 0 plus 1/u at u*m1, the
   sparse two-point prior extremal for the first-moment class.
 """
@@ -513,11 +514,20 @@ def _generator(seed, *extra: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
+def _moment_index(spec: PriorSpec, p: float | None = None) -> float:
+    """The moment index: the caller's `p`, else the spec's ``p`` (assouad's default 2), else 1."""
+    if p is None:
+        p = float(spec.params.get("p", 2.0 if spec.family == "assouad" else 1.0))
+    return p
+
+
 def resolve(spec: PriorSpec, p: float | None = None, disc_tol: float = 1e-6,
             seed: int = 0) -> ResolvedPrior:
     """Resolve a prior spec into its certified discretization.
 
-    `seed` only draws assouad's tau bits when the spec gives none.  Raises
+    The spec alone builds the prior; `p` (default: `_moment_index`) is only
+    the order of ``p_moment``, which tuning reads.  `seed` only draws
+    assouad's tau bits when the spec gives none.  Raises
     :class:`InvalidInputError` for a missing or out-of-range parameter (a
     negative or NaN moment order, and the ranges in the module docstring),
     :class:`UnsupportedRegimeError` when the requested moment order is
@@ -530,14 +540,13 @@ def resolve(spec: PriorSpec, p: float | None = None, disc_tol: float = 1e-6,
     if p is not None and not (p >= 0):  # as DiscretePrior.moment, for every family; NaN too
         raise InvalidInputError("moment order must be nonnegative")
     family, params = spec.family, dict(spec.params)
-    p_eff = 1.0 if p is None else p
+    p_eff = _moment_index(spec, p)
 
     drop = min(disc_tol * 1e-2, 1e-9)  # the continuous families' dropped tail mass
     if family == "heavy_tail":
         p_fam = float(spec.param("p"))
         if not (p_fam > 0):
             raise InvalidInputError("heavy_tail needs p > 0")
-        p_eff = p_fam if p is None else p
         p_moment = _heavy_tail_moment(p_fam, p_eff)  # raises when infinite
         # the continuous part's p-th moment telescopes to c0, so (1 - eps) c0 = 1
         zero_mass = 1.0 - 1.0 / heavy_tail_normalizer(p_fam)
@@ -592,16 +601,16 @@ def resolve(spec: PriorSpec, p: float | None = None, disc_tol: float = 1e-6,
                               np.asarray(spec.param("weights"), dtype=float))
     elif family == "assouad":
         n = float(spec.param("n"))
-        p_eff = float(params.get("p", p if p is not None else 2.0))
+        p_con = _moment_index(spec)  # the construction's p is the spec's own
         m_p = float(params.get("m_p", 1.0))
         c_p = float(params.get("c_p", 0.1))
         tau = params.get("tau")
         if tau is None:
-            n_bits = _assouad_shape(n, p_eff, m_p, c_p)[1]
+            n_bits = _assouad_shape(n, p_con, m_p, c_p)[1]
             tau = _generator(seed, 0xA55).integers(0, 2, size=n_bits).tolist()
         elif isinstance(tau, (int, float)):
             tau = [tau]
-        prior = assouad_prior(tau, n, p_eff, m_p, c_p)
+        prior = assouad_prior(tau, n, p_con, m_p, c_p)
     else:
         raise InvalidInputError(f"unknown family {family!r}")  # pragma: no cover
     return ResolvedPrior(spec, p_eff, prior, prior.moment(p_eff), disc_tol, 0.0, True)
@@ -705,19 +714,13 @@ def _divergent_summands(y_hi: int) -> np.ndarray:
     return s
 
 
-def divergent_mmse_diagnostic(p: float, y_cap: int = 4096) -> list[tuple[int, float]]:
+def divergent_mmse_diagnostic(y_cap: int = 4096) -> list[tuple[int, float]]:
     """Partial Bayes-risk sums S(Y) for Y = 16, 32, ..., <= y_cap.
 
-    The mixing density a^{-2} on [1, inf) has finite p-th moment for p < 1
-    yet infinite Bayes risk: S(Y) = sum_{y<=Y} f(y) Var(theta | y) grows like
-    log Y without bound (increments of ~log 2 per doubling).  `p` is
-    validated to be in the finite-moment regime (0, 1); the sums themselves
-    do not depend on it.
+    The mixing density a^{-2} on [1, inf) has a finite p-th moment for every
+    p < 1 yet infinite Bayes risk: S(Y) = sum_{y<=Y} f(y) Var(theta | y)
+    grows like log Y without bound (increments of ~log 2 per doubling).
     """
-    if not (0 < p < 1):
-        raise UnsupportedRegimeError(
-            f"this diagnostic concerns the finite-moment regime p in (0,1); got p={p}"
-        )
     if y_cap < 16:
         raise InvalidInputError("y_cap must be >= 16")
     s = _divergent_summands(y_cap)

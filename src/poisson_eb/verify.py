@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import differences, mixtures, npmle
+from . import differences, errors, mixtures, npmle
 from .mixtures import DiscretePrior
 
 __all__ = ["CheckResult", "binomial_identity_check", "run_all", "CHECKS"]
@@ -122,7 +122,7 @@ def binomial_identity_check(n_max: int = 30) -> CheckResult:
     fixed wide band [1/8, 8] of it.
     """
     if n_max > 60:
-        raise ValueError("exact enumeration is only supported for n_max <= 60")
+        raise errors.InvalidInputError("exact enumeration is only supported for n_max <= 60")
     ps = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9)
     worst = 0.0
     worst_ratio = 1.0

@@ -320,7 +320,7 @@ def test_two_total_regret_paths_agree():
 # ---------------------------------------------------------------------------
 
 def test_partial_bayes_risk_sums_keep_growing():
-    diag = divergent_mmse_diagnostic(0.5, y_cap=4096)
+    diag = divergent_mmse_diagnostic(y_cap=4096)
     ys = [y for y, _ in diag]
     assert ys == [2 ** k for k in range(4, 13)]
     sums = np.array([s for _, s in diag])

@@ -245,6 +245,14 @@ def test_regret_sweep_refuses_direct_total_without_total_regret(runner, tmp_path
     assert "direct_total = 1 needs total_regret" in result.output
 
 
+def test_regret_sweep_refuses_robbins_trunc_at_p_at_most_1(runner, tmp_path):
+    # it once exited 0 with every robbins-trunc row NaN and failed:UnsupportedRegimeError
+    text = PLAN_TEXT.replace("p = 2\n", "").replace("robbins,robbins-addone", "robbins-trunc,npmle")
+    result = runner.invoke(main, ["regret-sweep", write(tmp_path, "plan.txt", text)])
+    assert result.exit_code == 2, result.output
+    assert "bad plan: tuning requires p > 1 (got p = 1.0)" in result.output
+
+
 @pytest.mark.parametrize("extra, message", [
     ("replicates = 50", "plan key 'replicates' is set twice"),
     ("prior = family=heavy_tail p=2 p=3", "plan key 'prior' is set twice"),

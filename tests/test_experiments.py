@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poisson_eb.errors import InvalidInputError
+from poisson_eb.errors import InvalidInputError, UnsupportedRegimeError
 from poisson_eb import experiments as ex
 from poisson_eb.experiments import (
     ExperimentPlan,
@@ -24,7 +24,7 @@ from poisson_eb.experiments import (
 )
 from poisson_eb.mixtures import posterior_moment_table
 from poisson_eb.npmle import CountHistogram
-from poisson_eb.priors import PriorSpec, ResolvedPrior, resolve
+from poisson_eb.priors import PriorSpec, ResolvedPrior, parse_prior_spec, resolve
 from poisson_eb.rules import CLI_KIND_NAMES, EstimatorConfig, fit_rule
 
 TP_SPEC = PriorSpec("two_point", {"eps": 0.2, "a": 5.0})
@@ -162,6 +162,24 @@ def test_direct_total_needs_total_regret():
     with pytest.raises(InvalidInputError, match="direct_total = 1 needs total_regret"):
         small_plan(metrics=("individual_regret", "hellinger_sq"), direct_total=True)
     assert small_plan(metrics=("total_regret",), direct_total=True).direct_total is True
+
+
+def test_plan_refuses_robbins_trunc_at_p_at_most_1():
+    # its tuned y0 needs p > 1, so every robbins-trunc row would fail
+    with pytest.raises(UnsupportedRegimeError, match="tuning requires p > 1"):
+        small_plan(methods=("robbins-trunc", "npmle"), p=1.0)
+    assert small_plan(methods=("npmle",), p=1.0).p == 1.0  # the untruncated rule
+
+
+def test_plan_and_resolve_build_the_same_assouad_prior():
+    # a plan's default p was 1 and set the construction's p, where resolve's was 2:
+    # 49 atoms against 16
+    spec = "family=assouad n=10000 c_p=30"
+    plan = parse_plan(f"prior = {spec}\nn_grid = 100\nreplicates = 1\nmethods = oracle\n")
+    direct = resolve(parse_prior_spec(spec), seed=plan.seed)
+    via_plan = resolve(plan.prior, p=plan.p, disc_tol=plan.disc_tol, seed=plan.seed)
+    assert plan.p == via_plan.p == direct.p == 2.0
+    np.testing.assert_array_equal(via_plan.discretization.atoms, direct.discretization.atoms)
 
 
 def test_tuning_c_reaches_the_trial_rows():

@@ -564,6 +564,17 @@ def test_assouad_structure():
         assouad_prior([0, 1], n, p, c_p=c_p)     # wrong bit count
 
 
+def test_assouad_moment_index_is_the_callers_p():
+    # the spec alone builds the prior: the caller's p = 2 is only the moment
+    # index, where it once read the spec's p = 3
+    spec = PriorSpec("assouad", {"n": 10_000, "p": 3.0, "c_p": 30.0})
+    own, at_2 = resolve(spec, seed=2), resolve(spec, p=2.0, seed=2)
+    assert (own.p, at_2.p) == (3.0, 2.0)
+    np.testing.assert_array_equal(at_2.discretization.atoms, own.discretization.atoms)
+    np.testing.assert_array_equal(at_2.discretization.weights, own.discretization.weights)
+    assert at_2.p_moment == own.discretization.moment(2.0)
+
+
 def test_assouad_resolution_deterministic():
     spec = PriorSpec("assouad", {"n": 10_000, "p": 2.0, "c_p": 30.0})
     r1 = resolve(spec, seed=3)
@@ -620,7 +631,7 @@ def test_divergent_pmf_quadratic_decay():
 
 
 def test_divergent_partial_sums_grow_like_log():
-    out = divergent_mmse_diagnostic(0.5, y_cap=4096)
+    out = divergent_mmse_diagnostic(y_cap=4096)
     ys = [y for y, _ in out]
     vals = np.array([v for _, v in out])
     assert ys == [16 * 2 ** k for k in range(9)]
@@ -631,10 +642,8 @@ def test_divergent_partial_sums_grow_like_log():
 
 
 def test_divergent_diagnostic_regime_guard():
-    with pytest.raises(UnsupportedRegimeError):
-        divergent_mmse_diagnostic(1.5)
     with pytest.raises(InvalidInputError):
-        divergent_mmse_diagnostic(0.5, y_cap=8)
+        divergent_mmse_diagnostic(y_cap=8)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from poisson_eb import differences, mixtures, verify
+from poisson_eb.errors import InvalidInputError
 from poisson_eb.verify import CHECKS, CheckResult, binomial_identity_check, run_all
 
 
@@ -34,7 +35,7 @@ def test_result_formatting():
 
 
 def test_binomial_identity_guard():
-    with pytest.raises(Exception):
+    with pytest.raises(InvalidInputError):  # a PoissonEBError, as errors.py promises of every failure
         binomial_identity_check(n_max=100)      # enumeration cap
 
 
