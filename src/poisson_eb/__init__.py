@@ -59,7 +59,7 @@ from .rules import (
     npmle_eb,
     robbins,
     robbins_truncated,
-    tune_defaults,
+    tuned_config,
 )
 from .priors import (
     PriorSpec,
@@ -103,7 +103,7 @@ __all__ = [
     "kkt_gap_on_grid", "log_likelihood", "load_count_data",
     # rules
     "EstimatorConfig", "FittedRule", "robbins", "robbins_truncated",
-    "npmle_eb", "fit_rule", "tune_defaults",
+    "npmle_eb", "fit_rule", "tuned_config",
     # priors
     "PriorSpec", "ResolvedPrior", "parse_prior_spec", "resolve",
     "assouad_prior", "divergent_mmse_diagnostic",

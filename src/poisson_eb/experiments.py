@@ -55,18 +55,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .errors import InvalidInputError, UnsupportedRegimeError
+from .errors import InvalidInputError
 from .mixtures import hellinger_sq, pmf_table
 from .npmle import CountHistogram, fit_npmle, load_solver
 from .priors import PriorSpec, ResolvedPrior, _moment_index, parse_prior_spec, resolve
 from .rules import (
-    CLI_KIND_NAMES,
     EstimatorConfig,
     _robbins_counts,
     bounded_beyond_table,
     fit_rule,
     ratio_table,
-    tune_defaults,
+    tuned_config,
 )
 
 __all__ = [
@@ -130,18 +129,13 @@ class ExperimentPlan:
         for m in self.metrics:
             if m not in METRICS:
                 raise InvalidInputError(f"unknown metric {m!r}; choose from {METRICS}")
-        for meth in self.methods:
-            if meth not in CLI_KIND_NAMES:
-                raise InvalidInputError(
-                    f"unknown method {meth!r}; choose from {tuple(CLI_KIND_NAMES)}"
-                )
+        for meth in self.methods:  # a method whose rule cannot be tuned at p fails every row
+            tuned_config(meth, self.n_grid[0], self.p)
         needs_rules = {"individual_regret", "total_regret"} & set(self.metrics)
         if needs_rules and not self.methods:
             raise InvalidInputError("regret metrics need at least one method")
         if self.direct_total and "total_regret" not in self.metrics:
             raise InvalidInputError("direct_total = 1 needs total_regret among the metrics")
-        if "robbins-trunc" in self.methods:  # its rows need a tuned y0, which needs p > 1
-            tune_defaults(self.n_grid[0], self.p)
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "metrics", tuple(self.metrics))
@@ -382,7 +376,7 @@ def individual_regret_trial(
 ) -> tuple[float, float, list[str]]:
     """E(rule(Y) - theta_G(Y))^2 for one random training sample of size n-1.
 
-    The rule's knobs are tuned to n, scaled by `tuning_c`.  The expectation
+    The rule is `rules.tuned_config` at n, scaled by `tuning_c`.  The expectation
     over the test count is an exact weighted sum against the reference mixture
     up to y_cap (its 1 - Y_CAP_EPS quantile); the remainder of the reference
     table is returned as the deterministic tail term.
@@ -395,7 +389,7 @@ def individual_regret_trial(
     """
     if n < 10:
         raise InvalidInputError("n must be >= 10")
-    config = _default_config(resolved, n, method, tuning_c)
+    config = tuned_config(method, n, resolved.p, m_p=resolved.p_moment, c=tuning_c)
     y_hi = resolved.pmf().y_max
     if config.kind == "oracle":
         table, rule_flags = resolved.oracle_table(y_hi), []
@@ -407,30 +401,6 @@ def individual_regret_trial(
     if _regret_diverges(resolved, config):
         return math.inf, math.inf, rule_flags + [DIVERGENT_FLAG]
     return _regret_from_table(resolved, table, rule_flags, resolved.quantile_y(Y_CAP_EPS))
-
-
-def _default_config(
-    resolved: ResolvedPrior,
-    n: int,
-    method: str,
-    tuning_c: float,
-) -> EstimatorConfig:
-    if method not in CLI_KIND_NAMES:
-        raise InvalidInputError(f"unknown method {method!r}")
-    kind = CLI_KIND_NAMES[method]
-    if kind in ("oracle", "robbins_plain", "robbins_addone"):
-        return EstimatorConfig(kind=kind)
-    if kind == "robbins_trunc":
-        tuned = tune_defaults(n, resolved.p, m_p=resolved.p_moment, c=tuning_c)
-        return EstimatorConfig(kind=kind, y0=tuned.robbins_y0)
-    # npmle_eb: tuned knobs where the moment regime supports them, otherwise
-    # the untruncated rule with a tiny density floor (fixed-prior plans often
-    # carry p as a mere label).
-    try:
-        tuned = tune_defaults(n, resolved.p, m_p=resolved.p_moment, c=tuning_c)
-    except UnsupportedRegimeError:
-        return EstimatorConfig(kind=kind, rho=1e-10)
-    return EstimatorConfig(kind=kind, y0=tuned.npmle_y0, rho=max(tuned.npmle_rho, 1e-300))
 
 
 def total_regret_trial(
@@ -453,7 +423,7 @@ def total_regret_trial(
     ind, tail, flags = individual_regret_trial(resolved, n, method, seed, tuning_c)
     out = {"individual_regret": (ind, tail, flags), "total_regret": (n * ind, n * tail, flags)}
     if direct_seed is not None:
-        config = _default_config(resolved, n, method, tuning_c)
+        config = tuned_config(method, n, resolved.p, m_p=resolved.p_moment, c=tuning_c)
         out["total_regret_direct"] = _direct_total(resolved, n, config, direct_seed)
     return out
 

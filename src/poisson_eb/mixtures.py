@@ -26,9 +26,9 @@ Conventions
   take few blocks), over the atoms whose bound log w_j - bd0(y*, theta_j),
   y* the point of the block nearest theta_j, is near the block's best.
   Poi(y; theta) <= exp(-bd0(y, theta)) for every y, so the bound is rigorous.  The left-out
-  atoms' bounds, summed (first as count x max), must be 2^-60 below every
-  kept row sum, else the block sums all atoms: a table equals the all-atom sum
-  to within rounding.
+  atoms' bounds, summed as count x max, must be 2^-60 below every kept row
+  sum, else the block sums all atoms: a table equals the all-atom sum to
+  within rounding.
 * A cell is log(w_j Poi(y; theta_j)) less the row term log Poi(y; c), c the
   centre of the row's segment: (y - c) log(theta_j / c) + log w_j - bd0(c,
   theta_j), one multiply-add per cell.  The first segment is not centred (row
@@ -419,17 +419,8 @@ def _mixture_rows(prior: DiscretePrior, y_hi: int, orders=()) -> tuple[np.ndarra
         start, stop = i * rows, min((i + 1) * rows, y_hi + 1)
         first, last = i * segments, min((i + 1) * segments, centres.size)
 
-        def certified(k, log_kept):
-            # the left-out mass is at most count x max of its bounds, else their log-sum-exp
-            floor = log_kept.min() - _CERT_LOG
-            if not (bounds[k] > floor):
-                return True
-            # the band loop's exponents again: keeping every block's raised the tail-p1.5
-            # bench's peak RSS by 3.6 MB, and no block of the heavy_tail (p = 1.5, 2) or
-            # sqrt_cauchy reference tables gets this far
-            drop = _band_exponent(atoms, log_atoms, start, start + rows - 1)
-            left_out = (log_coefs[k] - drop)[np.r_[0:lo, hi:atoms.size]]
-            return not (_log_mix(left_out[None], 1.0)[0] > floor)
+        def certified(k, log_kept):  # the left-out mass is at most count x max of its bounds
+            return not (bounds[k] > log_kept.min() - _CERT_LOG)
 
         redo = [True] * (1 + len(orders))  # log f, then each moment: still to (re)compute
         shift, peak = row_terms[:, start:stop]

@@ -34,6 +34,7 @@ __all__ = [
 
 _DEGREE_CAP = 40  # most moments matched in one window
 _BUDGET_K = 5.0  # K in the atom budget K sqrt(M) (log 1/eta)^{3/2}
+_MAX_M = 10_000_000  # largest M: the match tabulates the pmf over y = 0..M
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +43,11 @@ _BUDGET_K = 5.0  # K in the atom budget K sqrt(M) (log 1/eta)^{3/2}
 
 @dataclass(frozen=True, eq=False)
 class QuadraticPartition:
-    """Windows [C eta_bar i^2, C eta_bar (i+1)^2) covering [0, 2M)."""
+    """Windows [C eta_bar i^2, C eta_bar (i+1)^2) covering [0, 2M).
+
+    M must lie in (0, 10^7]: `local_moment_match` measures its error over
+    y = 0..M, and a non-finite M would never close the partition.
+    """
 
     M: float
     eta: float
@@ -50,8 +55,8 @@ class QuadraticPartition:
     edges: np.ndarray = field(init=False, default=None)
 
     def __post_init__(self) -> None:
-        if not (self.M > 0):
-            raise InvalidInputError("M must be positive")
+        if not (0 < self.M <= _MAX_M):  # NaN and inf too
+            raise InvalidInputError(f"M must lie in (0, {_MAX_M:.0e}] (got {self.M!r})")
         if not (0 < self.eta <= 1e-2):
             raise InvalidInputError("eta must lie in (0, 1e-2]")
         if not (self.C > 0):

@@ -43,7 +43,7 @@ theta: it reads the zero atom's draws off the multinomial's per-atom counts,
 repeats only the other atoms as Poisson rates, sorts only their counts and
 adds the zero atom's at y = 0, with no length-n array.  heavy_tail puts 0.93
 (p = 1.5) to 0.99 (p = 3) of its mass at 0, so a draw's memory is about
-that much smaller.  Only `sample` and `sample_counts` form theta.
+that much smaller.  Only `sample_counts` forms theta.
 
 Families
 --------
@@ -391,18 +391,10 @@ class ResolvedPrior:
         if reference_tables is not None:
             self._reference_tables(reference_tables)
 
-    def sample(self, seed, size: int) -> np.ndarray:
-        """Draw `size` mean parameters from the certified discretization, grouped by atom.
-
-        One multinomial over the atoms gives each atom's count.  The draws
-        leave out the mass ``drop`` beyond theta_max and K's quadrature error
-        (module docstring).  `seed` may be an int or a tuple of ints;
-        identical seeds reproduce identical draws regardless of call order.
-        """
-        return np.repeat(self.discretization.atoms, self._atom_counts(seed, size))
-
     def _atom_counts(self, seed, size: int) -> np.ndarray:
-        """Each atom's count in `size` draws from K: the one multinomial of `sample`."""
+        """Each atom's count in `size` draws from K: the one multinomial of
+        `sample_counts` and `count_histogram`.  `seed` may be an int or a tuple
+        of ints; identical seeds reproduce identical draws in any call order."""
         if size < 1:
             raise InvalidInputError("size must be >= 1")
         return _generator(seed).multinomial(int(size), self.discretization.weights)
@@ -410,7 +402,7 @@ class ResolvedPrior:
     def _draw(self, seed, size: int) -> tuple[np.ndarray, int, np.ndarray]:
         """Each atom's count, the number of draws at the zero atom (atom 0 when
         it is 0; the atoms increase), and the Poisson counts of the other draws
-        in `sample`'s order; Y is that many zeros and then these (module
+        in theta's order; Y is that many zeros and then these (module
         docstring).  theta itself is not formed."""
         counts = self._atom_counts(seed, size)
         atoms = self.discretization.atoms
@@ -419,9 +411,10 @@ class ResolvedPrior:
         return counts, int(counts[:z].sum()), rest
 
     def sample_counts(self, seed, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw (theta, Y) pairs: theta as `sample` draws it, from K grouped by atom;
-        Y | theta Poisson, with no Poisson variate spent on the zero atom's
-        draws (Y shares its draw routine with `count_histogram`)."""
+        """Draw (theta, Y) pairs: theta from K, grouped by atom (one multinomial
+        over the atoms gives each atom's count); Y | theta Poisson, with no
+        Poisson variate spent on the zero atom's draws (Y shares its draw
+        routine with `count_histogram`)."""
         counts, zeros, rest = self._draw(seed, size)
         y = np.zeros(int(size), dtype=rest.dtype)
         y[zeros:] = rest
@@ -483,7 +476,10 @@ class ResolvedPrior:
         """theta_G(y) for y = 0..y_hi, a read-only view of the cached table.
 
         The table spans the reference pmf's range; a longer request extends it.
+        A negative y_hi is refused with InvalidInputError.
         """
+        if not y_hi >= 0:  # NaN too
+            raise InvalidInputError(f"y_hi must be >= 0 (got {y_hi!r})")
         if "oracle" not in self._cache:
             self._reference_tables()
         if self._cache["oracle"].size <= y_hi:

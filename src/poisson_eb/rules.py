@@ -22,9 +22,9 @@ frequency-ratio helper `ratio_table` with N(y) - 1.  The oracle, the Bayes
 rule theta_G(y) of the true prior, reads no data: its table is
 `ResolvedPrior.oracle_table`, and `fit_rule` refuses it.
 
-`tune_defaults` provides the truncation/regularization schedule as a function
-of the sample size and the assumed finite p-th moment of the mean
-distribution (only meaningful for p > 1).
+`tuned_config` maps a method name to the rule a trial runs: its truncation
+and regularization knobs as functions of the sample size and the assumed
+finite p-th moment of the mean distribution (tuned only for p > 1).
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ __all__ = [
     "robbins_truncated",
     "npmle_eb",
     "bounded_beyond_table",
-    "TunedDefaults",
-    "tune_defaults",
+    "tuned_config",
 ]
 
 ESTIMATOR_KINDS = ("oracle", "robbins_plain", "robbins_addone", "robbins_trunc", "npmle_eb")
@@ -263,23 +262,22 @@ def bounded_beyond_table(config: EstimatorConfig) -> bool:
 # tuning
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TunedDefaults:
-    """Truncation and regularization schedule for a given (n, p, m_p)."""
+def tuned_config(method: str, n: int, p: float, m_p: float = 1.0,
+                 c: float = 1.0) -> EstimatorConfig:
+    """The rule a trial runs for `method` (a CLI name) at sample size n.
 
-    npmle_y0: int
-    npmle_rho: float
-    robbins_y0: int
-
-
-def tune_defaults(n: int, p: float, m_p: float = 1.0, c: float = 1.0) -> TunedDefaults:
-    """Rate-optimal tuning for the truncated rules.
-
-    For the mixture-based rule: rho = n^{-10} and
-    y0 = ceil(c (n m_p)^{2/(2p+1)}); for the truncated frequency-ratio rule:
-    y0 = ceil(c (n / (log n)^3)^{1/(p+2)}).  Only supported for p > 1 (below
-    that no truncation level rescues the frequency-ratio rule).
+    Oracle, plain and add-one Robbins take no knobs.  The truncated
+    frequency-ratio rule takes y0 = ceil(c (n / (log n)^3)^{1/(p+2)}), and
+    refuses p <= 1 (below that no truncation level rescues it).  The
+    mixture-based rule takes rho = n^{-10} and y0 = ceil(c (n m_p)^{2/(2p+1)});
+    at p <= 1 it runs untruncated with rho = 1e-10 (fixed-prior plans often
+    carry p as a mere label).
     """
+    if method not in CLI_KIND_NAMES:
+        raise InvalidInputError(f"unknown method {method!r}; choose from {tuple(CLI_KIND_NAMES)}")
+    kind = CLI_KIND_NAMES[method]
+    if kind in ("oracle", "robbins_plain", "robbins_addone"):
+        return EstimatorConfig(kind)
     n = int(n)
     if n < 2:
         raise InvalidInputError("n must be >= 2")
@@ -288,11 +286,13 @@ def tune_defaults(n: int, p: float, m_p: float = 1.0, c: float = 1.0) -> TunedDe
     if not (0 < c < math.inf):  # NaN too
         raise InvalidInputError("c must be positive and finite")
     if not (p > 1):
+        if kind == "npmle_eb":
+            return EstimatorConfig(kind, rho=1e-10)
         raise UnsupportedRegimeError(
             f"tuning requires p > 1 (got p = {p}); no supported schedule below"
         )
-    npmle_rho = float(n) ** -10.0
-    npmle_y0 = math.ceil(c * (n ** (2.0 / (2.0 * p + 1.0))) * (m_p ** (2.0 / (2.0 * p + 1.0))))
-    robbins_y0 = math.ceil(c * (n / math.log(n) ** 3) ** (1.0 / (p + 2.0)))
-    return TunedDefaults(npmle_y0=npmle_y0, npmle_rho=npmle_rho, robbins_y0=robbins_y0)
-
+    if kind == "robbins_trunc":
+        return EstimatorConfig(kind, y0=math.ceil(c * (n / math.log(n) ** 3) ** (1.0 / (p + 2.0))))
+    e = 2.0 / (2.0 * p + 1.0)
+    return EstimatorConfig(kind, y0=math.ceil(c * (n ** e) * (m_p ** e)),
+                           rho=max(float(n) ** -10.0, 1e-300))

@@ -33,6 +33,9 @@ def test_partition_validation():
         QuadraticPartition(M=0.0, eta=1e-3, C=1.0)
     with pytest.raises(InvalidInputError):
         QuadraticPartition(M=10.0, eta=1e-3, C=0.0)
+    for big_m in (math.inf, 1e300, 1e7 + 1):  # inf and 1e300 once never returned
+        with pytest.raises(InvalidInputError, match="M must lie in"):
+            QuadraticPartition(M=big_m, eta=1e-3, C=1.0)
     QuadraticPartition(M=10.0, eta=1e-2, C=1.0)       # boundary eta allowed
 
 

@@ -134,7 +134,7 @@ def test_exact_families_are_their_own_discretization(spec):
     assert r.disc_error == 0.0
     assert r.second_moment_finite is True
     assert r.p_moment == r.discretization.moment(r.p)
-    assert np.all(np.isin(r.sample(7, 500), r.discretization.atoms))
+    assert np.all(np.isin(r.sample_counts(7, 500)[0], r.discretization.atoms))
 
 
 def test_two_point_structure_and_oracle():
@@ -175,6 +175,15 @@ def test_oracle_table_is_read_only():
         assert not tab.flags.writeable
         with pytest.raises(ValueError):
             tab[0] = 1.0
+
+
+def test_oracle_table_refuses_a_negative_end():
+    # a negative end once sliced from the back: oracle_table(-5) gave 58 of 62 rows
+    r = resolve(PriorSpec("two_point", {"eps": 0.2, "a": 5.0}))
+    for y_hi in (-1, -5, math.nan):
+        with pytest.raises(InvalidInputError, match="y_hi must be >= 0"):
+            r.oracle_table(y_hi)
+    assert r.oracle_table(0).shape == (1,)
 
 
 def test_reference_pmf_and_oracle_table_come_from_one_pass(monkeypatch):
@@ -326,7 +335,7 @@ def test_heavy_tail_higher_moment_is_infinite():
 
 
 def test_heavy_tail_sampler_mass_split():
-    draws = HT2.sample(123, 20_000)
+    draws = HT2.sample_counts(123, 20_000)[0]
     frac_zero = float(np.mean(draws == 0.0))
     assert frac_zero == pytest.approx(0.96246, abs=0.01)
     body = draws[draws > 0]
@@ -386,14 +395,14 @@ def test_second_moment_finiteness_recorded(heavy_tail_15):
 # ---------------------------------------------------------------------------
 
 def test_sampler_determinism_and_seed_sensitivity():
-    a = TP.sample((5, 7), 1000)
-    b = TP.sample((5, 7), 1000)
-    c = TP.sample((5, 8), 1000)
+    a = TP.sample_counts((5, 7), 1000)[0]
+    b = TP.sample_counts((5, 7), 1000)[0]
+    c = TP.sample_counts((5, 8), 1000)[0]
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert set(np.unique(a)) <= {0.0, 5.0}
     with pytest.raises(InvalidInputError):
-        TP.sample(0, 0)
+        TP.sample_counts(0, 0)[0]
 
 
 @pytest.mark.parametrize("spec", [
@@ -407,7 +416,7 @@ def test_sampler_determinism_and_seed_sensitivity():
 ], ids=lambda spec: spec.family)
 def test_every_family_draws_only_atoms_of_its_discretization(spec):
     r = resolve(spec, p=1.5 if spec.family != "assouad" else None, seed=2)
-    draws = r.sample(7, 500)
+    draws = r.sample_counts(7, 500)[0]
     assert draws.shape == (500,)
     assert np.all(np.isin(draws, r.discretization.atoms))
     assert np.all(np.diff(draws) >= 0.0)  # grouped by atom, in atom order
@@ -418,7 +427,7 @@ def test_heavy_tail_draws_follow_the_discretization_weights(heavy_tail_15):
     # block's summed weight (the last block's expects about 25 draws)
     d = heavy_tail_15.discretization
     n = 1_000_000
-    draws = heavy_tail_15.sample((2026, 10, 20), n)
+    draws = heavy_tail_15.sample_counts((2026, 10, 20), n)[0]
     edges = [0.0, 4.0, 10.0, 100.0, math.inf]
     blocks = [(d.atoms == 0.0, draws == 0.0)] + [
         ((d.atoms > lo) & (d.atoms <= hi), (draws > lo) & (draws <= hi))
@@ -462,9 +471,10 @@ def test_zero_atom_draws_skip_the_poisson_stream_bit_for_bit(drawn_priors, name,
     # Poisson draw; the rows rely on numpy's Poisson returning 0 at rate 0
     # without touching its bit generator, so Y is one Poisson draw per theta
     r, seed = drawn_priors[name], (27, size)
-    want = priors._generator(seed, 0x9E37).poisson(r.sample(seed, size))
+    ref_theta = np.repeat(r.discretization.atoms, r._atom_counts(seed, size))
+    want = priors._generator(seed, 0x9E37).poisson(ref_theta)
     theta, y = r.sample_counts(seed, size)
-    np.testing.assert_array_equal(theta, r.sample(seed, size))
+    np.testing.assert_array_equal(theta, ref_theta)
     assert y.dtype == want.dtype and y.tobytes() == want.tobytes()
     hist, fresh = r.count_histogram(seed, size), CountHistogram.from_samples(want)
     np.testing.assert_array_equal(hist.ys, fresh.ys)

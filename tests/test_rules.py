@@ -18,7 +18,7 @@ from poisson_eb.rules import (
     npmle_eb,
     robbins,
     robbins_truncated,
-    tune_defaults,
+    tuned_config,
 )
 
 # ten observations: N = [2, 4, 2, 1, 1] on y = 0..4
@@ -253,25 +253,36 @@ def test_cli_names_cover_all_kinds():
     assert len(CLI_KIND_NAMES) == len(ESTIMATOR_KINDS)
 
 
-def test_tune_defaults_frozen_reference_point():
-    t = tune_defaults(10_000, 2.0)
-    assert t.npmle_y0 == 40          # ceil(10^1.6)
-    assert t.npmle_rho == pytest.approx(1e-40, rel=1e-12)
-    assert t.robbins_y0 == 2         # ceil((n / log^3 n)^{1/4})
+def test_tuned_config_frozen_reference_point():
+    npmle = tuned_config("npmle", 10_000, 2.0)
+    assert npmle.y0 == 40            # ceil(10^1.6)
+    assert npmle.rho == pytest.approx(1e-40, rel=1e-12)
+    assert tuned_config("robbins-trunc", 10_000, 2.0).y0 == 2  # ceil((n / log^3 n)^{1/4})
     # truncation level grows with n and shrinks with p
-    assert tune_defaults(100_000, 2.0).npmle_y0 > t.npmle_y0
-    assert tune_defaults(10_000, 4.0).npmle_y0 < t.npmle_y0
+    assert tuned_config("npmle", 100_000, 2.0).y0 > npmle.y0
+    assert tuned_config("npmle", 10_000, 4.0).y0 < npmle.y0
+    for method in ("oracle", "robbins", "robbins-addone"):  # no knobs
+        assert tuned_config(method, 10_000, 2.0) == EstimatorConfig(CLI_KIND_NAMES[method])
 
 
-def test_tune_defaults_regime_guards():
+def test_tuned_config_regime_guards():
     with pytest.raises(UnsupportedRegimeError):
-        tune_defaults(10_000, 1.0)
+        tuned_config("robbins-trunc", 10_000, 1.0)
     with pytest.raises(UnsupportedRegimeError):
-        tune_defaults(10_000, 0.5)
-    with pytest.raises(InvalidInputError):
-        tune_defaults(1, 2.0)
-    with pytest.raises(InvalidInputError):
-        tune_defaults(100, 2.0, m_p=0.0)
-    for c in (-1.0, math.inf, math.nan):  # inf would overflow math.ceil in every tuned trial
+        tuned_config("robbins-trunc", 10_000, 0.5)
+    for method in ("robbins-trunc", "npmle"):
         with pytest.raises(InvalidInputError):
-            tune_defaults(100, 2.0, c=c)
+            tuned_config(method, 1, 2.0)
+        with pytest.raises(InvalidInputError):
+            tuned_config(method, 100, 2.0, m_p=0.0)
+        for c in (-1.0, math.inf, math.nan):  # inf would overflow math.ceil in every tuned trial
+            with pytest.raises(InvalidInputError):
+                tuned_config(method, 100, 2.0, c=c)
+    with pytest.raises(InvalidInputError, match="unknown method"):
+        tuned_config("npmle_eb", 100, 2.0)  # a kind, not a method name
+
+
+def test_tuned_config_npmle_runs_untruncated_at_p_at_most_1():
+    for p in (1.0, 0.5):
+        config = tuned_config("npmle", 10_000, p)
+        assert (config.kind, config.y0, config.rho) == ("npmle_eb", math.inf, 1e-10)

@@ -1,6 +1,7 @@
 """Checks on the library's source text that no linter here makes."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -86,3 +87,11 @@ def test_the_check_finds_an_unread_private_name():
         "b": "from . import a\n\nprint(a._helper())\n",
     }
     assert _unread_private_names(sources) == ["a._SPARE", "a._dead", "a._Gone"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_name_in_all_exists(path):
+    # a stale entry breaks only `import *`; the unused-import check counts it as used
+    module = importlib.import_module(
+        "poisson_eb" if path.stem == "__init__" else f"poisson_eb.{path.stem}")
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
