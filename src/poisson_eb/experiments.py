@@ -56,7 +56,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import InvalidInputError
-from .mixtures import hellinger_sq, pmf_table
+from .mixtures import _whole, hellinger_sq, pmf_table
 from .npmle import CountHistogram, fit_npmle, load_solver
 from .priors import PriorSpec, ResolvedPrior, _moment_index, parse_prior_spec, resolve
 from .rules import (
@@ -176,7 +176,7 @@ def parse_plan(text: str) -> ExperimentPlan:
     metrics       from hellinger_sq, individual_regret, total_regret,
                   comma-separated (default individual_regret)
     seed          plan seed >= 0, the first part of every stream key (default 0)
-    disc_tol      sup-norm tolerance of the prior's discretization (1e-6)
+    disc_tol      absolute pmf tolerance of the discretization (1e-6)
     tuning_c      finite c > 0 of the tuned truncation levels (default 1)
     direct_total  0 or 1; 1 adds a total_regret_direct row, the direct
                   leave-one-out path, after each total_regret row, and
@@ -325,8 +325,7 @@ def density_risk_trial(
     certified range.  Returns (H^2, flags); an uncertified fit is flagged
     ``solver_not_converged``.
     """
-    if n < 10:
-        raise InvalidInputError("n must be >= 10")
+    _whole(n, "n", 10)
     fit = fit_npmle(resolved.count_histogram(seed, n), tol=SOLVER_TOL)
     ref = resolved.pmf()
     fit_table = pmf_table(fit.prior, tail_tol=ref.tail_tol, min_len=ref.values.size)
@@ -387,8 +386,7 @@ def individual_regret_trial(
     set by the window.
     Returns (value, tail_term, flags).
     """
-    if n < 10:
-        raise InvalidInputError("n must be >= 10")
+    _whole(n, "n", 10)
     config = tuned_config(method, n, resolved.p, m_p=resolved.p_moment, c=tuning_c)
     y_hi = resolved.pmf().y_max
     if config.kind == "oracle":

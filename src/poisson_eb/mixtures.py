@@ -236,6 +236,13 @@ def _bd0(y, theta) -> np.ndarray:
     return out
 
 
+def _whole(value, name: str, least: int) -> int:
+    """`value` as an int: a whole number >= `least` (numpy integers too), else an input error."""
+    if not (value >= least and value % 1 == 0):  # NaN and inf too
+        raise InvalidInputError(f"{name} must be >= {least} and whole (got {value!r})")
+    return int(value)
+
+
 def _whole_counts(y, caller: str) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if not (y.min(initial=0.0) >= 0 and y.max(initial=0.0) < np.inf and (np.floor(y) == y).all()):
@@ -379,9 +386,7 @@ def _mixture_rows(prior: DiscretePrior, y_hi: int, orders=()) -> tuple[np.ndarra
     band freed first, so each table equals the one a pass for it alone would
     give.  No row's value depends on y_hi.
     """
-    if not (y_hi >= 0 and y_hi % 1 == 0):  # NaN and inf too
-        raise InvalidInputError("y_hi must be a whole number >= 0")
-    y_hi = int(y_hi)
+    y_hi = _whole(y_hi, "y_hi", 0)
     if not all(r >= 0 for r in orders):  # NaN too
         raise InvalidInputError("moment order must be nonnegative")
     atoms, w = prior.atoms, prior.weights

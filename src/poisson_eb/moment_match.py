@@ -46,7 +46,8 @@ class QuadraticPartition:
     """Windows [C eta_bar i^2, C eta_bar (i+1)^2) covering [0, 2M).
 
     M must lie in (0, 10^7]: `local_moment_match` measures its error over
-    y = 0..M, and a non-finite M would never close the partition.
+    y = 0..M, and a non-finite M would never close the partition.  A C that
+    makes the window count ceil(sqrt(2M / (C eta_bar))) exceed 10^5 is refused.
     """
 
     M: float
@@ -63,6 +64,9 @@ class QuadraticPartition:
             raise InvalidInputError("C must be positive")
         eta_bar = math.log(1.0 / self.eta)
         two_m = 2.0 * self.M
+        windows = math.sqrt(two_m / (self.C * eta_bar))  # the count is its ceiling
+        if not windows <= 1e5:
+            raise InvalidInputError(f"C={self.C!r} gives {windows:.4g} windows, over 1e+05")
         edges = [0.0]
         i = 1
         while self.C * eta_bar * i * i < two_m:

@@ -3,11 +3,13 @@
 A `PriorSpec` names a mixing-distribution family and its parameters; `resolve`
 turns it into a `ResolvedPrior` carrying
 
-* a finitely supported stand-in (`DiscretePrior`) whose Poisson mixture pmf
-  provably matches the true one to within ``disc_tol`` in sup norm over the
-  working range (continuous families are discretized by composite
-  Gauss-Legendre quadrature in log theta, certified against a 4x refinement
-  plus the dropped tail mass),
+* a finitely supported stand-in K (`DiscretePrior`).  A continuous family's
+  K is Gauss-Legendre quadrature in log theta laid out by `_ContinuousLayout`;
+  its ``disc_error`` <= ``disc_tol`` bounds the absolute gap sup |f_K - f_4K|
+  to a 4x refinement over rows 0..y_check (at most 20,000 for sqrt_cauchy),
+  plus the dropped mass, which alone is the reading at the default
+  ``disc_tol``.  It misses f_K's relative error at large y (up to 0.28 on
+  heavy_tail p = 1.5, 0.74 on sqrt_cauchy): ROADMAP item 1,
 * the p-th moment of the family, for p >= 0 with 0^0 counted as 1 (in
   closed form: E_2(p_family - p) for heavy_tail at p > 0, 1/cos(pi p/4) for
   sqrt_cauchy, a finite sum for the exact families), and
@@ -30,8 +32,8 @@ draw of Devroye 1986, ch. XI) on a Philox stream keyed by the seed, the
 draws grouped by atom.  numpy forms each conditional probability by
 subtracting from 1, which moves an atom's probability off its weight by at
 most 8e-16 (in either atom order; measured on heavy_tail p = 1.5, p = 3 and
-sqrt_cauchy).  K leaves out a continuous family's mass ``drop`` =
-min(disc_tol/100, 1e-9) beyond theta_max, and its count law is within
+sqrt_cauchy).  K leaves out a continuous family's mass ``drop`` beyond
+theta_max (set by `_ContinuousLayout`), and its count law is within
 1.8e-10 (heavy_tail p = 1.5) and 1.05e-9 (sqrt_cauchy) in total variation
 of a 16x refinement's.
 
@@ -62,6 +64,7 @@ Families
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -77,6 +80,7 @@ from .mixtures import (
     MixturePmf,
     _closed_pmf,
     _mixture_rows,
+    _whole,
     _y_max_for_tail,
     mmse_exact,
     pmf_and_moment_tables,
@@ -113,9 +117,6 @@ FAMILIES = tuple(_PARAMS)
 _LIST_PARAMS = {"discrete": ("atoms", "weights"), "assouad": ("tau",)}
 
 _REFERENCE_TAIL = 1e-11  # tail of the shared reference pmf, whose range the oracle table shares
-
-_QUAD_NODES = 12  # Gauss-Legendre nodes per panel
-_MAX_CHECK_ROWS = 10_000_000  # longest pmf range a heavy_tail certificate may check
 
 
 # ---------------------------------------------------------------------------
@@ -268,23 +269,9 @@ def _heavy_tail_moment(p_family: float, q: float) -> float:
     return 1.0 if q == 0 else _e2(p_family - q)
 
 
-def _heavy_tail_theta_max(p: float, drop: float) -> float:
-    # prior tail beyond T is <= c0 (1-eps) T^{-p} (log T)^{-2} / p, where c0 (1-eps) = 1
-    t = math.e * 2
-    while t ** -p / (math.log(t) ** 2 * p) > drop:
-        t *= 1.5
-    return t
-
-
 # ---------------------------------------------------------------------------
 # sqrt-Cauchy family internals
 # ---------------------------------------------------------------------------
-
-def _sqrt_cauchy_density(t) -> np.ndarray:
-    # theta = |C|^{1/2}: density 4 t / (pi (1 + t^4)) on t >= 0
-    t = np.asarray(t, dtype=float)
-    return 4.0 * t / (math.pi * (1.0 + t ** 4))
-
 
 def _sqrt_cauchy_moment(q: float) -> float:
     # (4/pi) integral_0^inf t^{q+1} / (1 + t^4) dt = 1 / sin(pi (q+2) / 4) = 1 / cos(pi q / 4)
@@ -299,59 +286,88 @@ def _sqrt_cauchy_moment(q: float) -> float:
 # quadrature discretization with certificate
 # ---------------------------------------------------------------------------
 
-def _gl_discretize(density, u_lo: float, u_hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre in u = log theta; returns (atoms, raw weights)."""
-    x, wq = np.polynomial.legendre.leggauss(_QUAD_NODES)
-    edges = np.linspace(u_lo, u_hi, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halfs = 0.5 * np.diff(edges)
-    u = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
-    theta = np.exp(u)
-    w = (halfs[:, None] * wq[None, :]).ravel() * density(theta) * theta
-    return theta, w
+@dataclass(frozen=True)
+class _ContinuousLayout:
+    """Every choice of a heavy_tail or sqrt_cauchy discretization (see `of`).
 
-
-def _certified_continuous_prior(density, u_lo: float, u_hi: float, zero_mass: float,
-                                tail_drop: float, disc_tol: float, y_check: int,
-                                base_panels: int,
-                                source: str) -> tuple[DiscretePrior, float, tuple]:
-    """Discretize `density` and certify sup-pmf accuracy against a 4x refinement.
-
-    The quadrature weights are scaled to mass 1 - zero_mass, and a positive
-    zero_mass is an atom at 0.
-    The returned error bound is sup_y |f_K - f_4K| + tail_drop (mass dropped
-    beyond theta_max shifts the pmf by at most itself, uniformly in y).
-    Panels double until the bound passes disc_tol, up to 3 times.
-
-    One pass over the coarse discretization K, up to the larger of y_check
-    and the reference range y_ref, gives log f_K and theta_K.  The
-    certificate reads rows 0..y_check of f_K; rows 0..y_ref are the returned
-    reference tables (pmf, [oracle]), equal to what `pmf_and_moment_tables`
-    gives for K at the reference tail.
+    K = `prior(panels)`: 12 Gauss-Legendre nodes on each of `panels` equal
+    panels of [u_lo, u_hi] in u = log theta, weighted to mass 1 - zero_mass,
+    plus an atom at 0 holding a positive zero_mass.  `drop` bounds the mass
+    beyond e^u_hi; the certificate reads rows 0..y_check from `base_panels` on.
     """
-    panels = base_panels
+
+    source: str  # names the prior in a refusal
+    density: Callable[[np.ndarray], np.ndarray]
+    u_lo: float
+    u_hi: float
+    zero_mass: float
+    drop: float
+    y_check: int
+    base_panels: int
+
+    @classmethod
+    def of(cls, spec: PriorSpec, disc_tol: float) -> _ContinuousLayout:
+        """`spec`'s layout at `disc_tol`; a check over 10^7 rows is refused first."""
+        drop = min(disc_tol * 1e-2, 1e-9)
+        if spec.family == "heavy_tail":
+            p = float(spec.params["p"])
+            # the continuous part's p-th moment telescopes to c0, so (1 - eps) c0 = 1
+            zero_mass = 1.0 - 1.0 / heavy_tail_normalizer(p)
+            # prior tail beyond T is <= c0 (1-eps) T^{-p} (log T)^{-2} / p, where c0 (1-eps) = 1
+            theta_max = math.e * 2
+            while theta_max ** -p / (math.log(theta_max) ** 2 * p) > drop:
+                theta_max *= 1.5
+            if not (1.2 * theta_max + 50 <= 1e7):  # the most pmf rows a certificate may check
+                raise UnsupportedRegimeError(f"heavy_tail(p={p}) needs {1.2 * theta_max + 50:.3g}"
+                                             " pmf rows to certify, over 1e+07")
+            u_hi = math.log(theta_max)
+            return cls(f"heavy_tail(p={p})", partial(heavy_tail_density, p), 1.0, u_hi,
+                       zero_mass, drop, int(1.2 * theta_max) + 50, max(24, int(6 * (u_hi - 1.0))))
+        # theta = |C|^{1/2} has density 4 t / (pi (1 + t^4)) on t >= 0; its mass
+        # below t_lo is ~ 2 t_lo^2 / pi, and beyond t_hi it is <= (2/pi) t_hi^-2
+        t_lo = math.sqrt(0.25 * math.pi * drop)
+        t_hi = math.sqrt(2.0 / (math.pi * 0.5 * drop))
+        u_lo, u_hi = math.log(t_lo), math.log(t_hi)
+        return cls("sqrt_cauchy", lambda t: 4.0 * t / (math.pi * (1.0 + t ** 4)), u_lo, u_hi,
+                   0.0, drop, min(int(1.2 * t_hi) + 50, 20000), max(24, int(4 * (u_hi - u_lo))))
+
+    def prior(self, panels: int) -> DiscretePrior:
+        x, wq = np.polynomial.legendre.leggauss(12)
+        edges = np.linspace(self.u_lo, self.u_hi, panels + 1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        halfs = 0.5 * np.diff(edges)
+        theta = np.exp((mids[:, None] + halfs[:, None] * x[None, :]).ravel())
+        w = (halfs[:, None] * wq[None, :]).ravel() * self.density(theta) * theta
+        w = w * ((1.0 - self.zero_mass) / w.sum())
+        if self.zero_mass > 0:
+            return DiscretePrior(np.concatenate([[0.0], theta]),
+                                 np.concatenate([[self.zero_mass], w]))
+        return DiscretePrior(theta, w)
+
+
+def _certified_continuous_prior(layout: _ContinuousLayout,
+                                disc_tol: float) -> tuple[DiscretePrior, float, tuple]:
+    """The layout's K, certified against a 4x refinement; panels double from
+    the base count until the bound passes disc_tol, up to 3 times.
+
+    The bound, sup_y |f_K - f_4K| over rows 0..y_check plus the dropped mass
+    (which shifts the pmf by at most itself), is absolute.  The one pass over
+    K up to max(y_check, y_ref) also gives the returned reference tables
+    (pmf, [oracle]) over 0..y_ref, as `pmf_and_moment_tables` gives them.
+    """
+    panels, y_check = layout.base_panels, layout.y_check
     for _ in range(4):
-        atoms_c, w_c = _gl_discretize(density, u_lo, u_hi, panels)
-        atoms_f, w_f = _gl_discretize(density, u_lo, u_hi, 4 * panels)
-
-        def _mk(atoms, w):
-            w = w * ((1.0 - zero_mass) / w.sum())
-            if zero_mass > 0:
-                return DiscretePrior(np.concatenate([[0.0], atoms]),
-                                     np.concatenate([[zero_mass], w]))
-            return DiscretePrior(atoms, w)
-
-        coarse, fine = _mk(atoms_c, w_c), _mk(atoms_f, w_f)
+        coarse = layout.prior(panels)
         y_ref = _y_max_for_tail(coarse, _REFERENCE_TAIL)
         log_f, (oracle,) = _mixture_rows(coarse, max(y_check, y_ref), (1,))
-        sup = float(np.max(np.abs(np.exp(log_f[:y_check + 1]) - pmf_on_range(fine, y_check))))
-        bound = sup + tail_drop
+        gap = np.exp(log_f[:y_check + 1]) - pmf_on_range(layout.prior(4 * panels), y_check)
+        bound = float(np.max(np.abs(gap))) + layout.drop
         if bound <= disc_tol:
             reference = _closed_pmf(coarse, log_f[:y_ref + 1], _REFERENCE_TAIL)
             return coarse, bound, (reference, [oracle[:y_ref + 1]])
         panels *= 2
     raise NumericalFailureError(
-        f"could not certify {source} discretization to {disc_tol:g} "
+        f"could not certify {layout.source} discretization to {disc_tol:g} "
         f"(last bound {bound:.3e} with {panels // 2} panels)"
     )
 
@@ -365,10 +381,11 @@ class ResolvedPrior:
 
     Every theta it draws comes from K, grouped by atom; that leaves out a
     continuous family's mass ``drop`` beyond theta_max and K's quadrature
-    error (both bounded in the module docstring).  Heavier derived artifacts
+    error, whose absolute pmf gap ``disc_error`` bounds (module docstring; not
+    the relative error at large y, ROADMAP item 1).  Heavier derived artifacts
     (pmf tables, oracle posterior-mean tables, the reference Bayes risk) are
-    cached on the instance.  The reference pmf and the read-only oracle
-    table over its range come together: a continuous family's from the pass
+    cached on the instance.  The reference pmf and the read-only oracle table
+    over its range come together: a continuous family's from the pass
     `resolve` certifies it with (`reference_tables`), an exact family's from
     one pass on first use of either.  Other pmf tails, longer oracle tables
     and the Bayes risk are computed lazily.  The last training histogram is
@@ -395,9 +412,7 @@ class ResolvedPrior:
         """Each atom's count in `size` draws from K: the one multinomial of
         `sample_counts` and `count_histogram`.  `seed` may be an int or a tuple
         of ints; identical seeds reproduce identical draws in any call order."""
-        if size < 1:
-            raise InvalidInputError("size must be >= 1")
-        return _generator(seed).multinomial(int(size), self.discretization.weights)
+        return _generator(seed).multinomial(_whole(size, "size", 1), self.discretization.weights)
 
     def _draw(self, seed, size: int) -> tuple[np.ndarray, int, np.ndarray]:
         """Each atom's count, the number of draws at the zero atom (atom 0 when
@@ -429,7 +444,7 @@ class ResolvedPrior:
         that train on one stream key share one draw.  The old pair is dropped
         before a new draw.
         """
-        key = (_entropy(seed), int(size))
+        key = (_entropy(seed), _whole(size, "size", 1))
         if self._cache.get("counts", (None,))[0] != key:
             self._cache.pop("counts", None)
             _, zeros, rest = self._draw(seed, size)
@@ -476,10 +491,9 @@ class ResolvedPrior:
         """theta_G(y) for y = 0..y_hi, a read-only view of the cached table.
 
         The table spans the reference pmf's range; a longer request extends it.
-        A negative y_hi is refused with InvalidInputError.
+        A negative or fractional y_hi is refused with InvalidInputError.
         """
-        if not y_hi >= 0:  # NaN too
-            raise InvalidInputError(f"y_hi must be >= 0 (got {y_hi!r})")
+        y_hi = _whole(y_hi, "y_hi", 0)
         if "oracle" not in self._cache:
             self._reference_tables()
         if self._cache["oracle"].size <= y_hi:
@@ -538,39 +552,19 @@ def resolve(spec: PriorSpec, p: float | None = None, disc_tol: float = 1e-6,
     family, params = spec.family, dict(spec.params)
     p_eff = _moment_index(spec, p)
 
-    drop = min(disc_tol * 1e-2, 1e-9)  # the continuous families' dropped tail mass
     if family == "heavy_tail":
         p_fam = float(spec.param("p"))
         if not (p_fam > 0):
             raise InvalidInputError("heavy_tail needs p > 0")
         p_moment = _heavy_tail_moment(p_fam, p_eff)  # raises when infinite
-        # the continuous part's p-th moment telescopes to c0, so (1 - eps) c0 = 1
-        zero_mass = 1.0 - 1.0 / heavy_tail_normalizer(p_fam)
-        theta_max = _heavy_tail_theta_max(p_fam, drop)
-        if not (1.2 * theta_max + 50 <= _MAX_CHECK_ROWS):  # checked before any table is built
-            raise UnsupportedRegimeError(f"heavy_tail(p={p_fam}) needs {1.2 * theta_max + 50:.3g}"
-                                         f" pmf rows to certify, over {_MAX_CHECK_ROWS:.0e}")
-        y_check = int(1.2 * theta_max) + 50
-        u_lo, u_hi, panels_per_u = 1.0, math.log(theta_max), 6
-        density = partial(heavy_tail_density, p_fam)
-        source = f"heavy_tail(p={p_fam})"
         # E theta^q < inf iff q <= p_fam, so the second moment is finite iff p_fam >= 2
         second_moment_finite = p_fam >= 2.0
     elif family == "sqrt_cauchy":
         p_moment = _sqrt_cauchy_moment(p_eff)  # raises for p >= 2
-        # mass below t_lo is ~ 2 t_lo^2 / pi; beyond t_hi it is <= (2/pi) t_hi^-2
-        t_lo = math.sqrt(0.25 * math.pi * drop)
-        t_hi = math.sqrt(2.0 / (math.pi * 0.5 * drop))
-        y_check = min(int(1.2 * t_hi) + 50, 20000)
-        u_lo, u_hi, panels_per_u = math.log(t_lo), math.log(t_hi), 4
-        density, zero_mass = _sqrt_cauchy_density, 0.0
-        source = "sqrt_cauchy"
         second_moment_finite = False  # tail index 2: E theta^2 = inf
     if family in ("heavy_tail", "sqrt_cauchy"):
-        prior, err, tables = _certified_continuous_prior(
-            density, u_lo, u_hi, zero_mass, drop, disc_tol, y_check,
-            max(24, int(panels_per_u * (u_hi - u_lo))), source,
-        )
+        layout = _ContinuousLayout.of(spec, disc_tol)
+        prior, err, tables = _certified_continuous_prior(layout, disc_tol)
         return ResolvedPrior(spec, p_eff, prior, p_moment, disc_tol, err,
                              second_moment_finite, tables)
 

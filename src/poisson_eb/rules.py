@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedRegimeError
-from .mixtures import DiscretePrior, pmf_on_range
+from .mixtures import DiscretePrior, _whole, pmf_on_range
 from .npmle import CountHistogram, NpmleFit
 
 __all__ = [
@@ -177,8 +177,7 @@ def fit_rule(
     refused: its table is `ResolvedPrior.oracle_table`.  The truncation
     contract is enforced here: entries beyond y0 are exactly y.
     """
-    if y_cap < 0:
-        raise InvalidInputError("y_cap must be >= 0")
+    y_cap = _whole(y_cap, "y_cap", 0)
     ys = np.arange(y_cap + 1, dtype=float)
     flags: dict = {}
 
@@ -278,9 +277,7 @@ def tuned_config(method: str, n: int, p: float, m_p: float = 1.0,
     kind = CLI_KIND_NAMES[method]
     if kind in ("oracle", "robbins_plain", "robbins_addone"):
         return EstimatorConfig(kind)
-    n = int(n)
-    if n < 2:
-        raise InvalidInputError("n must be >= 2")
+    n = _whole(n, "n", 2)
     if not (m_p > 0):
         raise InvalidInputError("m_p must be positive")
     if not (0 < c < math.inf):  # NaN too

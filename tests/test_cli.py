@@ -350,6 +350,13 @@ def test_moment_match_rejects_bad_source(runner):
     assert result.exit_code == 2
 
 
+def test_moment_match_refuses_a_tiny_partition_constant(runner):
+    result = runner.invoke(main, ["moment-match", "--source", "family=point_mass value=1",
+                                  "--m", "16", "--eta", "1e-3", "--c", "1e-300"])
+    assert result.exit_code == 2, result.output
+    assert "windows, over 1e+05" in result.output
+
+
 def test_moment_match_rejects_source_missing_a_parameter(runner):
     result = runner.invoke(
         main, ["moment-match", "--source", "family=heavy_tail", "--m", "64", "--eta", "1e-2"]

@@ -25,7 +25,7 @@ from poisson_eb.experiments import (
 from poisson_eb.mixtures import posterior_moment_table
 from poisson_eb.npmle import CountHistogram
 from poisson_eb.priors import PriorSpec, ResolvedPrior, parse_prior_spec, resolve
-from poisson_eb.rules import CLI_KIND_NAMES, EstimatorConfig, fit_rule
+from poisson_eb.rules import CLI_KIND_NAMES, EstimatorConfig, fit_rule, tuned_config
 
 TP_SPEC = PriorSpec("two_point", {"eps": 0.2, "a": 5.0})
 TP = resolve(TP_SPEC)
@@ -453,6 +453,29 @@ def test_density_risk_trial_bounds():
     assert isinstance(flags, list)
     with pytest.raises(InvalidInputError):
         density_risk_trial(TP, 5, (2, 8))
+
+
+_SIZED_CALLS = {  # each call with a size, table end or sample size n
+    "count_histogram": lambda k: TP.count_histogram(3, k),
+    "sample_counts": lambda k: TP.sample_counts(3, k),
+    "oracle_table": lambda k: TP.oracle_table(k),
+    "fit_rule": lambda k: fit_rule(EstimatorConfig("robbins_plain"), k,
+                                   train=CountHistogram.from_samples([0, 1, 1, 2])),
+    "individual_regret_trial": lambda k: individual_regret_trial(TP, k, "robbins", 3),
+    "density_risk_trial": lambda k: density_risk_trial(TP, k, 3),
+    "tuned_config": lambda k: tuned_config("npmle", k, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIZED_CALLS))
+def test_a_fractional_size_is_refused(name):
+    # fractional sizes once drew int(size), and fractional ends raised a bare TypeError
+    call = _SIZED_CALLS[name]
+    for k in (10.5, 12.7):
+        with pytest.raises(InvalidInputError, match=f"must be >= [0-9]+ and whole \\(got {k}\\)"):
+            call(k)
+    call(np.int64(12))  # numpy integers are whole
+    call(12.0)
 
 
 # ---------------------------------------------------------------------------

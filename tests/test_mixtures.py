@@ -238,9 +238,6 @@ def test_generating_function_identity(z, a1, a2, w):
 # banded kernel against full rows
 # ---------------------------------------------------------------------------
 
-HEAVY_TAIL_15_CHECK_Y = 48_860  # y_check of the heavy_tail p=1.5 certificate
-
-
 def _full_rows(prior, y_hi, r=None):
     """Reference: every atom against every y, log-sum-exp or softmax per row."""
     log_w = np.log(prior.weights)
@@ -260,7 +257,8 @@ def _full_rows(prior, y_hi, r=None):
 
 def _kernel_case(name, request):
     if name == "heavy_tail_15":
-        return request.getfixturevalue("heavy_tail_15").discretization, HEAVY_TAIL_15_CHECK_Y
+        r = request.getfixturevalue("heavy_tail_15")  # checked over its certificate's rows
+        return r.discretization, priors._ContinuousLayout.of(r.spec, r.disc_tol).y_check
     return {
         "two_point_gap": (DiscretePrior([0.0, 5e4], [0.5, 0.5]), 60_000),
         "point_mass_zero": (DiscretePrior([0.0], [1.0]), 600),

@@ -39,6 +39,16 @@ def test_partition_validation():
     QuadraticPartition(M=10.0, eta=1e-2, C=1.0)       # boundary eta allowed
 
 
+def test_partition_refuses_too_many_windows():
+    # C = 1e-300 once built windows without end; the count ceil(sqrt(2M / (C
+    # eta_bar))) is refused above 10^5 before any edge is built
+    for C in (1e-300, 5e-324, 4.3e-4):
+        with pytest.raises(InvalidInputError, match=r"windows, over 1e\+05"):
+            QuadraticPartition(M=1e7, eta=1e-2, C=C)
+    part = QuadraticPartition(M=1e7, eta=1e-2, C=4.4e-4)
+    assert part.n_windows == math.ceil(math.sqrt(2e7 / (4.4e-4 * math.log(100.0)))) <= 100_000
+
+
 # ---------------------------------------------------------------------------
 # Gauss rules
 # ---------------------------------------------------------------------------

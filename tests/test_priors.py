@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import time
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from poisson_eb import mixtures, priors
-from poisson_eb.errors import InvalidInputError, UnsupportedRegimeError
+from poisson_eb.errors import InvalidInputError, NumericalFailureError, UnsupportedRegimeError
 from poisson_eb.mixtures import (
     DiscretePrior,
     mixture_tail_bound,
@@ -204,27 +205,6 @@ def test_reference_pmf_and_oracle_table_come_from_one_pass(monkeypatch):
     assert calls == [(1e-11, (1,))]
 
 
-def _certificate_inputs(spec):
-    """(density, u_lo, u_hi, zero_mass, y_check) of resolve's certificate at disc_tol 1e-6."""
-    drop = 1e-9
-    if spec.family == "heavy_tail":
-        p = spec.params["p"]
-        theta_max = priors._heavy_tail_theta_max(p, drop)
-        return (lambda a: priors.heavy_tail_density(p, a), 1.0, math.log(theta_max),
-                1.0 - 1.0 / heavy_tail_normalizer(p), int(1.2 * theta_max) + 50)
-    t_lo, t_hi = math.sqrt(0.25 * math.pi * drop), math.sqrt(2.0 / (math.pi * 0.5 * drop))
-    return (priors._sqrt_cauchy_density, math.log(t_lo), math.log(t_hi), 0.0,
-            min(int(1.2 * t_hi) + 50, 20000))
-
-
-def _quadrature_prior(density, u_lo, u_hi, zero_mass, panels):
-    atoms, w = priors._gl_discretize(density, u_lo, u_hi, panels)
-    w = w * ((1.0 - zero_mass) / w.sum())
-    if zero_mass > 0:
-        return DiscretePrior(np.r_[0.0, atoms], np.r_[zero_mass, w])
-    return DiscretePrior(atoms, w)
-
-
 @pytest.mark.parametrize("spec", [None, PriorSpec("heavy_tail", {"p": 2.0}),
                                   PriorSpec("heavy_tail", {"p": 3.0}),
                                   PriorSpec("sqrt_cauchy")])
@@ -239,15 +219,41 @@ def test_certification_pass_gives_the_reference_tables(spec, heavy_tail_15):
     np.testing.assert_array_equal(r.oracle_table(r.pmf().y_max), oracle)
 
     # the certificate: sup |f_K - f_4K| over 0..y_check plus the dropped mass,
-    # with K the panel count whose quadrature is r's discretization
-    density, u_lo, u_hi, zero_mass, y_check = _certificate_inputs(r.spec)
-    panels = (r.discretization.n_atoms - (zero_mass > 0)) // priors._QUAD_NODES
-    coarse = _quadrature_prior(density, u_lo, u_hi, zero_mass, panels)
+    # with K the layout's quadrature at its base panel count
+    layout = priors._ContinuousLayout.of(r.spec, r.disc_tol)
+    coarse = layout.prior(layout.base_panels)
     np.testing.assert_array_equal(coarse.atoms, r.discretization.atoms)
     np.testing.assert_array_equal(coarse.weights, r.discretization.weights)
-    fine = _quadrature_prior(density, u_lo, u_hi, zero_mass, 4 * panels)
+    fine, y_check = layout.prior(4 * layout.base_panels), layout.y_check
     gap = np.max(np.abs(pmf_on_range(coarse, y_check) - pmf_on_range(fine, y_check)))
-    assert r.disc_error == float(gap) + 1e-9
+    assert r.disc_error == float(gap) + layout.drop
+
+
+def test_certificate_doubles_panels_until_it_passes():
+    # at one panel heavy_tail p = 2 misses 1e-6; the certificate doubles once
+    # and returns the layout's K at two panels, with that K's reference tables
+    layout = dataclasses.replace(priors._ContinuousLayout.of(HT2.spec, 1e-6), base_panels=1)
+    coarse, fine = layout.prior(1), layout.prior(4)
+    gap = np.max(np.abs(pmf_on_range(coarse, layout.y_check) - pmf_on_range(fine, layout.y_check)))
+    assert float(gap) + layout.drop > 1e-6
+    prior, bound, (table, (oracle,)) = priors._certified_continuous_prior(layout, 1e-6)
+    refined = layout.prior(2)
+    np.testing.assert_array_equal(prior.atoms, refined.atoms)
+    np.testing.assert_array_equal(prior.weights, refined.weights)
+    assert layout.drop < bound <= 1e-6
+    ref_table, (ref_oracle,) = mixtures.pmf_and_moment_tables(refined, 1e-11, (1,))
+    np.testing.assert_array_equal(table.values, ref_table.values)
+    np.testing.assert_array_equal(oracle, ref_oracle)
+
+
+def test_certificate_refuses_a_drop_above_the_tolerance():
+    # no panel count can certify a dropped mass of 2e-6 to 1e-6: after three
+    # doublings the refusal names the prior, the last bound and its panel count
+    layout = dataclasses.replace(priors._ContinuousLayout.of(PriorSpec("heavy_tail", {"p": 3.0}),
+                                                             1e-6), drop=2e-6, base_panels=1)
+    with pytest.raises(NumericalFailureError, match=r"could not certify heavy_tail\(p=3.0\) "
+                       r"discretization to 1e-06 \(last bound 2.000e-06 with 8 panels\)"):
+        priors._certified_continuous_prior(layout, 1e-6)
 
 
 @pytest.mark.parametrize("spec", [PriorSpec("heavy_tail", {"p": 2.0}), PriorSpec("sqrt_cauchy")])
@@ -312,18 +318,14 @@ def test_heavy_tail_discretization_certified():
     assert HT2.disc_error <= HT2.disc_tol
     # rebuild the certified rule from its quadrature, then re-check it against
     # one with twice and eight times the panels
-    eps = HT2.discretization.weights[0]
-    u_hi = math.log(priors._heavy_tail_theta_max(2.0, 1e-9))
-    panels = (HT2.discretization.n_atoms - 1) // priors._QUAD_NODES
+    layout = priors._ContinuousLayout.of(HT2.spec, HT2.disc_tol)
 
     def quadrature(k):
-        atoms, w = priors._gl_discretize(lambda a: priors.heavy_tail_density(2.0, a),
-                                         1.0, u_hi, k * panels)
-        return DiscretePrior(np.append(0.0, atoms), np.append(eps, w * ((1.0 - eps) / w.sum())))
+        return layout.prior(k * layout.base_panels)
 
     np.testing.assert_array_equal(quadrature(1).atoms, HT2.discretization.atoms)
     np.testing.assert_array_equal(quadrature(1).weights, HT2.discretization.weights)
-    y = min(HT2.quantile_y(1e-9), 20000)
+    y = min(HT2.quantile_y(1e-9), layout.y_check)
     for k in (2, 8):
         gap = np.abs(pmf_on_range(HT2.discretization, y) - pmf_on_range(quadrature(k), y))
         assert float(np.max(gap)) <= HT2.disc_tol
