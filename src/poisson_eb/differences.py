@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import InvalidInputError
-from .mixtures import DiscretePrior, mixture_tail_bound, pmf_on_range
+from .mixtures import DiscretePrior, _whole, mixture_tail_bound, pmf_on_range
 
 __all__ = [
     "finite_diff",
@@ -47,7 +47,8 @@ def finite_diff(f, order: int, direction: str, y: int) -> float:
     f = np.asarray(f, dtype=float)
     if f.ndim != 1:
         raise InvalidInputError("f must be a 1-d sequence")
-    order, y = int(order), int(y)
+    # y has no lower bound: y < 0 reads the zero extension
+    order, y = _whole(order, "order"), _whole(y, "y", -math.inf)
     start = y if direction == "forward" else y - order
     idx = np.arange(start, start + order + 1)
     padded = np.append(f, 0.0)  # index f.size reads the zero extension, even when f is empty
@@ -64,9 +65,7 @@ def diff_table(values, order: int, direction: str = "forward") -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise InvalidInputError("values must be 1-d")
-    order = int(order)
-    if order < 0:
-        raise InvalidInputError("order must be >= 0")
+    order = _whole(order, "order")
     if direction == "forward":
         arr = np.concatenate([values, np.zeros(order)])
     elif direction == "backward":
@@ -108,9 +107,7 @@ def charlier(k: int, y, theta: float):
     which is numerically stable for the orders used here (k <= ~30).
     Accepts scalar or array y.
     """
-    k = int(k)
-    if k < 0:
-        raise InvalidInputError("polynomial order must be >= 0")
+    k = _whole(k, "polynomial order")
     if not (theta > 0):
         raise InvalidInputError("theta must be positive")
     y = np.asarray(y, dtype=float)
@@ -154,8 +151,8 @@ def ak_sequence(
     """
     if not (0 < rho <= 1 / math.e):
         raise InvalidInputError("rho must lie in (0, 1/e]")
-    k_max = int(k_max)
-    if not (1 <= k_max <= 30):
+    k_max = _whole(k_max, "k_max", 1)
+    if k_max > 30:
         raise InvalidInputError("k_max must lie in 1..30")
     # The envelope (y+1+k)^k 4^k env(y)^2 / (2 rho), env the certified tail
     # envelope of both mixtures, decays superexponentially; its endpoint lands
@@ -202,9 +199,7 @@ def forward_weighted_diff_sum(prior: DiscretePrior, k: int) -> float:
     sum_{y >= k} (y-k+1)^k (B^k f_G(y))^2.  The range ends where the
     envelope (y+1+k)^k (2^k env(y))^2 falls below 1e-25.
     """
-    k = int(k)
-    if k < 0:
-        raise InvalidInputError("k must be >= 0")
+    k = _whole(k, "k")
     y_end = _summation_end(lambda y: (y + 1 + k) ** k
                            * (2.0 ** k * mixture_tail_bound(prior, y - 1)) ** 2, k)
     f = pmf_on_range(prior, y_end + k)

@@ -38,7 +38,8 @@ Conventions
   (plan seed, n, replicate, purpose) and hands the key to the public trial
   function, which uses it as given; no function derives one key from
   another.  A row is therefore reproduced by calling its trial function with
-  the row's keys and the plan's ``tuning_c``.
+  the row's keys and the plan's ``tuning_c``.  A key is a tuple of whole
+  numbers >= 0, checked where its generator is built (`priors._entropy`).
 * Every NPMLE fit runs to the KKT tolerance SOLVER_TOL and the exact regret
   sum stops at the reference's 1 - Y_CAP_EPS quantile; the header records both.
 """
@@ -114,14 +115,12 @@ class ExperimentPlan:
     direct_total: bool = False
 
     def __post_init__(self) -> None:
-        if not self.n_grid or list(self.n_grid) != sorted(set(int(n) for n in self.n_grid)):
+        n_grid = tuple(_whole(n, "sample size", 10) for n in self.n_grid)
+        if not n_grid or list(n_grid) != sorted(set(n_grid)):
             raise InvalidInputError("n_grid must be ascending distinct sample sizes")
-        if any(int(n) < 10 for n in self.n_grid):
-            raise InvalidInputError("sample sizes below 10 are not meaningful here")
-        if self.replicates < 1:
-            raise InvalidInputError("replicates must be >= 1")
-        if self.seed < 0:
-            raise InvalidInputError("seed must be >= 0")
+        object.__setattr__(self, "n_grid", n_grid)
+        object.__setattr__(self, "replicates", _whole(self.replicates, "replicates", 1))
+        object.__setattr__(self, "seed", _whole(self.seed, "seed"))
         if not 0 < self.tuning_c < math.inf:
             raise InvalidInputError("tuning_c must be finite and > 0")
         if self.direct_total not in (0, 1):  # a flag: 0, 1, False or True
@@ -129,6 +128,9 @@ class ExperimentPlan:
         for m in self.metrics:
             if m not in METRICS:
                 raise InvalidInputError(f"unknown metric {m!r}; choose from {METRICS}")
+        for key, names in (("methods", self.methods), ("metrics", self.metrics)):
+            if len(set(names)) != len(names):  # a repeat would write each of its rows twice
+                raise InvalidInputError(f"{key} must be distinct (got {','.join(names)})")
         for meth in self.methods:  # a method whose rule cannot be tuned at p fails every row
             tuned_config(meth, self.n_grid[0], self.p)
         needs_rules = {"individual_regret", "total_regret"} & set(self.metrics)
@@ -136,7 +138,6 @@ class ExperimentPlan:
             raise InvalidInputError("regret metrics need at least one method")
         if self.direct_total and "total_regret" not in self.metrics:
             raise InvalidInputError("direct_total = 1 needs total_regret among the metrics")
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "metrics", tuple(self.metrics))
         object.__setattr__(self, "direct_total", bool(self.direct_total))
@@ -171,10 +172,10 @@ def parse_plan(text: str) -> ExperimentPlan:
     name          label in the report header (default ``plan``)
     p             moment index that tuning reads (default the prior's
                   own: heavy_tail's ``p``, assouad's ``p`` or 2, else 1)
-    methods       rules from oracle, robbins, robbins-addone, robbins-trunc,
-                  npmle, comma-separated (default none)
-    metrics       from hellinger_sq, individual_regret, total_regret,
-                  comma-separated (default individual_regret)
+    methods       distinct rules from oracle, robbins, robbins-addone,
+                  robbins-trunc, npmle, comma-separated (default none)
+    metrics       distinct from hellinger_sq, individual_regret,
+                  total_regret, comma-separated (default individual_regret)
     seed          plan seed >= 0, the first part of every stream key (default 0)
     disc_tol      absolute pmf tolerance of the discretization (1e-6)
     tuning_c      finite c > 0 of the tuned truncation levels (default 1)
@@ -304,10 +305,6 @@ class ExperimentReport:
 _PURPOSE_DENSITY = 0
 _PURPOSE_TRAIN = 1
 _PURPOSE_DIRECT = 2
-
-
-def _stream_key(plan_seed: int, n: int, replicate: int, purpose: int) -> tuple:
-    return (int(plan_seed), int(n), int(replicate), int(purpose))
 
 
 # ---------------------------------------------------------------------------
@@ -540,14 +537,14 @@ def run_plan(plan: ExperimentPlan, resolved: ResolvedPrior | None = None) -> Exp
         resolved = resolve(plan.prior, p=plan.p, disc_tol=plan.disc_tol, seed=plan.seed)
 
     def density(n, rep, _method):
-        key = _stream_key(plan.seed, n, rep, _PURPOSE_DENSITY)
+        key = (plan.seed, n, rep, _PURPOSE_DENSITY)
         value, flags = density_risk_trial(resolved, n, key)
         return {"hellinger_sq": (value, 0.0, flags)}
 
     def regret(n, rep, method):
         return total_regret_trial(
-            resolved, n, method, _stream_key(plan.seed, n, rep, _PURPOSE_TRAIN), plan.tuning_c,
-            direct_seed=_stream_key(plan.seed, n, rep, _PURPOSE_DIRECT) if plan.direct_total else None,
+            resolved, n, method, (plan.seed, n, rep, _PURPOSE_TRAIN), plan.tuning_c,
+            direct_seed=(plan.seed, n, rep, _PURPOSE_DIRECT) if plan.direct_total else None,
         )
 
     regret_metrics = [m for m in ("individual_regret", "total_regret") if m in plan.metrics]

@@ -136,8 +136,6 @@ class DiscretePrior:
             )
         weights = weights / total
         keep = weights >= WEIGHT_FLOOR
-        if not np.any(keep):
-            raise InvalidInputError("all weights fell below the pruning floor")
         atoms, weights = atoms[keep], weights[keep]
         weights = weights / weights.sum()
 
@@ -236,9 +234,14 @@ def _bd0(y, theta) -> np.ndarray:
     return out
 
 
-def _whole(value, name: str, least: int) -> int:
-    """`value` as an int: a whole number >= `least` (numpy integers too), else an input error."""
-    if not (value >= least and value % 1 == 0):  # NaN and inf too
+def _whole(value, name: str, least=0) -> int:
+    """`value` as an int: a whole number >= `least`, else an input error.
+
+    The one check of a scalar count, size, order, index or seed.  An int, a
+    whole float or a numpy integer passes; a bool, a string, NaN and inf do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
+            or not (value >= least and value % 1 == 0):  # NaN and inf too
         raise InvalidInputError(f"{name} must be >= {least} and whole (got {value!r})")
     return int(value)
 
@@ -386,7 +389,7 @@ def _mixture_rows(prior: DiscretePrior, y_hi: int, orders=()) -> tuple[np.ndarra
     band freed first, so each table equals the one a pass for it alone would
     give.  No row's value depends on y_hi.
     """
-    y_hi = _whole(y_hi, "y_hi", 0)
+    y_hi = _whole(y_hi, "y_hi")
     if not all(r >= 0 for r in orders):  # NaN too
         raise InvalidInputError("moment order must be nonnegative")
     atoms, w = prior.atoms, prior.weights
@@ -547,7 +550,7 @@ def pmf_and_moment_tables(
         raise InvalidInputError("tail_tol must lie in (0, 1)")
     y_max = _y_max_for_tail(prior, tail_tol)
     if min_len is not None:
-        y_max = max(y_max, int(min_len) - 1)
+        y_max = max(y_max, _whole(min_len, "min_len") - 1)
     log_f, moments = _mixture_rows(prior, y_max, orders)
     return _closed_pmf(prior, log_f, tail_tol), moments
 
@@ -576,8 +579,8 @@ def bayes_rule(pmf: MixturePmf, y: int) -> float:
     :class:`DegenerateSupportError` when f(y) = 0 (in exact arithmetic the
     posterior is undefined there).
     """
-    y = int(y)
-    if not 0 <= y <= pmf.y_max - 1:
+    y = _whole(y, "y")
+    if y >= pmf.y_max:
         raise InvalidInputError(
             f"need 0 <= y <= {pmf.y_max - 1} so that f(y+1) is tabulated"
         )

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .mixtures import WEIGHT_FLOOR, DiscretePrior, _log_factorial, _log_mix
+from .mixtures import WEIGHT_FLOOR, DiscretePrior, _log_factorial, _log_mix, _whole
 
 __all__ = [
     "CountHistogram",
@@ -199,7 +199,7 @@ class CountHistogram:
         for y, cnt in counts.items():
             if isinstance(y, str) and y.strip().lstrip("-").isdecimal():
                 y = int(y)  # a JSON key; any other string is refused below
-            pairs.append((_whole_number(y, "observed value"), _whole_number(cnt, "count")))
+            pairs.append((_whole(y, "observed value"), _whole(cnt, "count", 1)))
         ys, cnts = zip(*sorted(pairs))
         # numpy's own integer type: one at or past 2^63 makes a uint64 or object array,
         # which the constructor refuses
@@ -223,13 +223,6 @@ def _check_observed_kind(values: np.ndarray) -> None:
     array (numpy makes one of ints at or beyond 2^64) is no array of counts."""
     if values.dtype.kind not in "iuf":
         raise InvalidInputError("observed values must be whole numbers below 2^63")
-
-
-def _whole_number(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
-            or not math.isfinite(value) or value != math.floor(value):
-        raise InvalidInputError(f"{what} must be a whole number, got {value!r}")
-    return int(value)
 
 
 def load_count_data(text: str) -> CountHistogram:
@@ -523,9 +516,7 @@ def fit_npmle(
         data = CountHistogram.from_samples(data)
     if not (0 < tol < 1):
         raise InvalidInputError("tol must lie in (0, 1)")
-    max_iter = int(max_iter)
-    if max_iter < 1:
-        raise InvalidInputError("max_iter must be >= 1")
+    max_iter = _whole(max_iter, "max_iter", 1)
     scan = grid_spec(data)
 
     start = init_prior

@@ -431,7 +431,7 @@ class ResolvedPrior:
         Poisson variate spent on the zero atom's draws (Y shares its draw
         routine with `count_histogram`)."""
         counts, zeros, rest = self._draw(seed, size)
-        y = np.zeros(int(size), dtype=rest.dtype)
+        y = np.zeros(zeros + rest.size, dtype=rest.dtype)
         y[zeros:] = rest
         return np.repeat(self.discretization.atoms, counts), y
 
@@ -493,7 +493,7 @@ class ResolvedPrior:
         The table spans the reference pmf's range; a longer request extends it.
         A negative or fractional y_hi is refused with InvalidInputError.
         """
-        y_hi = _whole(y_hi, "y_hi", 0)
+        y_hi = _whole(y_hi, "y_hi")
         if "oracle" not in self._cache:
             self._reference_tables()
         if self._cache["oracle"].size <= y_hi:
@@ -514,8 +514,8 @@ class ResolvedPrior:
 # ---------------------------------------------------------------------------
 
 def _entropy(seed) -> tuple:
-    """The entropy a `seed` (an int or a tuple of ints) keys its streams by."""
-    return tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
+    """The entropy a `seed` (a whole number >= 0 or a tuple of them) keys its streams by."""
+    return tuple(_whole(s, "seed") for s in (seed if isinstance(seed, (tuple, list)) else (seed,)))
 
 
 def _generator(seed, *extra: int) -> np.random.Generator:
@@ -673,8 +673,7 @@ def divergent_mixture_pmf(y_hi: int) -> np.ndarray:
     y^{-2}, so the mean E[Y] is already infinite.
     """
     from scipy.special import exp1, gammaincc
-    if y_hi < 2:
-        raise InvalidInputError("y_hi must be >= 2")
+    y_hi = _whole(y_hi, "y_hi", 2)
     f = np.empty(y_hi + 1)
     f[0], f[1] = _e2(1.0), exp1(1.0)
     ys = np.arange(2, y_hi + 1, dtype=float)
@@ -711,8 +710,7 @@ def divergent_mmse_diagnostic(y_cap: int = 4096) -> list[tuple[int, float]]:
     p < 1 yet infinite Bayes risk: S(Y) = sum_{y<=Y} f(y) Var(theta | y)
     grows like log Y without bound (increments of ~log 2 per doubling).
     """
-    if y_cap < 16:
-        raise InvalidInputError("y_cap must be >= 16")
+    y_cap = _whole(y_cap, "y_cap", 16)
     s = _divergent_summands(y_cap)
     cum = np.cumsum(s)
     out = []

@@ -86,8 +86,7 @@ class EstimatorConfig:
                 f"unknown estimator kind {self.kind!r}; choose from {ESTIMATOR_KINDS}"
             )
         if self.y0 != math.inf:
-            if not (self.y0 >= 0 and self.y0 % 1 == 0):  # NaN too
-                raise InvalidInputError("y0 must be a nonnegative integer or inf")
+            _whole(self.y0, "y0")  # a finite y0 is a whole number >= 0
             if self.kind not in ("robbins_trunc", "npmle_eb"):
                 raise InvalidInputError(f"kind {self.kind!r} never truncates; y0 must be inf")
         if not (0 < self.rho <= 1 / math.e):
@@ -177,7 +176,7 @@ def fit_rule(
     refused: its table is `ResolvedPrior.oracle_table`.  The truncation
     contract is enforced here: entries beyond y0 are exactly y.
     """
-    y_cap = _whole(y_cap, "y_cap", 0)
+    y_cap = _whole(y_cap, "y_cap")
     ys = np.arange(y_cap + 1, dtype=float)
     flags: dict = {}
 
@@ -215,7 +214,7 @@ def robbins(data: CountHistogram, y: int, addone: bool = False) -> RobbinsEstima
     Plain version hazards: N(y) = 0 with N(y+1) > 0 gives an infinite
     estimate (flag "infinite"); 0/0 returns 0 with flag "degenerate".
     """
-    y = int(y)
+    y = _whole(y, "y")
     config = EstimatorConfig("robbins_addone" if addone else "robbins_plain")
     value = float(fit_rule(config, y, train=data).table[y])
     if addone or data.count_of(y) > 0:
@@ -225,7 +224,7 @@ def robbins(data: CountHistogram, y: int, addone: bool = False) -> RobbinsEstima
 
 def robbins_truncated(data: CountHistogram, y: int, y0: float) -> float:
     """Add-one frequency ratio below the truncation level, identity beyond."""
-    y = int(y)
+    y = _whole(y, "y")
     return float(fit_rule(EstimatorConfig("robbins_trunc", y0=y0), y, train=data).table[y])
 
 
@@ -236,7 +235,7 @@ def npmle_eb(fit, y: int, y0: float = math.inf, rho: float = 1e-6) -> float:
     level the estimate is (y+1)((f(y+1)-f(y))/max(f(y), rho) + 1) clamped at
     zero; beyond it, the identity y.
     """
-    y = int(y)
+    y = _whole(y, "y")
     config = EstimatorConfig("npmle_eb", y0=y0, rho=rho)
     return float(fit_rule(config, y, fit=fit).table[y])
 

@@ -121,6 +121,7 @@ def binomial_identity_check(n_max: int = 30) -> CheckResult:
     ((1-p)/p^2) P(X(n+1) >= 2)/(n+1), required only to lie within a
     fixed wide band [1/8, 8] of it.
     """
+    n_max = mixtures._whole(n_max, "n_max", 1)
     if n_max > 60:
         raise errors.InvalidInputError("exact enumeration is only supported for n_max <= 60")
     ps = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9)

@@ -223,6 +223,8 @@ def test_regret_sweep_rejects_bad_plan(runner, tmp_path):
     "seed = -1",
     "prior = family=heavy_tail p=1,2",      # p takes one number
     "prior = family=two_point eps=0.2 a=5 epz=0.3",  # no such parameter
+    "methods = robbins-addone,robbins-addone",       # each row would be written twice
+    "metrics = individual_regret,individual_regret",
     "prior = family=heavy_tail p=inf",      # the normalizer 1/E_2(p) overflows
     "p = nan",                              # a NaN moment order
 ])

@@ -46,6 +46,8 @@ def test_finite_diff_validation():
         finite_diff(TRI, 1, "sideways", 0)
     with pytest.raises(InvalidInputError):
         finite_diff(np.ones((2, 2)), 1, "forward", 0)
+    with pytest.raises(InvalidInputError, match="values must be 1-d"):
+        diff_table(np.ones((2, 2)), 1)
 
 
 def test_forward_diff_matches_binomial_dot():
@@ -199,6 +201,8 @@ def test_ak_validation():
         ak_sequence(*D23, rho=0.0)
     with pytest.raises(InvalidInputError):
         ak_sequence(*D23, rho=1e-4, k_max=0)
+    with pytest.raises(InvalidInputError, match="k_max must lie in 1..30"):
+        ak_sequence(*D23, rho=1e-4, k_max=31)
     with pytest.raises(InvalidInputError):
         ak_recursion_residuals(ak_sequence(*D23, rho=1e-4, k_max=1))
 

@@ -22,10 +22,38 @@ from poisson_eb.experiments import (
     run_plan,
     total_regret_trial,
 )
-from poisson_eb.mixtures import posterior_moment_table
-from poisson_eb.npmle import CountHistogram
-from poisson_eb.priors import PriorSpec, ResolvedPrior, parse_prior_spec, resolve
-from poisson_eb.rules import CLI_KIND_NAMES, EstimatorConfig, fit_rule, tuned_config
+from poisson_eb.differences import (
+    ak_sequence,
+    charlier,
+    diff_table,
+    finite_diff,
+    forward_weighted_diff_sum,
+)
+from poisson_eb.mixtures import (
+    DiscretePrior,
+    bayes_rule,
+    pmf_and_moment_tables,
+    pmf_table,
+    posterior_moment_table,
+)
+from poisson_eb.npmle import CountHistogram, fit_npmle
+from poisson_eb.priors import (
+    PriorSpec,
+    ResolvedPrior,
+    divergent_mixture_pmf,
+    parse_prior_spec,
+    resolve,
+)
+from poisson_eb.rules import (
+    CLI_KIND_NAMES,
+    EstimatorConfig,
+    fit_rule,
+    npmle_eb,
+    robbins,
+    robbins_truncated,
+    tuned_config,
+)
+from poisson_eb.verify import binomial_identity_check
 
 TP_SPEC = PriorSpec("two_point", {"eps": 0.2, "a": 5.0})
 TP = resolve(TP_SPEC)
@@ -76,6 +104,10 @@ def test_plan_validation():
         small_plan(methods=("james-stein",))
     with pytest.raises(InvalidInputError):
         small_plan(methods=(), metrics=("individual_regret",))
+    with pytest.raises(InvalidInputError, match="methods must be distinct"):
+        small_plan(methods=("robbins-addone", "robbins-addone"))   # rows written twice
+    with pytest.raises(InvalidInputError, match="metrics must be distinct"):
+        small_plan(metrics=("individual_regret", "individual_regret"))
     assert small_plan(methods=(), metrics=("hellinger_sq",)).methods == ()
 
 
@@ -192,8 +224,8 @@ def test_tuning_c_reaches_the_trial_rows():
 
     wide, narrow = rows(4.0), rows(1.0)
     for row in wide:
-        key = ex._stream_key(11, row.n, row.replicate, ex._PURPOSE_TRAIN)
-        direct = ex._stream_key(11, row.n, row.replicate, ex._PURPOSE_DIRECT)
+        key = (11, row.n, row.replicate, ex._PURPOSE_TRAIN)
+        direct = (11, row.n, row.replicate, ex._PURPOSE_DIRECT)
         trial = total_regret_trial(tp2, row.n, row.method, key, tuning_c=4.0, direct_seed=direct)
         assert math.isfinite(row.value) and row.value == trial[row.metric][0], row
     for cell in {(r.method, r.metric) for r in wide}:  # both methods, both total paths
@@ -455,15 +487,35 @@ def test_density_risk_trial_bounds():
         density_risk_trial(TP, 5, (2, 8))
 
 
-_SIZED_CALLS = {  # each call with a size, table end or sample size n
+_HIST = CountHistogram.from_samples([0, 1, 1, 2])
+_POINT = DiscretePrior([1.0], [1.0])
+_SIZED_CALLS = {  # each call with a whole-number argument: a size, table end, n, order, y or seed
     "count_histogram": lambda k: TP.count_histogram(3, k),
     "sample_counts": lambda k: TP.sample_counts(3, k),
     "oracle_table": lambda k: TP.oracle_table(k),
-    "fit_rule": lambda k: fit_rule(EstimatorConfig("robbins_plain"), k,
-                                   train=CountHistogram.from_samples([0, 1, 1, 2])),
+    "fit_rule": lambda k: fit_rule(EstimatorConfig("robbins_plain"), k, train=_HIST),
     "individual_regret_trial": lambda k: individual_regret_trial(TP, k, "robbins", 3),
     "density_risk_trial": lambda k: density_risk_trial(TP, k, 3),
     "tuned_config": lambda k: tuned_config("npmle", k, 2.0),
+    "plan_n_grid": lambda k: small_plan(n_grid=(k, 40)),
+    "plan_replicates": lambda k: small_plan(replicates=k),
+    "plan_seed": lambda k: small_plan(seed=k),
+    "stream_key": lambda k: TP.sample_counts((11, 20, k, 1), 12),
+    "estimator_y0": lambda k: EstimatorConfig("robbins_trunc", y0=k),
+    "robbins": lambda k: robbins(_HIST, k),
+    "robbins_truncated": lambda k: robbins_truncated(_HIST, k, 3),
+    "npmle_eb": lambda k: npmle_eb(_POINT, k),
+    "fit_npmle_max_iter": lambda k: fit_npmle(_HIST, max_iter=k),
+    "bayes_rule": lambda k: bayes_rule(pmf_table(_POINT, min_len=20), k),
+    "pmf_and_moment_tables": lambda k: pmf_and_moment_tables(_POINT, 1e-10, min_len=k),
+    "finite_diff_order": lambda k: finite_diff([1.0, 2.0], k, "forward", 0),
+    "finite_diff_y": lambda k: finite_diff([1.0, 2.0], 1, "forward", k),  # no lower bound
+    "diff_table": lambda k: diff_table([1.0, 2.0], k),
+    "charlier": lambda k: charlier(k, 3.0, 2.0),
+    "ak_sequence": lambda k: ak_sequence(_POINT, DiscretePrior([2.0], [1.0]), 0.1, k),
+    "forward_weighted_diff_sum": lambda k: forward_weighted_diff_sum(_POINT, k),
+    "binomial_identity_check": lambda k: binomial_identity_check(k),
+    "divergent_mixture_pmf": lambda k: divergent_mixture_pmf(k),
 }
 
 
@@ -471,8 +523,9 @@ _SIZED_CALLS = {  # each call with a size, table end or sample size n
 def test_a_fractional_size_is_refused(name):
     # fractional sizes once drew int(size), and fractional ends raised a bare TypeError
     call = _SIZED_CALLS[name]
-    for k in (10.5, 12.7):
-        with pytest.raises(InvalidInputError, match=f"must be >= [0-9]+ and whole \\(got {k}\\)"):
+    for k in (2.5, 10.5, 12.7, True):  # a bool is no count
+        with pytest.raises(InvalidInputError,
+                           match=f"must be >= (-inf|[0-9]+) and whole \\(got {k}\\)"):
             call(k)
     call(np.int64(12))  # numpy integers are whole
     call(12.0)
@@ -563,7 +616,7 @@ def test_run_plan_rows_are_the_public_trial_calls():
     expected = []
     for rep in range(plan.replicates):
         density, train, direct = (
-            ex._stream_key(plan.seed, 20, rep, purpose)
+            (plan.seed, 20, rep, purpose)
             for purpose in (ex._PURPOSE_DENSITY, ex._PURPOSE_TRAIN, ex._PURPOSE_DIRECT)
         )
         value, flags = density_risk_trial(tp2, 20, density)

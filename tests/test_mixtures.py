@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from poisson_eb import mixtures, priors
-from poisson_eb.errors import InvalidInputError, TailCoverageError
+from poisson_eb.errors import DegenerateSupportError, InvalidInputError, TailCoverageError
 from poisson_eb.mixtures import (
     WEIGHT_FLOOR,
     DiscretePrior,
@@ -47,6 +47,12 @@ def test_prior_rejects_bad_weights():
         DiscretePrior([1.0, 2.0], [1.2, -0.2])
     with pytest.raises(InvalidInputError):
         DiscretePrior([-1.0], [1.0])         # negative atom
+    with pytest.raises(InvalidInputError, match="at least one atom"):
+        DiscretePrior([], [])
+    with pytest.raises(InvalidInputError, match="equal length"):
+        DiscretePrior([1.0, 2.0], [1.0])
+    with pytest.raises(InvalidInputError, match="mass must be positive"):
+        DiscretePrior([1.0, 2.0], [0.0, 0.0])
 
 
 def test_prior_moments_and_mean():
@@ -108,6 +114,29 @@ def test_pmf_min_len_extends_table():
 def test_mixture_pmf_validates_mass():
     with pytest.raises(InvalidInputError):
         MixturePmf(values=np.array([0.5, 0.2]), tail_mass=0.0)
+    with pytest.raises(InvalidInputError, match="nonempty 1-d"):
+        MixturePmf(values=np.full((2, 1), 0.5), tail_mass=0.0)
+    with pytest.raises(InvalidInputError, match="values must lie in"):
+        MixturePmf(values=np.array([1.5, -0.5]), tail_mass=0.0)
+    with pytest.raises(InvalidInputError, match="tail_mass must lie in"):
+        MixturePmf(values=np.array([0.0]), tail_mass=1.5)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: pmf_table([1.0]), InvalidInputError, "expects a DiscretePrior"),
+    (lambda: pmf_table(G15, tail_tol=0.0), InvalidInputError, "tail_tol must lie in"),
+    (lambda: pmf_table(G15, tail_tol=1.0), InvalidInputError, "tail_tol must lie in"),
+    (lambda: bayes_rule(pmf_table(G15), pmf_table(G15).y_max), InvalidInputError,
+     "so that f\\(y\\+1\\) is tabulated"),
+    (lambda: bayes_rule(MixturePmf(values=np.array([1.0, 0.0, 0.0]), tail_mass=0.0), 1),
+     DegenerateSupportError, "f\\(1\\) = 0"),
+    (lambda: poisson_divergences(1.0, 0.0), InvalidInputError, "lam2 > 0"),
+    (lambda: generating_function_check(G15, 1.5), InvalidInputError, "z must lie in"),
+], ids=["no_prior", "tail_tol_0", "tail_tol_1", "bayes_rule_past_table", "bayes_rule_f_0",
+        "lam2_0", "z_past_1"])
+def test_tables_refuse_what_they_cannot_build(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------

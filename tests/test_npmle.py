@@ -83,6 +83,8 @@ def test_histogram_validation():
         CountHistogram(np.array([2, 0]), np.array([1, 1]))   # unsorted
     with pytest.raises(InvalidInputError):
         CountHistogram(np.array([0.5]), np.array([1]))       # non-integer y
+    with pytest.raises(InvalidInputError, match="matching nonempty 1-d"):
+        CountHistogram(np.array([0, 1]), np.array([1]))      # shapes differ
     with pytest.raises(InvalidInputError):
         CountHistogram.from_samples([])
 

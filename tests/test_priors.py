@@ -116,6 +116,18 @@ def test_parse_prior_spec_refuses_a_misspelt_parameter():
 # simple atomic families
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("family, params, message", [
+    ("heavy_tail", {"p": 0.0}, "heavy_tail needs p > 0"),
+    ("heavy_tail", {"p": -1.0}, "heavy_tail needs p > 0"),
+    ("point_mass", {"value": -1.0}, "point mass location must be >= 0"),
+    ("two_point", {"eps": 0.0, "a": 5.0}, "two_point needs eps in"),
+    ("two_point", {"eps": 1.0, "a": 5.0}, "two_point needs eps in"),
+])
+def test_resolve_refuses_an_out_of_range_parameter(family, params, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        resolve(PriorSpec(family, params))
+
+
 def test_point_mass_resolution():
     r = resolve(PriorSpec("point_mass", {"value": 2.5}), p=2.0)
     assert r.disc_error == 0.0
@@ -559,6 +571,15 @@ def test_assouad_refuses_out_of_range_parameters(params):
         resolve(PriorSpec("assouad", {"c_p": 30.0, **params}))
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"m_p": 1e8, "c_p": 1.0}, "interval weights exceed unit mass"),
+    ({"m_p": 1.0, "c_p": 100.0}, "perturbed atom escapes its interval"),
+], ids=["weights_past_unit_mass", "atom_escapes"])
+def test_assouad_refuses_a_regime_it_cannot_build(params, message):
+    with pytest.raises(UnsupportedRegimeError, match=message):
+        resolve(PriorSpec("assouad", {"n": 100, "p": 2.0, **params}))
+
+
 def test_assouad_structure():
     n, p, c_p = 10_000, 2.0, 30.0
     log2n = math.log(n) ** 2
@@ -656,6 +677,8 @@ def test_divergent_partial_sums_grow_like_log():
 def test_divergent_diagnostic_regime_guard():
     with pytest.raises(InvalidInputError):
         divergent_mmse_diagnostic(y_cap=8)
+    with pytest.raises(InvalidInputError, match="y_cap must be >= 16 and whole"):
+        divergent_mmse_diagnostic(y_cap=100.5)
 
 
 # ---------------------------------------------------------------------------

@@ -95,3 +95,35 @@ def test_every_name_in_all_exists(path):
     module = importlib.import_module(
         "poisson_eb" if path.stem == "__init__" else f"poisson_eb.{path.stem}")
     assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
+
+
+def _truncated_parameters(source: str) -> list[str]:
+    """Calls ``int(p)`` on a parameter ``p`` of the enclosing function or lambda:
+    a fractional argument would be truncated where `mixtures._whole`, the one
+    whole-number check (itself exempt), refuses it."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) \
+                or getattr(fn, "name", "") == "_whole":
+            continue
+        params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+        found += [f"{getattr(fn, 'name', '<lambda>')}: int({node.args[0].id}) (line {node.lineno})"
+                  for node in ast.walk(fn)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "int" and node.args
+                  and isinstance(node.args[0], ast.Name) and node.args[0].id in params]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_function_truncates_a_parameter_with_int(path):
+    assert _truncated_parameters(path.read_text()) == []
+
+
+def test_the_check_finds_a_truncated_parameter():
+    source = ("def f(k, n=1, *, m):\n    a = int(k)\n    return int(n * 2), int(m)\n"
+              "def _whole(value):\n    return int(value)\n"
+              "def g(x):\n    y = len(x)\n    return int(y)\n"
+              "h = lambda t: int(t)\n")
+    assert _truncated_parameters(source) == [
+        "f: int(k) (line 2)", "f: int(m) (line 3)", "<lambda>: int(t) (line 9)"]
