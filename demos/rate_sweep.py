@@ -4,7 +4,9 @@ Runs the same harness the acceptance battery uses, but with a quarter-size
 n-grid and 8 replicates so it finishes in well under a minute.  Expect the
 squared-Hellinger slope near -0.8 and the regret slopes to separate (the
 mixture rule falls faster than the truncated frequency-ratio rule); with this
-few replicates the fitted slopes wobble by ~0.1.
+few replicates the fitted slopes wobble by ~0.1.  The interval printed beside
+a slope is slope +- 1.96 x its OLS residual standard error over the four
+per-n means: 2 degrees of freedom and no replicate spread, so no 95% CI.
 """
 
 from poisson_eb.experiments import ExperimentPlan, run_plan
@@ -28,7 +30,7 @@ print(f"density sweep: {len(report.rows)} trials in {report.runtime_seconds:.1f}
 for n, mean in report.mean_by_n("npmle", "hellinger_sq").items():
     print(f"    n = {n:>6}   mean H^2 = {mean:.3e}")
 for s in report.slopes:
-    print(f"    fitted slope {s.slope:+.3f}  (95% CI {s.ci_lo:+.3f} .. {s.ci_hi:+.3f})")
+    print(f"    fitted slope {s.slope:+.3f}  (+-1.96 OLS SE {s.ci_lo:+.3f} .. {s.ci_hi:+.3f})")
 
 regret_plan = ExperimentPlan(
     name="demo-regret",
@@ -48,4 +50,4 @@ for method in regret_plan.methods:
     print(f"    {method:13s} {line}")
 for s in report.slopes:
     print(f"    {s.method:13s} slope {s.slope:+.3f}  "
-          f"(95% CI {s.ci_lo:+.3f} .. {s.ci_hi:+.3f})")
+          f"(+-1.96 OLS SE {s.ci_lo:+.3f} .. {s.ci_hi:+.3f})")

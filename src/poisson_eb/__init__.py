@@ -35,14 +35,6 @@ from .mixtures import (
     poisson_divergences,
     posterior_moment_table,
 )
-from .differences import (
-    ak_recursion_residuals,
-    ak_sequence,
-    charlier,
-    diff_table,
-    finite_diff,
-    summation_by_parts,
-)
 from .npmle import (
     CountHistogram,
     NpmleFit,
@@ -68,11 +60,6 @@ from .priors import (
     divergent_mmse_diagnostic,
     parse_prior_spec,
     resolve,
-)
-from .moment_match import (
-    MatchReport,
-    QuadraticPartition,
-    local_moment_match,
 )
 from .experiments import (
     ExperimentPlan,
@@ -114,3 +101,27 @@ __all__ = [
     "density_risk_trial", "individual_regret_trial", "total_regret_trial",
     "fit_rate",
 ]
+
+# Names served on first access (PEP 562), name -> defining submodule: only
+# `peb moment-match`, `peb verify` and library callers use these, so a sweep
+# never compiles or runs them.  A submodule's own name maps to itself.
+_LAZY = {
+    **dict.fromkeys(("differences", "ak_recursion_residuals", "ak_sequence", "charlier",
+                     "diff_table", "finite_diff", "summation_by_parts"), "differences"),
+    **dict.fromkeys(("moment_match", "MatchReport", "QuadraticPartition",
+                     "local_moment_match"), "moment_match"),
+    "verify": "verify",
+}
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{_LAZY[name]}")
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())

@@ -9,7 +9,6 @@ failure, 2 invalid configuration or input, 3 numerical failure, or under
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from contextlib import contextmanager
@@ -20,11 +19,9 @@ import click
 from ._version import __version__
 from .errors import InvalidInputError, NumericalFailureError, PoissonEBError
 from .experiments import csv_text, parse_plan, run_plan
-from .moment_match import local_moment_match
 from .npmle import fit_npmle, load_count_data
 from .priors import parse_prior_spec, resolve
-from .rules import CLI_KIND_NAMES, EstimatorConfig, fit_rule
-from .verify import run_all
+from .rules import CLI_KIND_NAMES, EstimatorConfig, _table_cap, fit_rule
 
 _EXIT_VERIFY_FAIL = 1
 _EXIT_BAD_CONFIG = 2
@@ -44,6 +41,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _write_json(path: str | None, command: str, config: dict, key: str, payload: dict) -> None:
+    import json
+
     meta = {"tool": f"poisson_eb {__version__}", "command": command, "config": config}
     _write_text(path, json.dumps({"meta": meta, key: payload}, indent=2) + "\n")
 
@@ -119,7 +118,7 @@ def cmd_npmle_fit(ctx, input_path, out_path, tol, max_iter):
 @click.option("--rho", default=1e-6, show_default=True,
               help="Density floor for the regularized mixture rule.")
 @click.option("--y-cap", default=None, type=int,
-              help="Largest y in the output table (default: max observed + 5).")
+              help="Largest y in the output table, below 10^7 (default: max observed + 5).")
 @click.option("--tol", default=1e-6, show_default=True)
 @click.option("--out", "out_path", default=None, help="Output CSV path (default stdout).")
 @click.pass_context
@@ -134,7 +133,7 @@ def cmd_eb_estimate(ctx, input_path, method, y0, rho, y_cap, tol, out_path):
         if y0 is None and kind == "robbins_trunc":
             raise InvalidInputError("--y0 is required for method robbins-trunc")
         config = EstimatorConfig(kind=kind, y0=math.inf if y0 is None else y0, rho=rho)
-        cap = y_cap if y_cap is not None else data.y_max + 5
+        cap = _table_cap(y_cap if y_cap is not None else data.y_max + 5)  # before any fit
         fit = fit_npmle(data, tol=tol) if kind == "npmle_eb" else None
         rule = fit_rule(config, cap, train=data, fit=fit)
     header = _config_header("eb-estimate", input=input_path, method=method,
@@ -180,6 +179,8 @@ def cmd_regret_sweep(ctx, plan_path, out_rows, out_slopes):
 @click.pass_context
 def cmd_moment_match(ctx, source, big_m, eta, c_const, out_path):
     """Compress a prior to few atoms while matching local moments."""
+    from .moment_match import local_moment_match
+
     with _exit_codes():
         spec = parse_prior_spec(source)
         resolved = resolve(spec, seed=ctx.obj["seed"] or 0)
@@ -193,6 +194,8 @@ def cmd_moment_match(ctx, source, big_m, eta, c_const, out_path):
 @click.pass_context
 def cmd_verify(ctx):
     """Run the identity/bound/certificate self-checks; exit 1 on any failure."""
+    from .verify import run_all
+
     results = run_all()
     for res in results:
         click.echo(str(res))

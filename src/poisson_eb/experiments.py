@@ -480,7 +480,12 @@ def _loo_estimates(
 # ---------------------------------------------------------------------------
 
 def fit_rate(ns, values, method: str = "", metric: str = "") -> RateFit:
-    """OLS slope of log(value) on log(n), with a normal-theory 95% CI.
+    """OLS slope of log(value) on log(n), with the interval slope +- 1.96 SE.
+
+    SE is the OLS standard error of the slope from these points' residuals,
+    on (points - 2) degrees of freedom; no replicate spread enters it.
+    `run_plan` fits a sweep's per-n means, 4-5 in the shipped plans, so 2-3
+    degrees of freedom, where 1.96 is no 95% bound (Student's t is 3.18-4.30).
 
     Requires finite, positive n and >= 4 usable points spanning at least
     1.5 decades of n.  Nonpositive and infinite values cannot enter the log

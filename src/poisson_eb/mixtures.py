@@ -94,6 +94,7 @@ _OFFSETS = np.arange(_BLOCK) - 0.5 * (_BLOCK - 1)  # y - c on a segment centred 
 # which grows with |theta_j - c|, shows in moments that split between far atoms.
 _GAP_NATS = 64.0
 _CERT_LOG = 60.0 * math.log(2.0)  # left-out mass must sit 2^-60 below every kept sum
+_MAX_ROWS = 10 ** 7  # the most y rows a rule table or a discretization certificate may span
 
 
 # ---------------------------------------------------------------------------
@@ -654,10 +655,17 @@ def poisson_divergences(lam: float, lam2: float) -> tuple[float, float]:
     * ``hellinger_sq_normalized = 1 - exp(-(sqrt lam - sqrt lam2)^2 / 2)`` is
       the 1/2-normalized squared Hellinger distance (in [0, 1]); the
       unnormalized table convention of :func:`hellinger_sq` is twice this.
+
+    ``chi_sq`` is inf once (lam - lam2)^2 / lam2 passes log(max double), about
+    709.78 (as for (30, 1) or (100, 0.1)): the divergence then exceeds every double.
     """
-    if not (lam >= 0 and lam2 > 0):
-        raise InvalidInputError("need lam >= 0 and lam2 > 0")
-    chi_sq = math.expm1((lam - lam2) ** 2 / lam2)
+    if not (0 <= lam < math.inf and 0 < lam2 < math.inf):  # NaN too
+        raise InvalidInputError("need finite lam >= 0 and lam2 > 0")
+    gap = float(lam - lam2)
+    try:
+        chi_sq = math.expm1(gap * gap / lam2)  # a float product overflows to inf, not an error
+    except OverflowError:
+        chi_sq = math.inf
     hell = -math.expm1(-0.5 * (math.sqrt(lam) - math.sqrt(lam2)) ** 2)
     return chi_sq, hell
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import json
 import math
 import os
 import sys
@@ -232,6 +231,8 @@ def load_count_data(text: str) -> CountHistogram:
     if not stripped:
         raise InvalidInputError("empty data")
     if stripped.startswith("{"):
+        import json
+
         try:
             obj = json.loads(stripped)
         except json.JSONDecodeError as exc:

@@ -78,6 +78,7 @@ from .errors import (
 from .mixtures import (
     DiscretePrior,
     MixturePmf,
+    _MAX_ROWS,
     _closed_pmf,
     _mixture_rows,
     _whole,
@@ -317,9 +318,9 @@ class _ContinuousLayout:
             theta_max = math.e * 2
             while theta_max ** -p / (math.log(theta_max) ** 2 * p) > drop:
                 theta_max *= 1.5
-            if not (1.2 * theta_max + 50 <= 1e7):  # the most pmf rows a certificate may check
+            if not (1.2 * theta_max + 50 <= _MAX_ROWS):
                 raise UnsupportedRegimeError(f"heavy_tail(p={p}) needs {1.2 * theta_max + 50:.3g}"
-                                             " pmf rows to certify, over 1e+07")
+                                             f" pmf rows to certify, over {_MAX_ROWS:.0e}")
             u_hi = math.log(theta_max)
             return cls(f"heavy_tail(p={p})", partial(heavy_tail_density, p), 1.0, u_hi,
                        zero_mass, drop, int(1.2 * theta_max) + 50, max(24, int(6 * (u_hi - 1.0))))

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedRegimeError
-from .mixtures import DiscretePrior, _whole, pmf_on_range
+from .mixtures import _MAX_ROWS, DiscretePrior, _whole, pmf_on_range
 from .npmle import CountHistogram, NpmleFit
 
 __all__ = [
@@ -163,6 +163,15 @@ def ratio_table(
     return table, {}
 
 
+def _table_cap(y_cap) -> int:
+    """`y_cap` as an int, refused before a table of rows 0..y_cap passes the row limit."""
+    y_cap = _whole(y_cap, "y_cap")
+    if y_cap >= _MAX_ROWS:
+        raise UnsupportedRegimeError(f"y_cap={y_cap} needs {y_cap + 1:.3g} table rows, "
+                                     f"over {_MAX_ROWS:.0e}")
+    return y_cap
+
+
 def fit_rule(
     config: EstimatorConfig,
     y_cap: int,
@@ -174,9 +183,10 @@ def fit_rule(
     The frequency-ratio kinds need `train` (the training counts); ``npmle_eb``
     needs `fit` (an NpmleFit or DiscretePrior).  The ``oracle`` kind is
     refused: its table is `ResolvedPrior.oracle_table`.  The truncation
-    contract is enforced here: entries beyond y0 are exactly y.
+    contract is enforced here: entries beyond y0 are exactly y.  A y_cap of
+    10^7 or more is refused (:class:`UnsupportedRegimeError`) before any table.
     """
-    y_cap = _whole(y_cap, "y_cap")
+    y_cap = _table_cap(y_cap)
     ys = np.arange(y_cap + 1, dtype=float)
     flags: dict = {}
 

@@ -6,7 +6,7 @@ import warnings
 import pytest
 from click.testing import CliRunner
 
-from poisson_eb import cli
+from poisson_eb import cli, verify
 from poisson_eb import experiments as ex
 from poisson_eb.cli import main
 from poisson_eb.errors import NumericalFailureError
@@ -165,6 +165,17 @@ def test_eb_estimate_rejects_negative_y_cap(runner, tmp_path, method):
     result = runner.invoke(main, ["eb-estimate", data, "--method", method, "--y-cap", "-1"])
     assert result.exit_code == 2, result.output
     assert "y_cap must be >= 0" in result.output
+
+
+@pytest.mark.parametrize("method", ["robbins", "npmle"])
+def test_eb_estimate_refuses_a_table_over_the_row_limit(runner, tmp_path, method):
+    # refused before the fit and the table: 10^8 rows would exhaust memory
+    small = write(tmp_path, "counts.txt", SAMPLE)
+    huge = write(tmp_path, "huge.txt", SAMPLE + "100000000\n")
+    for args in ([small, "--y-cap", "100000000"], [huge]):
+        result = runner.invoke(main, ["eb-estimate", *args, "--method", method])
+        assert result.exit_code == 2, result.output
+        assert "table rows, over 1e+07" in result.output
 
 
 def test_eb_estimate_npmle_method(runner, tmp_path):
@@ -395,7 +406,7 @@ def test_verify_command_passes(runner):
 
 def test_verify_command_exits_1_when_a_check_fails(runner, monkeypatch):
     results = [CheckResult("fine", True, 0.0), CheckResult("broken", False, 2.0, "off")]
-    monkeypatch.setattr(cli, "run_all", lambda: results)
+    monkeypatch.setattr(verify, "run_all", lambda: results)
     result = runner.invoke(main, ["verify"])
     assert result.exit_code == 1, result.output
     assert "[FAIL] broken: worst=2.000e+00 off" in result.output
@@ -440,6 +451,34 @@ def test_f_modeling_and_oracle_plan_runs_without_scipy(in_fresh_interpreter):
     # nor numpy.ma, which plain np.unique loads on first use
     assert in_fresh_interpreter(_RUN_PLAN.format(plan=plan)).splitlines() == ["[]", "[]",
                                                                               "False"]
+
+
+def test_a_sweep_loads_only_the_modules_it_runs(in_fresh_interpreter):
+    # moment-match, verify and the JSON count loader import theirs where they run
+    plan = ("prior = family=heavy_tail p=2\nn_grid = 100,1000\nreplicates = 1\n"
+            "methods = npmle,robbins-trunc\n")
+    code = "import poisson_eb.cli\n" + _RUN_PLAN.format(plan=plan) + (
+        "print(sorted(m for m in sys.modules if m == 'json' or m.startswith('poisson_eb')))\n")
+    assert ast.literal_eval(in_fresh_interpreter(code).splitlines()[-1]) == [
+        f"poisson_eb{m}" for m in ("", "._version", ".cli", ".errors", ".experiments",
+                                   ".mixtures", ".npmle", ".priors", ".rules")]
+
+
+def test_lazily_served_names_are_their_modules_objects(in_fresh_interpreter):
+    code = ("import poisson_eb\n"
+            "lazy = [m for m in sys.modules if m.startswith('poisson_eb.') and m.endswith(\n"
+            "        ('differences', 'moment_match', 'verify'))]\n"
+            "from poisson_eb import *\n"
+            "from poisson_eb import differences, moment_match, verify\n"
+            "print(lazy)\n"
+            "print([n for n in poisson_eb.__all__ if n not in globals()])\n"
+            "print([n for n in poisson_eb.__all__ if getattr(sys.modules[\n"
+            "       getattr(globals()[n], '__module__', 'poisson_eb')], n) is not globals()[n]])\n"
+            "print(poisson_eb.charlier is differences.charlier,\n"
+            "      poisson_eb.local_moment_match is moment_match.local_moment_match,\n"
+            "      poisson_eb.verify is verify is sys.modules['poisson_eb.verify'],\n"
+            "      set(poisson_eb.__all__) <= set(dir(poisson_eb)))\n")
+    assert in_fresh_interpreter(code).splitlines() == ["[]", "[]", "[]", "True True True True"]
 
 
 def test_npmle_plan_loads_only_the_compiled_nnls(in_fresh_interpreter):

@@ -131,9 +131,11 @@ def test_mixture_pmf_validates_mass():
     (lambda: bayes_rule(MixturePmf(values=np.array([1.0, 0.0, 0.0]), tail_mass=0.0), 1),
      DegenerateSupportError, "f\\(1\\) = 0"),
     (lambda: poisson_divergences(1.0, 0.0), InvalidInputError, "lam2 > 0"),
+    (lambda: poisson_divergences(1.0, math.inf), InvalidInputError, "finite"),
+    (lambda: poisson_divergences(math.inf, 1.0), InvalidInputError, "finite"),
     (lambda: generating_function_check(G15, 1.5), InvalidInputError, "z must lie in"),
 ], ids=["no_prior", "tail_tol_0", "tail_tol_1", "bayes_rule_past_table", "bayes_rule_f_0",
-        "lam2_0", "z_past_1"])
+        "lam2_0", "lam2_inf", "lam_inf", "z_past_1"])
 def test_tables_refuse_what_they_cannot_build(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -188,6 +190,11 @@ def test_poisson_divergences_closed_forms():
     chi14, hell14 = poisson_divergences(1.0, 4.0)
     assert hell14 == pytest.approx(0.3934693402873666, rel=1e-12)  # 1 - exp(-0.5)
     assert poisson_divergences(3.0, 3.0) == (0.0, 0.0)
+    # the chi-square divergence passes every double; the Hellinger term stays in [0, 1]
+    for lam, lam2 in ((30, 1), (100, 0.1), (1e200, 1)):
+        chi, hell = poisson_divergences(lam, lam2)
+        assert chi == math.inf
+        assert 0.0 <= hell <= 1.0
 
 
 def test_hellinger_sq_unnormalized_is_twice_normalized():

@@ -205,6 +205,8 @@ def test_fit_rule_requirements():
         fit_rule(EstimatorConfig("npmle_eb"), y_cap=3)           # no fit
     with pytest.raises(InvalidInputError, match="y_cap"):
         fit_rule(EstimatorConfig("robbins_addone"), y_cap=-1, train=TRAIN)
+    with pytest.raises(UnsupportedRegimeError, match=r"over 1e\+07"):  # before any table
+        fit_rule(EstimatorConfig("robbins_addone"), y_cap=10 ** 7, train=TRAIN)
 
 
 def test_fitted_rule_validation():
