@@ -1,8 +1,7 @@
 """Empirical Bayes for Poisson counts.
 
 Core pieces: discrete mixing distributions and their Poisson mixtures
-(`mixtures`), finite-difference and orthogonal-polynomial machinery
-(`differences`), the nonparametric maximum-likelihood mixing estimator with a
+(`mixtures`), the nonparametric maximum-likelihood mixing estimator with a
 first-order certificate (`npmle`), plug-in estimation rules from Robbins'
 formula to the regularized mixture rule (`rules`), reference priors and
 certified discretizations (`priors`), local moment-matching compression of
@@ -26,13 +25,11 @@ from .mixtures import (
     DiscretePrior,
     MixturePmf,
     bayes_rule,
-    generating_function_check,
     hellinger_sq,
     log_poisson_pmf,
     mixture_tail_bound,
     mmse_exact,
     pmf_table,
-    poisson_divergences,
     posterior_moment_table,
 )
 from .npmle import (
@@ -80,11 +77,7 @@ __all__ = [
     # mixtures
     "DiscretePrior", "MixturePmf", "log_poisson_pmf", "pmf_table",
     "bayes_rule", "posterior_moment_table", "mmse_exact",
-    "hellinger_sq", "poisson_divergences",
-    "mixture_tail_bound", "generating_function_check",
-    # differences
-    "finite_diff", "diff_table", "summation_by_parts", "charlier",
-    "ak_sequence", "ak_recursion_residuals",
+    "hellinger_sq", "mixture_tail_bound",
     # npmle
     "CountHistogram", "NpmleFit", "fit_npmle", "grid_spec",
     "kkt_gap_on_grid", "log_likelihood", "load_count_data",
@@ -103,15 +96,10 @@ __all__ = [
 ]
 
 # Names served on first access (PEP 562), name -> defining submodule: only
-# `peb moment-match`, `peb verify` and library callers use these, so a sweep
-# never compiles or runs them.  A submodule's own name maps to itself.
-_LAZY = {
-    **dict.fromkeys(("differences", "ak_recursion_residuals", "ak_sequence", "charlier",
-                     "diff_table", "finite_diff", "summation_by_parts"), "differences"),
-    **dict.fromkeys(("moment_match", "MatchReport", "QuadraticPartition",
-                     "local_moment_match"), "moment_match"),
-    "verify": "verify",
-}
+# `peb moment-match` and library callers use these, so a sweep never compiles
+# or runs them.  The submodule's own name maps to itself.
+_LAZY = dict.fromkeys(("moment_match", "MatchReport", "QuadraticPartition",
+                       "local_moment_match"), "moment_match")
 
 
 def __getattr__(name: str):

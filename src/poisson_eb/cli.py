@@ -1,10 +1,10 @@
-"""Command-line front end: fit, estimate, sweep, match, verify.
+"""Command-line front end: fit, estimate, sweep, match.
 
 Every artifact written by a subcommand starts with a header recording the
 library version and the fully resolved configuration, so a run can be
-reproduced from its own output.  Exit codes: 0 success, 1 verification
-failure, 2 invalid configuration or input, 3 numerical failure, or under
-``--strict`` an uncertified result once the output is written.
+reproduced from its own output.  Exit codes: 0 success, 2 invalid
+configuration or input, 3 numerical failure, or under ``--strict`` an
+uncertified result once the output is written.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .npmle import fit_npmle, load_count_data
 from .priors import parse_prior_spec, resolve
 from .rules import CLI_KIND_NAMES, EstimatorConfig, _table_cap, fit_rule
 
-_EXIT_VERIFY_FAIL = 1
 _EXIT_BAD_CONFIG = 2
 _EXIT_NUMERICAL = 3
 
@@ -188,21 +187,6 @@ def cmd_moment_match(ctx, source, big_m, eta, c_const, out_path):
     _write_json(out_path, "moment-match",
                 {"source": source, "M": big_m, "eta": eta, "C": c_const},
                 "report", report.to_dict())
-
-
-@main.command("verify")
-@click.pass_context
-def cmd_verify(ctx):
-    """Run the identity/bound/certificate self-checks; exit 1 on any failure."""
-    from .verify import run_all
-
-    results = run_all()
-    for res in results:
-        click.echo(str(res))
-    failed = [r for r in results if not r.passed]
-    click.echo(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    if failed:
-        raise SystemExit(_EXIT_VERIFY_FAIL)
 
 
 if __name__ == "__main__":

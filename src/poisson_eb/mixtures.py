@@ -4,8 +4,7 @@ The objects here are the substrate for everything else in the package: a
 mixing distribution with finitely many atoms (`DiscretePrior`), its Poisson
 mixture pmf tabulated on ``y = 0..y_max`` with a certified tail bound
 (`MixturePmf`), and the exact quantities built from them — the posterior-mean
-(Bayes) rule, the Bayes risk, Hellinger/chi-square divergences, and the
-probability generating function identity used as a self-check.
+(Bayes) rule, the Bayes risk and the squared Hellinger distance.
 
 Conventions
 -----------
@@ -45,9 +44,8 @@ Conventions
   moment r where the w sum or the w theta^r sum fails.  So each table equals
   the one its own call gives.
 * Squared Hellinger distance between pmfs is the *unnormalized* sum
-  ``sum_y (sqrt f - sqrt g)^2``, which lives in ``[0, 2]``.  The closed forms
-  in :func:`poisson_divergences` use the 1/2-normalized convention in
-  ``[0, 1]``; multiply by 2 to land in the unnormalized one.
+  ``sum_y (sqrt f - sqrt g)^2``, which lives in ``[0, 2]``: twice the
+  1/2-normalized convention in ``[0, 1]``.
 """
 
 from __future__ import annotations
@@ -77,8 +75,6 @@ __all__ = [
     "posterior_moment_table",
     "mmse_exact",
     "hellinger_sq",
-    "poisson_divergences",
-    "generating_function_check",
 ]
 
 # Weights below this are dropped at construction time and the rest renormalized.
@@ -643,49 +639,3 @@ def hellinger_sq(f: MixturePmf, g: MixturePmf) -> float:
     # within the certified window.
     correction = (math.sqrt(tail_f) - math.sqrt(tail_g)) ** 2
     return head + correction
-
-
-def poisson_divergences(lam: float, lam2: float) -> tuple[float, float]:
-    """Closed forms for a pair of Poisson pmfs.
-
-    Returns ``(chi_sq, hellinger_sq_normalized)`` where
-
-    * ``chi_sq = exp((lam - lam2)^2 / lam2) - 1`` is the chi-square divergence
-      of Poi(lam) from Poi(lam2), and
-    * ``hellinger_sq_normalized = 1 - exp(-(sqrt lam - sqrt lam2)^2 / 2)`` is
-      the 1/2-normalized squared Hellinger distance (in [0, 1]); the
-      unnormalized table convention of :func:`hellinger_sq` is twice this.
-
-    ``chi_sq`` is inf once (lam - lam2)^2 / lam2 passes log(max double), about
-    709.78 (as for (30, 1) or (100, 0.1)): the divergence then exceeds every double.
-    """
-    if not (0 <= lam < math.inf and 0 < lam2 < math.inf):  # NaN too
-        raise InvalidInputError("need finite lam >= 0 and lam2 > 0")
-    gap = float(lam - lam2)
-    try:
-        chi_sq = math.expm1(gap * gap / lam2)  # a float product overflows to inf, not an error
-    except OverflowError:
-        chi_sq = math.inf
-    hell = -math.expm1(-0.5 * (math.sqrt(lam) - math.sqrt(lam2)) ** 2)
-    return chi_sq, hell
-
-
-# ---------------------------------------------------------------------------
-# generating function identity
-# ---------------------------------------------------------------------------
-
-def generating_function_check(prior: DiscretePrior, z: float) -> tuple[float, float]:
-    """Both sides of E z^Y = E exp((z - 1) theta) for z in [0, 1].
-
-    The left side sums the tabulated mixture pmf against z^y (the neglected
-    tail contributes at most the table's tail mass since z <= 1); the right
-    side evaluates the prior's moment generating function at z - 1.  The two
-    should agree to ~1e-10.
-    """
-    if not (0.0 <= z <= 1.0):
-        raise InvalidInputError("z must lie in [0, 1]")
-    table = pmf_table(prior, tail_tol=1e-13)
-    with np.errstate(under="ignore"):
-        lhs = float(table.values @ np.power(z, np.arange(table.values.size, dtype=float)))
-        rhs = float(prior.weights @ np.exp((z - 1.0) * prior.atoms))
-    return lhs, rhs

@@ -1,4 +1,9 @@
-"""Finite differences, Poisson-orthogonal polynomials, and weighted diff sums.
+"""Devices of the regret analysis that the tests check numerically.
+
+Finite differences, Poisson-orthogonal (Charlier) polynomials, the weighted
+difference statistics A_k, the closed-form Poisson divergences and the
+generating-function identity.  No experiment reads them; the tests recompute
+each two independent ways.
 
 Sequences are indexed from 0 and zero-extended outside their stored range, so
 the forward and backward difference operators are exact adjoints of one
@@ -10,24 +15,12 @@ the weighted difference statistics ``A_k`` computed here: `ak_sequence`
 returns the array of A_k^2, indexed by k.
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .mixtures import DiscretePrior, _whole, mixture_tail_bound, pmf_on_range
-
-__all__ = [
-    "finite_diff",
-    "diff_table",
-    "summation_by_parts",
-    "charlier",
-    "ak_sequence",
-    "ak_recursion_residuals",
-    "forward_weighted_diff_sum",
-]
+from poisson_eb.errors import InvalidInputError
+from poisson_eb.mixtures import DiscretePrior, _whole, mixture_tail_bound, pmf_on_range, pmf_table
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +113,18 @@ def charlier(k: int, y, theta: float):
     return p if p.ndim else float(p)
 
 
+def charlier_explicit(k: int, y, theta: float) -> np.ndarray:
+    """`charlier` without the recurrence: the hypergeometric expansion
+    sum_j (-1)^j C(k,j) y^(j)_falling theta^(-j), scaled by sqrt(theta^k / k!)."""
+    y = np.asarray(y, dtype=float)
+    total = np.zeros_like(y)
+    falling = np.ones_like(y)
+    for j in range(k + 1):
+        total += math.comb(k, j) * (-1.0) ** j * theta ** (-j) * falling
+        falling = falling * (y - j)
+    return total * math.sqrt(theta ** k / math.factorial(k))
+
+
 # ---------------------------------------------------------------------------
 # weighted difference statistics
 # ---------------------------------------------------------------------------
@@ -207,3 +212,49 @@ def forward_weighted_diff_sum(prior: DiscretePrior, k: int) -> float:
     ys = np.arange(f.size, dtype=float)
     with np.errstate(over="ignore", under="ignore"):
         return float(np.sum((ys + 1.0) ** k * d * d))
+
+
+# ---------------------------------------------------------------------------
+# closed forms for Poisson pmfs and their mixtures
+# ---------------------------------------------------------------------------
+
+def poisson_divergences(lam: float, lam2: float) -> tuple[float, float]:
+    """Closed forms for a pair of Poisson pmfs.
+
+    Returns ``(chi_sq, hellinger_sq_normalized)`` where
+
+    * ``chi_sq = exp((lam - lam2)^2 / lam2) - 1`` is the chi-square divergence
+      of Poi(lam) from Poi(lam2), and
+    * ``hellinger_sq_normalized = 1 - exp(-(sqrt lam - sqrt lam2)^2 / 2)`` is
+      the 1/2-normalized squared Hellinger distance (in [0, 1]); the
+      unnormalized table convention of `mixtures.hellinger_sq` is twice this.
+
+    ``chi_sq`` is inf once (lam - lam2)^2 / lam2 passes log(max double), about
+    709.78 (as for (30, 1) or (100, 0.1)): the divergence then exceeds every double.
+    """
+    if not (0 <= lam < math.inf and 0 < lam2 < math.inf):  # NaN too
+        raise InvalidInputError("need finite lam >= 0 and lam2 > 0")
+    gap = float(lam - lam2)
+    try:
+        chi_sq = math.expm1(gap * gap / lam2)  # a float product overflows to inf, not an error
+    except OverflowError:
+        chi_sq = math.inf
+    hell = -math.expm1(-0.5 * (math.sqrt(lam) - math.sqrt(lam2)) ** 2)
+    return chi_sq, hell
+
+
+def generating_function_check(prior: DiscretePrior, z: float) -> tuple[float, float]:
+    """Both sides of E z^Y = E exp((z - 1) theta) for z in [0, 1].
+
+    The left side sums the tabulated mixture pmf against z^y (the neglected
+    tail contributes at most the table's tail mass since z <= 1); the right
+    side evaluates the prior's moment generating function at z - 1.  The two
+    should agree to ~1e-10.
+    """
+    if not (0.0 <= z <= 1.0):
+        raise InvalidInputError("z must lie in [0, 1]")
+    table = pmf_table(prior, tail_tol=1e-13)
+    with np.errstate(under="ignore"):
+        lhs = float(table.values @ np.power(z, np.arange(table.values.size, dtype=float)))
+        rhs = float(prior.weights @ np.exp((z - 1.0) * prior.atoms))
+    return lhs, rhs

@@ -2,15 +2,15 @@ import ast
 import json
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from poisson_eb import cli, verify
+from poisson_eb import cli
 from poisson_eb import experiments as ex
 from poisson_eb.cli import main
 from poisson_eb.errors import NumericalFailureError
-from poisson_eb.verify import CheckResult
 
 PLAN_TEXT = """\
 name = cli_demo
@@ -338,7 +338,7 @@ def test_seed_flag_overrides_plan_seed_even_at_zero(runner, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# moment-match and verify
+# moment-match
 # ---------------------------------------------------------------------------
 
 def test_moment_match_verbatim_source(runner):
@@ -398,19 +398,18 @@ def test_moment_match_rejects_a_list_for_a_single_parameter(runner):
 
 
 def test_verify_command_passes(runner):
+    # `peb verify` is no command: its self-checks are tier-1 tests
     result = runner.invoke(main, ["verify"])
-    assert result.exit_code == 0, result.output
-    assert "6/6 checks passed" in result.output
-    assert "[FAIL]" not in result.output
+    assert result.exit_code == 2, result.output
+    assert "No such command 'verify'" in result.output
 
 
-def test_verify_command_exits_1_when_a_check_fails(runner, monkeypatch):
-    results = [CheckResult("fine", True, 0.0), CheckResult("broken", False, 2.0, "off")]
-    monkeypatch.setattr(verify, "run_all", lambda: results)
-    result = runner.invoke(main, ["verify"])
-    assert result.exit_code == 1, result.output
-    assert "[FAIL] broken: worst=2.000e+00 off" in result.output
-    assert "1/2 checks passed" in result.output
+def test_readme_command_block_names_every_subcommand(runner):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    documented = sorted(line.split()[1] for line in block.splitlines() if line.startswith("peb "))
+    listed = runner.invoke(main, ["--help"]).output.split("Commands:", 1)[1]
+    assert documented == sorted(line.split()[0] for line in listed.splitlines() if line.strip())
 
 
 def test_numerical_failure_exits_3(runner, monkeypatch):
@@ -454,7 +453,7 @@ def test_f_modeling_and_oracle_plan_runs_without_scipy(in_fresh_interpreter):
 
 
 def test_a_sweep_loads_only_the_modules_it_runs(in_fresh_interpreter):
-    # moment-match, verify and the JSON count loader import theirs where they run
+    # moment-match and the JSON count loader import theirs where they run
     plan = ("prior = family=heavy_tail p=2\nn_grid = 100,1000\nreplicates = 1\n"
             "methods = npmle,robbins-trunc\n")
     code = "import poisson_eb.cli\n" + _RUN_PLAN.format(plan=plan) + (
@@ -465,20 +464,31 @@ def test_a_sweep_loads_only_the_modules_it_runs(in_fresh_interpreter):
 
 
 def test_lazily_served_names_are_their_modules_objects(in_fresh_interpreter):
+    # moment_match is the one module served on first access; differences and
+    # verify left the package
     code = ("import poisson_eb\n"
-            "lazy = [m for m in sys.modules if m.startswith('poisson_eb.') and m.endswith(\n"
-            "        ('differences', 'moment_match', 'verify'))]\n"
+            "lazy = 'poisson_eb.moment_match' in sys.modules\n"
             "from poisson_eb import *\n"
-            "from poisson_eb import differences, moment_match, verify\n"
+            "from poisson_eb import moment_match\n"
             "print(lazy)\n"
             "print([n for n in poisson_eb.__all__ if n not in globals()])\n"
             "print([n for n in poisson_eb.__all__ if getattr(sys.modules[\n"
             "       getattr(globals()[n], '__module__', 'poisson_eb')], n) is not globals()[n]])\n"
-            "print(poisson_eb.charlier is differences.charlier,\n"
-            "      poisson_eb.local_moment_match is moment_match.local_moment_match,\n"
-            "      poisson_eb.verify is verify is sys.modules['poisson_eb.verify'],\n"
-            "      set(poisson_eb.__all__) <= set(dir(poisson_eb)))\n")
-    assert in_fresh_interpreter(code).splitlines() == ["[]", "[]", "[]", "True True True True"]
+            "print(poisson_eb.local_moment_match is moment_match.local_moment_match,\n"
+            "      poisson_eb.moment_match is sys.modules['poisson_eb.moment_match'],\n"
+            "      set(poisson_eb.__all__) <= set(dir(poisson_eb)))\n"
+            "for gone in ('verify', 'differences'):\n"
+            "    try:\n"
+            "        __import__(f'poisson_eb.{gone}')\n"
+            "    except ModuleNotFoundError:\n"
+            "        print(gone, 'missing')\n"
+            "try:\n"
+            "    poisson_eb.charlier\n"
+            "except AttributeError:\n"
+            "    print('charlier missing')\n")
+    assert in_fresh_interpreter(code).splitlines() == [
+        "False", "[]", "[]", "True True True",
+        "verify missing", "differences missing", "charlier missing"]
 
 
 def test_npmle_plan_loads_only_the_compiled_nnls(in_fresh_interpreter):

@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import comb
+from scipy.special import comb, gammaln
 
-from poisson_eb.errors import InvalidInputError
-from poisson_eb.differences import (
+from identities import (
     ak_recursion_residuals,
     ak_sequence,
     charlier,
+    charlier_explicit,
     diff_table,
     finite_diff,
     forward_weighted_diff_sum,
     summation_by_parts,
 )
+from poisson_eb.errors import InvalidInputError
 from poisson_eb.mixtures import DiscretePrior, pmf_on_range
 
 # differences and weighted sums run under scoped error states; a stray overflow warns
@@ -140,7 +141,19 @@ def test_charlier_orthonormal_under_poisson():
     pmf = pmf_on_range(DiscretePrior([theta], [1.0]), y_hi)
     P = np.vstack([charlier(k, ys, theta) for k in range(k_hi + 1)])
     gram = (P * pmf) @ P.T
-    np.testing.assert_allclose(gram, np.eye(k_hi + 1), atol=1e-10)
+    np.testing.assert_allclose(gram, np.eye(k_hi + 1), rtol=0, atol=1e-10)
+    # k <= 8 under scipy's log y! weights, not the kernel's, and the recurrence
+    # against the explicit expansion at scattered points
+    pts = np.array([0.0, 1.0, 3.0, 7.0, 19.0])
+    for theta in (0.5, 1.0, 5.0, 20.0):
+        ys = np.arange(int(theta + 30.0 * math.sqrt(theta + 1.0) + 120.0) + 1)
+        w = np.exp(ys * math.log(theta) - theta - gammaln(ys + 1.0))
+        P = np.vstack([charlier(k, ys, theta) for k in range(9)])
+        np.testing.assert_allclose((P * w) @ P.T, np.eye(9), rtol=0, atol=1e-8)
+        for k in range(9):
+            direct = charlier_explicit(k, pts, theta)
+            err = np.abs(charlier(k, pts, theta) - direct) / np.maximum(np.abs(direct), 1.0)
+            assert err.max() <= 1e-8, (theta, k, err.max())
 
 
 def test_charlier_array_input_and_validation():
@@ -157,6 +170,13 @@ def test_charlier_array_input_and_validation():
 # ---------------------------------------------------------------------------
 
 D23 = (DiscretePrior([2.0], [1.0]), DiscretePrior([3.0], [1.0]))
+CANNED_PAIRS = [
+    (DiscretePrior([1.0], [1.0]), DiscretePrior([3.0], [1.0])),
+    (DiscretePrior([0.5, 4.0], [0.3, 0.7]), DiscretePrior([1.0, 6.0], [0.6, 0.4])),
+    (DiscretePrior([2.0], [1.0]), DiscretePrior([2.0, 9.0], [0.9, 0.1])),
+    (DiscretePrior(np.linspace(0.2, 8.0, 7), np.full(7, 1 / 7)),
+     DiscretePrior(np.linspace(0.1, 10.0, 5), np.full(5, 0.2))),
+]
 
 
 def test_ak_sequence_frozen_point_mass_pair():
@@ -177,7 +197,7 @@ def test_ak_cap_bound():
     pairs = [
         D23,
         (DiscretePrior([0.5, 6.0], [0.5, 0.5]), DiscretePrior([1.0], [1.0])),
-    ]
+    ] + CANNED_PAIRS
     for rho in (1e-3, 1e-5):
         for g1, g2 in pairs:
             ak_sq = ak_sequence(g1, g2, rho=rho, k_max=10)
@@ -186,12 +206,12 @@ def test_ak_cap_bound():
 
 
 def test_ak_recursion_residual_scale():
-    rho = 1e-4
-    res = ak_recursion_residuals(ak_sequence(*D23, rho=rho, k_max=8))
-    cap = 100.0 * math.log(1.0 / rho)
-    for i, r in enumerate(res):
-        if np.isfinite(r):
-            assert r <= cap + (i + 1)
+    # the residual at k stays within 100 log(1/rho) + k; NaN only where A_k vanishes
+    cases = [(D23, 1e-4, 8)] + [(pair, rho, 10) for rho in (1e-3, 1e-5) for pair in CANNED_PAIRS]
+    for (g1, g2), rho, k_max in cases:
+        res = ak_recursion_residuals(ak_sequence(g1, g2, rho=rho, k_max=k_max))
+        for k, r in enumerate(res, start=1):
+            assert not r > 100.0 * math.log(1.0 / rho) + k, (rho, k, r)
 
 
 def test_ak_validation():
@@ -212,12 +232,12 @@ def test_plain_weighted_diff_bounds():
         DiscretePrior([1.0], [1.0]),
         DiscretePrior([0.2, 8.0], [0.4, 0.6]),
         DiscretePrior([3.0, 5.0, 11.0], [0.2, 0.5, 0.3]),
-    ]
+    ] + [g for pair in CANNED_PAIRS for g in pair]
     for g in priors:
-        for k in range(0, 7):
-            assert forward_weighted_diff_sum(g, k) <= 2.0 * math.factorial(k) + 1e-12
-        for k in (0, 2, 4, 6):
-            assert forward_weighted_diff_sum(g, k) <= 2.0 ** (3 * k) * math.factorial(k) + 1e-12
+        for k in range(0, 11):
+            assert forward_weighted_diff_sum(g, k) <= 2.0 * math.factorial(k)
+        for k in (0, 2, 4, 6, 8, 10):
+            assert forward_weighted_diff_sum(g, k) <= 2.0 ** (3 * k) * math.factorial(k)
 
 
 def test_forward_sum_equals_its_backward_form():

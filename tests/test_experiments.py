@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from identities import ak_sequence, charlier, diff_table, finite_diff, forward_weighted_diff_sum
 from poisson_eb.errors import InvalidInputError, UnsupportedRegimeError
 from poisson_eb import experiments as ex
 from poisson_eb.experiments import (
@@ -21,13 +22,6 @@ from poisson_eb.experiments import (
     parse_plan,
     run_plan,
     total_regret_trial,
-)
-from poisson_eb.differences import (
-    ak_sequence,
-    charlier,
-    diff_table,
-    finite_diff,
-    forward_weighted_diff_sum,
 )
 from poisson_eb.mixtures import (
     DiscretePrior,
@@ -53,7 +47,6 @@ from poisson_eb.rules import (
     robbins_truncated,
     tuned_config,
 )
-from poisson_eb.verify import binomial_identity_check
 
 TP_SPEC = PriorSpec("two_point", {"eps": 0.2, "a": 5.0})
 TP = resolve(TP_SPEC)
@@ -514,7 +507,6 @@ _SIZED_CALLS = {  # each call with a whole-number argument: a size, table end, n
     "charlier": lambda k: charlier(k, 3.0, 2.0),
     "ak_sequence": lambda k: ak_sequence(_POINT, DiscretePrior([2.0], [1.0]), 0.1, k),
     "forward_weighted_diff_sum": lambda k: forward_weighted_diff_sum(_POINT, k),
-    "binomial_identity_check": lambda k: binomial_identity_check(k),
     "divergent_mixture_pmf": lambda k: divergent_mixture_pmf(k),
 }
 

@@ -4,7 +4,9 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln, logsumexp
 
+from identities import generating_function_check, poisson_divergences
 from poisson_eb import mixtures, priors
 from poisson_eb.errors import DegenerateSupportError, InvalidInputError, TailCoverageError
 from poisson_eb.mixtures import (
@@ -12,14 +14,12 @@ from poisson_eb.mixtures import (
     DiscretePrior,
     MixturePmf,
     bayes_rule,
-    generating_function_check,
     hellinger_sq,
     log_poisson_pmf,
     mixture_tail_bound,
     mmse_exact,
     pmf_and_moment_tables,
     pmf_table,
-    poisson_divergences,
     posterior_moment_table,
 )
 
@@ -195,6 +195,25 @@ def test_poisson_divergences_closed_forms():
         chi, hell = poisson_divergences(lam, lam2)
         assert chi == math.inf
         assert 0.0 <= hell <= 1.0
+    # against direct sums, in log space: chi^2 + 1 = sum f^2/g has terms spanning
+    # hundreds of orders of magnitude for well-separated rates (for (4, 0.1) the
+    # sum is ~e^152), so a linear-space sum would underflow where the mass lives
+    for lam, lam2 in ((0.3, 0.7), (0.7, 0.3), (1.0, 2.0), (2.0, 1.0), (1.0, 1.0), (5.0, 3.0),
+                      (3.0, 5.0), (10.0, 10.0), (0.1, 4.0), (4.0, 0.1), (2.5, 2.6), (8.0, 12.0),
+                      (12.0, 8.0), (0.5, 0.5), (6.0, 1.0), (1.0, 6.0), (9.0, 14.0), (14.0, 9.0),
+                      (0.2, 0.9), (0.9, 0.2)):
+        chi, hell = poisson_divergences(lam, lam2)
+        hi, lo = max(lam, lam2), min(lam, lam2)
+        y = np.arange(int(20 * hi * hi / max(lo, 0.05) + 40 * hi + 400) + 1)
+        logf = y * math.log(lam) - lam - gammaln(y + 1.0)
+        logg = y * math.log(lam2) - lam2 - gammaln(y + 1.0)
+        log_sum_ffg = float(logsumexp(2.0 * logf - logg))
+        closed_log = (lam - lam2) ** 2 / lam2
+        assert abs(math.log1p(chi) - log_sum_ffg) <= 1e-10 * max(1.0, closed_log), (lam, lam2)
+        if closed_log < 30:  # a linear-space comparison is meaningful here too
+            chi_direct = math.expm1(log_sum_ffg)
+            assert abs(chi - chi_direct) <= 1e-10 * max(chi_direct, 1.0), (lam, lam2)
+        assert abs(hell + math.expm1(float(logsumexp((logf + logg) / 2.0)))) <= 1e-10, (lam, lam2)
 
 
 def test_hellinger_sq_unnormalized_is_twice_normalized():
@@ -268,6 +287,16 @@ def test_generating_function_identity(z, a1, a2, w):
     g = DiscretePrior([a1, a2], [w, 1.0 - w]) if abs(a1 - a2) > 1e-9 else DiscretePrior([a1], [1.0])
     lhs, rhs = generating_function_check(g, z)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+
+def test_generating_function_identity_on_random_priors():
+    # 1-5 atoms on [0, 15], at a bound relative to the left side
+    rng = np.random.default_rng(20240817)
+    for _ in range(100):
+        m = int(rng.integers(1, 6))
+        g = DiscretePrior(rng.uniform(0.0, 15.0, size=m), rng.dirichlet(np.ones(m)))
+        lhs, rhs = generating_function_check(g, float(rng.uniform(0.0, 1.0)))
+        assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1e-12), (g.atoms, g.weights)
 
 
 # ---------------------------------------------------------------------------
