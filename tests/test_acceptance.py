@@ -363,9 +363,9 @@ def test_outputs_match_the_pinned_files():
             want_lines = plan_path.with_suffix(suffix).read_text().splitlines()
             assert len(got_lines) == len(want_lines), plan_path.with_suffix(suffix).name
             for got_line, want_line in zip(got_lines, want_lines):
-                cells = list(zip(got_line.split(","), want_line.split(",")))
                 assert got_line.count(",") == want_line.count(",") and all(
-                    _same_cell(g, w) for g, w in cells), (got_line, want_line)
+                    _same_cell(g, w) for g, w in zip(got_line.split(","), want_line.split(","))
+                ), (got_line, want_line)
 
 
 def test_public_namespace_resolves():

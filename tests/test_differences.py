@@ -235,9 +235,9 @@ def test_plain_weighted_diff_bounds():
     ] + [g for pair in CANNED_PAIRS for g in pair]
     for g in priors:
         for k in range(0, 11):
-            assert forward_weighted_diff_sum(g, k) <= 2.0 * math.factorial(k)
-        for k in (0, 2, 4, 6, 8, 10):
-            assert forward_weighted_diff_sum(g, k) <= 2.0 ** (3 * k) * math.factorial(k)
+            fb = forward_weighted_diff_sum(g, k)
+            assert fb <= 2.0 * math.factorial(k), (k, fb)
+            assert k % 2 or fb <= 2.0 ** (3 * k) * math.factorial(k), (k, fb)
 
 
 def test_forward_sum_equals_its_backward_form():
