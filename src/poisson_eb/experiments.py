@@ -8,20 +8,21 @@ byte-identical and rows never depend on execution order.
 
 Conventions
 -----------
+* A replicate draws one training sample and fits at most one NPMLE, and
+  scores all its rows from that draw and fit, passed as arguments
+  (`_replicate`).  ``hellinger_sq`` is the squared Hellinger distance of the
+  NPMLE mixture fitted to the n-1 training counts, the ``npmle`` rows' fit.
 * Individual regret E(rule(Y) - theta_G(Y))^2 is computed by *exact*
   summation over y against the certified reference mixture: the training
   sample (size n-1, matching the leave-one-out convention) is random, the
   test variable is integrated out.  Mass beyond the working cap y_cap is
   summed separately and reported in the std_error column as a deterministic
   tail term.  The oracle reads no training sample, so its trial draws none;
-  every other method trains on the sample drawn from the replicate's key,
-  drawn and histogrammed once for all of them
-  (`ResolvedPrior.count_histogram`: the zero atom's draws count at y = 0
-  with no Poisson draw, and only the rest are sorted, with no length-n theta
-  or count array; the histogram equals that of `sample_counts`' Y).  The
-  squared errors and their products with the pmf are built in place.  The
-  sums are numpy reductions, not BLAS dots, whose rounding would depend on
-  the BLAS thread count.
+  every other method trains on the histogram drawn from the replicate's key
+  (`ResolvedPrior.count_histogram`, with no length-n array).  The squared
+  errors and their products with the pmf are built in place.  The sums are
+  numpy reductions, not BLAS dots, whose rounding would depend on the BLAS
+  thread count.
 * Divergent regret is reported as infinite, never as a windowed partial sum.
   When the prior has E theta^2 = inf, so does theta_G(Y), and a rule that
   stays bounded beyond its table (`rules.bounded_beyond_table`: plain and
@@ -35,10 +36,11 @@ Conventions
 * Infinite plain-Robbins estimates contribute squared error capped at 1e12
   and are counted in the row's flags.
 * The caller owns the stream keys.  `run_plan` keys each draw by
-  (plan seed, n, replicate, purpose) and hands the key to the public trial
-  function, which uses it as given; no function derives one key from
-  another.  A row is therefore reproduced by calling its trial function with
-  the row's keys and the plan's ``tuning_c``.  A key is a tuple of whole
+  (plan seed, n, replicate, purpose) and hands the keys to `_replicate`,
+  which uses them as given; no function derives one key from another.  A row
+  is therefore reproduced by calling its public trial function with the
+  row's keys and the plan's ``tuning_c``: a ``hellinger_sq`` row by
+  `density_risk_trial` with the training key.  A key is a tuple of whole
   numbers >= 0, checked where its generator is built (`priors._entropy`).
 * Every NPMLE fit runs to the KKT tolerance SOLVER_TOL and the exact regret
   sum stops at the reference's 1 - Y_CAP_EPS quantile; the header records both.
@@ -175,7 +177,8 @@ def parse_plan(text: str) -> ExperimentPlan:
     methods       distinct rules from oracle, robbins, robbins-addone,
                   robbins-trunc, npmle, comma-separated (default none)
     metrics       distinct from hellinger_sq, individual_regret,
-                  total_regret, comma-separated (default individual_regret)
+                  total_regret, comma-separated (default individual_regret);
+                  hellinger_sq scores the npmle rows' fit to n-1 counts
     seed          plan seed >= 0, the first part of every stream key (default 0)
     disc_tol      absolute pmf tolerance of the discretization (1e-6)
     tuning_c      finite c > 0 of the tuned truncation levels (default 1)
@@ -301,8 +304,7 @@ class ExperimentReport:
 # seeding
 # ---------------------------------------------------------------------------
 
-# purpose codes for the per-trial substreams
-_PURPOSE_DENSITY = 0
+# purpose codes for the per-replicate substreams
 _PURPOSE_TRAIN = 1
 _PURPOSE_DIRECT = 2
 
@@ -311,23 +313,78 @@ _PURPOSE_DIRECT = 2
 # trials
 # ---------------------------------------------------------------------------
 
-def density_risk_trial(
-    resolved: ResolvedPrior,
-    n: int,
-    seed,
-) -> tuple[float, list[str]]:
+def _replicate(resolved: ResolvedPrior, n: int, cells: list, seed, tuning_c: float = 1.0,
+               direct_seed=None) -> list:
+    """Score the (method, metrics) cells of one replicate from one draw and one fit.
+
+    The n-1 training counts are drawn from `seed` once, unless every cell is
+    the oracle's, and the NPMLE is fitted to them once if a cell is labelled
+    ``npmle`` (the ``hellinger_sq`` cell is).  Returns per cell, in order,
+    ``{metric: (value, tail_term, flags)}`` or the exception that failed it: a
+    failed fit fails every ``npmle`` cell, a failed rule its own cell, and a
+    failed draw raises.
+    """
+    n = _whole(n, "n", 10)
+    train = fit = None
+    if any(method != "oracle" for method, _ in cells):
+        train = resolved.count_histogram(seed, n - 1)
+    if any(method == "npmle" for method, _ in cells):
+        fit = _attempt(fit_npmle, train, tol=SOLVER_TOL)
+    return [fit if method == "npmle" and isinstance(fit, Exception) else
+            _attempt(_score, resolved, n, method, metrics, train, fit, tuning_c, direct_seed)
+            for method, metrics in cells]
+
+
+def _attempt(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or the exception it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - it fails the rows that read the result
+        return exc
+
+
+def _score(resolved, n, method, metrics, train, fit, tuning_c, direct_seed) -> dict:
+    """The rows of one cell of `_replicate`."""
+    if "hellinger_sq" in metrics:
+        ref = resolved.pmf()
+        fit_table = pmf_table(fit.prior, tail_tol=ref.tail_tol, min_len=ref.values.size)
+        flags = [] if fit.converged else ["solver_not_converged"]
+        return {"hellinger_sq": (hellinger_sq(fit_table, ref), 0.0, flags)}
+    config = tuned_config(method, n, resolved.p, m_p=resolved.p_moment, c=tuning_c)
+    y_hi = resolved.pmf().y_max
+    if config.kind == "oracle":
+        table, rule_flags = resolved.oracle_table(y_hi), []
+    else:
+        rule = fit_rule(config, y_hi, train=train, fit=fit)
+        table, rule_flags = rule.table, [f"{name}={v}" for name, v in rule.flags.items() if v]
+    if _regret_diverges(resolved, config):
+        value, tail, flags = math.inf, math.inf, rule_flags + [DIVERGENT_FLAG]
+    else:
+        value, tail, flags = _regret_from_table(resolved, table, rule_flags,
+                                                resolved.quantile_y(Y_CAP_EPS))
+    out = {"individual_regret": (value, tail, flags), "total_regret": (n * value, n * tail, flags)}
+    if "total_regret_direct" in metrics:
+        out["total_regret_direct"] = _direct_total(resolved, n, config, direct_seed)
+    return out
+
+
+def _trial(resolved, n, method, metrics, *args) -> dict:
+    """The rows of a one-cell replicate; an exception that failed the cell is raised."""
+    (result,) = _replicate(resolved, n, [(method, metrics)], *args)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def density_risk_trial(resolved: ResolvedPrior, n: int, seed) -> tuple[float, list[str]]:
     """Squared Hellinger distance of the fitted mixture pmf from the reference.
 
-    Draws n counts, fits the NPMLE, and compares pmf tables on a shared
-    certified range.  Returns (H^2, flags); an uncertified fit is flagged
-    ``solver_not_converged``.
+    Fits the NPMLE to the n - 1 training counts drawn from `seed`, the fit the
+    ``npmle`` regret rows of that key read, and compares pmf tables on a
+    shared certified range.  Returns (H^2, flags); an uncertified fit is
+    flagged ``solver_not_converged``.
     """
-    _whole(n, "n", 10)
-    fit = fit_npmle(resolved.count_histogram(seed, n), tol=SOLVER_TOL)
-    ref = resolved.pmf()
-    fit_table = pmf_table(fit.prior, tail_tol=ref.tail_tol, min_len=ref.values.size)
-    value = hellinger_sq(fit_table, ref)
-    flags = [] if fit.converged else ["solver_not_converged"]
+    value, _, flags = _trial(resolved, n, "npmle", ("hellinger_sq",), seed)["hellinger_sq"]
     return value, flags
 
 
@@ -363,13 +420,8 @@ def _regret_from_table(
     return value, tail_term, ([f"capped={n_capped}"] if n_capped else []) + rule_flags
 
 
-def individual_regret_trial(
-    resolved: ResolvedPrior,
-    n: int,
-    method: str,
-    seed,
-    tuning_c: float = 1.0,
-) -> tuple[float, float, list[str]]:
+def individual_regret_trial(resolved: ResolvedPrior, n: int, method: str, seed,
+                            tuning_c: float = 1.0) -> tuple[float, float, list[str]]:
     """E(rule(Y) - theta_G(Y))^2 for one random training sample of size n-1.
 
     The rule is `rules.tuned_config` at n, scaled by `tuning_c`.  The expectation
@@ -383,29 +435,11 @@ def individual_regret_trial(
     set by the window.
     Returns (value, tail_term, flags).
     """
-    _whole(n, "n", 10)
-    config = tuned_config(method, n, resolved.p, m_p=resolved.p_moment, c=tuning_c)
-    y_hi = resolved.pmf().y_max
-    if config.kind == "oracle":
-        table, rule_flags = resolved.oracle_table(y_hi), []
-    else:
-        train = resolved.count_histogram(seed, n - 1)
-        fit = fit_npmle(train, tol=SOLVER_TOL) if config.kind == "npmle_eb" else None
-        rule = fit_rule(config, y_hi, train=train, fit=fit)
-        table, rule_flags = rule.table, [f"{name}={v}" for name, v in rule.flags.items() if v]
-    if _regret_diverges(resolved, config):
-        return math.inf, math.inf, rule_flags + [DIVERGENT_FLAG]
-    return _regret_from_table(resolved, table, rule_flags, resolved.quantile_y(Y_CAP_EPS))
+    return _trial(resolved, n, method, ("individual_regret",), seed, tuning_c)["individual_regret"]
 
 
-def total_regret_trial(
-    resolved: ResolvedPrior,
-    n: int,
-    method: str,
-    seed,
-    tuning_c: float = 1.0,
-    direct_seed=None,
-) -> dict:
+def total_regret_trial(resolved: ResolvedPrior, n: int, method: str, seed,
+                       tuning_c: float = 1.0, direct_seed=None) -> dict:
     """The regret rows of one trial: ``{metric: (value, tail_term, flags)}``.
 
     ``individual_regret`` is :func:`individual_regret_trial` on the sample
@@ -415,12 +449,9 @@ def total_regret_trial(
     subtracts n times the reference Bayes risk.  The two total-regret paths
     agree in expectation: a standing consistency check on the pipeline.
     """
-    ind, tail, flags = individual_regret_trial(resolved, n, method, seed, tuning_c)
-    out = {"individual_regret": (ind, tail, flags), "total_regret": (n * ind, n * tail, flags)}
-    if direct_seed is not None:
-        config = tuned_config(method, n, resolved.p, m_p=resolved.p_moment, c=tuning_c)
-        out["total_regret_direct"] = _direct_total(resolved, n, config, direct_seed)
-    return out
+    direct = ("total_regret_direct",) if direct_seed is not None else ()
+    return _trial(resolved, n, method, ("individual_regret", "total_regret") + direct, seed,
+                  tuning_c, direct_seed)
 
 
 def _direct_total(
@@ -532,42 +563,35 @@ def fit_rate(ns, values, method: str = "", metric: str = "") -> RateFit:
 def run_plan(plan: ExperimentPlan, resolved: ResolvedPrior | None = None) -> ExperimentReport:
     """Execute a plan: all rows in deterministic (n, replicate, method, metric) order.
 
-    Each row is the public trial call with the row's stream keys and the
-    plan's ``tuning_c``.  Every scheduled row is produced; a trial
-    that raises yields NaN rows flagged ``failed:<exception>`` for all the
-    metrics it would have produced, rather than silently vanishing.
+    Each replicate's rows share one draw and fit (`_replicate`), and each row
+    equals the public trial call with the row's stream keys and the plan's
+    ``tuning_c``.  Every scheduled row is produced: a failure yields NaN rows
+    flagged ``failed:<exception>`` for the rows it reaches (a draw all of its
+    replicate's, a fit the ``npmle`` rows, a rule its method's) rather than
+    silently vanishing.
     """
     t0 = time.perf_counter()
     if resolved is None:
         resolved = resolve(plan.prior, p=plan.p, disc_tol=plan.disc_tol, seed=plan.seed)
 
-    def density(n, rep, _method):
-        key = (plan.seed, n, rep, _PURPOSE_DENSITY)
-        value, flags = density_risk_trial(resolved, n, key)
-        return {"hellinger_sq": (value, 0.0, flags)}
-
-    def regret(n, rep, method):
-        return total_regret_trial(
-            resolved, n, method, (plan.seed, n, rep, _PURPOSE_TRAIN), plan.tuning_c,
-            direct_seed=(plan.seed, n, rep, _PURPOSE_DIRECT) if plan.direct_total else None,
-        )
-
     regret_metrics = [m for m in ("individual_regret", "total_regret") if m in plan.metrics]
     regret_metrics += ["total_regret_direct"] if plan.direct_total else []
-    cells = [(density, "npmle", ["hellinger_sq"])] if "hellinger_sq" in plan.metrics else []
+    cells = [("npmle", ("hellinger_sq",))] if "hellinger_sq" in plan.metrics else []
     if regret_metrics:
-        cells += [(regret, method, regret_metrics) for method in plan.methods]
+        cells += [(method, tuple(regret_metrics)) for method in plan.methods]
     rows: list[ExperimentRow] = []
     for n in plan.n_grid:
         for rep in range(plan.replicates):
-            for trial, method, metrics in cells:
-                try:
-                    results = trial(n, rep, method)
-                except Exception as exc:  # noqa: BLE001 - every row must exist
-                    failed = (math.nan, 0.0, [f"failed:{type(exc).__name__}"])
-                    results = dict.fromkeys(metrics, failed)
+            results = _attempt(_replicate, resolved, n, cells, (plan.seed, n, rep, _PURPOSE_TRAIN),
+                               plan.tuning_c, (plan.seed, n, rep, _PURPOSE_DIRECT))
+            if isinstance(results, Exception):  # a failed draw: every row must exist
+                results = [results] * len(cells)
+            for (method, metrics), result in zip(cells, results):
+                if isinstance(result, Exception):
+                    failed = (math.nan, 0.0, [f"failed:{type(result).__name__}"])
+                    result = dict.fromkeys(metrics, failed)
                 for metric in metrics:
-                    value, se, flags = results[metric]
+                    value, se, flags = result[metric]
                     rows.append(ExperimentRow(n, rep, method, metric, value, se, ";".join(flags)))
 
     report = ExperimentReport(plan=plan, rows=rows, slopes=[], runtime_seconds=0.0)

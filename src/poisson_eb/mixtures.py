@@ -559,7 +559,7 @@ def _closed_pmf(prior: DiscretePrior, log_f: np.ndarray, tail_tol: float) -> Mix
     sharper (essentially exact) value of the same tail, so the smaller of the
     two is stored.  Both keep head + tail within 1e-10 of one.
     """
-    values = np.exp(log_f)
+    values = np.exp(np.minimum(log_f, 0.0))  # log f(0) rounds above 0 when all atoms are near 0
     analytic = mixture_tail_bound(prior, values.size - 1)
     tail_mass = min(max(0.0, 1.0 - float(values.sum())), analytic)
     return MixturePmf(values=values, tail_mass=tail_mass, tail_tol=tail_tol)

@@ -23,8 +23,7 @@ moment_class_extremal) are their own discretization, with ``disc_error`` 0.
 contains the quantile for every eps >= 1e-11; a smaller eps is refused.
 That table and the oracle posterior-mean table over its range come from one
 pass over the discretization: for a continuous family, the pass that
-certifies it.  `count_histogram(seed, size)` keeps the last histogram it
-drew, so the methods that train on one stream key share a draw.
+certifies it.
 
 Every theta is drawn from K, the certified discretization that every score
 is taken against: one multinomial over K's atoms (the conditional binomial
@@ -389,10 +388,9 @@ class ResolvedPrior:
     over its range come together: a continuous family's from the pass
     `resolve` certifies it with (`reference_tables`), an exact family's from
     one pass on first use of either.  Other pmf tails, longer oracle tables
-    and the Bayes risk are computed lazily.  The last training histogram is
-    cached too, keyed by its stream key and size.  `second_moment_finite`
-    records whether E theta^2 < inf for the family itself (not its truncated
-    discretization, whose moments are all finite).
+    and the Bayes risk are computed lazily; draws are not cached.
+    `second_moment_finite` records whether E theta^2 < inf for the family
+    itself (not its truncated discretization, whose moments are all finite).
     """
 
     def __init__(self, spec: PriorSpec, p: float, discretization: DiscretePrior,
@@ -441,20 +439,14 @@ class ResolvedPrior:
 
         The zero atom's draws count at y = 0 with no Poisson draw, and only
         the rest are sorted (`np.unique`): no length-n theta or Y array is
-        formed.  Only the last (key, histogram) pair is kept, so the methods
-        that train on one stream key share one draw.  The old pair is dropped
-        before a new draw.
+        formed.
         """
-        key = (_entropy(seed), _whole(size, "size", 1))
-        if self._cache.get("counts", (None,))[0] != key:
-            self._cache.pop("counts", None)
-            _, zeros, rest = self._draw(seed, size)
-            ys, cnts = np.unique(rest, return_counts=True)
-            if zeros and ys[:1].tolist() != [0]:  # no Poisson count is 0: insert the bin
-                ys, cnts = np.insert(ys, 0, 0), np.insert(cnts, 0, 0)
-            cnts[:1] += zeros  # the zero atom's draws count at y = 0
-            self._cache["counts"] = (key, CountHistogram(ys, cnts))
-        return self._cache["counts"][1]
+        _, zeros, rest = self._draw(seed, size)
+        ys, cnts = np.unique(rest, return_counts=True)
+        if zeros and ys[:1].tolist() != [0]:  # no Poisson count is 0: insert the bin
+            ys, cnts = np.insert(ys, 0, 0), np.insert(cnts, 0, 0)
+        cnts[:1] += zeros  # the zero atom's draws count at y = 0
+        return CountHistogram(ys, cnts)
 
     # -- cached derived artifacts ------------------------------------------
 

@@ -302,7 +302,7 @@ def test_sweep_strictness_controls_exit_code(runner, tmp_path, monkeypatch):
     def boom(*a, **k):
         raise ValueError("synthetic failure")
 
-    monkeypatch.setattr(ex, "individual_regret_trial", boom)
+    monkeypatch.setattr(ex, "_regret_from_table", boom)  # every regret row fails
     plan = write(tmp_path, "plan.txt", PLAN_TEXT)
     lenient = runner.invoke(main, ["regret-sweep", plan])
     assert lenient.exit_code == 0

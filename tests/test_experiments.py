@@ -310,27 +310,42 @@ def test_oracle_regret_trial_draws_no_sample(monkeypatch):
 
 
 def test_methods_sharing_a_key_share_one_draw(monkeypatch):
+    # each replicate draws its training counts once and fits the NPMLE once, for all its rows
     r = resolve(TP_SPEC, p=2.0)
-    calls = []
+    draws, fits = [], []
     real_atom_counts = ResolvedPrior._atom_counts  # every draw's one multinomial
+    real_fit = ex.fit_npmle
 
-    def spy(self, seed, size):
-        calls.append((seed, size))
+    def spy_draw(self, seed, size):
+        draws.append((seed, size))
         return real_atom_counts(self, seed, size)
 
-    monkeypatch.setattr(ResolvedPrior, "_atom_counts", spy)
-    addone = individual_regret_trial(r, 50, "robbins-addone", (3, 4))
-    trunc = individual_regret_trial(r, 50, "robbins-trunc", (3, 4))
-    assert calls == [((3, 4), 49)]
-    individual_regret_trial(r, 50, "robbins-trunc", (3, 5))  # a new key draws again
-    individual_regret_trial(r, 60, "robbins-trunc", (3, 5))  # and so does a new size
-    assert calls == [((3, 4), 49), ((3, 5), 49), ((3, 5), 59)]
+    def spy_fit(data, **kw):
+        fits.append(kw.get("init_prior"))  # None on a full fit
+        return real_fit(data, **kw)
+
+    monkeypatch.setattr(ResolvedPrior, "_atom_counts", spy_draw)
+    monkeypatch.setattr(ex, "fit_npmle", spy_fit)
+    plan = small_plan(methods=("npmle", "robbins-trunc", "oracle"), seed=3, n_grid=(50, 60),
+                      metrics=("hellinger_sq", "individual_regret"))
+    rows = run_plan(plan, resolved=r).rows
+    keys = [(3, n, rep, ex._PURPOSE_TRAIN) for n in (50, 60) for rep in range(2)]
+    assert draws == [(key, key[1] - 1) for key in keys]
+    assert fits == [None] * len(keys)
+    monkeypatch.undo()
     # the shared draw scores as a fresh prior's own draws do
-    assert individual_regret_trial(resolve(TP_SPEC, p=2.0), 50, "robbins-addone", (3, 4)) == addone
-    assert individual_regret_trial(resolve(TP_SPEC, p=2.0), 50, "robbins-trunc", (3, 4)) == trunc
+    for row in rows:
+        key, fresh = (3, row.n, row.replicate, ex._PURPOSE_TRAIN), resolve(TP_SPEC, p=2.0)
+        if row.metric == "hellinger_sq":
+            value, flags = density_risk_trial(fresh, row.n, key)
+            assert (row.value, row.flags) == (value, ";".join(flags))
+        else:
+            value, tail, flags = individual_regret_trial(fresh, row.n, row.method, key)
+            assert (row.value, row.std_error, row.flags) == (value, tail, ";".join(flags))
+    hist = r.count_histogram((3, 5), 59)
     fresh = CountHistogram.from_samples(r.sample_counts((3, 5), 59)[1])
-    np.testing.assert_array_equal(r.count_histogram((3, 5), 59).ys, fresh.ys)
-    np.testing.assert_array_equal(r.count_histogram((3, 5), 59).cnts, fresh.cnts)
+    np.testing.assert_array_equal(hist.ys, fresh.ys)
+    np.testing.assert_array_equal(hist.cnts, fresh.cnts)
 
 
 def test_regret_sums_do_not_depend_on_the_blas_thread_count():
@@ -607,11 +622,9 @@ def test_run_plan_rows_are_the_public_trial_calls():
     tp2 = resolve(TP_SPEC, p=2.0)          # robbins-trunc's tuning needs p > 1
     expected = []
     for rep in range(plan.replicates):
-        density, train, direct = (
-            (plan.seed, 20, rep, purpose)
-            for purpose in (ex._PURPOSE_DENSITY, ex._PURPOSE_TRAIN, ex._PURPOSE_DIRECT)
-        )
-        value, flags = density_risk_trial(tp2, 20, density)
+        train, direct = ((plan.seed, 20, rep, purpose)
+                         for purpose in (ex._PURPOSE_TRAIN, ex._PURPOSE_DIRECT))
+        value, flags = density_risk_trial(tp2, 20, train)  # read off the training draw's fit
         expected.append(ExperimentRow(20, rep, "npmle", "hellinger_sq", value, 0.0,
                                       ";".join(flags)))
         for method in plan.methods:
@@ -652,16 +665,48 @@ def test_run_plan_hellinger_rows():
     assert all(0.0 <= r.value <= 2.0 for r in rep.rows)
 
 
-def test_run_plan_failed_trials_leave_flagged_rows(monkeypatch):
-    def boom(*a, **k):
-        raise ValueError("synthetic failure")
+def _boom(*a, **k):
+    raise ValueError("synthetic failure")
 
-    monkeypatch.setattr(ex, "individual_regret_trial", boom)
+
+def test_run_plan_failed_trials_leave_flagged_rows(monkeypatch):
+    monkeypatch.setattr(ex, "_regret_from_table", _boom)
     rep = run_plan(small_plan(), resolved=TP)
     assert len(rep.rows) == 2 * 2 * 2 * 2
     for r in rep.rows:
         assert math.isnan(r.value)
         assert r.flags == "failed:ValueError"
+
+
+def _fit_rule_failing_on_robbins_trunc(config, *a, **k):
+    if config.kind == "robbins_trunc":
+        raise ValueError("synthetic failure")
+    return fit_rule(config, *a, **k)
+
+
+@pytest.mark.parametrize("target, patch, failed", [
+    # a fit that raises fails the rows that read it: npmle's and hellinger_sq's
+    (ex, ("fit_npmle", _boom), {"npmle"}),
+    # a rule that raises fails its own method's rows
+    (ex, ("fit_rule", _fit_rule_failing_on_robbins_trunc), {"robbins-trunc"}),
+    # a draw that raises fails every row of the replicate, the oracle's too
+    (ResolvedPrior, ("count_histogram", _boom), None),
+], ids=["fit", "rule", "draw"])
+def test_run_plan_fails_only_the_rows_a_failure_reaches(monkeypatch, target, patch, failed):
+    plan = small_plan(methods=("robbins-addone", "npmle", "robbins-trunc", "oracle"),
+                      metrics=("hellinger_sq", "individual_regret"), n_grid=(30,))
+    tp2 = resolve(TP_SPEC, p=2.0)  # robbins-trunc's tuning needs p > 1
+    want = run_plan(plan, resolved=tp2).rows
+    monkeypatch.setattr(target, *patch)
+    rows = run_plan(plan, resolved=tp2).rows
+    assert len(rows) == len(want) == 2 * (1 + 4)
+    for got, row in zip(rows, want):
+        if failed is None or row.method in failed:
+            assert (got.n, got.replicate, got.method, got.metric) == (
+                row.n, row.replicate, row.method, row.metric)
+            assert math.isnan(got.value) and got.flags == "failed:ValueError", got
+        else:
+            assert got == row
 
 
 def test_run_plan_skips_slopes_for_short_grids():

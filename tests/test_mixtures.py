@@ -106,6 +106,14 @@ def test_pmf_table_matches_direct_mixture():
         assert t.values[y] == pytest.approx(direct, rel=1e-12)
 
 
+def test_pmf_table_of_atoms_at_or_near_zero():
+    # log f(0) rounded to 1.4e-16 here, so f(0) = 1 + 1 ulp failed the table's [0, 1] check
+    w = np.array([0.125, 0.015625, 0.01])
+    t = pmf_table(DiscretePrior([0.0, 1.4e-45, 5.8e-305], w / w.sum()))
+    assert t.values[0] == 1.0
+    assert t.values.sum() + t.tail_mass == pytest.approx(1.0, abs=1e-10)
+
+
 def test_pmf_min_len_extends_table():
     t = pmf_table(G15, min_len=500)
     assert t.values.size >= 500
