@@ -22,12 +22,21 @@ Conventions
   atom, so the neglected tail is provably below the requested tolerance.
 * Mixture tables sum each block of whole 256-row segments, about
   ``max(256, 2^16 // atoms)`` rows (few-atom priors, such as fitted NPMLEs,
-  take few blocks), over the atoms whose bound log w_j - bd0(y*, theta_j),
-  y* the point of the block nearest theta_j, is near the block's best.
-  Poi(y; theta) <= exp(-bd0(y, theta)) for every y, so the bound is rigorous.  The left-out
-  atoms' bounds, summed as count x max, must be 2^-60 below every kept row
-  sum, else the block sums all atoms: a table equals the all-atom sum to
-  within rounding.
+  take few blocks), over its band: the atoms whose bound log w_j - bd0(y*,
+  theta_j), y* the point of the block nearest theta_j, is within 200 nats of
+  the block's best, and the nearest atom either side of the block.
+  Poi(y; theta) <= exp(-bd0(y, theta)) for every y, so the bound is rigorous.
+  One vectorized pass chooses every band (`_bands`): the better score of the
+  two atoms either side of the block start bounds the best below, and
+  bd0(y, theta) >= (y - theta)^2 / (2 max(y, theta)) turns that into a window
+  of theta outside which no atom scores near the best, so only the window's
+  atoms are scored and the band is the one a scan of all atoms finds.  The
+  left-out atoms' bounds, summed as count x max, must be 2^-60 below every
+  kept row sum, else the block sums all atoms.  The pass bounds the atoms
+  beyond the window by the window's edge, which is looser; only where that
+  bound fails is the exact bound over all atoms taken, and it decides.  So
+  every band and certificate decision, hence every cell and sum, is the
+  scan's, and a table equals the all-atom sum to within rounding.
 * A cell is log(w_j Poi(y; theta_j)) less the row term log Poi(y; c), c the
   centre of the row's segment: (y - c) log(theta_j / c) + log w_j - bd0(c,
   theta_j), one multiply-add per cell.  The first segment is not centred (row
@@ -37,7 +46,7 @@ Conventions
   form (`_GAP_NATS`).  No row's value depends on the length of its table.
 * One pass over the blocks gives the pmf and any posterior moments
   (`pmf_and_moment_tables`).  One exponential per cell, E = w Poi / (Poi(y; c)
-  e^top) with top the row's largest cell, is shared by the pmf and every
+  e^top) with top the row's largest cell (found by argmax), is shared by the pmf and every
   moment: log f = log Poi(y; c) + top + log sum E, and moment r is the
   theta^r-weighted row sum of E over the row mass sum E.  Each output keeps
   its own certificate: the pmf sums all atoms only where the w sum fails,
@@ -307,8 +316,9 @@ def _log_mix(logP: np.ndarray, w: np.ndarray) -> np.ndarray:
         return top + np.log(mass)
 
 
-def _band_exponent(atoms: np.ndarray, log_atoms: np.ndarray, first: int, last: int) -> np.ndarray:
-    """bd0(y*, theta_j), y* the point of [first, last] nearest theta_j, by its direct form.
+def _band_exponent(atoms: np.ndarray, log_atoms: np.ndarray, first, last) -> np.ndarray:
+    """bd0(y*, theta_j), y* the point of [first, last] nearest theta_j, by its direct form;
+    the ends may be arrays, one per atom.
 
     Poi(y; theta_j) <= exp(-bd0(y*, theta_j)) on every row of the span: log Poi
     is -bd0(y, theta) less stirlerr(y) + log sqrt(2 pi y) >= 0 (0 at y = 0),
@@ -317,6 +327,68 @@ def _band_exponent(atoms: np.ndarray, log_atoms: np.ndarray, first: int, last: i
     t = np.clip(atoms, first, last)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.fmax(t * (np.log(t) - log_atoms) + (atoms - t), 0.0)  # 0 * NaN at t = theta = 0
+
+
+def _bands(atoms: np.ndarray, log_atoms: np.ndarray, log_coefs: list, y_hi: int,
+           rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, bounds) of the blocks of `rows` rows from y = 0 up to y_hi, in one pass.
+
+    Block i keeps the atoms lo[i]..hi[i]-1 (the band of the module Conventions).
+    With M = max log w - (the better score of the atoms either side of the
+    block start) + _BAND_NATS, only the atoms in [start - sqrt(2 M start),
+    last + M + sqrt(M^2 + 2 M last)] (a nat of slack added for rounding) can
+    score near the best, and only they are scored.  bounds[k, i] bounds
+    log(count x max) of the left-out atoms' log c_j - bd0(y*, theta_j), c =
+    exp(log_coefs[k]): exact inside the window, max log c - M beyond it, so
+    never below `_left_out_bound`.
+    """
+    n, log_w = atoms.size, log_coefs[0]
+    starts = np.arange(0, y_hi + 1, rows, dtype=float)
+    lasts = starts + (rows - 1)
+    above = np.searchsorted(atoms, starts)
+    left, right = np.maximum(above - 1, 0), np.minimum(above, n - 1)  # either side of start
+    if starts.size == 1:  # one block: a window would cost more than it saves
+        reach, wlo, whi = math.inf, np.zeros_like(left), np.full_like(right, n)
+    else:
+        sides = np.stack([left, right])
+        floor = (log_w[sides] - _band_exponent(atoms[sides], log_atoms[sides], starts,
+                                               lasts)).max(0)
+        reach = log_w.max() - floor + _BAND_NATS  # M; inf where both neighbours score -inf
+        m = reach + 1.0  # a nat of slack for rounding
+        with np.errstate(invalid="ignore"):  # inf x 0 at start 0 gives NaN, and fmax takes 0
+            wlo = np.searchsorted(atoms, np.fmax(starts - np.sqrt(2.0 * m * starts), 0.0))
+        whi = np.searchsorted(atoms, lasts + m + np.sqrt(m * (m + 2.0 * lasts)), "right")
+        wlo, whi = np.minimum(wlo, left), np.maximum(whi, right + 1)  # so no window is empty
+    # the window's pairs, flattened as `_mixture_rows`' centring pairs are
+    width = whi - wlo
+    firsts = np.cumsum(width) - width
+    pairs = np.arange(width.sum()) + np.repeat(wlo - firsts, width)
+    block = np.repeat(np.arange(starts.size), width)
+    drop = _band_exponent(atoms[pairs], log_atoms[pairs], starts[block], lasts[block])
+    score = log_w[pairs] - drop
+    near = score >= np.repeat(np.maximum.reduceat(score, firsts), width) - _BAND_NATS
+    lo = np.minimum(np.minimum.reduceat(np.where(near, pairs, n), firsts), left)
+    hi = np.maximum(np.maximum.reduceat(np.where(near, pairs, -1), firsts),
+                    np.minimum(np.searchsorted(atoms, lasts, "right"), n - 1)) + 1
+    # count x max, the count's log taken as `_left_out_bound` takes it
+    log_count = np.array([math.log(k) if k else -math.inf for k in (lo + n - hi).tolist()])
+    out = (pairs < lo[block]) | (pairs >= hi[block])
+    beyond = (wlo > 0) | (whi < n)  # some atom lies outside the window
+    bounds = np.empty((len(log_coefs), starts.size))
+    for k, log_c in enumerate(log_coefs):
+        inside = np.maximum.reduceat(np.where(out, log_c[pairs] - drop, -np.inf), firsts)
+        bounds[k] = log_count + np.where(beyond, np.fmax(inside, log_c.max() - reach), inside)
+    return lo, hi, bounds
+
+
+def _left_out_bound(atoms: np.ndarray, log_atoms: np.ndarray, log_c: np.ndarray, first: int,
+                    last: int, lo: int, hi: int) -> float:
+    """log(count x max) of log c_j - bd0(y*, theta_j) over the atoms outside lo..hi-1, y*
+    the point of [first, last] nearest theta_j: the exact bound `_bands` bounds above."""
+    out = np.r_[0:lo, hi:atoms.size]
+    if not out.size:
+        return -math.inf
+    return math.log(out.size) + (log_c - _band_exponent(atoms, log_atoms, first, last))[out].max()
 
 
 @lru_cache(maxsize=4)  # tables of one length recur: every fit's pmf on the reference range
@@ -362,8 +434,14 @@ def _cells(a: np.ndarray, b: np.ndarray, centres: np.ndarray, rows: int) -> np.n
 
 def _softmax_rows(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(E, top, mass), E = exp(e - top) formed in place in e: top is each row's largest
-    entry (0 on a row of zero mass) and mass the row sum of E."""
-    top = e.max(axis=1)
+    entry (0 on a row of zero mass) and mass the row sum of E.
+
+    The top is read at the argmax, which costs about half a max on rows of a
+    few cells.  It is the max bit for bit, but on a tie of -0 and +0
+    it may take the other sign; E and mass are the same, and so is top + log
+    mass, since log mass >= +0.
+    """
+    top = e[np.arange(len(e)), e.argmax(axis=1)]
     top[~np.isfinite(top)] = 0.0
     e -= top[:, None]
     np.exp(e, out=e)
@@ -373,11 +451,17 @@ def _softmax_rows(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _mixture_rows(prior: DiscretePrior, y_hi: int, orders=()) -> tuple[np.ndarray, list]:
     """log f_G(y) and E[theta^r | Y = y] for each r in `orders`, y = 0..y_hi, in one pass.
 
-    Blocks of whole _BLOCK-row segments each keep the run of atoms whose bound
-    ``log w_j - bd0(y*, theta_j)`` (`_band_exponent` over the block's nominal
-    span) is within _BAND_NATS of the best, plus the nearest atom on each
-    side.  One call gives every segment's centring over its block's band.  A
-    block's kernel E = w Poi / (Poi(y; c) e^top) (`_cells`) takes one
+    Blocks of whole _BLOCK-row segments each keep the band of atoms whose
+    bound ``log w_j - bd0(y*, theta_j)`` (`_band_exponent` over the block's
+    nominal span) is within _BAND_NATS of the best, plus the nearest atom on
+    each side.  `_bands` chooses every band in one pass, scoring only the
+    atoms of a window that bd0(y, theta) >= (y - theta)^2 / (2 max(y, theta))
+    draws around each block; its left-out bound is exact inside the window
+    and looser beyond it.  A certificate that the looser bound fails takes
+    the exact bound over all atoms (`_left_out_bound`), so every band and
+    decision is a scan's over all atoms, and every table the same bits.  One
+    call gives every segment's centring over its block's band.  A block's
+    kernel E = w Poi / (Poi(y; c) e^top) (`_cells`) takes one
     exponential per cell, shared by every output: log f is top + shift + log
     of the row mass sum E, and moment r the theta^r-weighted row sum of E over
     that mass.  Each output keeps its own certificate of the module
@@ -400,32 +484,25 @@ def _mixture_rows(prior: DiscretePrior, y_hi: int, orders=()) -> tuple[np.ndarra
     segments = max(1, _BLOCK_CELLS // (_BLOCK * atoms.size))
     rows = segments * _BLOCK
 
-    bands = []  # per block: lo, hi and, per output, log(count x max) of its left-out bounds
-    for start in range(0, y_hi + 1, rows):
-        drop = _band_exponent(atoms, log_atoms, start, start + rows - 1)
-        score = log_w - drop
-        near = np.flatnonzero(score >= score.max() - _BAND_NATS)
-        lo = min(near[0], max(np.searchsorted(atoms, start) - 1, 0))
-        hi = max(near[-1], min(np.searchsorted(atoms, start + rows - 1, side="right"),
-                               atoms.size - 1)) + 1
-        out = np.r_[0:lo, hi:atoms.size]
-        bands.append((lo, hi, [math.log(out.size) + (log_c - drop)[out].max() if out.size
-                               else -math.inf for log_c in log_coefs]))
+    los, his, bounds = _bands(atoms, log_atoms, log_coefs, y_hi, rows)
     # every segment's centring over its block's band, in one call
-    lo_seg = np.repeat([lo for lo, _, _ in bands], segments)[:centres.size]
-    width = np.repeat([hi - lo for lo, hi, _ in bands], segments)[:centres.size]
+    lo_seg = np.repeat(los, segments)[:centres.size]
+    width = np.repeat(his - los, segments)[:centres.size]
     ends = np.cumsum(width)  # segment k's pairs are ends[k] - width[k] .. ends[k] - 1
     pairs = np.arange(ends[-1]) + np.repeat(lo_seg - (ends - width), width)  # their atoms
     a_all, b_all = _centring(atoms[pairs], log_w[pairs], np.repeat(centres, width))
 
     log_f = np.empty(y_hi + 1)
     moments = [np.empty(y_hi + 1) for _ in orders]
-    for i, (lo, hi, bounds) in enumerate(bands):
+    for i in range(los.size):
         start, stop = i * rows, min((i + 1) * rows, y_hi + 1)
         first, last = i * segments, min((i + 1) * segments, centres.size)
+        lo, hi = int(los[i]), int(his[i])
 
-        def certified(k, log_kept):  # the left-out mass is at most count x max of its bounds
-            return not (bounds[k] > log_kept.min() - _CERT_LOG)
+        def certified(k, log_kept):  # left-out mass <= count x max: the window's bound, else exact
+            least = log_kept.min() - _CERT_LOG
+            return not (bounds[k, i] > least) or not (_left_out_bound(
+                atoms, log_atoms, log_coefs[k], start, start + rows - 1, lo, hi) > least)
 
         redo = [True] * (1 + len(orders))  # log f, then each moment: still to (re)compute
         shift, peak = row_terms[:, start:stop]

@@ -487,6 +487,130 @@ def test_shared_pass_falls_back_per_output(monkeypatch):
     np.testing.assert_allclose(m2, _full_rows(prior, y_hi, 2), rtol=1e-13, atol=0)
 
 
+def _scan_bands(atoms, log_atoms, log_coefs, y_hi, rows):
+    """`mixtures._bands` by a scan of every atom per block, with the exact left-out bounds:
+    each block keeps the atoms whose log w - bd0(y*, theta) is within _BAND_NATS of its
+    best, and the nearest atom either side of its span."""
+    los, his, bounds = [], [], []
+    log_w = log_coefs[0]
+    for start in range(0, y_hi + 1, rows):
+        drop = mixtures._band_exponent(atoms, log_atoms, start, start + rows - 1)
+        score = log_w - drop
+        near = np.flatnonzero(score >= score.max() - mixtures._BAND_NATS)
+        lo = min(near[0], max(np.searchsorted(atoms, start) - 1, 0))
+        hi = max(near[-1], min(np.searchsorted(atoms, start + rows - 1, side="right"),
+                               atoms.size - 1)) + 1
+        out = np.r_[0:lo, hi:atoms.size]
+        los.append(lo)
+        his.append(hi)
+        bounds.append([math.log(out.size) + (log_c - drop)[out].max() if out.size
+                       else -math.inf for log_c in log_coefs])
+    return np.array(los), np.array(his), np.array(bounds).T
+
+
+def _band_priors(name, request):
+    """(prior, y_hi) pairs: a `_kernel_case`, heavy_tail_15's 4x refinement, or seeded random
+    priors of 1-60 atoms on scales 1e-3 to 1e5, a fifth with an atom at 0."""
+    if name == "heavy_tail_15_4x":
+        r = request.getfixturevalue("heavy_tail_15")
+        layout = priors._ContinuousLayout.of(r.spec, r.disc_tol)
+        panels = r.discretization.n_atoms // 12  # 12 nodes a panel, and the atom at 0
+        np.testing.assert_array_equal(layout.prior(panels).atoms, r.discretization.atoms)
+        fine = layout.prior(4 * panels)
+        assert fine.n_atoms == 2737
+        return [(fine, layout.y_check)]
+    if name != "random":
+        return [_kernel_case(name, request)]
+    rng = np.random.default_rng(3838)
+    cases = []
+    for _ in range(100):
+        m = int(rng.integers(1, 61))
+        atoms = rng.exponential(10.0 ** rng.uniform(-3.0, 5.0), m) * rng.uniform(0.0, 1.0, m) ** 2
+        if rng.uniform() < 0.2:
+            atoms[0] = 0.0
+        w = np.maximum(rng.dirichlet(np.full(m, rng.uniform(0.1, 2.0))), 1e-14)
+        prior = DiscretePrior(atoms, w / w.sum())
+        cases.append((prior, int(min(1e5, prior.atoms[-1] * rng.uniform(1.0, 3.0) + 50))))
+    return cases
+
+
+@pytest.mark.parametrize("name", ["heavy_tail_15", "heavy_tail_15_4x", "two_point_gap",
+                                  "floor_weight", "point_mass_zero", "fallback", "random"])
+def test_band_pass_matches_the_scan(name, request, monkeypatch):
+    # on every block the windowed pass keeps the scan's atoms, and its left-out
+    # bound is never below the scan's exact one; the tables are the scan's, bit
+    # for bit, since a failed certificate takes the exact bound
+    passes, bands = [], mixtures._bands
+
+    def spy(*args):
+        passes.append((args, bands(*args)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(mixtures, "_bands", spy)
+    for prior, y_hi in _band_priors(name, request):
+        passes.clear()
+        windowed = mixtures._mixture_rows(prior, y_hi, (1, 2))
+        ((args, (lo, hi, bounds)),) = passes
+        scan_lo, scan_hi, scan_bounds = _scan_bands(*args)
+        np.testing.assert_array_equal(lo, scan_lo)
+        np.testing.assert_array_equal(hi, scan_hi)
+        assert np.all(bounds >= scan_bounds), prior.describe()
+        with monkeypatch.context() as patch:
+            patch.setattr(mixtures, "_bands", _scan_bands)
+            scanned = mixtures._mixture_rows(prior, y_hi, (1, 2))
+        for got, want in zip([windowed[0]] + windowed[1], [scanned[0]] + scanned[1]):
+            np.testing.assert_array_equal(got, want)
+
+
+def _fitted_block(monkeypatch):
+    """The cells of a fitted NPMLE's pmf table on sweep-p2's reference range, y = 0..4017,
+    which the kernel takes in one block."""
+    from poisson_eb.experiments import SOLVER_TOL
+    from poisson_eb.npmle import fit_npmle
+
+    resolved = priors.resolve(priors.PriorSpec("heavy_tail", {"p": 2.0}), p=2.0)
+    fit = fit_npmle(resolved.count_histogram((1, 5, 3), 31_623), tol=SOLVER_TOL)  # 8 atoms
+    blocks, softmax = [], mixtures._softmax_rows
+    with monkeypatch.context() as patch:
+        patch.setattr(mixtures, "_softmax_rows", lambda e: softmax(blocks.append(e.copy()) or e))
+        pmf_table(fit.prior, resolved.pmf().tail_tol, min_len=resolved.pmf().values.size)
+    assert blocks[0].shape == (4018, fit.prior.n_atoms)
+    return blocks[0]
+
+
+def _softmax_by_max(e):
+    top = e.max(axis=1)
+    top[~np.isfinite(top)] = 0.0
+    e = np.exp(e - top[:, None])
+    return e, top, e.sum(axis=1)
+
+
+def test_softmax_top_is_the_row_max(monkeypatch):
+    # the argmax top is the row max, bit for bit: on rows of zero mass (reset
+    # to 0), on ties, on one-column blocks and on a fitted NPMLE's block
+    ninf = -np.inf
+    for e in [
+        np.full((3, 4), ninf),
+        np.array([[ninf, ninf], [-3.0, ninf], [ninf, 2.5]]),
+        np.array([[1.5, 1.5, -2.0], [-7.0, 4.0, 4.0], [0.25, 0.25, 0.25], [ninf, -1.0, -1.0]]),
+        np.array([[0.5], [ninf], [-1e300], [7.0]]),
+        np.random.default_rng(38).normal(0.0, 300.0, (257, 1)),
+        _fitted_block(monkeypatch),
+    ]:
+        got, want = mixtures._softmax_rows(e.copy()), _softmax_by_max(e)
+        for x, y in zip(got, want):
+            assert x.tobytes() == y.tobytes()
+    # on a tie of -0 and +0 the top may take either sign; E, the mass and
+    # top + log mass (log mass >= +0) are the same bits
+    e = np.array([[-0.0, 0.0, -2.0], [0.0, -0.0, ninf], [-0.0, ninf, -0.0]])
+    (got_e, got_top, got_mass), (e_max, top_max, mass_max) = mixtures._softmax_rows(e.copy()), \
+        _softmax_by_max(e)
+    np.testing.assert_array_equal(got_top, top_max)
+    for x, y in ((got_e, e_max), (got_mass, mass_max),
+                 (got_top + np.log(got_mass), top_max + np.log(mass_max))):
+        assert x.tobytes() == y.tobytes()
+
+
 @pytest.mark.parametrize("name", ["G15", "heavy_tail_15"])
 def test_one_pass_mmse_equals_three_passes(name, request):
     prior = G15 if name == "G15" else request.getfixturevalue(name).discretization
